@@ -58,7 +58,7 @@ struct RunSpec {
   /// micro_shard runs one profiled pass to predict the speedup ceiling it
   /// prints next to the measured speedup.
   bool profile_scale = false;
-  /// Arms the pasched-contend contention ledger on the engine's seam
+  /// Arms the contention ledger on the engine's seam
   /// mutexes/barrier (requires parallel >= 1). Uses the process-global seam
   /// observer, not the shard-monitor slot, so it composes with the two
   /// monitors above. Only measures under -DPASCHED_VALIDATE=ON — release

@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(n_windows_perpair)
           : 0.0;
 
-  // Separate contention-ledger pass on 8 workers (pasched-contend's runtime
+  // Separate contention-ledger pass on 8 workers (the PSL50x rules' runtime
   // half): ranks the engine's serialization sites by recorded seam wait.
   // Also kept out of the timed modes — the observer callbacks cost time on
   // exactly the paths being measured. Under -DPASCHED_VALIDATE=OFF the

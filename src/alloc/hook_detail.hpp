@@ -2,7 +2,7 @@
 // new/delete replacement (hook.cpp). Referencing these symbols is what
 // pulls hook.cpp's archive member — and with it the global allocator
 // replacement — into a binary, so only Ledger users get the hook. Not part
-// of the public pasched-alloc API.
+// of the public alloc API.
 #pragma once
 
 #include "util/allocgate.hpp"

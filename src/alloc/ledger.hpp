@@ -1,4 +1,4 @@
-// The runtime half of pasched-alloc: an allocation ledger hanging off a
+// The runtime half of the PSL60x rules: an allocation ledger hanging off a
 // global operator new/delete hook (src/alloc/hook.cpp, compiled in only
 // under -DPASCHED_VALIDATE=ON). Every allocation on a hooked thread is
 // charged to the util::allocgate attribution context — a (site, phase)

@@ -102,7 +102,7 @@ struct AllocHit {
   stats.functions += defs.size();
 
   for (const srclint::HotFunction& h :
-       srclint::find_marked_functions(f, cfg.hot_marker)) {
+       srclint::find_marked_functions(f, srclint::kHotMarker)) {
     HotRegion r;
     r.name = h.name;
     r.line = h.line;
@@ -118,7 +118,6 @@ struct AllocHit {
     seen_bodies.insert(r.begin);
     out.push_back(std::move(r));
   }
-  stats.hot_functions += out.size();
 
   for (const srclint::FunctionDef& d : defs) {
     if (!contains(cfg.lifecycle_functions, d.name)) continue;
@@ -240,10 +239,10 @@ struct AllocHit {
 }
 
 void emit(std::vector<analysis::Diagnostic>& findings, FileRuleStats& stats,
-          const SourceFile& f, const AllocConfig& cfg,
+          const SourceFile& f, const srclint::RuleSelection& sel,
           const std::string& rule, analysis::Severity sev, int line,
           std::string message, std::string fix_hint) {
-  if (!cfg.rule_enabled(rule)) return;
+  if (!sel.enabled(rule)) return;
   if (f.suppressed(rule, line)) {
     ++stats.suppressions_honored;
     return;
@@ -260,6 +259,7 @@ void emit(std::vector<analysis::Diagnostic>& findings, FileRuleStats& stats,
 // -- PSL603: cache-layout hazards in event/shard-resident types ---------------
 
 void rule_psl603(const SourceFile& f, const AllocConfig& cfg,
+                 const srclint::RuleSelection& sel,
                  std::vector<analysis::Diagnostic>& findings,
                  FileRuleStats& stats) {
   const auto& t = f.tokens;
@@ -274,7 +274,7 @@ void rule_psl603(const SourceFile& f, const AllocConfig& cfg,
       const std::string& x = t[i].text;
       if (is_owning_type(x) || is_indirect_type(x)) {
         if (!fired.insert(t[i].line).second) continue;
-        emit(findings, stats, f, cfg, "PSL603",
+        emit(findings, stats, f, sel, "PSL603",
              analysis::Severity::Warning, t[i].line,
              "`" + cb.name + "` is event/shard-resident but holds a `" + x +
                  "` member: every event touching it pays a pointer chase "
@@ -291,7 +291,7 @@ void rule_psl603(const SourceFile& f, const AllocConfig& cfg,
           t[i + 2].kind == Tok::Identifier &&
           (t[i + 3].text == ";" || t[i + 3].text == "=")) {
         if (!fired.insert(t[i].line).second) continue;
-        emit(findings, stats, f, cfg, "PSL603",
+        emit(findings, stats, f, sel, "PSL603",
              analysis::Severity::Warning, t[i].line,
              "`" + cb.name + "` is event/shard-resident but holds raw "
              "pointer member `" + t[i + 2].text +
@@ -309,6 +309,7 @@ void rule_psl603(const SourceFile& f, const AllocConfig& cfg,
 // -- PSL604: PASCHED_ARENA contract violations --------------------------------
 
 void rule_psl604(const SourceFile& f, const AllocConfig& cfg,
+                 const srclint::RuleSelection& sel,
                  std::vector<analysis::Diagnostic>& findings,
                  FileRuleStats& stats) {
   const auto& t = f.tokens;
@@ -341,7 +342,7 @@ void rule_psl604(const SourceFile& f, const AllocConfig& cfg,
       if (t[k].pp) continue;
       if (t[k].text == "~" && k + 1 < body_end &&
           t[k + 1].text == name) {
-        emit(findings, stats, f, cfg, "PSL604", analysis::Severity::Error,
+        emit(findings, stats, f, sel, "PSL604", analysis::Severity::Error,
              t[k].line,
              "PASCHED_ARENA type `" + name +
                  "` declares a destructor: arena slabs never run "
@@ -352,7 +353,7 @@ void rule_psl604(const SourceFile& f, const AllocConfig& cfg,
         continue;
       }
       if (t[k].kind == Tok::Identifier && t[k].text == "virtual") {
-        emit(findings, stats, f, cfg, "PSL604", analysis::Severity::Error,
+        emit(findings, stats, f, sel, "PSL604", analysis::Severity::Error,
              t[k].line,
              "PASCHED_ARENA type `" + name +
                  "` has a virtual member: a vptr breaks trivial "
@@ -365,7 +366,7 @@ void rule_psl604(const SourceFile& f, const AllocConfig& cfg,
           k > 0 && (t[k - 1].text == "." || t[k - 1].text == "->");
       if (t[k].kind == Tok::Identifier && !member_access &&
           (is_owning_type(t[k].text) || is_indirect_type(t[k].text))) {
-        emit(findings, stats, f, cfg, "PSL604", analysis::Severity::Error,
+        emit(findings, stats, f, sel, "PSL604", analysis::Severity::Error,
              t[k].line,
              "PASCHED_ARENA type `" + name + "` owns heap memory (`" +
                  t[k].text +
@@ -377,7 +378,7 @@ void rule_psl604(const SourceFile& f, const AllocConfig& cfg,
       }
       if (t[k].kind == Tok::Identifier && t[k].text == "new" &&
           !member_access && !(k + 1 < body_end && t[k + 1].text == "(")) {
-        emit(findings, stats, f, cfg, "PSL604", analysis::Severity::Error,
+        emit(findings, stats, f, sel, "PSL604", analysis::Severity::Error,
              t[k].line,
              "PASCHED_ARENA type `" + name +
                  "` allocates in a member function: arena values must not "
@@ -390,10 +391,6 @@ void rule_psl604(const SourceFile& f, const AllocConfig& cfg,
 
 }  // namespace
 
-bool AllocConfig::rule_enabled(const std::string& id) const {
-  return only.empty() || contains(only, id);
-}
-
 bool AllocConfig::in_scope(const std::string& rel_path) const {
   if (scope.empty()) return true;
   return std::any_of(scope.begin(), scope.end(), [&](const std::string& p) {
@@ -402,12 +399,13 @@ bool AllocConfig::in_scope(const std::string& rel_path) const {
 }
 
 void run_file_rules(const SourceFile& f, const AllocConfig& cfg,
+                    const srclint::RuleSelection& sel,
                     std::vector<analysis::Diagnostic>& findings,
                     std::vector<AllocClaim>& claims, FileRuleStats& stats) {
   for (const HotRegion& r : hot_regions(f, cfg, stats)) {
     const std::vector<AllocHit> hits = scan_region(f, r);
     for (const AllocHit& h : hits)
-      emit(findings, stats, f, cfg, h.rule, analysis::Severity::Error,
+      emit(findings, stats, f, sel, h.rule, analysis::Severity::Error,
            h.line, h.message, h.fix_hint);
     // PSL605: only a marker-carrying function with zero hits — suppressed
     // ones included — earns the allocation-free claim. A waiver silences
@@ -415,8 +413,8 @@ void run_file_rules(const SourceFile& f, const AllocConfig& cfg,
     if (r.marked && hits.empty())
       claims.push_back(AllocClaim{r.name, f.path, r.line});
   }
-  rule_psl603(f, cfg, findings, stats);
-  rule_psl604(f, cfg, findings, stats);
+  rule_psl603(f, cfg, sel, findings, stats);
+  rule_psl604(f, cfg, sel, findings, stats);
 }
 
 }  // namespace pasched::alloc

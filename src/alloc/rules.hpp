@@ -1,5 +1,5 @@
-// Per-file allocation & memory-layout rules for the pasched-alloc static
-// analyzer (PSL601–PSL605), over the srclint token/structural model. The
+// Per-file allocation & memory-layout rules for pasched-srclint
+// (PSL601–PSL605), over the srclint token/structural model. The
 // hot scope a rule guards is the union of PASCHED_HOT-annotated function
 // bodies and the configured event-lifecycle functions (matched by their
 // qualified FunctionDef names), so the engine's per-event core is covered
@@ -14,6 +14,7 @@
 #include "alloc/ledger.hpp"
 #include "analysis/diagnostic.hpp"
 #include "srclint/model.hpp"
+#include "srclint/rules.hpp"
 #include "srclint/source.hpp"
 
 namespace pasched::alloc {
@@ -24,8 +25,6 @@ struct AllocConfig {
   /// Path prefixes in scope. Allocation in tests/bench/tools harness code
   /// is not an event-hot-path concern.
   std::vector<std::string> scope = {"src/"};
-  /// The hot-path contract marker (util/hotpath.hpp).
-  std::string hot_marker = "PASCHED_HOT";
   /// The arena-residency contract marker audited by PSL604.
   std::string arena_marker = "PASCHED_ARENA";
   /// Qualified names of per-event lifecycle functions that are hot scope
@@ -41,17 +40,12 @@ struct AllocConfig {
   /// (owning/indirect members in event- or shard-resident values).
   std::vector<std::string> layout_types = {"HeapItem", "Slot",
                                            "CrossNodeEvent", "TieCandidate"};
-  /// When non-empty, only these rule IDs report (claims are unaffected).
-  std::vector<std::string> only;
-
-  [[nodiscard]] bool rule_enabled(const std::string& id) const;
   [[nodiscard]] bool in_scope(const std::string& rel_path) const;
 };
 
-/// Aggregated per-file counters the tree runner folds into AllocStats.
+/// Per-file counters the tree runner folds into its report.
 struct FileRuleStats {
   std::size_t functions = 0;
-  std::size_t hot_functions = 0;
   std::size_t arena_types = 0;
   int suppressions_honored = 0;
 };
@@ -61,6 +55,7 @@ struct FileRuleStats {
 /// PSL602 hit at all — suppressed hits also forfeit the claim: a waiver
 /// silences the finding but cannot certify the region allocation-free.
 void run_file_rules(const srclint::SourceFile& f, const AllocConfig& cfg,
+                    const srclint::RuleSelection& sel,
                     std::vector<analysis::Diagnostic>& findings,
                     std::vector<AllocClaim>& claims, FileRuleStats& stats);
 

@@ -179,8 +179,8 @@ const std::vector<RuleInfo>& all_rules() {
        "pool: ad-hoc threads bypass domain scoping and the window barrier "
        "protocol",
        "§3.2.1 (parallelism belongs to the engine, not to callers)"},
-      // Contention rules (PSL5xx): emitted by the pasched-contend static
-      // lock-order/serialization analyzer (src/contend/) and its runtime
+      // Contention rules (PSL5xx): emitted by pasched-srclint's static
+      // lock-order/serialization rules (src/contend/) and the runtime
       // contention ledger — the work-list generator for the ROADMAP item-1
       // (PARSIR-style window/ring) perf rework.
       {"PSL501", Severity::Error,
@@ -214,7 +214,7 @@ const std::vector<RuleInfo>& all_rules() {
        "from multiple domains at runtime: the PSL505 claim (and any lock "
        "removal built on it) is refuted by the contention ledger",
        "§5 (certify-then-verify: runtime witnesses police static claims)"},
-      // PSL6xx: pasched-alloc — allocation & memory-layout discipline on
+      // PSL6xx: pasched-srclint — allocation & memory-layout discipline on
       // the event hot path, certified statically (601-605) and verified by
       // the runtime allocation ledger (606).
       {"PSL601", Severity::Error,

@@ -1,4 +1,4 @@
-// Cross-TU lock-order graph for pasched-contend. Canonicalizes the names
+// Cross-TU lock-order graph for the PSL50x rules. Canonicalizes the names
 // extract_locks recorded ("mu" written inside ShardedEngine::post becomes
 // the node "Inbox.mu" via the member-declaration map; locals fall back to
 // "file:name"), merges same-named functions across TUs, closes acquired

@@ -1,4 +1,4 @@
-// The runtime half of pasched-contend: a contention ledger hanging off the
+// The runtime half of the PSL50x rules: a contention ledger hanging off the
 // util::SeamMutex/SeamBarrier observer hooks. Per site (by registered name)
 // it records acquire counts, contended acquires, wait time, hold time, and
 // the set of race::Domains observed acquiring — the measurements that (a)

@@ -117,10 +117,6 @@ class HeldTracker {
 
 }  // namespace
 
-bool ContendConfig::rule_enabled(const std::string& id) const {
-  return only.empty() || contains(only, id);
-}
-
 bool ContendConfig::in_scope(const std::string& rel_path) const {
   if (scope.empty()) return true;
   return std::any_of(scope.begin(), scope.end(), [&](const std::string& p) {

@@ -1,4 +1,4 @@
-// Per-function lockset extraction for the pasched-contend static analyzer.
+// Per-function lockset extraction for the PSL50x lock-order rules.
 // Built on the srclint token/structural model: for every recovered function
 // definition we track which mutexes are held at each acquisition, each call
 // site, and each direct blocking seam (barrier arrive_and_wait, condition
@@ -35,10 +35,6 @@ struct ContendConfig {
   /// Classes whose field layout PSL503 audits for false sharing.
   std::vector<std::string> shared_classes = {"ShardedEngine", "Inbox",
                                              "Ledger"};
-  /// When non-empty, only these rule IDs report.
-  std::vector<std::string> only;
-
-  [[nodiscard]] bool rule_enabled(const std::string& id) const;
   [[nodiscard]] bool in_scope(const std::string& rel_path) const;
 };
 

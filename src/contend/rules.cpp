@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
 
 #include "srclint/model.hpp"
 
@@ -126,10 +127,10 @@ struct MemberStmt {
 }
 
 void emit(std::vector<analysis::Diagnostic>& findings, FileRuleStats& stats,
-          const SourceFile& f, const ContendConfig& cfg,
+          const SourceFile& f, const srclint::RuleSelection& sel,
           const std::string& rule, analysis::Severity sev, int line,
           std::string message, std::string fix_hint) {
-  if (!cfg.rule_enabled(rule)) return;
+  if (!sel.enabled(rule)) return;
   if (f.suppressed(rule, line)) {
     ++stats.suppressions_honored;
     return;
@@ -146,6 +147,7 @@ void emit(std::vector<analysis::Diagnostic>& findings, FileRuleStats& stats,
 // -- PSL503: false-sharing layout in shard-shared classes ---------------------
 
 void rule_psl503(const SourceFile& f, const ContendConfig& cfg,
+                 const srclint::RuleSelection& sel,
                  std::vector<analysis::Diagnostic>& findings,
                  FileRuleStats& stats) {
   const auto& t = f.tokens;
@@ -184,7 +186,7 @@ void rule_psl503(const SourceFile& f, const ContendConfig& cfg,
           if (is_padding_wrapper(mt.text)) padded = true;
         }
         if (scalar && !padded) {
-          emit(findings, stats, f, cfg, "PSL503",
+          emit(findings, stats, f, sel, "PSL503",
                analysis::Severity::Warning, st.line,
                "per-shard container `" + cb.name + "::" + name +
                    "` packs scalar-sized elements contiguously: adjacent "
@@ -202,7 +204,7 @@ void rule_psl503(const SourceFile& f, const ContendConfig& cfg,
 
       // (b) a bare atomic member next to other mutable fields.
       if (stmt_has(f, st, "atomic")) {
-        emit(findings, stats, f, cfg, "PSL503", analysis::Severity::Warning,
+        emit(findings, stats, f, sel, "PSL503", analysis::Severity::Warning,
              st.line,
              "atomic member `" + cb.name + "::" + name +
                  "` is declared without cache-line isolation in a "
@@ -217,7 +219,7 @@ void rule_psl503(const SourceFile& f, const ContendConfig& cfg,
 
 // -- PSL504: shared atomic updated inside a hot loop --------------------------
 
-void rule_psl504(const SourceFile& f, const ContendConfig& cfg,
+void rule_psl504(const SourceFile& f, const srclint::RuleSelection& sel,
                  std::vector<analysis::Diagnostic>& findings,
                  FileRuleStats& stats) {
   const auto& t = f.tokens;
@@ -278,7 +280,7 @@ void rule_psl504(const SourceFile& f, const ContendConfig& cfg,
         update = true;
       if (!update) continue;
       if (!fired.insert({name, t[k].line}).second) continue;
-      emit(findings, stats, f, cfg, "PSL504", analysis::Severity::Warning,
+      emit(findings, stats, f, sel, "PSL504", analysis::Severity::Warning,
            t[k].line,
            "shared atomic `" + name +
                "` is read-modify-written on every iteration of a loop: "
@@ -290,10 +292,86 @@ void rule_psl504(const SourceFile& f, const ContendConfig& cfg,
   }
 }
 
+// -- PSL501/PSL502: whole-scan lock-order graph ------------------------------
+
+/// PSL501: one ERROR per lock-order cycle, anchored at the cycle's
+/// lexicographically-first witness edge so the subject is stable.
+void rule_psl501(const std::vector<LockCycle>& cycles,
+                 const std::map<std::string, const SourceFile*>& by_path,
+                 std::vector<analysis::Diagnostic>& findings,
+                 FileRuleStats& stats) {
+  for (const LockCycle& cyc : cycles) {
+    const LockEdge* anchor = &cyc.edges.front();
+    for (const LockEdge& e : cyc.edges) {
+      if (e.file + ":" + std::to_string(e.line) <
+          anchor->file + ":" + std::to_string(anchor->line))
+        anchor = &e;
+    }
+    const auto it = by_path.find(anchor->file);
+    if (it != by_path.end() &&
+        it->second->suppressed("PSL501", anchor->line)) {
+      ++stats.suppressions_honored;
+      continue;
+    }
+    std::ostringstream cycle_txt;
+    for (const std::string& n : cyc.nodes) cycle_txt << n << " -> ";
+    cycle_txt << cyc.nodes.front();
+    std::ostringstream witness;
+    for (std::size_t i = 0; i < cyc.edges.size(); ++i) {
+      const LockEdge& e = cyc.edges[i];
+      witness << (i == 0 ? "" : ", ") << e.from << "->" << e.to << " at "
+              << e.file << ":" << e.line;
+    }
+    analysis::Diagnostic d;
+    d.rule = "PSL501";
+    d.severity = analysis::Severity::Error;
+    d.subject = anchor->file + ":" + std::to_string(anchor->line);
+    d.message = "lock-order cycle: " + cycle_txt.str() + " (" +
+                witness.str() + ") — two workers taking these locks in "
+                "opposite order deadlock the window protocol";
+    d.fix_hint =
+        "impose one global acquisition order (document it where the "
+        "mutexes are declared) and release before taking the earlier lock";
+    findings.push_back(std::move(d));
+  }
+}
+
+/// PSL502: ERROR for every lock held across a blocking seam.
+void rule_psl502(const LockGraph& g,
+                 const std::map<std::string, const SourceFile*>& by_path,
+                 std::vector<analysis::Diagnostic>& findings,
+                 FileRuleStats& stats) {
+  std::set<std::string> emitted;  // dedupe (lock, file, line)
+  for (const BlockingViolation& v : g.blocking()) {
+    const std::string key =
+        v.lock + "|" + v.file + "|" + std::to_string(v.line);
+    if (!emitted.insert(key).second) continue;
+    const auto it = by_path.find(v.file);
+    if (it != by_path.end() && it->second->suppressed("PSL502", v.line)) {
+      ++stats.suppressions_honored;
+      continue;
+    }
+    analysis::Diagnostic d;
+    d.rule = "PSL502";
+    d.severity = analysis::Severity::Error;
+    d.subject = v.file + ":" + std::to_string(v.line);
+    d.message = "lock `" + v.lock + "` is held across a blocking seam (" +
+                v.seam +
+                "): every other thread needing it inherits the full "
+                "barrier/wait latency, the serialization the paper's "
+                "gang-dispatch exists to avoid";
+    d.fix_hint =
+        "release the lock before parking: copy what the critical section "
+        "needs, unlock, then wait (the ShardedEngine drains inboxes "
+        "outside its plan lock for exactly this reason)";
+    findings.push_back(std::move(d));
+  }
+}
+
 // -- PSL505: coarse mutex over Owned-tagged state -----------------------------
 
 void rule_psl505(const SourceFile& f, const FileLocks& locks,
-                 const ContendConfig& cfg,
+                 const srclint::RuleSelection& sel,
                  std::vector<analysis::Diagnostic>& findings,
                  std::vector<SerializationClaim>& claims,
                  FileRuleStats& stats) {
@@ -314,7 +392,7 @@ void rule_psl505(const SourceFile& f, const FileLocks& locks,
     // The claim outlives the WARN: a suppressed PSL505 still gets its
     // runtime verification (PSL506) — certify, then verify.
     claims.push_back(SerializationClaim{site, f.path, m.line});
-    emit(findings, stats, f, cfg, "PSL505", analysis::Severity::Warning,
+    emit(findings, stats, f, sel, "PSL505", analysis::Severity::Warning,
          m.line,
          "mutex `" + site + "` guards a class whose race::Owned tag "
          "proves single-domain ownership: the lock is wider than the "
@@ -329,12 +407,24 @@ void rule_psl505(const SourceFile& f, const FileLocks& locks,
 
 void run_file_rules(const SourceFile& f, const FileLocks& locks,
                     const ContendConfig& cfg,
+                    const srclint::RuleSelection& sel,
                     std::vector<analysis::Diagnostic>& findings,
                     std::vector<SerializationClaim>& claims,
                     FileRuleStats& stats) {
-  rule_psl503(f, cfg, findings, stats);
-  rule_psl504(f, cfg, findings, stats);
-  rule_psl505(f, locks, cfg, findings, claims, stats);
+  rule_psl503(f, cfg, sel, findings, stats);
+  rule_psl504(f, sel, findings, stats);
+  rule_psl505(f, locks, sel, findings, claims, stats);
+}
+
+std::size_t run_graph_rules(
+    const LockGraph& g,
+    const std::map<std::string, const SourceFile*>& by_path,
+    const srclint::RuleSelection& sel,
+    std::vector<analysis::Diagnostic>& findings, FileRuleStats& stats) {
+  const std::vector<LockCycle> cycles = g.cycles();
+  if (sel.enabled("PSL501")) rule_psl501(cycles, by_path, findings, stats);
+  if (sel.enabled("PSL502")) rule_psl502(g, by_path, findings, stats);
+  return cycles.size();
 }
 
 }  // namespace pasched::contend

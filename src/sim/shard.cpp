@@ -42,11 +42,13 @@ namespace {
   return site;
 }
 
+#if PASCHED_VALIDATE_ENABLED
 [[nodiscard]] int horizon_wait_site() {
   static const int site = util::register_seam_site(
       "ShardedEngine.horizon_wait", util::SeamKind::Wait);
   return site;
 }
+#endif
 
 // Horizon clocks start below any reachable simulation time.
 inline constexpr std::int64_t kHorizonUnset =

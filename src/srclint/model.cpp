@@ -27,7 +27,7 @@ std::size_t match_forward(const std::vector<Token>& toks, std::size_t open) {
 }
 
 std::vector<HotFunction> find_marked_functions(const SourceFile& f,
-                                               const std::string& marker) {
+                                               std::string_view marker) {
   std::vector<HotFunction> out;
   const auto& t = f.tokens;
   for (std::size_t i = 0; i < t.size(); ++i) {

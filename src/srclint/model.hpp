@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "srclint/source.hpp"
@@ -48,7 +49,7 @@ struct MacroCall {
 /// any '{') are skipped. Preprocessor lines are ignored, so the macro's own
 /// #define never binds.
 [[nodiscard]] std::vector<HotFunction> find_marked_functions(
-    const SourceFile& f, const std::string& marker);
+    const SourceFile& f, std::string_view marker);
 
 /// Bodies of class/struct definitions whose name is in `names`. Forward
 /// declarations are skipped.
@@ -75,7 +76,7 @@ struct FunctionDef {
 /// [qualifiers] [: ctor-init-list] {` shape. Control-flow keywords, pure
 /// declarations (ending in ';') and call expressions are skipped; lambdas
 /// are not recovered as functions (their bodies belong to the enclosing
-/// definition). This is the walker pasched-contend builds per-function
+/// definition). This is the walker the PSL50x rules build per-function
 /// locksets on, so recall matters more than precision: a macro-heavy
 /// pseudo-definition (TEST(a, b) { ... }) is recovered as a function too.
 [[nodiscard]] std::vector<FunctionDef> find_functions(const SourceFile& f);

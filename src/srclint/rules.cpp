@@ -49,26 +49,21 @@ using analysis::Severity;
 
 class RuleRun {
  public:
-  RuleRun(const SourceFile& f, const RuleConfig& cfg, RuleStats* stats)
-      : f_(f), cfg_(cfg), stats_(stats) {}
+  RuleRun(const SourceFile& f, const RuleConfig& cfg, const RuleSelection& sel,
+          RuleStats* stats)
+      : f_(f), cfg_(cfg), sel_(sel), stats_(stats) {}
 
   std::vector<Diagnostic> run() {
-    if (enabled("PSL401")) psl401();
-    if (enabled("PSL402")) psl402();
-    if (enabled("PSL403")) psl403();
-    if (enabled("PSL404")) psl404();
-    if (enabled("PSL405")) psl405();
-    if (enabled("PSL406")) psl406();
+    if (sel_.enabled("PSL401")) psl401();
+    if (sel_.enabled("PSL402")) psl402();
+    if (sel_.enabled("PSL403")) psl403();
+    if (sel_.enabled("PSL404")) psl404();
+    if (sel_.enabled("PSL405")) psl405();
+    if (sel_.enabled("PSL406")) psl406();
     return std::move(out_);
   }
 
  private:
-  [[nodiscard]] bool enabled(const char* id) const {
-    return cfg_.only.empty() ||
-           std::find(cfg_.only.begin(), cfg_.only.end(), id) !=
-               cfg_.only.end();
-  }
-
   void report(const char* rule, int line, std::string message,
               std::string fix) {
     if (f_.suppressed(rule, line)) {
@@ -191,7 +186,7 @@ class RuleRun {
 
   void psl403() {
     const auto& t = f_.tokens;
-    const auto hots = find_marked_functions(f_, cfg_.hot_marker);
+    const auto hots = find_marked_functions(f_, kHotMarker);
     if (stats_ != nullptr) stats_->hot_functions += hots.size();
     static const std::array<const char*, 6> kAlloc = {
         "malloc", "calloc", "realloc", "aligned_alloc", "make_unique",
@@ -420,15 +415,21 @@ class RuleRun {
 
   const SourceFile& f_;
   const RuleConfig& cfg_;
+  const RuleSelection& sel_;
   RuleStats* stats_;
   std::vector<Diagnostic> out_;
 };
 
 }  // namespace
 
+bool RuleSelection::enabled(std::string_view id) const {
+  return only.empty() || std::find(only.begin(), only.end(), id) != only.end();
+}
+
 std::vector<Diagnostic> run_rules(const SourceFile& file,
-                                  const RuleConfig& cfg, RuleStats* stats) {
-  return RuleRun(file, cfg, stats).run();
+                                  const RuleConfig& cfg,
+                                  const RuleSelection& sel, RuleStats* stats) {
+  return RuleRun(file, cfg, sel, stats).run();
 }
 
 }  // namespace pasched::srclint

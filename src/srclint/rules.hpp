@@ -16,12 +16,26 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
 #include "srclint/source.hpp"
 
 namespace pasched::srclint {
+
+/// The hot-path contract marker (util/hotpath.hpp) bound to function bodies
+/// by PSL403 and PSL601/602/605.
+inline constexpr std::string_view kHotMarker = "PASCHED_HOT";
+
+/// What every rule family (PSL401-406 here, contend's PSL501-505, alloc's
+/// PSL601-605) shares: one rule-ID filter.
+struct RuleSelection {
+  /// Restrict findings to these rule IDs (empty = all). Claims ignore it.
+  std::vector<std::string> only;
+
+  [[nodiscard]] bool enabled(std::string_view id) const;
+};
 
 /// Per-rule scoping. Defaults encode this repository's layout; the fixture
 /// tests reuse the same defaults by mirroring the layout under the plant
@@ -41,8 +55,6 @@ struct RuleConfig {
                                              "Tracer",      "EventLog"};
   std::vector<std::string> shard_resident_scope = {
       "src/cluster/", "src/kern/", "src/mpi/", "src/daemons/", "src/trace/"};
-  /// PSL403: the hot-path marker bound to function bodies.
-  std::string hot_marker = "PASCHED_HOT";
   /// PSL404: macros whose arguments vanish under -DPASCHED_VALIDATE=OFF.
   std::vector<std::string> vanishing_macros = {
       "PASCHED_CHECK", "PASCHED_CHECK_MSG", "PASCHED_ASSERT_OWNED",
@@ -54,8 +66,6 @@ struct RuleConfig {
   /// PSL406: the only places allowed to create threads.
   std::vector<std::string> thread_allow = {"src/sim/shard", "tools/",
                                            "tests/", "bench/", "examples/"};
-  /// Restrict to these rule IDs (empty = all).
-  std::vector<std::string> only;
 };
 
 struct RuleStats {
@@ -64,8 +74,9 @@ struct RuleStats {
   std::size_t suppressions_honored = 0;
 };
 
-/// Runs every (enabled) rule over one file.
+/// Runs every rule `sel` enables over one file.
 [[nodiscard]] std::vector<analysis::Diagnostic> run_rules(
-    const SourceFile& file, const RuleConfig& cfg, RuleStats* stats = nullptr);
+    const SourceFile& file, const RuleConfig& cfg, const RuleSelection& sel,
+    RuleStats* stats = nullptr);
 
 }  // namespace pasched::srclint

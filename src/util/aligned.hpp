@@ -1,7 +1,7 @@
 // Cache-line isolation for per-shard state. Adjacent vector elements (or
 // struct fields) written by different shard workers share 64-byte lines and
 // turn independent writes into coherence traffic — the false-sharing
-// pathology pasched-contend's PSL503 lints for. Wrapping the element in
+// pathology pasched-srclint's PSL503 lints for. Wrapping the element in
 // CacheAligned pads each instance to its own line.
 #pragma once
 

@@ -1,5 +1,5 @@
 // Allocation attribution gate: the thread-local (site, phase) context the
-// pasched-alloc runtime ledger charges heap traffic to. The engine brackets
+// allocation ledger (src/alloc) charges heap traffic to. The engine brackets
 // its per-event core with PASCHED_ALLOC_HOT_SCOPE sites and its sanctioned
 // amortized growth (slab refills, capacity doubling) with
 // PASCHED_ALLOC_COLD_REGION, so under -DPASCHED_VALIDATE=ON the global

@@ -1,11 +1,21 @@
 #include "util/flags.hpp"
 
 #include <algorithm>
+#include <iostream>
 
-#include "util/assert.hpp"
 #include "util/strings.hpp"
 
 namespace pasched::util {
+
+namespace {
+
+[[noreturn]] void bad_value(std::string_view name, const char* expected,
+                            const std::string& got) {
+  throw FlagError("flag --" + std::string(name) + " expects " + expected +
+                  ", got '" + got + "'");
+}
+
+}  // namespace
 
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -39,9 +49,7 @@ long long Flags::get_int(std::string_view name, long long fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   const auto v = parse_int(it->second);
-  PASCHED_EXPECTS_MSG(v.has_value(), "flag --" + std::string(name) +
-                                         " expects an integer, got '" +
-                                         it->second + "'");
+  if (!v) bad_value(name, "an integer", it->second);
   return *v;
 }
 
@@ -49,9 +57,7 @@ double Flags::get_double(std::string_view name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   const auto v = parse_double(it->second);
-  PASCHED_EXPECTS_MSG(v.has_value(), "flag --" + std::string(name) +
-                                         " expects a number, got '" +
-                                         it->second + "'");
+  if (!v) bad_value(name, "a number", it->second);
   return *v;
 }
 
@@ -59,9 +65,7 @@ bool Flags::get_bool(std::string_view name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   const auto v = parse_bool(it->second);
-  PASCHED_EXPECTS_MSG(v.has_value(), "flag --" + std::string(name) +
-                                         " expects a bool, got '" +
-                                         it->second + "'");
+  if (!v) bad_value(name, "a bool", it->second);
   return *v;
 }
 
@@ -73,6 +77,16 @@ std::vector<std::string> Flags::unknown(
       out.push_back(k);
   }
   return out;
+}
+
+int run_tool(std::string_view tool, int argc, const char* const* argv,
+             int (*body)(const Flags&)) {
+  try {
+    return body(Flags(argc, argv));
+  } catch (const FlagError& e) {
+    std::cerr << tool << ": " << e.what() << "\n";
+    return 64;
+  }
 }
 
 }  // namespace pasched::util

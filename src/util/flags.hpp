@@ -1,14 +1,21 @@
-// Minimal command-line flag parser for the bench/example binaries.
+// Minimal command-line flag parser for the bench/example/tool binaries.
 // Syntax: --name=value or --name value; bare --name sets a bool flag true.
 #pragma once
 
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace pasched::util {
+
+/// A flag value that does not parse as the type asked for (--nodes=abc).
+class FlagError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class Flags {
  public:
@@ -36,5 +43,12 @@ class Flags {
   std::map<std::string, std::string, std::less<>> values_;
   std::vector<std::string> positional_;
 };
+
+/// The shared tool entry point: parses argv and runs `body`. A malformed
+/// flag value (FlagError) prints "<tool>: <message>" to stderr and returns
+/// 64, the bad-usage exit status every pasched tool documents.
+[[nodiscard]] int run_tool(std::string_view tool, int argc,
+                           const char* const* argv,
+                           int (*body)(const Flags&));
 
 }  // namespace pasched::util

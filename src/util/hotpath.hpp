@@ -2,7 +2,7 @@
 // promises the event hot path's discipline — no heap allocation, no
 // std::mutex (or any blocking) acquisition, no throw, no blocking I/O in its
 // body. The promise is enforced *statically* by pasched-srclint rule PSL403
-// (explicit alloc/lock/throw/IO tokens) and by pasched-alloc rules
+// (explicit alloc/lock/throw/IO tokens) and by its rules
 // PSL601/PSL602 (owning-container declarations and undisciplined container
 // growth); at runtime the macro costs nothing (it only forwards the
 // compiler's `hot` attribute when available, which nudges block placement).
@@ -11,7 +11,7 @@
 // per-window ones: a window barrier or an inbox-mutex swap is allowed to
 // block, so it must stay *outside* a PASCHED_HOT function and call into one.
 //
-// Scope of the static guarantee (see DESIGN.md §5.7/§5.9): amortized growth
+// Scope of the static guarantee (see DESIGN.md §5.7): amortized growth
 // inside an already-owned member container is allowed only under the
 // reserve/reused-scratch discipline PSL602 checks, and must sit inside a
 // PASCHED_ALLOC_COLD_REGION (util/allocgate.hpp) so the runtime allocation
@@ -24,7 +24,7 @@
 // is trivially destructible and trivially copyable and owns no heap memory —
 // the slab/free-list storage the engine keeps such values in never runs
 // destructors per element and relocates blocks with memcpy semantics.
-// Enforced statically by pasched-alloc rule PSL604 (user-declared
+// Enforced statically by pasched-srclint rule PSL604 (user-declared
 // destructor, virtual members, owning members are violations); pair the
 // annotation with a static_assert on std::is_trivially_destructible_v /
 // std::is_trivially_copyable_v so the compiler enforces what the analyzer

@@ -18,13 +18,6 @@ using namespace pasched;
 
 namespace {
 
-const alloc::SiteAllocRow* find_row(const alloc::AllocLedgerReport& rep,
-                                    const std::string& name) {
-  for (const alloc::SiteAllocRow& r : rep.sites)
-    if (r.name == name) return &r;
-  return nullptr;
-}
-
 // Defeats heap elision and keeps each probe's size recognizable.
 void churn(std::size_t n) {
   std::vector<long> v;
@@ -53,6 +46,17 @@ TEST(AllocLedger, AvailabilityMatchesTheBuild) {
 }
 
 #if PASCHED_VALIDATE_ENABLED
+
+namespace {
+
+const alloc::SiteAllocRow* find_row(const alloc::AllocLedgerReport& rep,
+                                    const std::string& name) {
+  for (const alloc::SiteAllocRow& r : rep.sites)
+    if (r.name == name) return &r;
+  return nullptr;
+}
+
+}  // namespace
 
 TEST(AllocLedger, HotScopeChargesTheHotBucket) {
   alloc::Ledger ledger;

@@ -1,4 +1,4 @@
-// Per-rule fire/silent coverage for pasched-alloc over the planted fixture
+// Per-rule fire/silent coverage for the PSL60x rules over the planted fixture
 // corpus (tests/alloc/fixtures mirrors the src/ layout the scope filter
 // expects), plus the waiver/claim contract: srclint-ok(PSL601) silences the
 // finding but forfeits the PSL605 allocation-free claim — a waiver is not
@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "alloc/runner.hpp"
+#include "srclint/runner.hpp"
 
 using namespace pasched;
 
@@ -17,13 +17,16 @@ namespace {
 
 const char* const kFixtureRoot = PASCHED_REPO_ROOT "/tests/alloc/fixtures";
 
-alloc::AllocReport scan(const std::vector<std::string>& rels) {
-  alloc::AllocOptions opts;
+// The PSL60x family alone: PSL403 also fires on the allocating hot
+// functions here (tests/srclint/golden_verdicts.json).
+srclint::SrclintReport scan(const std::vector<std::string>& rels) {
+  srclint::SrclintOptions opts;
   opts.root = kFixtureRoot;
-  return alloc::run_files(opts, rels);
+  opts.select.only = {"PSL601", "PSL602", "PSL603", "PSL604", "PSL605"};
+  return srclint::run_files(opts, rels);
 }
 
-std::size_t count_rule(const alloc::AllocReport& rep,
+std::size_t count_rule(const srclint::SrclintReport& rep,
                        const std::string& rule) {
   return static_cast<std::size_t>(
       std::count_if(rep.findings.begin(), rep.findings.end(),
@@ -35,38 +38,38 @@ std::size_t count_rule(const alloc::AllocReport& rep,
 }  // namespace
 
 TEST(AllocRules, Psl601FiresOnEveryAllocationShape) {
-  const alloc::AllocReport rep = scan({"src/psl601_fire.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl601_fire.cxx"});
   // Naked new, std::malloc, and a per-call owning container: three hits.
   EXPECT_EQ(count_rule(rep, "PSL601"), 3u) << rep.str();
   EXPECT_EQ(rep.findings.size(), 3u);
   // An allocating hot function cannot be certified allocation-free.
-  EXPECT_TRUE(rep.claims.empty());
+  EXPECT_TRUE(rep.alloc_claims.empty());
 }
 
 TEST(AllocRules, Psl601SlabAndPlacementNewStaySilent) {
-  const alloc::AllocReport rep = scan({"src/psl601_silent.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl601_silent.cxx"});
   EXPECT_TRUE(rep.findings.empty()) << rep.str();
   // The clean hot function earns the allocation-free claim.
-  ASSERT_EQ(rep.claims.size(), 1u);
-  EXPECT_EQ(rep.claims[0].function, "fire_one");
+  ASSERT_EQ(rep.alloc_claims.size(), 1u);
+  EXPECT_EQ(rep.alloc_claims[0].function, "fire_one");
 }
 
 TEST(AllocRules, Psl602FiresOnUndisciplinedGrowth) {
-  const alloc::AllocReport rep = scan({"src/psl602_fire.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl602_fire.cxx"});
   EXPECT_EQ(count_rule(rep, "PSL602"), 1u) << rep.str();
   EXPECT_EQ(rep.findings.size(), 1u);
-  EXPECT_TRUE(rep.claims.empty());
+  EXPECT_TRUE(rep.alloc_claims.empty());
 }
 
 TEST(AllocRules, Psl602ReserveDisciplineSilences) {
-  const alloc::AllocReport rep = scan({"src/psl602_silent.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl602_silent.cxx"});
   EXPECT_TRUE(rep.findings.empty()) << rep.str();
-  ASSERT_EQ(rep.claims.size(), 1u);
-  EXPECT_EQ(rep.claims[0].function, "push");
+  ASSERT_EQ(rep.alloc_claims.size(), 1u);
+  EXPECT_EQ(rep.alloc_claims[0].function, "push");
 }
 
 TEST(AllocRules, Psl603FiresOncePerHazardLine) {
-  const alloc::AllocReport rep = scan({"src/psl603_fire.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl603_fire.cxx"});
   // string member, unique_ptr member, raw-pointer member: one per line.
   EXPECT_EQ(count_rule(rep, "PSL603"), 3u) << rep.str();
   // Layout hazards are warnings — they flag, they do not gate.
@@ -74,12 +77,12 @@ TEST(AllocRules, Psl603FiresOncePerHazardLine) {
 }
 
 TEST(AllocRules, Psl603FlatLayoutStaysSilent) {
-  const alloc::AllocReport rep = scan({"src/psl603_silent.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl603_silent.cxx"});
   EXPECT_TRUE(rep.findings.empty()) << rep.str();
 }
 
 TEST(AllocRules, Psl604FiresOnEveryContractClause) {
-  const alloc::AllocReport rep = scan({"src/psl604_fire.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl604_fire.cxx"});
   // Destructor, virtual, owning member, naked new in a member function.
   EXPECT_EQ(count_rule(rep, "PSL604"), 4u) << rep.str();
   EXPECT_TRUE(analysis::any_errors(rep.findings));
@@ -87,26 +90,26 @@ TEST(AllocRules, Psl604FiresOnEveryContractClause) {
 }
 
 TEST(AllocRules, Psl604HonoredContractStaysSilent) {
-  const alloc::AllocReport rep = scan({"src/psl604_silent.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl604_silent.cxx"});
   EXPECT_TRUE(rep.findings.empty()) << rep.str();
   EXPECT_EQ(rep.stats.arena_types, 1u);
 }
 
 TEST(AllocRules, Psl605WaiverSilencesButForfeitsTheClaim) {
-  const alloc::AllocReport rep = scan({"src/psl605_claim.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl605_claim.cxx"});
   // The waived allocation produces no finding...
   EXPECT_TRUE(rep.findings.empty()) << rep.str();
   EXPECT_EQ(rep.stats.suppressions_honored, 1u);
   // ...but only the genuinely clean function is certified.
-  ASSERT_EQ(rep.claims.size(), 1u);
-  EXPECT_EQ(rep.claims[0].function, "next_due");
+  ASSERT_EQ(rep.alloc_claims.size(), 1u);
+  EXPECT_EQ(rep.alloc_claims[0].function, "next_due");
 }
 
 TEST(AllocRules, OnlyFilterRestrictsFindingsButNotClaims) {
-  alloc::AllocOptions opts;
+  srclint::SrclintOptions opts;
   opts.root = kFixtureRoot;
-  opts.cfg.only = {"PSL603"};
-  const alloc::AllocReport rep = alloc::run_files(
+  opts.select.only = {"PSL603"};
+  const srclint::SrclintReport rep = srclint::run_files(
       opts, {"src/psl601_fire.cxx", "src/psl601_silent.cxx",
              "src/psl603_fire.cxx"});
   EXPECT_EQ(rep.findings.size(), 3u) << rep.str();
@@ -114,12 +117,12 @@ TEST(AllocRules, OnlyFilterRestrictsFindingsButNotClaims) {
     EXPECT_EQ(d.rule, "PSL603");
   // Claim eligibility ignores the filter: psl601_fire's function still
   // allocates, so only the silent twin is certified.
-  ASSERT_EQ(rep.claims.size(), 1u);
-  EXPECT_EQ(rep.claims[0].function, "fire_one");
+  ASSERT_EQ(rep.alloc_claims.size(), 1u);
+  EXPECT_EQ(rep.alloc_claims[0].function, "fire_one");
 }
 
 TEST(AllocRules, FindingsAreSortedAndCarryRuleMetadata) {
-  const alloc::AllocReport rep =
+  const srclint::SrclintReport rep =
       scan({"src/psl604_fire.cxx", "src/psl601_fire.cxx"});
   ASSERT_GE(rep.findings.size(), 2u);
   EXPECT_TRUE(std::is_sorted(

@@ -1,4 +1,4 @@
-// Unit coverage of the pasched-contend lockset extractor: mutex member
+// Unit coverage of the PSL50x lockset extractor: mutex member
 // discovery, RAII-guard and manual lock()/unlock() held-set tracking, block
 // scoping, blocking-seam and call-site records — the raw material the
 // cross-TU LockGraph canonicalizes.
@@ -7,6 +7,7 @@
 #include <string>
 
 #include "contend/locks.hpp"
+#include "srclint/rules.hpp"
 #include "srclint/source.hpp"
 
 using namespace pasched;
@@ -146,9 +147,10 @@ TEST(ContendLocks, ScopeFilterAndOnlyList) {
   EXPECT_FALSE(cfg.in_scope("tests/test_sim_shard.cpp"));
   EXPECT_FALSE(cfg.in_scope("bench/micro_shard.cpp"));
 
-  contend::ContendConfig narrowed;
+  srclint::RuleSelection narrowed;
   narrowed.only = {"PSL503"};
-  EXPECT_TRUE(narrowed.rule_enabled("PSL503"));
-  EXPECT_FALSE(narrowed.rule_enabled("PSL501"));
-  EXPECT_TRUE(cfg.rule_enabled("PSL501"));  // empty only-list enables all
+  EXPECT_TRUE(narrowed.enabled("PSL503"));
+  EXPECT_FALSE(narrowed.enabled("PSL501"));
+  // An empty only-list enables all.
+  EXPECT_TRUE(srclint::RuleSelection{}.enabled("PSL501"));
 }

@@ -1,4 +1,4 @@
-// Per-rule fire/silent coverage for pasched-contend over the planted
+// Per-rule fire/silent coverage for the PSL50x rules over the planted
 // fixture corpus (tests/contend/fixtures mirrors the src/ layout the scope
 // filter expects), plus the suppression/claim contract: srclint-ok(PSL505)
 // silences the WARN but the serialization claim survives for the runtime
@@ -11,7 +11,7 @@
 
 #include "contend/locks.hpp"
 #include "contend/rules.hpp"
-#include "contend/runner.hpp"
+#include "srclint/runner.hpp"
 #include "srclint/source.hpp"
 
 using namespace pasched;
@@ -20,13 +20,13 @@ namespace {
 
 const char* const kFixtureRoot = PASCHED_REPO_ROOT "/tests/contend/fixtures";
 
-contend::ContendReport scan(const std::vector<std::string>& rels) {
-  contend::ContendOptions opts;
+srclint::SrclintReport scan(const std::vector<std::string>& rels) {
+  srclint::SrclintOptions opts;
   opts.root = kFixtureRoot;
-  return contend::run_files(opts, rels);
+  return srclint::run_files(opts, rels);
 }
 
-std::size_t count_rule(const contend::ContendReport& rep,
+std::size_t count_rule(const srclint::SrclintReport& rep,
                        const std::string& rule) {
   return static_cast<std::size_t>(
       std::count_if(rep.findings.begin(), rep.findings.end(),
@@ -38,14 +38,14 @@ std::size_t count_rule(const contend::ContendReport& rep,
 }  // namespace
 
 TEST(ContendRules, AbbaCycleFiresInOneTu) {
-  const contend::ContendReport rep = scan({"src/psl501_abba_fire.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl501_abba_fire.cxx"});
   EXPECT_EQ(count_rule(rep, "PSL501"), 1u);
   EXPECT_EQ(rep.findings.size(), 1u) << rep.str();
   EXPECT_EQ(rep.stats.cycles, 1u);
 }
 
 TEST(ContendRules, ConsistentOrderStaysSilent) {
-  const contend::ContendReport rep = scan({"src/psl501_silent.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl501_silent.cxx"});
   EXPECT_TRUE(rep.findings.empty()) << rep.str();
   // The edge exists — silence comes from the absence of a cycle, not of
   // extraction.
@@ -53,18 +53,18 @@ TEST(ContendRules, ConsistentOrderStaysSilent) {
 }
 
 TEST(ContendRules, CrossTuCycleNeedsBothHalves) {
-  const contend::ContendReport half =
+  const srclint::SrclintReport half =
       scan({"src/pair.hpp", "src/psl501_cross_a.cxx"});
   EXPECT_EQ(count_rule(half, "PSL501"), 0u) << half.str();
 
-  const contend::ContendReport both = scan(
+  const srclint::SrclintReport both = scan(
       {"src/pair.hpp", "src/psl501_cross_a.cxx", "src/psl501_cross_b.cxx"});
   EXPECT_EQ(count_rule(both, "PSL501"), 1u) << both.str();
   EXPECT_EQ(both.stats.cycles, 1u);
 }
 
 TEST(ContendRules, LockAcrossBlockingSeamFiresDirectAndViaCall) {
-  const contend::ContendReport rep = scan({"src/psl502_fire.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl502_fire.cxx"});
   EXPECT_EQ(count_rule(rep, "PSL502"), 2u) << rep.str();
   const bool via_call = std::any_of(
       rep.findings.begin(), rep.findings.end(),
@@ -77,27 +77,27 @@ TEST(ContendRules, LockAcrossBlockingSeamFiresDirectAndViaCall) {
 }
 
 TEST(ContendRules, FalseSharingLayoutFiresOnBothShapes) {
-  const contend::ContendReport rep = scan({"src/psl503_fire.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl503_fire.cxx"});
   EXPECT_EQ(count_rule(rep, "PSL503"), 2u) << rep.str();
   EXPECT_TRUE(scan({"src/psl503_silent.cxx"}).findings.empty());
 }
 
 TEST(ContendRules, ContendedAtomicInLoopFires) {
-  const contend::ContendReport rep = scan({"src/psl504_fire.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl504_fire.cxx"});
   EXPECT_EQ(count_rule(rep, "PSL504"), 1u) << rep.str();
   EXPECT_TRUE(scan({"src/psl504_silent.cxx"}).findings.empty());
 }
 
 TEST(ContendRules, CoarseMutexOverOwnedStateFiresAndClaims) {
-  const contend::ContendReport rep = scan({"src/psl505_fire.cxx"});
+  const srclint::SrclintReport rep = scan({"src/psl505_fire.cxx"});
   EXPECT_EQ(count_rule(rep, "PSL505"), 1u) << rep.str();
-  ASSERT_EQ(rep.claims.size(), 1u);
-  EXPECT_EQ(rep.claims[0].site, "Queue.qmu_");
-  EXPECT_EQ(rep.claims[0].file, "src/psl505_fire.cxx");
+  ASSERT_EQ(rep.lock_claims.size(), 1u);
+  EXPECT_EQ(rep.lock_claims[0].site, "Queue.qmu_");
+  EXPECT_EQ(rep.lock_claims[0].file, "src/psl505_fire.cxx");
 
-  const contend::ContendReport silent = scan({"src/psl505_silent.cxx"});
+  const srclint::SrclintReport silent = scan({"src/psl505_silent.cxx"});
   EXPECT_TRUE(silent.findings.empty()) << silent.str();
-  EXPECT_TRUE(silent.claims.empty());
+  EXPECT_TRUE(silent.lock_claims.empty());
 }
 
 TEST(ContendRules, SuppressionSilencesWarnButClaimSurvives) {
@@ -115,7 +115,8 @@ struct Hub {
   std::vector<analysis::Diagnostic> findings;
   std::vector<contend::SerializationClaim> claims;
   contend::FileRuleStats stats;
-  contend::run_file_rules(f, locks, cfg, findings, claims, stats);
+  contend::run_file_rules(f, locks, cfg, srclint::RuleSelection{}, findings,
+                          claims, stats);
   EXPECT_TRUE(findings.empty());
   EXPECT_EQ(stats.suppressions_honored, 1);
   ASSERT_EQ(claims.size(), 1u);
@@ -123,7 +124,7 @@ struct Hub {
 }
 
 TEST(ContendRules, EveryContendRuleIsRegistered) {
-  // --only validation (both tools share analysis::find_rule) must know the
+  // --only validation (analysis::find_rule) must know the
   // PSL50x block, and srclint-ok() comments must parse PSL5xx ids.
   for (const char* id :
        {"PSL501", "PSL502", "PSL503", "PSL504", "PSL505", "PSL506"}) {
@@ -139,11 +140,11 @@ TEST(ContendRules, EveryContendRuleIsRegistered) {
 }
 
 TEST(ContendRules, OnlyListNarrowsTheScan) {
-  contend::ContendOptions opts;
+  srclint::SrclintOptions opts;
   opts.root = kFixtureRoot;
-  opts.cfg.only = {"PSL503"};
-  const contend::ContendReport rep =
-      contend::run_files(opts, {"src/psl503_fire.cxx", "src/psl504_fire.cxx"});
+  opts.select.only = {"PSL503"};
+  const srclint::SrclintReport rep =
+      srclint::run_files(opts, {"src/psl503_fire.cxx", "src/psl504_fire.cxx"});
   EXPECT_EQ(count_rule(rep, "PSL503"), 2u);
   EXPECT_EQ(count_rule(rep, "PSL504"), 0u);
 }

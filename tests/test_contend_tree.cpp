@@ -1,30 +1,30 @@
-// Whole-tree gates for pasched-contend: the repository itself must scan
+// Whole-tree gates for the PSL50x rules: the repository itself must scan
 // clean (its seams are either correctly ordered or CacheAligned-padded),
 // the planted corpus must trip every static rule, and the cross-TU
 // lock-order graph over the corpus must match its golden form exactly —
-// the same pair of directions the CI contend job asserts via the binary.
+// the same pair of directions the CI scan job asserts via the binary.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 #include <vector>
 
-#include "contend/runner.hpp"
+#include "srclint/runner.hpp"
 
 using namespace pasched;
 
 namespace {
 
-contend::ContendReport scan_tree(const std::string& root) {
-  contend::ContendOptions opts;
+srclint::SrclintReport scan_tree(const std::string& root) {
+  srclint::SrclintOptions opts;
   opts.root = root;
-  return contend::run_tree(opts);
+  return srclint::run_tree(opts);
 }
 
 }  // namespace
 
 TEST(ContendTree, RepositoryScansClean) {
-  const contend::ContendReport rep = scan_tree(PASCHED_REPO_ROOT);
+  const srclint::SrclintReport rep = scan_tree(PASCHED_REPO_ROOT);
   EXPECT_TRUE(rep.findings.empty()) << rep.str();
   // Sanity that the scan covered the tree: a discovery regression that
   // found nothing would also "pass" the emptiness check.
@@ -35,11 +35,11 @@ TEST(ContendTree, RepositoryScansClean) {
   EXPECT_GE(rep.stats.mutex_members, 5u);
   EXPECT_GE(rep.stats.acquisitions, 20u);
   // No live PSL505 claims in the tree today; the corpus covers the path.
-  EXPECT_TRUE(rep.claims.empty());
+  EXPECT_TRUE(rep.lock_claims.empty());
 }
 
 TEST(ContendTree, FixtureCorpusNeverLeaksIntoCleanScans) {
-  const contend::ContendReport rep = scan_tree(PASCHED_REPO_ROOT);
+  const srclint::SrclintReport rep = scan_tree(PASCHED_REPO_ROOT);
   for (const std::string& edge : rep.graph)
     EXPECT_EQ(edge.find("contend/fixtures"), std::string::npos) << edge;
   for (const analysis::Diagnostic& d : rep.findings)
@@ -48,7 +48,7 @@ TEST(ContendTree, FixtureCorpusNeverLeaksIntoCleanScans) {
 }
 
 TEST(ContendTree, PlantedCorpusTripsEveryStaticRule) {
-  const contend::ContendReport rep =
+  const srclint::SrclintReport rep =
       scan_tree(std::string(PASCHED_REPO_ROOT) + "/tests/contend/fixtures");
   EXPECT_TRUE(analysis::any_errors(rep.findings));
   std::set<std::string> rules;
@@ -59,12 +59,12 @@ TEST(ContendTree, PlantedCorpusTripsEveryStaticRule) {
     EXPECT_EQ(rules.count(r), 1u) << "corpus never trips " << r;
   EXPECT_EQ(rules.count("PSL506"), 0u);
   EXPECT_EQ(rep.stats.cycles, 2u);  // one in-file ABBA, one cross-TU
-  ASSERT_EQ(rep.claims.size(), 1u);
-  EXPECT_EQ(rep.claims[0].site, "Queue.qmu_");
+  ASSERT_EQ(rep.lock_claims.size(), 1u);
+  EXPECT_EQ(rep.lock_claims[0].site, "Queue.qmu_");
 }
 
 TEST(ContendTree, GoldenLockOrderGraph) {
-  const contend::ContendReport rep =
+  const srclint::SrclintReport rep =
       scan_tree(std::string(PASCHED_REPO_ROOT) + "/tests/contend/fixtures");
   const std::vector<std::string> expected = {
       "CrossPair.x_ -> CrossPair.y_ @ src/psl501_cross_b.cxx:12",
@@ -77,11 +77,11 @@ TEST(ContendTree, GoldenLockOrderGraph) {
 }
 
 TEST(ContendTree, ReportCarriesTheSharedJsonHeader) {
-  const contend::ContendReport rep =
+  const srclint::SrclintReport rep =
       scan_tree(std::string(PASCHED_REPO_ROOT) + "/tests/contend/fixtures");
   const std::string js = rep.json();
-  EXPECT_EQ(js.find("{\n  \"schema\": 1,\n  \"tool\": \"pasched-contend\","),
+  EXPECT_EQ(js.find("{\n  \"schema\": 1,\n  \"tool\": \"pasched-srclint\","),
             0u);
-  EXPECT_NE(js.find("\"claims\""), std::string::npos);
+  EXPECT_NE(js.find("\"lock_claims\""), std::string::npos);
   EXPECT_NE(js.find("\"graph\""), std::string::npos);
 }

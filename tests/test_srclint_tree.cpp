@@ -1,7 +1,8 @@
 // Whole-tree gates for pasched-srclint: the repository itself must scan
-// clean (PSL401-406 are CI-enforced, so a regression here is a build
-// failure), and the planted fixture corpus must trip every rule — both
-// directions of the gate, the same pair CI asserts via the tool binary.
+// clean (every PSL4xx-6xx family is CI-enforced, so a regression here is a
+// build failure), and the planted fixture corpus must trip every PSL40x
+// rule — both directions of the gate, the same pair CI asserts via the
+// tool binary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +29,7 @@ TEST(SrclintTree, RepositoryScansClean) {
   EXPECT_TRUE(rep.findings.empty()) << rep.str();
   // Sanity: the scan actually covered the tree (a discovery regression that
   // found nothing would also "pass" the emptiness check).
-  EXPECT_GT(rep.files_scanned, 100u);
+  EXPECT_GT(rep.stats.files_scanned, 100u);
   // The hot-path contract is load-bearing: the engine/shard/kernel
   // annotations must be visible to PSL403.
   EXPECT_GE(rep.stats.hot_functions, 20u);

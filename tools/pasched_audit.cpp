@@ -291,8 +291,9 @@ int run_parallel_equivalence(const AuditParams& p, int workers) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+namespace {
+
+int tool_main(const util::Flags& flags) {
   // An audit gate must not silently ignore a typo'd flag — a misspelled
   // --seed would "pass" the wrong scenario.
   const std::vector<std::string> typos =
@@ -369,4 +370,10 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) write_json(json_path, "reproducibility", rc);
   if (rc == 0) std::cout << "pasched-audit: PASS\n";
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("pasched-audit", argc, argv, tool_main);
 }

@@ -244,8 +244,9 @@ int run_trace_analysis(int calls, bool verbose,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+namespace {
+
+int tool_main(const util::Flags& flags) {
   const std::vector<std::string> typos = flags.unknown(
       {"list-rules", "rules", "all-presets", "kernel", "cosched", "scenario",
        "admin", "schedtune", "trace-run", "trace-calls", "schedule",
@@ -340,4 +341,10 @@ int main(int argc, char** argv) {
 
   // Default (and --all-presets): sweep every shipped preset combination.
   return finish(lint_all_presets(rules));
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("pasched-lint", argc, argv, tool_main);
 }

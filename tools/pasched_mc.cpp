@@ -108,8 +108,9 @@ int report_violation(const mc::Violation& v, mc::Explorer& ex, bool shrink,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+namespace {
+
+int tool_main(const util::Flags& flags) {
   const std::vector<std::string> typos = flags.unknown(
       {"config", "list-configs", "depth", "max-runs", "window", "tolerance",
        "no-reduce", "no-prune", "shrink", "replay", "schedule-out",
@@ -222,4 +223,10 @@ int main(int argc, char** argv) {
   if (!json_path.empty())
     write_json(json_path, config, "explore", "certified", &res.stats, nullptr);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("pasched-mc", argc, argv, tool_main);
 }

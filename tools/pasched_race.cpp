@@ -157,8 +157,9 @@ int run_one(const Scenario& s, const Params& p, std::ostream& report) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+namespace {
+
+int tool_main(const util::Flags& flags) {
   const std::vector<std::string> typos = flags.unknown(
       {"scenario", "workers", "nodes", "tasks-per-node", "calls", "seed",
        "fuzz-windows", "plant-cross-shard-write", "report", "replay", "json"});
@@ -244,4 +245,10 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) write_json(json_path, rc);
   if (rc == 0) std::cout << "pasched-race: PASS\n";
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("pasched-race", argc, argv, tool_main);
 }

@@ -136,8 +136,9 @@ int run_one(const Scenario& s, const Params& p, std::ostream& report,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+namespace {
+
+int tool_main(const util::Flags& flags) {
   const std::vector<std::string> typos = flags.unknown(
       {"scenario", "workers", "nodes", "tasks-per-node", "calls", "seed",
        "target-workers", "target-speedup", "plant-unsound-bound", "report",
@@ -224,4 +225,10 @@ int main(int argc, char** argv) {
   }
   if (rc == 0) std::cout << "pasched-scale: PASS\n";
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("pasched-scale", argc, argv, tool_main);
 }

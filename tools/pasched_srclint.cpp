@@ -1,5 +1,7 @@
-// pasched-srclint: source-level architecture & hot-path lint for this
-// repository (PSL401-406).
+// pasched-srclint: the source scanner for this repository — architecture
+// & hot-path rules, lock-order & serialization rules, and allocation &
+// layout rules over one lex of the tree, plus the two runtime ledgers that
+// verify what the scan certifies (PSL401-406, PSL501-506, PSL601-606).
 //
 // Where pasched-race and pasched-scale audit *executions*, srclint rejects
 // the source patterns that make those audits fail before a run exists:
@@ -10,40 +12,86 @@
 //   PSL404  side effects inside vanishing PASCHED_CHECK/ASSERT arguments
 //   PSL405  nondeterminism sources in the deterministic core (sim/kern/net/mpi)
 //   PSL406  thread creation outside the ShardedEngine worker pool
+//   PSL501  lock-order cycle in the cross-TU lock-order graph      (ERROR)
+//   PSL502  lock held across a blocking seam (barrier/wait/drain)  (ERROR)
+//   PSL503  false-sharing layout in a shard-shared class           (WARN)
+//   PSL504  shared atomic read-modify-written in a hot loop        (WARN)
+//   PSL505  coarse mutex over race::Owned single-domain state      (WARN)
+//   PSL506  runtime-refuted PSL505 serialization claim             (ERROR)
+//   PSL601  heap allocation in a hot/lifecycle engine function     (ERROR)
+//   PSL602  undisciplined container growth on the hot path         (ERROR)
+//   PSL603  cache-layout hazard in an event/shard-resident type    (WARN)
+//   PSL604  PASCHED_ARENA contract violation                       (ERROR)
+//   PSL605  allocation-free region statically certified            (INFO)
+//   PSL606  runtime-refuted allocation-free claim                  (ERROR)
 //
-//   ./pasched-srclint [--root=DIR] [--compile-db=FILE] [--only=PSL40x[,..]]
-//       [--report=FILE] [--json=FILE] [--list-rules] [files...]
-//   ./pasched-srclint --plant [--fixtures=DIR]
+//   ./pasched-srclint [--root=DIR] [--compile-db=FILE] [--only=PSLnnn[,..]]
+//       [--report=FILE] [--json=FILE] [--graph] [--list-rules] [files...]
+//   ./pasched-srclint --ledger [--nodes=N] [--workers=N] [--calls=N]
+//       [--seed=N] [--max-barrier-wait-share=F] [--max-hot-window-allocs=N]
+//   ./pasched-srclint --plant [--fixtures=DIR] [files...]
 //
 // Scans the tree under --root (default: the current directory), preferring
 // the translation units listed in --compile-db (compile_commands.json,
 // auto-detected at <root>/build/compile_commands.json) augmented with
 // headers. Positional arguments restrict the scan to those root-relative
-// files. --plant scans the planted-violation fixture corpus instead
-// (default <root>/tests/srclint/fixtures) and is expected to exit 1 — CI
-// asserts both directions of the gate.
+// files. --graph also prints the lock-order graph.
+//
+// --ledger then runs the fig5 aggregate-trace scenario on the partitioned
+// core (default 8 nodes / 8 workers) twice — once under the contention
+// ledger, once under the allocation ledger, so neither hook perturbs the
+// other's counts — and cross-checks every PSL505 claim against the observed
+// acquiring domains (PSL506) and every PSL605 claim against the observed
+// hot allocations (PSL606). --max-barrier-wait-share and
+// --max-hot-window-allocs gate the two ledgers' headline numbers; they need
+// --ledger and a -DPASCHED_VALIDATE=ON build.
+//
+// --plant scans the three planted-violation corpora in place (default
+// <root>/tests/{srclint,contend,alloc}/fixtures; --fixtures=DIR scans that
+// one corpus instead; positional files restrict each corpus's scan to the
+// corpus-relative files it holds) and adds both runtime legs: a 2-worker run
+// refuting a fabricated serialization claim (PSL506) and a deliberately
+// allocating hot scope refuting a fabricated allocation-free claim (PSL606).
+// CI asserts it exits 1 and names all eighteen rules.
 //
 // Findings are silenced per line with `// srclint-ok(PSLnnn): reason`;
 // honored suppressions are counted in the report so they stay auditable.
 //
-// Exit status: 0 = no findings, 1 = ERROR findings, 2 = internal model
-// violation, 64 = bad usage.
+// Exit status: 0 = no ERROR findings, 1 = ERROR findings or a failed ledger
+// gate, 2 = internal model violation, 64 = bad usage.
+#include <algorithm>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc/ledger.hpp"
 #include "analysis/diagnostic.hpp"
+#include "apps/aggregate_trace.hpp"
 #include "check/check.hpp"
+#include "contend/ledger.hpp"
+#include "core/presets.hpp"
+#include "core/simulation.hpp"
 #include "srclint/runner.hpp"
+#include "util/allocgate.hpp"
 #include "util/flags.hpp"
+#include "util/seam.hpp"
 
 using namespace pasched;
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: pasched-srclint [--root=DIR] [--compile-db=FILE]"
+    " [--only=PSLnnn[,...]] [--report=FILE] [--json=FILE] [--graph]"
+    " [--list-rules] [files...]\n"
+    "       pasched-srclint --ledger [--nodes=N] [--workers=N] [--calls=N]"
+    " [--seed=N] [--max-barrier-wait-share=F] [--max-hot-window-allocs=N]\n"
+    "       pasched-srclint --plant [--fixtures=DIR] [files...]\n";
 
 std::vector<std::string> split_commas(const std::string& s) {
   std::vector<std::string> out;
@@ -54,25 +102,149 @@ std::vector<std::string> split_commas(const std::string& s) {
   return out;
 }
 
-}  // namespace
+struct LedgerParams {
+  int nodes = 8;    // fig5's cluster size
+  int workers = 8;  // parallel8: one worker per node shard
+  int calls = 120;
+  std::uint64_t seed = 1;
+};
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+/// Runs the fig5 prototype scenario on the partitioned core once, with a
+/// ledger hook installed for exactly the duration of the run.
+void run_fig5(const LedgerParams& p, const std::function<void()>& install,
+              const std::function<void()>& remove) {
+  core::SimulationConfig cfg;
+  cfg.cluster = cluster::presets::frost(p.nodes);
+  cfg.cluster.seed = p.seed;
+  cfg.cluster.node.tunables = core::prototype_kernel();
+  cfg.job.ntasks = p.nodes * 16;
+  cfg.job.tasks_per_node = 16;
+  cfg.job.seed = p.seed;
+  cfg.use_coscheduler = true;
+  cfg.cosched = core::paper_cosched();
+  cfg.parallel = p.workers;
+
+  apps::AggregateTraceConfig at;
+  at.loops = 1;
+  at.calls_per_loop = p.calls;
+  at.warmup = sim::Duration::sec(6);
+
+  core::Simulation sim(cfg, apps::aggregate_trace(at));
+  install();
+  sim.run();
+  remove();
+}
+
+contend::LedgerReport contention_ledger(const LedgerParams& p,
+                                        contend::Ledger& ledger) {
+  run_fig5(
+      p,
+      [&] {
+        ledger.reset();
+        util::install_seam_observer(&ledger);
+      },
+      [] { util::install_seam_observer(nullptr); });
+  return ledger.report();
+}
+
+alloc::AllocLedgerReport allocation_ledger(const LedgerParams& p,
+                                           alloc::Ledger& ledger) {
+  run_fig5(
+      p,
+      [&] {
+        ledger.reset();
+        ledger.install();
+      },
+      [&] { ledger.remove(); });
+  return ledger.report();
+}
+
+/// The --plant PSL606 leg: a deliberately allocating hot scope under a
+/// Core site, refuting a fabricated allocation-free claim on that site.
+alloc::AllocLedgerReport planted_allocation(alloc::Ledger& ledger) {
+  ledger.reset();
+  ledger.install();
+  {
+    PASCHED_ALLOC_HOT_SCOPE("PlantedHotPath");
+    std::vector<int> spill;
+    for (int i = 0; i < 64; ++i) spill.push_back(i);
+    static volatile const void* sink;  // keep the allocation observable
+    sink = spill.data();
+    static_cast<void>(sink);
+  }
+  ledger.remove();
+  return ledger.report();
+}
+
+struct Ledgers {
+  contend::Ledger contention;
+  alloc::Ledger allocation;
+  contend::LedgerReport contention_report;
+  alloc::AllocLedgerReport allocation_report;
+  bool ran = false;
+};
+
+/// Both --plant runtime legs, each against a claim fabricated to fail.
+void plant_ledgers(srclint::SrclintReport& rep, Ledgers& led) {
+  // PSL506: every shard worker takes the wrap-up mutex under its own
+  // race::Domain, so a single-domain claim on it must be refuted.
+  LedgerParams tiny;
+  tiny.nodes = 2;
+  tiny.workers = 2;
+  tiny.calls = 8;
+  led.contention_report = contention_ledger(tiny, led.contention);
+  std::vector<contend::SerializationClaim> lock_claims = rep.lock_claims;
+  lock_claims.push_back(contend::SerializationClaim{
+      "ShardedEngine.wrapup_mu_", "tests/contend/fixtures/planted-claim",
+      1});
+  rep.add(led.contention.check_claims(lock_claims));
+
+  // PSL606: a hot scope that allocates on purpose, checked against a
+  // fabricated allocation-free claim on the same Core site.
+  led.allocation_report = planted_allocation(led.allocation);
+  std::vector<alloc::AllocClaim> alloc_claims = rep.alloc_claims;
+  alloc_claims.push_back(alloc::AllocClaim{
+      "PlantedHotPath", "tests/alloc/fixtures/planted-claim", 1});
+  rep.add(led.allocation.check_claims(alloc_claims));
+  led.ran = true;
+}
+
+void tree_ledgers(const LedgerParams& lp, srclint::SrclintReport& rep,
+                  Ledgers& led) {
+  led.contention_report = contention_ledger(lp, led.contention);
+  led.allocation_report = allocation_ledger(lp, led.allocation);
+  rep.add(led.contention.check_claims(rep.lock_claims));
+  rep.add(led.allocation.check_claims(rep.alloc_claims));
+  led.ran = true;
+}
+
+void print_ledgers(std::ostream& os, const Ledgers& led) {
+  os << led.contention_report.str();
+  if (led.contention_report.sites.empty())
+    os << "pasched-srclint: contention ledger recorded nothing (no "
+          "instrumented seam crossed)\n";
+  os << led.allocation_report.str();
+  if (led.allocation_report.sites.empty())
+    os << "pasched-srclint: allocation ledger recorded nothing (no "
+          "attributed allocation observed)\n";
+}
+
+int tool_main(const util::Flags& flags) {
   const std::vector<std::string> typos = flags.unknown(
-      {"root", "compile-db", "only", "report", "json", "list-rules", "plant",
-       "fixtures"});
+      {"root", "compile-db", "only", "report", "json", "graph", "list-rules",
+       "plant", "fixtures", "ledger", "nodes", "workers", "calls", "seed",
+       "max-barrier-wait-share", "max-hot-window-allocs"});
   if (!typos.empty()) {
     std::cerr << "pasched-srclint: unknown flag(s):";
     for (const std::string& t : typos) std::cerr << " --" << t;
-    std::cerr << "\nusage: pasched-srclint [--root=DIR] [--compile-db=FILE]"
-                 " [--only=PSL40x[,...]] [--report=FILE] [--json=FILE]"
-                 " [--list-rules] [--plant [--fixtures=DIR]] [files...]\n";
+    std::cerr << "\n" << kUsage;
     return 64;
   }
   if (flags.get_bool("list-rules", false)) {
     for (const analysis::RuleInfo& r : analysis::all_rules()) {
       const std::string id(r.id);
-      if (id.size() == 6 && id.compare(0, 4, "PSL4") == 0)
+      if (id.size() == 6 && id.compare(0, 3, "PSL") == 0 && id[3] >= '4' &&
+          id[3] <= '6')
         std::cout << id << "  " << analysis::to_string(r.severity)
                   << "\n    invariant: " << r.invariant
                   << "\n    paper:     " << r.paper_ref << "\n";
@@ -83,15 +255,35 @@ int main(int argc, char** argv) {
   srclint::SrclintOptions opts;
   opts.root = flags.get("root", ".");
   const bool plant = flags.get_bool("plant", false);
+  const bool ledger_mode = flags.get_bool("ledger", false);
+  std::vector<std::string> corpora;
   if (plant) {
-    opts.root = flags.get(
-        "fixtures",
-        (std::filesystem::path(opts.root) / "tests/srclint/fixtures")
-            .string());
-    if (!std::filesystem::is_directory(opts.root)) {
-      std::cerr << "pasched-srclint: fixture corpus not found at " << opts.root
-                << "\n";
-      return 64;
+    const std::filesystem::path tests =
+        std::filesystem::path(opts.root) / "tests";
+    corpora = flags.has("fixtures")
+                  ? std::vector<std::string>{flags.get("fixtures", "")}
+                  : std::vector<std::string>{
+                        (tests / "srclint/fixtures").string(),
+                        (tests / "contend/fixtures").string(),
+                        (tests / "alloc/fixtures").string()};
+    for (const std::string& c : corpora) {
+      if (!std::filesystem::is_directory(c)) {
+        std::cerr << "pasched-srclint: fixture corpus not found at " << c
+                  << "\n";
+        return 64;
+      }
+    }
+    // Named files are paths relative to whichever corpus holds them.
+    for (const std::string& rel : flags.positional()) {
+      if (std::none_of(corpora.begin(), corpora.end(),
+                       [&](const std::string& c) {
+                         return std::filesystem::exists(
+                             std::filesystem::path(c) / rel);
+                       })) {
+        std::cerr << "pasched-srclint: " << rel
+                  << " is in no fixture corpus\n";
+        return 64;
+      }
     }
   } else {
     opts.compile_db = flags.get("compile-db", "");
@@ -101,20 +293,64 @@ int main(int argc, char** argv) {
       if (std::filesystem::exists(guess)) opts.compile_db = guess.string();
     }
   }
-  opts.rules.only = split_commas(flags.get("only", ""));
-  for (const std::string& id : opts.rules.only) {
+  opts.select.only = split_commas(flags.get("only", ""));
+  for (const std::string& id : opts.select.only) {
     if (analysis::find_rule(id) == nullptr) {
       std::cerr << "pasched-srclint: unknown rule " << id << "\n";
       return 64;
     }
   }
 
+  LedgerParams lp;
+  lp.nodes = static_cast<int>(flags.get_int("nodes", lp.nodes));
+  lp.workers = static_cast<int>(flags.get_int("workers", lp.workers));
+  lp.calls = static_cast<int>(flags.get_int("calls", lp.calls));
+  lp.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  if (lp.nodes < 2 || lp.workers < 1 || lp.calls < 1) {
+    std::cerr << "pasched-srclint: --nodes must be >= 2 and --workers/"
+                 "--calls positive\n";
+    return 64;
+  }
+  const double max_share = flags.get_double("max-barrier-wait-share", -1.0);
+  const long long max_hot = flags.get_int("max-hot-window-allocs", -1);
+  const bool gated = max_share >= 0.0 || max_hot >= 0;
+  // A gate that cannot see a ledger would pass vacuously: refuse it.
+  if (gated && !ledger_mode) {
+    std::cerr << "pasched-srclint: --max-barrier-wait-share and "
+                 "--max-hot-window-allocs need --ledger\n";
+    return 64;
+  }
+  if (gated && !PASCHED_VALIDATE_ENABLED) {
+    std::cerr << "pasched-srclint: ledger gates need a "
+                 "-DPASCHED_VALIDATE=ON build (seams and the operator "
+                 "new/delete hook are compiled out)\n";
+    return 64;
+  }
+
   srclint::SrclintReport rep;
+  Ledgers led;
   try {
-    if (!flags.positional().empty())
+    if (plant) {
+      for (const std::string& c : corpora) {
+        opts.root = c;
+        if (flags.positional().empty()) {
+          rep.merge(srclint::run_tree(opts));
+          continue;
+        }
+        std::vector<std::string> here;
+        for (const std::string& rel : flags.positional())
+          if (std::filesystem::exists(std::filesystem::path(c) / rel))
+            here.push_back(rel);
+        if (!here.empty()) rep.merge(srclint::run_files(opts, here));
+      }
+    } else if (!flags.positional().empty()) {
       rep = srclint::run_files(opts, flags.positional());
-    else
+    } else {
       rep = srclint::run_tree(opts);
+    }
+    if (PASCHED_VALIDATE_ENABLED && plant) plant_ledgers(rep, led);
+    if (PASCHED_VALIDATE_ENABLED && ledger_mode && !plant)
+      tree_ledgers(lp, rep, led);
   } catch (const check::CheckError& e) {
     std::cerr << "pasched-srclint: model invariant violated: " << e.what()
               << "\n";
@@ -125,21 +361,74 @@ int main(int argc, char** argv) {
   }
 
   std::cout << rep.str();
+  if (flags.get_bool("graph", false)) {
+    std::cout << "lock-order graph (" << rep.graph.size() << " edges):\n";
+    for (const std::string& e : rep.graph) std::cout << "  " << e << "\n";
+  }
+  if (led.ran) {
+    print_ledgers(std::cout, led);
+  } else if (plant || ledger_mode) {
+    std::cout << "pasched-srclint: ledgers unavailable under "
+                 "-DPASCHED_VALIDATE=OFF (seams compile to plain "
+                 "std::mutex/std::barrier and the operator new/delete hook "
+                 "is compiled out)"
+              << (plant ? "; PSL506/PSL606 legs skipped" : "") << "\n";
+  }
+
   const std::string report_file = flags.get("report", "");
   if (!report_file.empty()) {
     std::ofstream out(report_file);
     out << rep.str();
+    if (led.ran) print_ledgers(out, led);
     std::cout << "report written to " << report_file << "\n";
   }
   const std::string json_file = flags.get("json", "");
   if (!json_file.empty()) {
     std::ofstream out(json_file);
-    out << rep.json();
+    std::string js = rep.json();
+    if (led.ran) {
+      // Splice the ledger objects into the report before the closing brace.
+      js.insert(js.rfind("\n}"),
+                ",\n  \"contention_ledger\": " +
+                    led.contention_report.json(2) +
+                    ",\n  \"allocation_ledger\": " +
+                    led.allocation_report.json(2));
+    }
+    out << js;
     std::cout << "json written to " << json_file << "\n";
   }
+
+  // Regression gates (the nightly CI wiring). barrier_wait_share is the
+  // fraction of measured wait the global round barrier still carries; the
+  // per-pair planner exists to keep it low. hot_window_allocs counts
+  // hot-phase heap traffic on Core (engine/kernel bookkeeping) sites; the
+  // event slab and scratch-reuse discipline exist to hold it at zero.
+  int rc = 0;
+  if (max_share >= 0.0 &&
+      led.contention_report.barrier_wait_share > max_share) {
+    std::cout << "pasched-srclint: FAIL (barrier_wait_share "
+              << led.contention_report.barrier_wait_share << " > "
+              << max_share << ")\n";
+    rc = 1;
+  }
+  if (max_hot >= 0 && led.allocation_report.hot_window_allocs >
+                          static_cast<std::uint64_t>(max_hot)) {
+    std::cout << "pasched-srclint: FAIL (hot_window_allocs "
+              << led.allocation_report.hot_window_allocs << " > " << max_hot
+              << ")\n";
+    rc = 1;
+  }
+  if (rc != 0) return rc;
+
   if (rep.clean()) {
     std::cout << "pasched-srclint: PASS\n";
     return 0;
   }
   return analysis::any_errors(rep.findings) ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("pasched-srclint", argc, argv, tool_main);
 }
