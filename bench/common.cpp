@@ -36,7 +36,6 @@ RunResult run_aggregate(const RunSpec& spec) {
   cfg.use_coscheduler = spec.use_cosched;
   cfg.cosched = spec.cosched;
   cfg.parallel = spec.parallel;
-  cfg.planner = spec.planner;
 
   if (spec.lint_before_run) {
     analysis::LintConfig lc;

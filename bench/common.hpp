@@ -12,7 +12,6 @@
 #include "kern/tunables.hpp"
 #include "mpi/config.hpp"
 #include "scale/windows.hpp"
-#include "sim/planner.hpp"
 #include "sim/time.hpp"
 
 namespace bench {
@@ -45,10 +44,6 @@ struct RunSpec {
   /// 0 = classic single event queue; N >= 1 = partitioned execution with N
   /// worker threads (see SimulationConfig::parallel).
   int parallel = 0;
-  /// Window planner for partitioned runs: PerPair is the shipping default;
-  /// Global reproduces the legacy one-window-per-round schedule and is the
-  /// denominator of micro_shard's n_windows reduction figure.
-  pasched::sim::PlannerMode planner = pasched::sim::PlannerMode::PerPair;
   /// Arms the pasched-race seam monitor + ownership sink on a partitioned
   /// run (requires parallel >= 1). micro_shard uses it to price the
   /// full-audit mode against the bare annotation layer.

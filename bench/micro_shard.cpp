@@ -8,9 +8,8 @@
 // hardware_concurrency is recorded in the JSON so results are interpreted
 // honestly (on a single-core container --parallel=8 *cannot* beat legacy).
 //
-// The profiled pass runs twice — per-pair planner and legacy global
-// planner — so the JSON carries the sync-round reduction (n_windows_ratio)
-// the per-pair window chain buys. The speedup prediction is priced with
+// The profiled pass records the per-pair planner's sync-round count
+// (n_windows_perpair). The speedup prediction is priced with
 // *measured* constants: event cost from the legacy row's own wall clock,
 // barrier cost from the contention ledger — but only when the 8-worker
 // ledger pass was not oversubscribed (an oversubscribed barrier wait
@@ -27,6 +26,7 @@
 
 #include "common.hpp"
 #include "core/presets.hpp"
+#include "sim/planner.hpp"
 #include "util/flags.hpp"
 
 using namespace pasched;
@@ -146,19 +146,7 @@ int main(int argc, char** argv) {
   profile_spec.profile_scale = true;
   const bench::RunResult profiled = bench::run_aggregate(profile_spec);
 
-  // Same profile under the legacy global planner: the two sync-round counts
-  // are schedule-derived (deterministic), and their ratio is the window
-  // reduction the per-pair chain buys — the CI scalability smoke's figure.
-  bench::RunSpec global_spec = profile_spec;
-  global_spec.planner = sim::PlannerMode::Global;
-  const bench::RunResult profiled_global = bench::run_aggregate(global_spec);
   const std::uint64_t n_windows_perpair = profiled.planner_rounds;
-  const std::uint64_t n_windows_global = profiled_global.planner_rounds;
-  const double n_windows_ratio =
-      n_windows_perpair > 0
-          ? static_cast<double>(n_windows_global) /
-                static_cast<double>(n_windows_perpair)
-          : 0.0;
 
   // Separate contention-ledger pass on 8 workers (the PSL50x rules' runtime
   // half): ranks the engine's serialization sites by recorded seam wait.
@@ -209,9 +197,8 @@ int main(int argc, char** argv) {
             << measured_model.barrier_cost_ns << " ns ["
             << barrier_cost_source << "]; "
             << profiled.lookahead_violations << " lookahead violations)\n"
-            << "sync rounds: perpair " << n_windows_perpair << " vs global "
-            << n_windows_global << " = " << n_windows_ratio
-            << "x reduction (batch " << sim::kDefaultWindowBatch << ", "
+            << "sync rounds: " << n_windows_perpair << " (batch "
+            << sim::kWindowBatch << ", "
             << profiled.planner_chained << " chained / "
             << profiled.planner_coalesced << " coalesced windows, ring "
             << profiled.ring_posts << " posts / " << profiled.ring_overflows
@@ -273,10 +260,8 @@ int main(int argc, char** argv) {
      << ",\n  \"model_event_cost_ns\": " << measured_model.event_cost_ns
      << ",\n  \"model_barrier_cost_ns\": " << measured_model.barrier_cost_ns
      << ",\n  \"barrier_cost_source\": \"" << barrier_cost_source
-     << "\",\n  \"window_batch\": " << sim::kDefaultWindowBatch
+     << "\",\n  \"window_batch\": " << sim::kWindowBatch
      << ",\n  \"n_windows_perpair\": " << n_windows_perpair
-     << ",\n  \"n_windows_global\": " << n_windows_global
-     << ",\n  \"n_windows_ratio\": " << n_windows_ratio
      << ",\n  \"chained_windows\": " << profiled.planner_chained
      << ",\n  \"coalesced_windows\": " << profiled.planner_coalesced
      << ",\n  \"ring_posts\": " << profiled.ring_posts

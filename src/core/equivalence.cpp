@@ -3,37 +3,9 @@
 #include <string>
 
 #include "trace/trace.hpp"
+#include "util/fnv1a.hpp"
 
 namespace pasched::core {
-
-namespace {
-
-// FNV-1a, matching the hasher style of tools/pasched_audit.
-class Hasher {
- public:
-  void mix(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffU;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix_int(std::int64_t v) noexcept {
-    mix(static_cast<std::uint64_t>(v));
-  }
-  void mix_str(const std::string& s) noexcept {
-    for (const char c : s) {
-      h_ ^= static_cast<unsigned char>(c);
-      h_ *= 0x100000001b3ULL;
-    }
-    mix(s.size());
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-}  // namespace
 
 CanonicalDigest run_canonical(const SimulationConfig& cfg,
                               const mpi::WorkloadFactory& factory) {
@@ -63,7 +35,7 @@ CanonicalDigest run_canonical(const SimulationConfig& cfg,
   const sim::Time tc =
       res.completed ? sim.job().completion_time() : sim::Time::max();
 
-  Hasher h;
+  util::Fnv1a h;
   h.mix(res.completed ? 1 : 0);
   h.mix_int(res.elapsed.count());
   for (int r = 0; r < sim.job().ntasks(); ++r)

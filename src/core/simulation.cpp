@@ -18,33 +18,11 @@ Simulation::Simulation(SimulationConfig cfg, const mpi::WorkloadFactory& factory
     sharded_ =
         std::make_unique<sim::ShardedEngine>(cfg_.cluster.nodes, global);
     // Per-pair lookahead matrix — the runtime consumption of pasched-scale's
-    // certificate. Same construction rule as scale::build_lookahead_matrix
-    // (node pairs get the topology-aware bound, hub pairs the global
-    // jitter-adjusted floor); scale::RunMonitor cross-checks the two at
-    // monitor install, so a divergence cannot pass an audited run.
-    const int shards = sharded_->partitions();
-    const int hub = sharded_->hub_shard();
-    sim::PairLookahead la;
-    la.shards = shards;
-    la.global = global;
-    la.bounds.assign(static_cast<std::size_t>(shards) *
-                         static_cast<std::size_t>(shards),
-                     sim::Duration::zero());
-    for (int a = 0; a < shards; ++a) {
-      for (int b = 0; b < shards; ++b) {
-        if (a == b) continue;
-        const bool hub_pair = shards > 1 && (a == hub || b == hub);
-        la.bounds[static_cast<std::size_t>(a) *
-                      static_cast<std::size_t>(shards) +
-                  static_cast<std::size_t>(b)] =
-            hub_pair ? global
-                     : net::guaranteed_lookahead_between(cfg_.cluster.fabric,
-                                                         a, b);
-      }
-    }
-    sharded_->set_pair_lookahead(std::move(la));
-    sharded_->set_planner(cfg_.planner, cfg_.window_batch);
-    sharded_->set_pin_workers(cfg_.pin_workers);
+    // certificate, built by the same rule (scale::RunMonitor cross-checks
+    // the two at monitor install, so a divergence cannot pass an audited
+    // run).
+    sharded_->set_pair_lookahead(
+        net::pair_lookahead(cfg_.cluster.fabric, cfg_.cluster.nodes));
     cluster_ = std::make_unique<cluster::Cluster>(*sharded_, cfg_.cluster);
   } else {
     engine_ = std::make_unique<sim::Engine>();

@@ -40,18 +40,12 @@ struct SimulationConfig {
   /// event shard per node (plus the switch hub) driven by N worker threads
   /// under conservative lookahead windows. `--parallel=1` exercises the
   /// partitioned machinery on one thread and must match `--parallel=N`
-  /// bit for bit. Incompatible with fabric link_bandwidth contention.
+  /// bit for bit. Windows are planned per shard pair from the fabric's
+  /// guaranteed-lookahead matrix (net::pair_lookahead, the runtime side of
+  /// pasched-scale's certificate), sim::kWindowBatch chained windows per
+  /// global synchronization. Incompatible with fabric link_bandwidth
+  /// contention.
   int parallel = 0;
-  /// Window planner for partitioned runs. PerPair (default) consumes the
-  /// per-pair guaranteed-lookahead matrix (the runtime side of
-  /// pasched-scale's certificate, derived here from the fabric config) and
-  /// chains `window_batch` windows per global synchronization; Global
-  /// reproduces the legacy one-window-per-barrier schedule. Both must be
-  /// bit-identical — the audit gate compares their digests.
-  sim::PlannerMode planner = sim::PlannerMode::PerPair;
-  int window_batch = sim::kDefaultWindowBatch;
-  /// Pin shard workers to cores when the host has enough of them.
-  bool pin_workers = true;
 };
 
 struct SimulationResult {

@@ -36,6 +36,19 @@ Duration guaranteed_lookahead_between(const FabricConfig& cfg, int a, int b) {
   return jitter_floor(min_latency_between(cfg, a, b), cfg.jitter_frac);
 }
 
+sim::PairLookahead pair_lookahead(const FabricConfig& cfg, int nodes) {
+  PASCHED_EXPECTS(nodes >= 1);
+  const int shards = nodes > 1 ? nodes + 1 : 1;
+  sim::PairLookahead la =
+      sim::PairLookahead::uniform(shards, guaranteed_lookahead(cfg));
+  // Node-node pairs get the topology-aware per-link bound; hub pairs keep
+  // the uniform global floor.
+  for (int a = 0; a < nodes; ++a)
+    for (int b = 0; b < nodes; ++b)
+      if (a != b) la.set(a, b, guaranteed_lookahead_between(cfg, a, b));
+  return la;
+}
+
 namespace {
 void check_config(const FabricConfig& cfg) {
   PASCHED_EXPECTS(cfg.inter_node_latency > Duration::zero());

@@ -17,6 +17,7 @@
 #include "kern/types.hpp"
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
+#include "sim/planner.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -77,6 +78,18 @@ struct FabricConfig {
 /// (src/scale/lookahead.hpp) quantifies.
 [[nodiscard]] sim::Duration guaranteed_lookahead_between(
     const FabricConfig& cfg, int a, int b);
+
+/// The per-shard-pair guaranteed-lookahead matrix of `nodes` nodes under
+/// `cfg`, in sim::ShardedEngine's shard numbering: shards 0..nodes-1 are
+/// the nodes, and multi-node clusters add the switch hub as shard `nodes`
+/// (a single node is one shard with no pairs). Node pairs get
+/// guaranteed_lookahead_between; pairs involving the hub get the global
+/// floor, since hub traffic (hardware-collective contributions and
+/// broadcasts) always pays at least one un-jittered inter-node wire. The
+/// one construction rule: core::Simulation installs this matrix in the
+/// executor and scale::build_lookahead_matrix certifies the same one.
+[[nodiscard]] sim::PairLookahead pair_lookahead(const FabricConfig& cfg,
+                                                int nodes);
 
 struct FabricStats {
   std::uint64_t messages = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "util/assert.hpp"
-
 namespace pasched::scale {
 
 using sim::Duration;
@@ -63,30 +61,7 @@ std::string LookaheadMatrix::certificate_json() const {
 
 LookaheadMatrix build_lookahead_matrix(const net::FabricConfig& cfg,
                                        int nodes) {
-  PASCHED_EXPECTS(nodes >= 1);
-  LookaheadMatrix m;
-  m.nodes = nodes;
-  // Mirror ShardedEngine's partitioning: single-node clusters keep the hub
-  // on the lone shard; multi-node clusters add a hub shard after the nodes.
-  m.shards = nodes > 1 ? nodes + 1 : 1;
-  m.hub_shard = nodes > 1 ? nodes : 0;
-  m.global = net::guaranteed_lookahead(cfg);
-  m.bounds.assign(static_cast<std::size_t>(m.shards) *
-                      static_cast<std::size_t>(m.shards),
-                  sim::Duration::zero());
-  for (int a = 0; a < m.shards; ++a) {
-    for (int b = 0; b < m.shards; ++b) {
-      if (a == b) continue;
-      const bool hub_pair = a == m.hub_shard || b == m.hub_shard;
-      // Hub traffic pays at least one un-jittered inter-node wire in each
-      // direction (mpi::Job's hardware-collective flow), so the global
-      // jitter-adjusted floor is a sound — if slightly conservative —
-      // claim. Node-node pairs get the topology-aware per-link bound.
-      m.set(a, b, hub_pair ? m.global
-                           : net::guaranteed_lookahead_between(cfg, a, b));
-    }
-  }
-  return m;
+  return {net::pair_lookahead(cfg, nodes), nodes, nodes > 1 ? nodes : 0};
 }
 
 }  // namespace pasched::scale

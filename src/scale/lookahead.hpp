@@ -1,49 +1,34 @@
 // The per-shard-pair lookahead oracle: the static half of pasched-scale.
 //
-// The conservative executor (sim/shard.hpp) synchronizes every shard on ONE
-// global bound, net::guaranteed_lookahead — the minimum cross-node latency
-// of the whole fabric. But the causality argument is pairwise: a message
+// The causality argument of conservative execution is pairwise: a message
 // from shard a to shard b cannot arrive earlier than the minimum latency of
-// the (a, b) link. This module computes the full per-pair guaranteed-
-// lookahead matrix from the fabric topology alone (no simulation), compares
-// it against the global bound, and emits a machine-readable certificate for
-// a PARSIR-style per-pair window planner to consume. The claims are only
-// claims until certified: scale::RunMonitor re-checks every actual
+// the (a, b) link. net::pair_lookahead derives that per-pair matrix from
+// the fabric topology alone (no simulation); the executor's per-pair window
+// planner (sim/planner.hpp) runs on it, and this module wraps the same
+// matrix with the cluster shape, compares it against the single global
+// bound, and emits it as a machine-readable certificate. The claims are
+// only claims until certified: scale::RunMonitor re-checks every actual
 // cross-shard delivery against this matrix at runtime (PSL303 on
 // violation).
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "net/fabric.hpp"
+#include "sim/planner.hpp"
 #include "sim/time.hpp"
 
 namespace pasched::scale {
 
-/// Per-shard-pair guaranteed lookahead bounds, in the sharded engine's own
-/// shard numbering: shards 0..nodes-1 are the node shards, shard `nodes` is
-/// the switch hub (single-node clusters collapse to one shard and have no
-/// pairs). The diagonal is zero — same-shard scheduling needs no lookahead.
-struct LookaheadMatrix {
+/// The certified per-shard-pair lookahead matrix: net::pair_lookahead's
+/// bounds (the same matrix the executor installs), plus the cluster shape
+/// and the summaries the report and certificate print. Shards
+/// 0..nodes-1 are the node shards, shard `nodes` is the switch hub
+/// (single-node clusters collapse to one shard and have no pairs). The
+/// diagonal is zero — same-shard scheduling needs no lookahead.
+struct LookaheadMatrix : sim::PairLookahead {
   int nodes = 0;
-  int shards = 0;
   int hub_shard = 0;
-  /// The single global bound the ShardedEngine uses today
-  /// (net::guaranteed_lookahead of the same fabric).
-  sim::Duration global = sim::Duration::zero();
-  /// Row-major shards x shards claimed bounds.
-  std::vector<sim::Duration> bounds;
-
-  [[nodiscard]] sim::Duration at(int a, int b) const {
-    return bounds[static_cast<std::size_t>(a) *
-                      static_cast<std::size_t>(shards) +
-                  static_cast<std::size_t>(b)];
-  }
-  void set(int a, int b, sim::Duration d) {
-    bounds[static_cast<std::size_t>(a) * static_cast<std::size_t>(shards) +
-           static_cast<std::size_t>(b)] = d;
-  }
 
   [[nodiscard]] bool has_pairs() const noexcept { return shards > 1; }
   /// Min / median / max over the off-diagonal pairs.
@@ -58,12 +43,8 @@ struct LookaheadMatrix {
   [[nodiscard]] std::string certificate_json() const;
 };
 
-/// Builds the matrix for `nodes` nodes of fabric `cfg`, statically:
-/// node-node pairs get the jitter-adjusted minimum latency of their link
-/// (net::guaranteed_lookahead_between — frame topology aware); pairs
-/// involving the hub are certified at the global floor, since hub traffic
-/// (hardware-collective contributions and broadcasts) always pays at least
-/// one un-jittered inter-node wire.
+/// Builds the matrix for `nodes` nodes of fabric `cfg`, statically, from
+/// net::pair_lookahead.
 [[nodiscard]] LookaheadMatrix build_lookahead_matrix(
     const net::FabricConfig& cfg, int nodes);
 

@@ -53,9 +53,8 @@ RunMonitor::RunMonitor(LookaheadMatrix matrix, sim::ShardedEngine& engine)
                   "; the window planner consumes a bound the static "
                   "certificate never granted";
       d.fix_hint =
-          "rebuild the engine's PairLookahead from the same fabric "
-          "derivation the certificate uses (core::Simulation mirrors "
-          "scale::build_lookahead_matrix)";
+          "install the engine's PairLookahead from net::pair_lookahead, "
+          "the one construction rule the certificate is built from";
       findings_.push_back(std::move(d));
     }
   }

@@ -68,7 +68,7 @@ std::vector<Diagnostic> ScaleReport::diagnostics() const {
                   ") dominate the useful work";
       d.fix_hint =
           "widen the windows: raise inter_node_latency, cut jitter_frac, "
-          "raise the planner's window batch, or batch more work per "
+          "raise sim::kWindowBatch, or batch more work per "
           "lookahead interval";
       out.push_back(std::move(d));
     }
@@ -160,7 +160,7 @@ std::string ScaleReport::str() const {
      << "x, hub critical share "
      << fmt2(windows.hub_critical_share() * 100.0) << "%\n";
 
-  os << "  planner: " << planner_mode << " (batch " << window_batch << "), "
+  os << "  planner: batch " << sim::kWindowBatch << ", "
      << rounds << " sync rounds / " << chained_windows
      << " chained windows (" << coalesced_windows << " coalesced), ring "
      << ring_posts << " posts / " << ring_overflows
@@ -206,8 +206,7 @@ std::string ScaleReport::json() const {
      << "  \"imbalance\": " << fmt2(windows.imbalance()) << ",\n"
      << "  \"hub_critical_share\": " << fmt2(windows.hub_critical_share())
      << ",\n"
-     << "  \"planner\": \"" << planner_mode << "\",\n"
-     << "  \"window_batch\": " << window_batch << ",\n"
+     << "  \"window_batch\": " << sim::kWindowBatch << ",\n"
      << "  \"rounds\": " << rounds << ",\n"
      << "  \"chained_windows\": " << chained_windows << ",\n"
      << "  \"coalesced_windows\": " << coalesced_windows << ",\n"

@@ -31,12 +31,6 @@ struct ScaleOptions {
   /// this.
   double hub_share_threshold = 0.25;
   SpeedupModel model;
-  /// Window planner the analyzed executor runs. PerPair is what ships;
-  /// Global reproduces the legacy one-window-per-round schedule and is the
-  /// denominator for the n_windows scalability smoke in CI.
-  sim::PlannerMode planner = sim::PlannerMode::PerPair;
-  /// Chained windows per sync round (PerPair only).
-  int window_batch = sim::kDefaultWindowBatch;
 };
 
 struct ScaleReport {
@@ -59,8 +53,6 @@ struct ScaleReport {
   // Executor facts (ShardedEngine::planner_stats()). `rounds` is what the
   // barrier-cost model prices; `chained_windows` is how much schedule each
   // round carried under neighbor-horizon waits only.
-  std::string planner_mode;           // "perpair" | "global"
-  int window_batch = 0;
   std::uint64_t rounds = 0;
   std::uint64_t chained_windows = 0;
   std::uint64_t coalesced_windows = 0;

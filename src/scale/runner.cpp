@@ -64,7 +64,6 @@ ScaleReport analyze_scenario(const core::SimulationConfig& cfg,
   tracer.enable(sim.engine().now());
 
   PASCHED_EXPECTS(sim.sharded() != nullptr);
-  sim.sharded()->set_planner(opts.planner, opts.window_batch);
   RunMonitor monitor(rep.matrix, *sim.sharded());
   sim.sharded()->set_monitor(&monitor);
 
@@ -94,10 +93,6 @@ ScaleReport analyze_scenario(const core::SimulationConfig& cfg,
   rep.barrier_cost_ns_used = rep.options.model.barrier_cost_ns;
 
   const sim::PlannerStats ps = sim.sharded()->planner_stats();
-  rep.planner_mode = sim.sharded()->planner_mode() == sim::PlannerMode::Global
-                         ? "global"
-                         : "perpair";
-  rep.window_batch = sim.sharded()->window_batch();
   rep.rounds = ps.rounds;
   rep.chained_windows = ps.windows;
   rep.coalesced_windows = ps.coalesced;

@@ -33,14 +33,11 @@ PairLookahead PairLookahead::uniform(int shards, Duration global) {
   la.bounds.assign(
       static_cast<std::size_t>(shards) * static_cast<std::size_t>(shards),
       global);
-  for (int s = 0; s < shards; ++s)
-    la.bounds[static_cast<std::size_t>(s) * static_cast<std::size_t>(shards) +
-              static_cast<std::size_t>(s)] = Duration::zero();
+  for (int s = 0; s < shards; ++s) la.set(s, s, Duration::zero());
   return la;
 }
 
-WindowPlanner::WindowPlanner(PairLookahead la, PlannerMode mode, int batch)
-    : la_(std::move(la)), mode_(mode), batch_(std::max(batch, 1)) {
+WindowPlanner::WindowPlanner(PairLookahead la) : la_(std::move(la)) {
   PASCHED_EXPECTS(la_.shards >= 1);
   PASCHED_EXPECTS_MSG(la_.global > Duration::zero(),
                       "conservative planning requires a positive lookahead");
@@ -77,9 +74,9 @@ void WindowPlanner::plan(const std::vector<Time>& next_t, Time deadline,
     return;
   }
 
-  if (mode_ == PlannerMode::Global || S == 1) {
-    // Legacy schedule: one window for everyone at t0 + quantum. The final
-    // gate above already guaranteed t0 + global <= deadline and the quantum
+  if (S == 1) {
+    // No pairs to chain over: one window at t0 + quantum. The final gate
+    // above already guaranteed t0 + global <= deadline and the quantum
     // never exceeds the global bound, so no clamping is needed.
     const Duration q = shrink(la_.global, quantum_num, quantum_den);
     out.length = 1;
@@ -123,14 +120,14 @@ void WindowPlanner::plan(const std::vector<Time>& next_t, Time deadline,
     if (!changed) break;
   }
 
-  // Chain up to `batch` windows: each next end is the earliest any incoming
-  // neighbor could deliver past its previous end. Rows are pointwise
-  // nondecreasing, every entry clamps at the deadline, and W(1)_s >= t0 +
-  // 1ns guarantees the round makes progress.
-  out.ends.resize(static_cast<std::size_t>(batch_) *
+  // Chain up to kWindowBatch windows: each next end is the earliest any
+  // incoming neighbor could deliver past its previous end. Rows are
+  // pointwise nondecreasing, every entry clamps at the deadline, and
+  // W(1)_s >= t0 + 1ns guarantees the round makes progress.
+  out.ends.resize(static_cast<std::size_t>(kWindowBatch) *
                   static_cast<std::size_t>(S));
   std::vector<Time> prev = horizon;  // W(0) = E
-  for (int j = 1; j <= batch_; ++j) {
+  for (int j = 1; j <= kWindowBatch; ++j) {
     bool moved = false;
     for (int s = 0; s < S; ++s) {
       Time w = Time::max();

@@ -15,8 +15,8 @@
 //     E_s = min(next_t_s, min_p (E_p + L_ps))
 //
 // (the earliest instant shard s can possibly execute anything, counting
-// transitively-forwarded work), then chains up to `batch` windows per sync
-// round:
+// transitively-forwarded work), then chains up to kWindowBatch windows per
+// sync round:
 //
 //     W(1)_s = min_{p != s} (E_p + L_ps)
 //     W(j)_s = min_{p != s} (W(j-1)_p + L_ps)
@@ -27,10 +27,8 @@
 // --parallel=N bit-identical. Safety argument (why a shard can never
 // receive an event in its past) is spelled out in DESIGN.md §7.
 //
-// PlannerMode::Global reproduces the legacy schedule exactly (one window
-// per round, ending at t0 + L for every shard) — kept both as the
-// equivalence baseline the audit gate compares against and as the
-// denominator for the n_windows scalability smoke in CI.
+// A single shard has no pairs: it runs one window per round, ending at
+// t0 + L.
 #pragma once
 
 #include <cstdint>
@@ -56,24 +54,25 @@ struct PairLookahead {
   [[nodiscard]] static PairLookahead uniform(int shards, Duration global);
 
   [[nodiscard]] Duration at(int src, int dst) const {
-    return bounds[static_cast<std::size_t>(src) *
-                      static_cast<std::size_t>(shards) +
-                  static_cast<std::size_t>(dst)];
+    return bounds[index(src, dst)];
+  }
+  void set(int src, int dst, Duration d) { bounds[index(src, dst)] = d; }
+
+ private:
+  [[nodiscard]] std::size_t index(int src, int dst) const {
+    return static_cast<std::size_t>(src) * static_cast<std::size_t>(shards) +
+           static_cast<std::size_t>(dst);
   }
 };
 
-enum class PlannerMode : std::uint8_t {
-  Global,   ///< legacy: one window per round at t0 + min-lookahead
-  PerPair,  ///< per-pair horizons, `batch` chained windows per round
-};
-
-/// Chained windows per sync round in PerPair mode. Each chained window is
-/// executed under neighbor-horizon waits only; the global barrier is paid
-/// once per round. Raising it trades wrapup/stop latency (checked at round
-/// boundaries) for fewer rounds; 8 holds the fig5 sync-round count at
-/// >= 4x below the global planner's while the rounds stay short enough
-/// that deferred wrapups land within a handful of lookahead intervals.
-inline constexpr int kDefaultWindowBatch = 8;
+/// Chained windows per sync round. Each chained window is executed under
+/// neighbor-horizon waits only; the global barrier is paid once per round.
+/// Raising it trades wrapup/stop latency (checked at round boundaries) for
+/// fewer rounds; 8 holds the fig5 sync-round count at >= 4x below the
+/// legacy one-window-per-round schedule's while the rounds stay short
+/// enough that deferred wrapups land within a handful of lookahead
+/// intervals.
+inline constexpr int kWindowBatch = 8;
 
 /// Execution counters the engine fills as it runs the plans. `rounds` is
 /// the figure the scale report publishes as n_windows — the number of
@@ -88,8 +87,8 @@ struct PlannerStats {
 };
 
 /// One sync round's schedule: either the final deadline-inclusive window or
-/// a chain of `length` per-shard window ends. Reused across rounds — the
-/// planner only ever grows the buffer.
+/// a chain of `length` (at most kWindowBatch) per-shard window ends. Reused
+/// across rounds — the planner only ever grows the buffer.
 struct RoundPlan {
   bool final = false;
   int length = 0;
@@ -106,7 +105,7 @@ struct RoundPlan {
 
 class WindowPlanner {
  public:
-  WindowPlanner(PairLookahead la, PlannerMode mode, int batch);
+  explicit WindowPlanner(PairLookahead la);
 
   /// Plans one sync round. `next_t` is every shard's published next event
   /// time (Time::max() when idle; cross-shard rings must already be fully
@@ -118,14 +117,10 @@ class WindowPlanner {
             std::int64_t quantum_num, std::int64_t quantum_den,
             RoundPlan& out) const;
 
-  [[nodiscard]] PlannerMode mode() const noexcept { return mode_; }
-  [[nodiscard]] int batch() const noexcept { return batch_; }
   [[nodiscard]] const PairLookahead& pairs() const noexcept { return la_; }
 
  private:
   PairLookahead la_;
-  PlannerMode mode_;
-  int batch_;
 };
 
 }  // namespace pasched::sim

@@ -83,8 +83,7 @@ ShardedEngine::ShardedEngine(int nodes, Duration lookahead)
   for (auto& h : horizon_ns_)
     h.v.store(kHorizonUnset, std::memory_order_relaxed);
   planner_ = std::make_unique<WindowPlanner>(
-      PairLookahead::uniform(shards, lookahead_), PlannerMode::PerPair,
-      kDefaultWindowBatch);
+      PairLookahead::uniform(shards, lookahead_));
 }
 
 ShardedEngine::~ShardedEngine() {
@@ -99,13 +98,7 @@ void ShardedEngine::set_pair_lookahead(PairLookahead la) {
       la.global == lookahead_,
       "matrix global bound must equal the constructor lookahead — both come "
       "from the same fabric certificate");
-  planner_ = std::make_unique<WindowPlanner>(std::move(la), planner_->mode(),
-                                             planner_->batch());
-}
-
-void ShardedEngine::set_planner(PlannerMode mode, int batch) {
-  planner_ =
-      std::make_unique<WindowPlanner>(planner_->pairs(), mode, batch);
+  planner_ = std::make_unique<WindowPlanner>(std::move(la));
 }
 
 PlannerStats ShardedEngine::planner_stats() const {
@@ -441,16 +434,14 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
     for (int w = 0; w < W; ++w) {
       pool.emplace_back([this, w, W, S, deadline, &bar, &err, &err_mu] {
 #ifdef __linux__
-        if (pin_workers_) {
-          // Shard->core pinning, but only when every worker can own a core:
-          // pinning an oversubscribed pool just serializes it harder.
-          const unsigned hw = std::thread::hardware_concurrency();
-          if (hw >= static_cast<unsigned>(W)) {
-            cpu_set_t set;
-            CPU_ZERO(&set);
-            CPU_SET(static_cast<unsigned>(w) % hw, &set);
-            (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-          }
+        // Shard->core pinning, but only when every worker can own a core:
+        // pinning an oversubscribed pool just serializes it harder.
+        const unsigned hw = std::thread::hardware_concurrency();
+        if (hw >= static_cast<unsigned>(W)) {
+          cpu_set_t set;
+          CPU_ZERO(&set);
+          CPU_SET(static_cast<unsigned>(w) % hw, &set);
+          (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
         }
 #endif
         try {

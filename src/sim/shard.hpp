@@ -9,19 +9,19 @@
 // Execution advances in conservative windows (Chandy/Misra/Bryant style)
 // planned per *sync round* by the WindowPlanner (sim/planner.hpp): each
 // round, every shard publishes its next event time, the round barrier's
-// completion step computes a deterministic chain of up to `batch` per-shard
-// windows from the per-pair lookahead matrix, and workers execute the chain
-// with neighbor-horizon waits only — each shard spins on its peers'
-// published atomic horizon clocks, drains the due prefix of each inbound
-// ring, and runs its own window. The global barrier is paid once per round
-// (plus once at the end), not once per window; wrapups and stop requests
-// are honored at round boundaries, where every worker is parked.
+// completion step computes a deterministic chain of up to kWindowBatch
+// per-shard windows from the per-pair lookahead matrix, and workers execute
+// the chain with neighbor-horizon waits only — each shard spins on its
+// peers' published atomic horizon clocks, drains the due prefix of each
+// inbound ring, and runs its own window. The global barrier is paid once
+// per round (plus once at the end), not once per window; wrapups and stop
+// requests are honored at round boundaries, where every worker is parked.
 //
 // The plan is a pure function of the round's published inputs and the ring
 // drains are capped by schedule-derived bounds, so which events fire in
 // which order never depends on thread timing: --parallel=1 and
-// --parallel=N stay bit-identical, and both match the legacy
-// PlannerMode::Global schedule under the audit gate's digest.
+// --parallel=N stay bit-identical, and both match the legacy single-queue
+// engine under the audit gate's digest.
 #pragma once
 
 #include <atomic>
@@ -129,19 +129,10 @@ class ShardedEngine final : public Router {
 
   // Planner -------------------------------------------------------------------
   /// Installs the per-pair guaranteed-lookahead matrix (the runtime side of
-  /// pasched-scale's certificate; core::Simulation derives it from
-  /// net::guaranteed_lookahead_between). `la.shards` must equal
-  /// partitions() and `la.global` the constructor lookahead. Set while no
-  /// workers run.
+  /// pasched-scale's certificate; core::Simulation builds it with
+  /// net::pair_lookahead). `la.shards` must equal partitions() and
+  /// `la.global` the constructor lookahead. Set while no workers run.
   void set_pair_lookahead(PairLookahead la);
-  /// Selects the window planner. Global reproduces the legacy one-window-
-  /// per-round schedule (the audit baseline and the CI scalability smoke's
-  /// denominator); PerPair chains up to `batch` windows per round.
-  void set_planner(PlannerMode mode, int batch = kDefaultWindowBatch);
-  [[nodiscard]] PlannerMode planner_mode() const noexcept {
-    return planner_->mode();
-  }
-  [[nodiscard]] int window_batch() const noexcept { return planner_->batch(); }
   /// The installed pair bound (what post() stamps events with).
   [[nodiscard]] Duration pair_lookahead(int src, int dst) const {
     return planner_->pairs().at(src, dst);
@@ -151,13 +142,12 @@ class ShardedEngine final : public Router {
 
   // Execution -----------------------------------------------------------------
   /// Runs every shard to `deadline` with `workers` threads (clamped to
-  /// [1, partitions()]). Returns false if stopped early via stop_all().
+  /// [1, partitions()]). Worker w is pinned to core w when the host has at
+  /// least `workers` cores; oversubscribed hosts leave placement to the OS,
+  /// where pinning everyone to the same cores would only hurt. Returns
+  /// false if stopped early via stop_all().
   bool run_until(Time deadline, int workers);
 
-  /// Pin worker w to core w when the host has at least `workers` cores
-  /// (default on; a no-op on oversubscribed boxes, where pinning everyone
-  /// to the same cores would only hurt).
-  void set_pin_workers(bool pin) noexcept { pin_workers_ = pin; }
   /// Test hook: per-pair SPSC ring capacity (rounded up to a power of two).
   /// Call before the first post — live rings are not resized.
   void set_ring_capacity(std::size_t cap) noexcept { ring_capacity_ = cap; }
@@ -321,7 +311,6 @@ class ShardedEngine final : public Router {
   alignas(util::kCacheLineBytes) std::atomic<bool> freeze_fire_logs_{false};
   ShardMonitor* monitor_ = nullptr;
   ChoiceSource* window_choice_ = nullptr;
-  bool pin_workers_ = true;
 };
 
 }  // namespace pasched::sim

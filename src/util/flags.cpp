@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
 #include <algorithm>
+#include <fstream>
 #include <iostream>
 
 #include "util/strings.hpp"
@@ -87,6 +88,20 @@ int run_tool(std::string_view tool, int argc, const char* const* argv,
     std::cerr << tool << ": " << e.what() << "\n";
     return 64;
   }
+}
+
+int write_output(std::string_view tool, const std::string& path,
+                 std::string_view what, std::string_view contents, int rc) {
+  if (path.empty()) return rc;
+  std::ofstream out(path, std::ios::binary);
+  out << contents;
+  out.close();
+  if (!out) {
+    std::cerr << tool << ": cannot write " << path << "\n";
+    return rc == 0 ? 64 : rc;
+  }
+  std::cout << what << " written to " << path << "\n";
+  return rc;
 }
 
 }  // namespace pasched::util

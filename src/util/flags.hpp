@@ -51,4 +51,14 @@ class Flags {
                            const char* const* argv,
                            int (*body)(const Flags&));
 
+/// Writes a tool's --report/--json/--schedule-out output: `contents` to
+/// `path`, then "<what> written to <path>" on stdout. An empty `path` (the
+/// flag was not given) writes nothing. Returns the run's exit status: `rc`
+/// after a good write; when the open, write or close fails, "<tool>: cannot
+/// write <path>" goes to stderr and a run that would otherwise pass (rc 0)
+/// exits 64, while a failed run keeps its own status.
+[[nodiscard]] int write_output(std::string_view tool, const std::string& path,
+                               std::string_view what,
+                               std::string_view contents, int rc);
+
 }  // namespace pasched::util

@@ -1,12 +1,15 @@
 // Golden-value tests for the per-shard-pair lookahead oracle: the pairwise
 // bounds on flat and frame-structured fabrics, the jitter edge cases, the
 // degenerate single-node matrix, the hub rows' global floor, the machine-
-// readable certificate, and the PSL014 lint precursor.
+// readable certificate, the executor installing that same matrix, and the
+// PSL014 lint precursor.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "analysis/lint.hpp"
+#include "apps/aggregate_trace.hpp"
+#include "core/simulation.hpp"
 #include "net/fabric.hpp"
 #include "scale/lookahead.hpp"
 #include "sim/time.hpp"
@@ -105,6 +108,30 @@ TEST(ScaleLookahead, CertificateJsonCarriesTheMatrix) {
   EXPECT_NE(cert.find("\"global_lookahead_ns\": 19599"), std::string::npos);
   EXPECT_NE(cert.find("29399"), std::string::npos);
   EXPECT_NE(cert.find("\"bounds_ns\""), std::string::npos);
+}
+
+TEST(ScaleLookahead, ExecutorInstallsTheCertifiedMatrix) {
+  // One construction rule: the pair bounds core::Simulation installs in the
+  // partitioned executor are the certificate's claims, pair for pair.
+  core::SimulationConfig cfg;
+  cfg.cluster = cluster::presets::frost(4);
+  cfg.cluster.fabric.frame_size = 2;
+  cfg.cluster.fabric.inter_frame_extra = Duration::us(10);
+  cfg.job.ntasks = 4;
+  cfg.job.tasks_per_node = 1;
+  cfg.parallel = 1;
+  apps::AggregateTraceConfig at;
+  at.loops = 1;
+  at.calls_per_loop = 1;
+  core::Simulation sim(cfg, apps::aggregate_trace(at));
+  const auto m = scale::build_lookahead_matrix(cfg.cluster.fabric, 4);
+  ASSERT_NE(sim.sharded(), nullptr);
+  ASSERT_EQ(sim.sharded()->partitions(), m.shards);
+  EXPECT_GT(m.at(0, 2), m.global);  // the frames make the matrix non-uniform
+  for (int a = 0; a < m.shards; ++a)
+    for (int b = 0; b < m.shards; ++b)
+      EXPECT_EQ(sim.sharded()->pair_lookahead(a, b), m.at(a, b))
+          << "pair (" << a << "," << b << ")";
 }
 
 TEST(ScaleLookahead, Psl014FiresOnCollapsedGlobalLookahead) {

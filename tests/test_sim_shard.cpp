@@ -17,7 +17,6 @@ namespace {
 using pasched::sim::Duration;
 using pasched::sim::Engine;
 using pasched::sim::EventId;
-using pasched::sim::PlannerMode;
 using pasched::sim::PlannerStats;
 using pasched::sim::ShardedEngine;
 using pasched::sim::Time;
@@ -268,7 +267,6 @@ TEST(Sharded, QuietWindowsCoalesceIntoTheChain) {
   // count must sit well below the chained-window count (that gap is the
   // barrier reduction the per-pair planner exists for).
   ShardedEngine se(2, Duration::us(10));
-  ASSERT_EQ(se.planner_mode(), PlannerMode::PerPair);
   struct Chain {
     Engine& e;
     int remaining;

@@ -22,9 +22,8 @@
 // Exit status: 0 = reproducible and consistent, 1 = divergence, 2 = a model
 // invariant is violated, 64 = bad usage.
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,38 +37,11 @@
 #include "core/simulation.hpp"
 #include "trace/trace.hpp"
 #include "util/flags.hpp"
+#include "util/fnv1a.hpp"
 
 using namespace pasched;
 
 namespace {
-
-/// FNV-1a, folded 8 bytes at a time.
-class Hasher {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffU;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix_int(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix_double(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    mix(bits);
-  }
-  void mix_str(const std::string& s) {
-    for (const char c : s) {
-      h_ ^= static_cast<unsigned char>(c);
-      h_ *= 0x100000001b3ULL;
-    }
-    mix(s.size());
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 struct AuditParams {
   int nodes = 4;
@@ -90,12 +62,10 @@ struct ScenarioRow {
 
 std::vector<ScenarioRow> g_rows;
 
-void write_json(const std::string& path, const char* mode, int rc) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "pasched-audit: cannot write " << path << "\n";
-    return;
-  }
+/// Writes the --json=FILE report; returns `rc`, or the failed write's
+/// status (util::write_output).
+int write_json(const std::string& path, const char* mode, int rc) {
+  std::ostringstream out;
   out << "{\n  " << analysis::json_report_header("pasched-audit") << "\n"
       << "  \"mode\": \"" << mode << "\",\n"
       << "  \"pass\": " << (rc == 0 ? "true" : "false") << ",\n"
@@ -110,7 +80,8 @@ void write_json(const std::string& path, const char* mode, int rc) {
         << (i + 1 < g_rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
-  std::cout << "json report written to " << path << "\n";
+  return util::write_output("pasched-audit", path, "json report", out.str(),
+                            rc);
 }
 
 struct RunDigest {
@@ -121,7 +92,9 @@ struct RunDigest {
   std::string invariant_error;
 };
 
-RunDigest run_scenario(const AuditParams& p, bool prototype) {
+/// The audited scenario: the vanilla or prototype (+ co-scheduler) kernel
+/// running the synthetic Allreduce benchmark, in classic mode.
+core::SimulationConfig scenario_config(const AuditParams& p, bool prototype) {
   core::SimulationConfig cfg;
   cfg.cluster = cluster::presets::frost(p.nodes);
   cfg.cluster.seed = p.seed;
@@ -132,12 +105,19 @@ RunDigest run_scenario(const AuditParams& p, bool prototype) {
   cfg.job.seed = p.seed;
   cfg.use_coscheduler = prototype;
   cfg.cosched = core::paper_cosched();
+  return cfg;
+}
 
+mpi::WorkloadFactory scenario_workload(const AuditParams& p) {
   apps::AggregateTraceConfig at;
   at.loops = 1;
   at.calls_per_loop = p.calls;
   at.warmup = sim::Duration::sec(6);
-  core::Simulation sim(cfg, apps::aggregate_trace(at));
+  return apps::aggregate_trace(at);
+}
+
+RunDigest run_scenario(const AuditParams& p, bool prototype) {
+  core::Simulation sim(scenario_config(p, prototype), scenario_workload(p));
 
   // One tracer observes every node; recording from t=0 captures the full
   // occupancy history, which is the strongest determinism witness we have.
@@ -152,7 +132,7 @@ RunDigest run_scenario(const AuditParams& p, bool prototype) {
   d.events = result.events;
   d.completed = result.completed;
 
-  Hasher h;
+  util::Fnv1a h;
   h.mix_int(result.elapsed.count());
   h.mix(result.events);
   h.mix(result.completed ? 1 : 0);
@@ -208,31 +188,16 @@ RunDigest run_scenario(const AuditParams& p, bool prototype) {
 }
 
 /// The execution-mode equivalence gate: classic vs --parallel=1 vs
-/// --parallel=<workers> (per-pair planner) vs --parallel=<workers> under
-/// the legacy global-window planner, on the fig3 (vanilla) and fig5
-/// (prototype + co-scheduler) scenario shapes. The fourth digest pins the
-/// per-pair window planner to the one-global-window schedule it refactored
-/// away — any window-schedule dependence in the workload shows up here.
+/// --parallel=<workers>, on the fig3 (vanilla) and fig5 (prototype +
+/// co-scheduler) scenario shapes. The partitioned runs execute per-pair
+/// window chains, so any window-schedule dependence in the workload shows
+/// up as a divergence from the single-queue legacy history.
 int run_parallel_equivalence(const AuditParams& p, int workers) {
   int rc = 0;
   for (const bool prototype : {false, true}) {
     const char* name = prototype ? "fig5-prototype+cosched" : "fig3-vanilla";
-    core::SimulationConfig cfg;
-    cfg.cluster = cluster::presets::frost(p.nodes);
-    cfg.cluster.seed = p.seed;
-    cfg.cluster.node.tunables =
-        prototype ? core::prototype_kernel() : core::vanilla_kernel();
-    cfg.job.ntasks = p.nodes * p.tasks_per_node;
-    cfg.job.tasks_per_node = p.tasks_per_node;
-    cfg.job.seed = p.seed;
-    cfg.use_coscheduler = prototype;
-    cfg.cosched = core::paper_cosched();
-
-    apps::AggregateTraceConfig at;
-    at.loops = 1;
-    at.calls_per_loop = p.calls;
-    at.warmup = sim::Duration::sec(6);
-    const mpi::WorkloadFactory factory = apps::aggregate_trace(at);
+    core::SimulationConfig cfg = scenario_config(p, prototype);
+    const mpi::WorkloadFactory factory = scenario_workload(p);
 
     std::cout << "scenario " << name << ": legacy..." << std::flush;
     cfg.parallel = 0;
@@ -243,10 +208,6 @@ int run_parallel_equivalence(const AuditParams& p, int workers) {
     std::cout << " parallel=" << workers << "..." << std::flush;
     cfg.parallel = workers;
     const core::CanonicalDigest parn = core::run_canonical(cfg, factory);
-    std::cout << " parallel=" << workers << "/global..." << std::flush;
-    cfg.planner = sim::PlannerMode::Global;
-    const core::CanonicalDigest parg = core::run_canonical(cfg, factory);
-    cfg.planner = sim::PlannerMode::PerPair;
 
     std::cout << "\n  legacy     hash=" << std::hex << legacy.hash << std::dec
               << " completed=" << legacy.completed
@@ -255,16 +216,12 @@ int run_parallel_equivalence(const AuditParams& p, int workers) {
               << " completed=" << par1.completed << " events=" << par1.events
               << "\n  parallel=" << workers << " hash=" << std::hex
               << parn.hash << std::dec << " completed=" << parn.completed
-              << " events=" << parn.events << "\n  par" << workers
-              << "/global hash=" << std::hex << parg.hash << std::dec
-              << " completed=" << parg.completed << " events=" << parg.events
-              << "\n";
+              << " events=" << parn.events << "\n";
     ScenarioRow row;
     row.name = name;
     row.hash = legacy.hash;
     row.events = legacy.events;
-    row.completed = legacy.completed && par1.completed && parn.completed &&
-                    parg.completed;
+    row.completed = legacy.completed && par1.completed && parn.completed;
     if (!row.completed) {
       std::cout << "  FAIL: a mode did not run the job to completion\n";
       g_rows.push_back(row);
@@ -272,10 +229,8 @@ int run_parallel_equivalence(const AuditParams& p, int workers) {
       continue;
     }
     if (legacy.hash != par1.hash || par1.hash != parn.hash ||
-        parn.hash != parg.hash ||
         legacy.elapsed.count() != par1.elapsed.count() ||
-        par1.elapsed.count() != parn.elapsed.count() ||
-        parn.elapsed.count() != parg.elapsed.count()) {
+        par1.elapsed.count() != parn.elapsed.count()) {
       std::cout << "  FAIL: execution modes diverged\n";
       g_rows.push_back(row);
       rc = 1;
@@ -283,9 +238,8 @@ int run_parallel_equivalence(const AuditParams& p, int workers) {
     }
     row.ok = true;
     g_rows.push_back(row);
-    std::cout << "  OK: all four execution modes are bit-identical\n";
+    std::cout << "  OK: all three execution modes are bit-identical\n";
   }
-  if (rc == 0) std::cout << "pasched-audit: PASS (parallel equivalence)\n";
   return rc;
 }
 
@@ -328,8 +282,9 @@ int tool_main(const util::Flags& flags) {
       std::cerr << "pasched-audit: --workers must be positive\n";
       return 64;
     }
-    const int rc = run_parallel_equivalence(p, workers);
-    if (!json_path.empty()) write_json(json_path, "parallel-equivalence", rc);
+    const int rc = write_json(json_path, "parallel-equivalence",
+                              run_parallel_equivalence(p, workers));
+    if (rc == 0) std::cout << "pasched-audit: PASS (parallel equivalence)\n";
     return rc;
   }
 
@@ -367,7 +322,7 @@ int tool_main(const util::Flags& flags) {
     g_rows.push_back(row);
     std::cout << "  OK: bit-identical and self-consistent\n";
   }
-  if (!json_path.empty()) write_json(json_path, "reproducibility", rc);
+  rc = write_json(json_path, "reproducibility", rc);
   if (rc == 0) std::cout << "pasched-audit: PASS\n";
   return rc;
 }

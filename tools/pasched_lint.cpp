@@ -58,18 +58,14 @@ void collect(const std::string& label,
 /// Writes the machine-readable report (shared schema/tool header) on the
 /// way out of every lint mode. Usage errors (64) skip the write.
 int finish(int rc) {
-  if (g_json_path.empty() || rc == 64) return rc;
-  std::ofstream out(g_json_path);
-  if (!out) {
-    std::cerr << "pasched-lint: cannot write " << g_json_path << "\n";
-    return rc == 0 ? 64 : rc;
-  }
-  out << "{\n  " << analysis::json_report_header("pasched-lint") << "\n"
-      << "  \"pass\": " << (rc == 0 ? "true" : "false") << ",\n"
-      << "  \"findings\": " << analysis::diagnostics_json(g_collected, 2)
-      << "\n}\n";
-  std::cout << "json report written to " << g_json_path << "\n";
-  return rc;
+  if (rc == 64) return rc;
+  return util::write_output(
+      "pasched-lint", g_json_path, "json report",
+      "{\n  " + analysis::json_report_header("pasched-lint") + "\n" +
+          "  \"pass\": " + (rc == 0 ? "true" : "false") + ",\n" +
+          "  \"findings\": " + analysis::diagnostics_json(g_collected, 2) +
+          "\n}\n",
+      rc);
 }
 
 int report(const std::string& label,

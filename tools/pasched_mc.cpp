@@ -33,15 +33,13 @@ namespace {
 
 /// Machine-readable result for --json=FILE: the shared schema/tool header,
 /// the run mode and verdict, exploration stats when present, and the
-/// violation (oracle + message) when one was found.
-void write_json(const std::string& path, const std::string& config,
-                const char* mode, const char* verdict,
-                const mc::ExploreStats* stats, const mc::Violation* v) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "pasched-mc: cannot write " << path << "\n";
-    return;
-  }
+/// violation (oracle + message) when one was found. Returns `rc`, or the
+/// failed write's status (util::write_output).
+int write_json(const std::string& path, const std::string& config,
+               const char* mode, const char* verdict,
+               const mc::ExploreStats* stats, const mc::Violation* v,
+               int rc) {
+  std::ostringstream out;
   out << "{\n  " << analysis::json_report_header("pasched-mc") << "\n"
       << "  \"config\": \"" << analysis::json_escape(config) << "\",\n"
       << "  \"mode\": \"" << mode << "\",\n"
@@ -60,7 +58,7 @@ void write_json(const std::string& path, const std::string& config,
   else
     out << "  \"violation\": null\n";
   out << "}\n";
-  std::cout << "json report written to " << path << "\n";
+  return util::write_output("pasched-mc", path, "json report", out.str(), rc);
 }
 
 void print_stats(const mc::ExploreStats& s) {
@@ -91,18 +89,15 @@ int report_violation(const mc::Violation& v, mc::Explorer& ex, bool shrink,
   std::istringstream lines(cex.str());
   std::string line;
   while (std::getline(lines, line)) std::cout << "  " << line << "\n";
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "pasched-mc: cannot write " << out_path << "\n";
-      return 64;
-    }
-    out << "# config: " << config << "\n" << cex.serialize();
-    std::cout << "schedule written to " << out_path
-              << " — replay with --replay=" << out_path
+  // Status 0 stands for the write alone: the run itself has already failed
+  // (exit 1) whether or not the counterexample reaches disk.
+  if (!out_path.empty() &&
+      util::write_output("pasched-mc", out_path, "schedule",
+                         "# config: " + config + "\n" + cex.serialize(),
+                         0) == 0)
+    std::cout << "  replay with --replay=" << out_path
               << " or pasched-lint --trace-run --schedule=" << out_path
               << "\n";
-  }
   return 1;
 }
 
@@ -183,16 +178,13 @@ int tool_main(const util::Flags& flags) {
     if (rec.violation) {
       std::cout << "VIOLATION (" << mc::to_string(rec.violation->oracle)
                 << "): " << rec.violation->message << "\n";
-      if (!json_path.empty())
-        write_json(json_path, config, "replay", "violation", nullptr,
-                   &*rec.violation);
-      return 1;
+      return write_json(json_path, config, "replay", "violation", nullptr,
+                        &*rec.violation, 1);
     }
     std::cout << "replay clean (outcome " << rec.outcome << "s, "
               << rec.events.size() << " events)\n";
-    if (!json_path.empty())
-      write_json(json_path, config, "replay", "clean", nullptr, nullptr);
-    return 0;
+    return write_json(json_path, config, "replay", "clean", nullptr, nullptr,
+                      0);
   }
 
   std::cout << "exploring '" << config << "' (max " << opts.max_runs
@@ -205,24 +197,21 @@ int tool_main(const util::Flags& flags) {
     std::cout << "  outcome range: [" << res.min_outcome << "s, "
               << res.max_outcome << "s]\n";
   if (res.violation) {
-    if (!json_path.empty())
-      write_json(json_path, config, "explore", "violation", &res.stats,
-                 &*res.violation);
+    (void)write_json(json_path, config, "explore", "violation", &res.stats,
+                     &*res.violation, 1);
     return report_violation(*res.violation, explorer, shrink, out_path,
                             config);
   }
   if (res.stats.clipped) {
     std::cout << "no violation found, but the budget clipped exploration — "
                  "NOT a certificate\n";
-    if (!json_path.empty())
-      write_json(json_path, config, "explore", "clipped", &res.stats, nullptr);
-    return 2;
+    return write_json(json_path, config, "explore", "clipped", &res.stats,
+                      nullptr, 2);
   }
   std::cout << "certified: all interleavings within the horizon satisfy "
                "every oracle\n";
-  if (!json_path.empty())
-    write_json(json_path, config, "explore", "certified", &res.stats, nullptr);
-  return 0;
+  return write_json(json_path, config, "explore", "certified", &res.stats,
+                    nullptr, 0);
 }
 
 }  // namespace

@@ -94,17 +94,11 @@ void print_findings(std::ostream& os,
 /// Findings across every audited scenario, for --json=FILE.
 std::vector<analysis::Diagnostic> g_collected;
 
-void write_json(const std::string& path, int rc) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "pasched-race: cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n  " << analysis::json_report_header("pasched-race") << "\n"
-      << "  \"pass\": " << (rc == 0 ? "true" : "false") << ",\n"
-      << "  \"findings\": " << analysis::diagnostics_json(g_collected, 2)
-      << "\n}\n";
-  std::cout << "json report written to " << path << "\n";
+std::string json_report(int rc) {
+  return "{\n  " + analysis::json_report_header("pasched-race") + "\n" +
+         "  \"pass\": " + (rc == 0 ? "true" : "false") + ",\n" +
+         "  \"findings\": " + analysis::diagnostics_json(g_collected, 2) +
+         "\n}\n";
 }
 
 /// Audits one scenario; returns the exit code contribution (0 or 1).
@@ -124,10 +118,10 @@ int run_one(const Scenario& s, const Params& p, std::ostream& report) {
     if (fz.diverged) {
       const std::string sched_file =
           std::string("pasched-race.") + s.name + ".failing-schedule";
-      std::ofstream sf(sched_file);
-      sf << fz.failing.serialize();
-      std::cout << "  failing window schedule written to " << sched_file
-                << "\n";
+      // Already failing (PSL204): a lost schedule file keeps exit 1.
+      (void)util::write_output("pasched-race", sched_file,
+                               "  failing window schedule",
+                               fz.failing.serialize(), 1);
       report << "failing schedule:\n" << fz.failing.serialize() << "\n";
     }
   } else {
@@ -236,13 +230,11 @@ int tool_main(const util::Flags& flags) {
     return 2;
   }
 
-  if (!p.report.empty()) {
-    std::ofstream out(p.report);
-    out << report.str();
-    std::cout << "report written to " << p.report << "\n";
-  }
-  const std::string json_path = flags.get("json", "");
-  if (!json_path.empty()) write_json(json_path, rc);
+  const std::string json = json_report(rc);
+  rc = util::write_output("pasched-race", p.report, "report", report.str(),
+                          rc);
+  rc = util::write_output("pasched-race", flags.get("json", ""),
+                          "json report", json, rc);
   if (rc == 0) std::cout << "pasched-race: PASS\n";
   return rc;
 }

@@ -21,15 +21,15 @@
 //   ./pasched-scale [--scenario=fig3|fig5|both] [--nodes=N]
 //       [--tasks-per-node=N] [--calls=N] [--seed=N] [--workers=N]
 //       [--target-workers=N] [--target-speedup=X]
-//       [--planner=perpair|global] [--batch=N]
 //       [--report=FILE] [--json=FILE]
 //
-// --planner/--batch select the executor's window planner (global = the
-// legacy one-window-per-round schedule; CI divides the two runs' sync-round
-// counts for the scalability smoke). When the validation build can install
-// a contention ledger, the barrier-cost model prices rounds with the
-// *measured* per-round barrier wait instead of the default constant
-// (reported as barrier_cost_source = "measured").
+// The analyzed executor runs the per-pair window planner, kWindowBatch
+// chained windows per sync round; the report's `rounds` is its count of
+// global synchronizations (CI gates the fig5 figure against a recorded
+// count for the retired one-window-per-round schedule). When the
+// validation build can install a contention ledger, the barrier-cost model
+// prices rounds with the *measured* per-round barrier wait instead of the
+// default constant (reported as barrier_cost_source = "measured").
 //
 // --plant-unsound-bound inflates every matrix claim 4x before the run: real
 // deliveries then undercut the planted certificate and the monitor must
@@ -37,7 +37,6 @@
 //
 // Exit status: 0 = clean or warnings only, 1 = PSL3xx ERROR findings,
 // 2 = a model invariant is violated, 64 = bad usage.
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -142,14 +141,13 @@ int tool_main(const util::Flags& flags) {
   const std::vector<std::string> typos = flags.unknown(
       {"scenario", "workers", "nodes", "tasks-per-node", "calls", "seed",
        "target-workers", "target-speedup", "plant-unsound-bound", "report",
-       "json", "planner", "batch"});
+       "json"});
   if (!typos.empty()) {
     std::cerr << "pasched-scale: unknown flag(s):";
     for (const std::string& t : typos) std::cerr << " --" << t;
     std::cerr << "\nusage: pasched-scale [--scenario=fig3|fig5|both]"
                  " [--nodes=N] [--tasks-per-node=N] [--calls=N] [--seed=N]"
                  " [--workers=N] [--target-workers=N] [--target-speedup=X]"
-                 " [--planner=perpair|global] [--batch=N]"
                  " [--plant-unsound-bound] [--report=FILE] [--json=FILE]\n";
     return 64;
   }
@@ -168,19 +166,6 @@ int tool_main(const util::Flags& flags) {
       static_cast<int>(flags.get_int("target-workers", p.opts.target_workers));
   p.opts.target_speedup =
       flags.get_double("target-speedup", p.opts.target_speedup);
-  const std::string planner = flags.get("planner", "perpair");
-  if (planner == "global") {
-    p.opts.planner = sim::PlannerMode::Global;
-  } else if (planner != "perpair") {
-    std::cerr << "pasched-scale: --planner must be perpair or global\n";
-    return 64;
-  }
-  p.opts.window_batch =
-      static_cast<int>(flags.get_int("batch", p.opts.window_batch));
-  if (p.opts.window_batch < 1) {
-    std::cerr << "pasched-scale: --batch must be positive\n";
-    return 64;
-  }
   if (p.nodes < 2 || p.tasks_per_node < 1 || p.calls < 1 || p.workers < 1 ||
       p.opts.target_workers < 1) {
     std::cerr << "pasched-scale: --nodes must be >= 2 (a single shard has "
@@ -209,20 +194,13 @@ int tool_main(const util::Flags& flags) {
     return 2;
   }
 
-  if (!p.report.empty()) {
-    std::ofstream out(p.report);
-    out << report.str();
-    std::cout << "report written to " << p.report << "\n";
-  }
-  if (!p.json.empty()) {
-    std::ofstream out(p.json);
-    out << "[\n";
-    for (std::size_t i = 0; i < json_reports.size(); ++i)
-      out << json_reports[i]
-          << (i + 1 < json_reports.size() ? ",\n" : "");
-    out << "]\n";
-    std::cout << "json written to " << p.json << "\n";
-  }
+  std::string json = "[\n";
+  for (std::size_t i = 0; i < json_reports.size(); ++i)
+    json += json_reports[i] + (i + 1 < json_reports.size() ? ",\n" : "");
+  json += "]\n";
+  rc = util::write_output("pasched-scale", p.report, "report", report.str(),
+                          rc);
+  rc = util::write_output("pasched-scale", p.json, "json", json, rc);
   if (rc == 0) std::cout << "pasched-scale: PASS\n";
   return rc;
 }

@@ -62,7 +62,6 @@
 #include <algorithm>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <sstream>
@@ -375,27 +374,17 @@ int tool_main(const util::Flags& flags) {
               << (plant ? "; PSL506/PSL606 legs skipped" : "") << "\n";
   }
 
-  const std::string report_file = flags.get("report", "");
-  if (!report_file.empty()) {
-    std::ofstream out(report_file);
-    out << rep.str();
-    if (led.ran) print_ledgers(out, led);
-    std::cout << "report written to " << report_file << "\n";
-  }
-  const std::string json_file = flags.get("json", "");
-  if (!json_file.empty()) {
-    std::ofstream out(json_file);
-    std::string js = rep.json();
-    if (led.ran) {
-      // Splice the ledger objects into the report before the closing brace.
-      js.insert(js.rfind("\n}"),
-                ",\n  \"contention_ledger\": " +
-                    led.contention_report.json(2) +
-                    ",\n  \"allocation_ledger\": " +
-                    led.allocation_report.json(2));
-    }
-    out << js;
-    std::cout << "json written to " << json_file << "\n";
+  std::ostringstream text;
+  text << rep.str();
+  if (led.ran) print_ledgers(text, led);
+  std::string js = rep.json();
+  if (led.ran) {
+    // Splice the ledger objects into the report before the closing brace.
+    js.insert(js.rfind("\n}"),
+              ",\n  \"contention_ledger\": " +
+                  led.contention_report.json(2) +
+                  ",\n  \"allocation_ledger\": " +
+                  led.allocation_report.json(2));
   }
 
   // Regression gates (the nightly CI wiring). barrier_wait_share is the
@@ -418,13 +407,14 @@ int tool_main(const util::Flags& flags) {
               << ")\n";
     rc = 1;
   }
-  if (rc != 0) return rc;
+  if (rc == 0 && analysis::any_errors(rep.findings)) rc = 1;
 
-  if (rep.clean()) {
-    std::cout << "pasched-srclint: PASS\n";
-    return 0;
-  }
-  return analysis::any_errors(rep.findings) ? 1 : 0;
+  rc = util::write_output("pasched-srclint", flags.get("report", ""),
+                          "report", text.str(), rc);
+  rc = util::write_output("pasched-srclint", flags.get("json", ""), "json",
+                          js, rc);
+  if (rc == 0 && rep.clean()) std::cout << "pasched-srclint: PASS\n";
+  return rc;
 }
 
 }  // namespace
