@@ -52,7 +52,7 @@ struct ScaleReport {
 
   // Executor facts (ShardedEngine::planner_stats()). `rounds` is what the
   // barrier-cost model prices; `chained_windows` is how much schedule each
-  // round carried under neighbor-horizon waits only.
+  // round carried under horizon waits only.
   std::uint64_t rounds = 0;
   std::uint64_t chained_windows = 0;
   std::uint64_t coalesced_windows = 0;

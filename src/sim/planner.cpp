@@ -37,27 +37,89 @@ PairLookahead PairLookahead::uniform(int shards, Duration global) {
   return la;
 }
 
-WindowPlanner::WindowPlanner(PairLookahead la) : la_(std::move(la)) {
-  PASCHED_EXPECTS(la_.shards >= 1);
-  PASCHED_EXPECTS_MSG(la_.global > Duration::zero(),
+namespace {
+
+// True when swapping shards a and b leaves the matrix unchanged: equal rows
+// and columns against every third shard, and a symmetric a<->b bound.
+// Swap-equivalence is transitive (conjugate transpositions), so comparing a
+// shard against each class's first member is enough.
+[[nodiscard]] bool interchangeable(const PairLookahead& la, int a, int b) {
+  if (la.at(a, b) != la.at(b, a)) return false;
+  for (int x = 0; x < la.shards; ++x) {
+    if (x == a || x == b) continue;
+    if (la.at(a, x) != la.at(b, x) || la.at(x, a) != la.at(x, b))
+      return false;
+  }
+  return true;
+}
+
+// Per-class minimum and runner-up of one row of shard times: enough to
+// answer min over every shard but one in O(1) per class.
+struct ClassMinima {
+  std::vector<Time> first;
+  std::vector<Time> second;
+  std::vector<int> arg;  ///< shard holding `first` (-1 while all are max)
+
+  void summarize(const std::vector<int>& class_of, const Time* x, int G) {
+    first.assign(static_cast<std::size_t>(G), Time::max());
+    second.assign(static_cast<std::size_t>(G), Time::max());
+    arg.assign(static_cast<std::size_t>(G), -1);
+    for (std::size_t s = 0; s < class_of.size(); ++s) {
+      const auto g = static_cast<std::size_t>(class_of[s]);
+      if (x[s] < first[g]) {
+        second[g] = first[g];
+        first[g] = x[s];
+        arg[g] = static_cast<int>(s);
+      } else if (x[s] < second[g]) {
+        second[g] = x[s];
+      }
+    }
+  }
+};
+
+}  // namespace
+
+WindowPlanner::WindowPlanner(const PairLookahead& la)
+    : shards_(la.shards), global_(la.global) {
+  PASCHED_EXPECTS(la.shards >= 1);
+  PASCHED_EXPECTS_MSG(la.global > Duration::zero(),
                       "conservative planning requires a positive lookahead");
-  PASCHED_EXPECTS(la_.bounds.size() ==
-                  static_cast<std::size_t>(la_.shards) *
-                      static_cast<std::size_t>(la_.shards));
+  PASCHED_EXPECTS(la.bounds.size() == static_cast<std::size_t>(la.shards) *
+                                          static_cast<std::size_t>(la.shards));
 #if PASCHED_VALIDATE_ENABLED
-  for (int s = 0; s < la_.shards; ++s)
-    for (int d = 0; d < la_.shards; ++d)
+  for (int s = 0; s < la.shards; ++s)
+    for (int d = 0; d < la.shards; ++d)
       if (s != d)
-        PASCHED_CHECK_MSG(la_.at(s, d) >= la_.global,
+        PASCHED_CHECK_MSG(la.at(s, d) >= la.global,
                           "pair lookahead below the global floor — the "
                           "certificate's matrix-minimum invariant is broken");
 #endif
+  std::vector<int> first_member;  // class -> its first shard
+  class_of_.resize(static_cast<std::size_t>(shards_));
+  for (int s = 0; s < shards_; ++s) {
+    int g = 0;
+    while (g < static_cast<int>(first_member.size()) &&
+           !interchangeable(la, first_member[static_cast<std::size_t>(g)], s))
+      ++g;
+    if (g == static_cast<int>(first_member.size())) first_member.push_back(s);
+    class_of_[static_cast<std::size_t>(s)] = g;
+  }
+  classes_ = static_cast<int>(first_member.size());
+  class_bounds_.assign(static_cast<std::size_t>(classes_) *
+                           static_cast<std::size_t>(classes_),
+                       Duration::zero());
+  for (int s = 0; s < shards_; ++s)
+    for (int d = 0; d < shards_; ++d)
+      if (s != d)
+        class_bounds_[class_index(class_of_[static_cast<std::size_t>(s)],
+                                  class_of_[static_cast<std::size_t>(d)])] =
+            la.at(s, d);
 }
 
 void WindowPlanner::plan(const std::vector<Time>& next_t, Time deadline,
                          std::int64_t quantum_num, std::int64_t quantum_den,
                          RoundPlan& out) const {
-  const int S = la_.shards;
+  const int S = shards_;
   PASCHED_EXPECTS(next_t.size() == static_cast<std::size_t>(S));
   out.shards = S;
   out.final = false;
@@ -69,7 +131,7 @@ void WindowPlanner::plan(const std::vector<Time>& next_t, Time deadline,
   // window fits below the deadline, every event left in [t0, deadline] can
   // only generate cross-shard work past the deadline, so one inclusive
   // window finishes the run.
-  if (t0 >= deadline || sat_add(t0, la_.global) > deadline) {
+  if (t0 >= deadline || sat_add(t0, global_) > deadline) {
     out.final = true;
     return;
   }
@@ -78,46 +140,50 @@ void WindowPlanner::plan(const std::vector<Time>& next_t, Time deadline,
     // No pairs to chain over: one window at t0 + quantum. The final gate
     // above already guaranteed t0 + global <= deadline and the quantum
     // never exceeds the global bound, so no clamping is needed.
-    const Duration q = shrink(la_.global, quantum_num, quantum_den);
+    const Duration q = shrink(global_, quantum_num, quantum_den);
     out.length = 1;
     out.ends.assign(static_cast<std::size_t>(S), t0 + q);
     return;
   }
 
-  // Effective (possibly fuzz-shrunk) pair bounds. Shrinking claims *less*
+  // Effective (possibly fuzz-shrunk) class bounds. Shrinking claims *less*
   // lookahead than guaranteed, which is always conservative; the engine's
   // ring-drain caps keep using the full bounds the events were stamped with.
-  std::vector<Duration> eff(la_.bounds.size());
+  const int G = classes_;
+  std::vector<Duration> eff(class_bounds_.size());
   for (std::size_t i = 0; i < eff.size(); ++i)
-    eff[i] = la_.bounds[i] > Duration::zero()
-                 ? shrink(la_.bounds[i], quantum_num, quantum_den)
+    eff[i] = class_bounds_[i] > Duration::zero()
+                 ? shrink(class_bounds_[i], quantum_num, quantum_den)
                  : Duration::zero();
-  const auto eff_at = [&](int src, int dst) {
-    return eff[static_cast<std::size_t>(src) * static_cast<std::size_t>(S) +
-               static_cast<std::size_t>(dst)];
+  // min_{p != s}(x_p + L_ps) for every s, from the per-class minima of x.
+  ClassMinima mins;
+  const auto reach = [&](int s) {
+    const int h = class_of_[static_cast<std::size_t>(s)];
+    Time r = Time::max();
+    for (int g = 0; g < G; ++g) {
+      const auto gi = static_cast<std::size_t>(g);
+      const Time x = mins.arg[gi] == s ? mins.second[gi] : mins.first[gi];
+      r = std::min(r, sat_add(x, eff[class_index(g, h)]));
+    }
+    return r;
   };
 
   // Null-message fixpoint: the earliest instant each shard could execute
   // anything, counting work forwarded transitively through other shards.
-  // Values only ever decrease and are bounded below by t0 + 1ns, so the
-  // sweep converges in at most S passes (each pass settles one more shard
-  // of the shortest-path tree).
+  // Values only ever decrease and are bounded below by t0 + 1ns; pass k
+  // settles every shortest path of k hops, so the sweep ends within S
+  // passes.
   std::vector<Time> horizon(next_t);
-  for (int pass = 0; pass < S; ++pass) {
-    bool changed = false;
+  for (bool changed = true; changed;) {
+    mins.summarize(class_of_, horizon.data(), G);
+    changed = false;
     for (int s = 0; s < S; ++s) {
-      Time e = horizon[static_cast<std::size_t>(s)];
-      for (int p = 0; p < S; ++p) {
-        if (p == s) continue;
-        e = std::min(e, sat_add(horizon[static_cast<std::size_t>(p)],
-                                eff_at(p, s)));
-      }
+      const Time e = reach(s);
       if (e < horizon[static_cast<std::size_t>(s)]) {
         horizon[static_cast<std::size_t>(s)] = e;
         changed = true;
       }
     }
-    if (!changed) break;
   }
 
   // Chain up to kWindowBatch windows: each next end is the earliest any
@@ -126,27 +192,22 @@ void WindowPlanner::plan(const std::vector<Time>& next_t, Time deadline,
   // W(1)_s >= t0 + 1ns guarantees the round makes progress.
   out.ends.resize(static_cast<std::size_t>(kWindowBatch) *
                   static_cast<std::size_t>(S));
-  std::vector<Time> prev = horizon;  // W(0) = E
+  const Time* prev = horizon.data();  // W(0) = E
   for (int j = 1; j <= kWindowBatch; ++j) {
+    mins.summarize(class_of_, prev, G);
+    Time* row = &out.ends[static_cast<std::size_t>(j - 1) *
+                          static_cast<std::size_t>(S)];
     bool moved = false;
     for (int s = 0; s < S; ++s) {
-      Time w = Time::max();
-      for (int p = 0; p < S; ++p) {
-        if (p == s) continue;
-        w = std::min(
-            w, sat_add(prev[static_cast<std::size_t>(p)], eff_at(p, s)));
-      }
-      w = std::min(w, deadline);
-      out.ends[static_cast<std::size_t>(j - 1) * static_cast<std::size_t>(S) +
-               static_cast<std::size_t>(s)] = w;
-      if (w > prev[static_cast<std::size_t>(s)]) moved = true;
+      const Time w = std::min(reach(s), deadline);
+      row[s] = w;
+      if (w > prev[s]) moved = true;
     }
     // A row identical to its predecessor means every shard is pinned at the
     // deadline — further windows would be no-ops, so stop the chain.
     if (j > 1 && !moved) break;
     out.length = j;
-    for (int s = 0; s < S; ++s)
-      prev[static_cast<std::size_t>(s)] = out.end_of(j, s);
+    prev = row;
   }
 }
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <exception>
 #include <iterator>
-#include <limits>
 #include <thread>
+#include <utility>
 
 #ifdef __linux__
 #include <pthread.h>
@@ -50,10 +50,6 @@ namespace {
 }
 #endif
 
-// Horizon clocks start below any reachable simulation time.
-inline constexpr std::int64_t kHorizonUnset =
-    std::numeric_limits<std::int64_t>::min();
-
 }  // namespace
 
 ShardedEngine::ShardedEngine(int nodes, Duration lookahead)
@@ -75,30 +71,32 @@ ShardedEngine::ShardedEngine(int nodes, Duration lookahead)
     engines_.back()->arm_fire_log();
   }
   const std::size_t n = static_cast<std::size_t>(shards);
-  rings_ = std::vector<util::CacheAligned<std::atomic<PairRing*>>>(n * n);
+  out_rings_ = std::vector<util::CacheAligned<std::vector<PairRing*>>>(n);
+  for (auto& row : out_rings_) row.v.assign(n, nullptr);
+  inbound_ = std::vector<util::CacheAligned<std::atomic<PairRing*>>>(n);
   arenas_ = std::vector<util::CacheAligned<ShardArena>>(n);
   post_seq_.assign(n, util::CacheAligned<std::uint64_t>{0});
   next_t_.assign(n, util::CacheAligned<Time>{Time::max()});
-  horizon_ns_ = std::vector<util::CacheAligned<std::atomic<std::int64_t>>>(n);
-  for (auto& h : horizon_ns_)
-    h.v.store(kHorizonUnset, std::memory_order_relaxed);
   planner_ = std::make_unique<WindowPlanner>(
       PairLookahead::uniform(shards, lookahead_));
 }
 
 ShardedEngine::~ShardedEngine() {
   drain();
-  for (auto& slot : rings_) delete slot.v.load(std::memory_order_relaxed);
+  for (auto& head : inbound_) {
+    PairRing* r = head.v.load(std::memory_order_acquire);
+    while (r != nullptr) delete std::exchange(r, r->next_inbound);
+  }
 }
 
-void ShardedEngine::set_pair_lookahead(PairLookahead la) {
+void ShardedEngine::set_pair_lookahead(const PairLookahead& la) {
   PASCHED_EXPECTS_MSG(la.shards == partitions(),
                       "pair-lookahead matrix shard count mismatch");
   PASCHED_EXPECTS_MSG(
       la.global == lookahead_,
       "matrix global bound must equal the constructor lookahead — both come "
       "from the same fabric certificate");
-  planner_ = std::make_unique<WindowPlanner>(std::move(la));
+  planner_ = std::make_unique<WindowPlanner>(la);
 }
 
 PlannerStats ShardedEngine::planner_stats() const {
@@ -113,21 +111,22 @@ PlannerStats ShardedEngine::planner_stats() const {
 }
 
 ShardedEngine::PairRing& ShardedEngine::ring_for(int src, int dst) {
-  auto& slot = rings_[static_cast<std::size_t>(src) * engines_.size() +
-                      static_cast<std::size_t>(dst)]
-                   .v;
-  PairRing* r = slot.load(std::memory_order_acquire);
-  if (r != nullptr) return *r;
+  PairRing*& slot = out_rings_[static_cast<std::size_t>(src)]
+                         .v[static_cast<std::size_t>(dst)];
+  if (slot != nullptr) return *slot;
   // First contact on this producer/consumer pair: a one-time allocation,
   // amortized to zero over the run (rings are never torn down mid-run).
   PASCHED_ALLOC_COLD_REGION();
-  auto* fresh = new PairRing(ring_capacity_, ring_overflow_site());
-  PairRing* expected = nullptr;
-  if (slot.compare_exchange_strong(expected, fresh,
-                                   std::memory_order_acq_rel))
-    return *fresh;
-  delete fresh;  // another producer won the install race
-  return *expected;
+  slot = new PairRing(ring_capacity_, ring_overflow_site(), src);
+  // Other producers may push onto the same list concurrently; the release
+  // CAS publishes the ring's construction and its next link together.
+  std::atomic<PairRing*>& head = inbound_[static_cast<std::size_t>(dst)].v;
+  PairRing* next = head.load(std::memory_order_relaxed);
+  do {
+    slot->next_inbound = next;
+  } while (!head.compare_exchange_weak(next, slot, std::memory_order_acq_rel,
+                                       std::memory_order_relaxed));
+  return *slot;
 }
 
 void ShardedEngine::post(int src_shard, int dst_shard, Time t,
@@ -140,7 +139,7 @@ void ShardedEngine::post(int src_shard, int dst_shard, Time t,
     return;
   }
   Engine& src = engine_of(src_shard);
-  const Duration bound = planner_->pairs().at(src_shard, dst_shard);
+  const Duration bound = planner_->bound(src_shard, dst_shard);
   PASCHED_CHECK_MSG(t >= src.now() + bound,
                     "cross-shard post violates the guaranteed pair lookahead");
   CrossNodeEvent ev{t,
@@ -179,14 +178,16 @@ void ShardedEngine::request_wrapup(Engine::Callback fn) {
 
 void ShardedEngine::drain_rings(int shard, const RoundPlan* plan, int j) {
   PASCHED_ALLOC_COLD_SCOPE("ShardedEngine::drain_rings");
-  const int S = partitions();
   std::vector<CrossNodeEvent>& q =
       arenas_[static_cast<std::size_t>(shard)].v.admit;
   q.clear();
-  for (int p = 0; p < S; ++p) {
-    if (p == shard) continue;
-    PairRing* r = ring_ptr(p, shard);
-    if (r == nullptr) continue;
+  // The acquire load pairs with the producers' release CAS. Every ring
+  // holding a due event was pushed before its producer's worker published
+  // the horizon this drain waited for, so a ring that appears later can
+  // only hold events of future windows.
+  for (PairRing* r = inbound_[static_cast<std::size_t>(shard)].v.load(
+           std::memory_order_acquire);
+       r != nullptr; r = r->next_inbound) {
     // Drain cap for chained window j: everything our sender could have
     // produced before the horizon we just waited for. sent_at is monotone
     // per ring, so the due set is a prefix — and it is schedule-derived,
@@ -197,7 +198,7 @@ void ShardedEngine::drain_rings(int shard, const RoundPlan* plan, int j) {
     Time cap = Time::max();
     if (plan != nullptr)
       cap = std::max(plan->end_of(j, shard), engine_of(shard).now()) -
-            planner_->pairs().at(p, shard);
+            planner_->bound(r->src, shard);
     while (CrossNodeEvent* head = r->ring.front()) {
       if (plan != nullptr && head->sent_at >= cap) break;
       q.push_back(std::move(*head));
@@ -247,29 +248,24 @@ PASCHED_HOT void ShardedEngine::admit_sorted(int shard,
   }
 }
 
-void ShardedEngine::wait_horizons(int shard, int j) {
-  const int S = partitions();
-  for (int p = 0; p < S; ++p) {
-    if (p == shard) continue;
-    const std::int64_t need = plan_.end_of(j - 1, p).count();
-    std::atomic<std::int64_t>& h = horizon_ns_[static_cast<std::size_t>(p)].v;
-    if (h.load(std::memory_order_acquire) < need) {
+void ShardedEngine::wait_workers(int worker, int nworkers,
+                                 std::uint64_t windows) {
+  for (int v = 0; v < nworkers; ++v) {
+    if (v == worker) continue;
+    std::atomic<std::uint64_t>& done = progress_[static_cast<std::size_t>(v)].v;
+    if (done.load(std::memory_order_acquire) >= windows) continue;
 #if PASCHED_VALIDATE_ENABLED
-      util::SeamObserver* obs = util::seam_observer();
-      const std::uint64_t t0 = obs != nullptr ? util::detail::seam_now_ns() : 0;
+    util::SeamObserver* obs = util::seam_observer();
+    const std::uint64_t t0 = obs != nullptr ? util::detail::seam_now_ns() : 0;
 #endif
-      do {
-        if (poisoned_.load(std::memory_order_relaxed)) return;
-        std::this_thread::yield();
-      } while (h.load(std::memory_order_acquire) < need);
+    do {
+      if (poisoned_.load(std::memory_order_relaxed)) return;
+      std::this_thread::yield();
+    } while (done.load(std::memory_order_acquire) < windows);
 #if PASCHED_VALIDATE_ENABLED
-      if (obs != nullptr)
-        obs->on_wait(horizon_wait_site(), util::detail::seam_now_ns() - t0);
+    if (obs != nullptr)
+      obs->on_wait(horizon_wait_site(), util::detail::seam_now_ns() - t0);
 #endif
-    }
-    // The acquire load above pairs with the owner's release publish: a real
-    // happens-before edge whether or not we had to spin.
-    if (monitor_ != nullptr) monitor_->on_horizon_wait(shard, p);
   }
 }
 
@@ -281,17 +277,29 @@ void ShardedEngine::run_chain(int worker, int nworkers, int S) {
     }
   }
   const int len = plan_.length;
+  std::atomic<std::uint64_t>& progress =
+      progress_[static_cast<std::size_t>(worker)].v;
+  // Every worker runs every window of every round, so all counters agree
+  // at the round barrier.
+  const std::uint64_t base = progress.load(std::memory_order_relaxed);
   for (int j = 1; j <= len; ++j) {
+    if (j >= 2) {
+      // Window j may consume everything peers produced through their
+      // window j-1 — wait once for every other worker to finish it. Window
+      // 1 needs no wait: the round barrier already parked every producer
+      // and the round-boundary drain was total. Shards of this worker
+      // finished window j-1 in program order.
+      wait_workers(worker, nworkers, base + static_cast<std::uint64_t>(j - 1));
+    }
     for (int s = worker; s < S; s += nworkers) {
       if (poisoned_.load(std::memory_order_relaxed)) return;
       const race::ScopedDomain sd(s);
       if (j >= 2) {
-        // Window j may consume everything peers produced through their
-        // window j-1 — wait for those horizons, then drain the due ring
-        // prefixes. Window 1 needs neither: the round barrier already
-        // parked every producer and the round-boundary drain was total.
-        wait_horizons(s, j);
-        if (poisoned_.load(std::memory_order_relaxed)) return;
+        // The wait above covered every peer shard; monitors still get one
+        // acquire edge per (shard, peer) pair.
+        if (monitor_ != nullptr)
+          for (int p = 0; p < S; ++p)
+            if (p != s) monitor_->on_horizon_wait(s, p);
         drain_rings(s, &plan_, j);
       }
       Engine& e = engine_of(s);
@@ -317,9 +325,9 @@ void ShardedEngine::run_chain(int worker, int nworkers, int S) {
       // Monitor before the store: a peer that observes the horizon must find
       // the publish already recorded in the vector-clock model.
       if (monitor_ != nullptr) monitor_->on_horizon_publish(s, wend);
-      horizon_ns_[static_cast<std::size_t>(s)].v.store(
-          wend.count(), std::memory_order_release);
     }
+    progress.store(base + static_cast<std::uint64_t>(j),
+                   std::memory_order_release);
   }
 }
 
@@ -422,7 +430,8 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
   coalesced_.store(0, std::memory_order_relaxed);
   ring_posts_.store(0, std::memory_order_relaxed);
   ring_overflows_.store(0, std::memory_order_relaxed);
-  for (auto& h : horizon_ns_) h.v.store(kHorizonUnset, std::memory_order_relaxed);
+  progress_ = std::vector<util::CacheAligned<std::atomic<std::uint64_t>>>(
+      static_cast<std::size_t>(W));
 
   std::exception_ptr err;
   std::mutex err_mu;
@@ -516,13 +525,14 @@ std::size_t ShardedEngine::events_pending() const {
 }
 
 void ShardedEngine::drain() {
-  for (auto& slot : rings_) {
-    PairRing* r = slot.v.load(std::memory_order_acquire);
-    if (r == nullptr) continue;
-    while (r->ring.front() != nullptr) r->ring.pop();
-    const std::scoped_lock lk(r->mu);
-    r->overflow.clear();
-    r->overflow_n.store(0, std::memory_order_relaxed);
+  for (auto& head : inbound_) {
+    for (PairRing* r = head.v.load(std::memory_order_acquire); r != nullptr;
+         r = r->next_inbound) {
+      while (r->ring.front() != nullptr) r->ring.pop();
+      const std::scoped_lock lk(r->mu);
+      r->overflow.clear();
+      r->overflow_n.store(0, std::memory_order_relaxed);
+    }
   }
   for (auto& e : engines_) e->drain();
 #if PASCHED_VALIDATE_ENABLED

@@ -11,10 +11,11 @@
 // round, every shard publishes its next event time, the round barrier's
 // completion step computes a deterministic chain of up to kWindowBatch
 // per-shard windows from the per-pair lookahead matrix, and workers execute
-// the chain with neighbor-horizon waits only — each shard spins on its
-// peers' published atomic horizon clocks, drains the due prefix of each
-// inbound ring, and runs its own window. The global barrier is paid once
-// per round (plus once at the end), not once per window; wrapups and stop
+// the chain with horizon waits only — before window j each worker spins
+// once on its peers' per-worker progress counters (every peer has finished
+// window j-1), then for each of its shards drains the due prefix of each
+// inbound ring and runs the window. The global barrier is paid once per
+// round (plus once at the end), not once per window; wrapups and stop
 // requests are honored at round boundaries, where every worker is parked.
 //
 // The plan is a pure function of the round's published inputs and the ring
@@ -82,17 +83,18 @@ class ShardMonitor {
   /// is total here. Fires once per *round*, not per chained window — the
   /// scale profiler's n_windows counts these.
   virtual void on_plan(Time window_end, bool final_window) = 0;
-  /// `shard` finished a chained window and is about to publish `horizon`
-  /// with release ordering — the synchronization point peers acquire
-  /// through on_horizon_wait. Called *before* the store so a waiter that
-  /// observes the horizon finds the publish already recorded. Default
-  /// no-op: the hooks postdate the original interface and most monitors
-  /// only need the post/admit edges.
+  /// `shard` finished a chained window at `horizon`; its worker publishes
+  /// that with release ordering once all of the worker's shards are done —
+  /// the synchronization point peers acquire through on_horizon_wait.
+  /// Called *before* the store so a waiter that observes the horizon finds
+  /// the publish already recorded. Default no-op: the hooks postdate the
+  /// original interface and most monitors only need the post/admit edges.
   virtual void on_horizon_publish(int /*shard*/, Time /*horizon*/) {}
-  /// `dst_shard`'s worker observed `src_shard`'s horizon clock at or past
-  /// the value its next window needs (an acquire load pairing with the
-  /// publish above — a real happens-before edge even when no spin was
-  /// necessary).
+  /// Before `dst_shard`'s next chained window, its worker has observed
+  /// `src_shard`'s horizon at or past the value that window needs (an
+  /// acquire load pairing with the publish above — a real happens-before
+  /// edge even when no spin was necessary). Fires for every src_shard !=
+  /// dst_shard, in increasing order.
   virtual void on_horizon_wait(int /*dst_shard*/, int /*src_shard*/) {}
 };
 
@@ -132,10 +134,10 @@ class ShardedEngine final : public Router {
   /// pasched-scale's certificate; core::Simulation builds it with
   /// net::pair_lookahead). `la.shards` must equal partitions() and
   /// `la.global` the constructor lookahead. Set while no workers run.
-  void set_pair_lookahead(PairLookahead la);
+  void set_pair_lookahead(const PairLookahead& la);
   /// The installed pair bound (what post() stamps events with).
   [[nodiscard]] Duration pair_lookahead(int src, int dst) const {
-    return planner_->pairs().at(src, dst);
+    return planner_->bound(src, dst);
   }
   /// Execution counters of the last (or running) run_until.
   [[nodiscard]] PlannerStats planner_stats() const;
@@ -209,8 +211,13 @@ class ShardedEngine final : public Router {
     /// Mirror of overflow.size(), updated under mu: lets the consumer skip
     /// the lock entirely on the (overwhelmingly common) empty case.
     std::atomic<std::size_t> overflow_n{0};
+    int src;  ///< source shard: picks the pair bound for drain caps
+    /// Next ring in the destination's inbound list; set before the ring is
+    /// published and never changed afterwards.
+    PairRing* next_inbound = nullptr;
 
-    PairRing(std::size_t cap, int site) : ring(cap), mu(site) {}
+    PairRing(std::size_t cap, int site, int source)
+        : ring(cap), mu(site), src(source) {}
   };
 
   /// Per-shard event arena: the admission scratch buffer every ring drain
@@ -221,45 +228,45 @@ class ShardedEngine final : public Router {
   };
 
   [[nodiscard]] PairRing& ring_for(int src, int dst);
-  [[nodiscard]] PairRing* ring_ptr(int src, int dst) const noexcept {
-    return rings_[static_cast<std::size_t>(src) * engines_.size() +
-                  static_cast<std::size_t>(dst)]
-        .v.load(std::memory_order_acquire);
-  }
 
-  /// Drains every inbound ring of `shard` into its engine. With `plan`
-  /// null, drains everything (round boundary: all producers are parked at
-  /// the barrier). Otherwise drains each pair's due prefix for chained
-  /// window `j`: entries with sent_at < W(j)_dst - L_pair, a cap the
-  /// neighbor-horizon wait has made complete and whose leftovers provably
-  /// belong to future windows (DESIGN.md §7).
+  /// Drains every inbound ring of `shard` into its engine, walking only
+  /// the rings its producers have materialized. With `plan` null, drains
+  /// everything (round boundary: all producers are parked at the barrier).
+  /// Otherwise drains each pair's due prefix for chained window `j`:
+  /// entries with sent_at < W(j)_dst - L_pair, a cap the horizon wait has
+  /// made complete and whose leftovers provably belong to future windows
+  /// (DESIGN.md §7).
   void drain_rings(int shard, const RoundPlan* plan, int j);
   /// Hot half of admission: canonical (t, src, seq) ordering plus per-event
   /// delivery into the destination engine. Lock-free by construction.
   PASCHED_HOT void admit_sorted(int shard, std::vector<CrossNodeEvent>& q);
-  /// Spins until every peer's horizon clock reaches its chained window
-  /// j-1 end (acquire; instrumented as the "ShardedEngine.horizon_wait"
-  /// ledger seam). Returns early when the run is poisoned.
-  void wait_horizons(int shard, int j);
+  /// Spins until every other worker's progress counter reaches `windows`
+  /// (acquire; instrumented as the "ShardedEngine.horizon_wait" ledger
+  /// seam). Returns early when the run is poisoned.
+  void wait_workers(int worker, int nworkers, std::uint64_t windows);
   void run_chain(int worker, int nworkers, int S);
   void plan_round(Time deadline) noexcept;
 
   std::vector<std::unique_ptr<Engine>> engines_;
-  /// Row-major (src, dst) pair rings, allocated lazily on first post —
-  /// S^2 slots but only communicating pairs materialize. The atomic
-  /// pointer publish (CAS by the producer) is what lets the consumer
-  /// discover new rings without a lock.
-  std::vector<util::CacheAligned<std::atomic<PairRing*>>> rings_;
+  /// out_rings_[src][dst]: the rings `src` has materialized, allocated
+  /// lazily on first post. Each row is read and written only by the
+  /// worker executing `src`.
+  std::vector<util::CacheAligned<std::vector<PairRing*>>> out_rings_;
+  /// inbound_[dst]: head of the list of rings posting into `dst`. A
+  /// producer pushes a fresh ring with a release CAS, so the consumer
+  /// discovers new rings without a lock and drains walk only real
+  /// channels. The lists own the rings.
+  std::vector<util::CacheAligned<std::atomic<PairRing*>>> inbound_;
   std::vector<util::CacheAligned<ShardArena>> arenas_;
   // Per-shard slots written by distinct domains every window: one cache
   // line each, or the sharded hot path false-shares its own bookkeeping
   // (the PSL503 layout rule guards this).
   std::vector<util::CacheAligned<std::uint64_t>> post_seq_;  // owner-written
   std::vector<util::CacheAligned<Time>> next_t_;  // published pre-barrier
-  /// Per-shard horizon clocks (ns since epoch): the owner stores its
-  /// chained window end with release after running the window; peers
-  /// acquire it before draining the corresponding ring prefix.
-  std::vector<util::CacheAligned<std::atomic<std::int64_t>>> horizon_ns_;
+  /// Per-worker progress: chained windows the worker has finished in this
+  /// run_until, stored with release once all its shards ran the window.
+  /// Peers acquire it before draining the corresponding ring prefixes.
+  std::vector<util::CacheAligned<std::atomic<std::uint64_t>>> progress_;
   Duration lookahead_;
   int hub_ = 0;
   std::size_t ring_capacity_ = 256;

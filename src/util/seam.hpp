@@ -42,8 +42,8 @@ class SeamObserver {
   /// The calling thread spent `wait_ns` parked at barrier `site`.
   virtual void on_barrier_wait(int site, std::uint64_t wait_ns) noexcept = 0;
   /// The calling thread spent `wait_ns` in a point-to-point spin wait at
-  /// `site` (SeamKind::Wait — the partitioned core's neighbor-horizon
-  /// waits). Deliberately *not* pure: wait sites postdate the mutex/barrier
+  /// `site` (SeamKind::Wait — the partitioned core's horizon waits on
+  /// peer workers' progress). Deliberately *not* pure: wait sites postdate the mutex/barrier
   /// hooks, and the default keeps older observers source-compatible.
   /// Ledger implementations should price these in total wait but not as
   /// barrier time — a horizon spin is pairwise, not global, serialization.

@@ -11,11 +11,17 @@
 // full kWindowBatch-window chain, and pins the planner's output to the
 // exact expected times. The planner is the determinism keystone of the
 // partitioned core: every shard recomputes this schedule independently, so
-// any drift here breaks bit-identity across worker counts.
+// any drift here breaks bit-identity across worker counts. A brute-force
+// O(S^2) reference planner checks the class-compressed one on thousands of
+// random matrices.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <vector>
 
+#include "net/fabric.hpp"
 #include "sim/planner.hpp"
 
 namespace {
@@ -211,6 +217,154 @@ TEST(Planner, IdleShardsSaturateInsteadOfWrapping) {
   EXPECT_EQ(plan.end_of(1, 1), us(110));
   EXPECT_EQ(plan.end_of(8, 0), us(180));
   EXPECT_EQ(plan.end_of(8, 1), us(190));
+}
+
+// Brute-force reference: the recurrences evaluated over every pair of the
+// full matrix, with a shard-by-shard (Gauss-Seidel) fixpoint sweep.
+Time ref_add(Time t, Duration d) {
+  if (t == Time::max()) return t;
+  const Time r = t + d;
+  return r < t ? Time::max() : r;
+}
+
+RoundPlan reference_plan(const PairLookahead& la,
+                         const std::vector<Time>& next_t, Time deadline,
+                         std::int64_t num, std::int64_t den) {
+  const int S = la.shards;
+  const auto eff = [&](int src, int dst) {
+    const Duration q = la.at(src, dst) * num / den;
+    return q < Duration::ns(1) ? Duration::ns(1) : q;
+  };
+  RoundPlan out;
+  out.shards = S;
+  const Time t0 = *std::min_element(next_t.begin(), next_t.end());
+  if (t0 >= deadline || ref_add(t0, la.global) > deadline) {
+    out.final = true;
+    return out;
+  }
+  if (S == 1) {
+    Duration q = la.global * num / den;
+    if (q < Duration::ns(1)) q = Duration::ns(1);
+    out.length = 1;
+    out.ends = {t0 + q};
+    return out;
+  }
+  std::vector<Time> e(next_t);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (int s = 0; s < S; ++s)
+      for (int p = 0; p < S; ++p) {
+        if (p == s) continue;
+        const Time via = ref_add(e[static_cast<std::size_t>(p)], eff(p, s));
+        if (via < e[static_cast<std::size_t>(s)]) {
+          e[static_cast<std::size_t>(s)] = via;
+          changed = true;
+        }
+      }
+  }
+  std::vector<Time> prev = e;
+  for (int j = 1; j <= kWindowBatch; ++j) {
+    std::vector<Time> row(static_cast<std::size_t>(S), Time::max());
+    bool moved = false;
+    for (int s = 0; s < S; ++s) {
+      Time& w = row[static_cast<std::size_t>(s)];
+      for (int p = 0; p < S; ++p)
+        if (p != s)
+          w = std::min(
+              w, ref_add(prev[static_cast<std::size_t>(p)], eff(p, s)));
+      w = std::min(w, deadline);
+      if (w > prev[static_cast<std::size_t>(s)]) moved = true;
+    }
+    if (j > 1 && !moved) break;
+    out.length = j;
+    out.ends.insert(out.ends.end(), row.begin(), row.end());
+    prev = row;
+  }
+  return out;
+}
+
+TEST(Planner, MatchesTheBruteForceReferenceOnRandomMatrices) {
+  // Uniform, framed (node frames plus a hub at the global floor, the
+  // fabric's shape) and fully random dense matrices; S from 1 to 24; a
+  // quarter of the shards idle at Time::max(); every fuzz quantum.
+  std::mt19937_64 rng(20031115);
+  const auto uniform_int = [&rng](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  int checked = 0;
+  int finals = 0;
+  int chains_cut = 0;
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int trial = 0; trial < 1000; ++trial) {
+      const int S = static_cast<int>(uniform_int(1, 24));
+      const Duration global = Duration::ns(uniform_int(1, 50'000));
+      PairLookahead la = PairLookahead::uniform(S, global);
+      if (kind == 1 && S > 1) {
+        const int nodes = S - 1;
+        const int frame = static_cast<int>(uniform_int(1, nodes));
+        const Duration extra = Duration::ns(uniform_int(0, 30'000));
+        for (int a = 0; a < nodes; ++a)
+          for (int b = 0; b < nodes; ++b)
+            if (a != b && a / frame != b / frame) la.set(a, b, global + extra);
+      } else if (kind == 2) {
+        for (int a = 0; a < S; ++a)
+          for (int b = 0; b < S; ++b)
+            if (a != b)
+              la.set(a, b, global + Duration::ns(uniform_int(0, 40'000)));
+        if (S > 1) la.set(0, S - 1, global);  // keep `global` the minimum
+      }
+      std::vector<Time> next_t;
+      for (int s = 0; s < S; ++s)
+        next_t.push_back(uniform_int(0, 3) == 0
+                             ? Time::max()
+                             : us(100) + Duration::ns(uniform_int(0, 60'000)));
+      const Time deadline =
+          uniform_int(0, 9) == 0
+              ? Time::max()
+              : us(100) + Duration::ns(uniform_int(0, 400'000));
+      const std::int64_t num = uniform_int(1, 8);
+      const WindowPlanner p(la);
+      RoundPlan got;
+      p.plan(next_t, deadline, num, 8, got);
+      const RoundPlan want = reference_plan(la, next_t, deadline, num, 8);
+      ASSERT_EQ(got.final, want.final) << "kind " << kind << " trial " << trial;
+      ASSERT_EQ(got.length, want.length)
+          << "kind " << kind << " trial " << trial;
+      for (int j = 1; j <= want.length; ++j)
+        for (int s = 0; s < S; ++s)
+          ASSERT_EQ(got.end_of(j, s), want.end_of(j, s))
+              << "kind " << kind << " trial " << trial << " W(" << j << ")_"
+              << s;
+      for (int a = 0; a < S; ++a)
+        for (int b = 0; b < S; ++b) ASSERT_EQ(p.bound(a, b), la.at(a, b));
+      ++checked;
+      if (want.final) ++finals;
+      if (!want.final && want.length < kWindowBatch) ++chains_cut;
+    }
+  }
+  EXPECT_EQ(checked, 3000);
+  // The random inputs reach every branch: final rounds and chains cut
+  // short at the deadline as well as full chains.
+  EXPECT_GT(finals, 50);
+  EXPECT_GT(chains_cut, 50);
+}
+
+TEST(Planner, FramedFabricCompressesToFramesPlusTheHub) {
+  // ASCI White shape: 512 nodes in frames of 16 plus the hub shard. Every
+  // node of a frame sees the same bounds, so the 513 x 513 matrix collapses
+  // to 32 frame classes and one hub class.
+  pasched::net::FabricConfig cfg;
+  cfg.frame_size = 16;
+  cfg.inter_frame_extra = Duration::us(10);
+  const PairLookahead la = pasched::net::pair_lookahead(cfg, 512);
+  const WindowPlanner p(la);
+  EXPECT_EQ(p.classes(), 512 / 16 + 1);
+  for (int a = 0; a < la.shards; ++a)
+    for (int b = 0; b < la.shards; ++b) ASSERT_EQ(p.bound(a, b), la.at(a, b));
+  // A flat fabric is uniform: hub and nodes all share one class.
+  const WindowPlanner flat(pasched::net::pair_lookahead(
+      pasched::net::FabricConfig{}, 512));
+  EXPECT_EQ(flat.classes(), 1);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the partitioned simulation core: Engine's conservative-window
 // primitives (run_before, drain, heap compaction after mass cancellation)
-// and ShardedEngine's cross-shard posting, window planning, and teardown.
+// and ShardedEngine's cross-shard posting, window planning, horizon waits,
+// inbound ring lists, and teardown.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,15 +9,19 @@
 #include <vector>
 
 #include "check/check.hpp"
+#include "race/monitor.hpp"
 #include "sim/engine.hpp"
 #include "sim/planner.hpp"
 #include "sim/shard.hpp"
+#include "util/aligned.hpp"
+#include "util/fnv1a.hpp"
 
 namespace {
 
 using pasched::sim::Duration;
 using pasched::sim::Engine;
 using pasched::sim::EventId;
+using pasched::sim::PairLookahead;
 using pasched::sim::PlannerStats;
 using pasched::sim::ShardedEngine;
 using pasched::sim::Time;
@@ -340,6 +345,153 @@ TEST(Sharded, TeardownWithPendingEventsDoesNotLeak) {
     se->engine_of(s).schedule_at(Time::from_ns(100 + s), [] {});
   se->post(0, 1, Time::from_ns(100'000), [] {});
   se.reset();  // no assertion failure, no leak (ASan would flag one)
+}
+
+TEST(Sharded, RingFirstPostedMidChainIsDrainedByTheNextWindow) {
+  // Every shard starts at 1 us on a flat 10 us fabric, so round 1 chains
+  // W(j) = 1 + 10j us on every shard. Shard 0's first post to shard 1
+  // happens at 16 us, in window 2, and lands at 26 us, in window 3. The
+  // ring is materialized mid-chain, so shard 1 can only deliver it on time
+  // if its window-3 drain finds the ring through its inbound list.
+  for (const int workers : {1, 2, 3}) {
+    ShardedEngine se(2, Duration::us(10));
+    std::vector<std::int64_t> shard1;  // touched only by shard 1's worker
+    std::int64_t cross_now = -1;
+    auto* log = &shard1;
+    auto* cross = &cross_now;
+    ShardedEngine* router = &se;
+    for (int s = 0; s < 3; ++s)
+      se.engine_of(s).schedule_at(Time::from_ns(1000), [] {});
+    se.engine_of(1).schedule_at(Time::from_ns(25'500),
+                                [log] { log->push_back(25'500); });
+    se.engine_of(1).schedule_at(Time::from_ns(26'500),
+                                [log] { log->push_back(26'500); });
+    se.engine_of(0).schedule_at(Time::from_ns(16'000), [router, log, cross] {
+      router->post(0, 1, Time::from_ns(26'000), [router, log, cross] {
+        log->push_back(26'000);
+        *cross = router->engine_of(1).now().count();
+      });
+    });
+    EXPECT_TRUE(se.run_until(Time::from_ns(1'000'000), workers));
+    EXPECT_EQ(cross_now, 26'000) << "workers=" << workers;
+    EXPECT_EQ(shard1, (std::vector<std::int64_t>{25'500, 26'000, 26'500}))
+        << "workers=" << workers;
+    EXPECT_EQ(se.planner_stats().ring_posts, 1U);
+  }
+}
+
+namespace {
+// Deterministic cross-shard traffic: one token per shard hops 40 times,
+// alternating a local step with a post to a peer picked from the token's
+// state. Each shard logs (time, state) of every event it fires; the digest
+// folds the logs in shard order. Hub pairs sit at 10 us and node pairs at
+// 15 us, so the planner runs with two lookahead classes.
+struct Traffic {
+  ShardedEngine& se;
+  std::vector<pasched::util::CacheAligned<std::vector<std::uint64_t>>> log;
+
+  explicit Traffic(ShardedEngine& engine)
+      : se(engine),
+        log(static_cast<std::size_t>(engine.partitions())) {}
+
+  void fire(int s, std::uint64_t state, int hops) {
+    Engine& e = se.engine_of(s);
+    auto& mine = log[static_cast<std::size_t>(s)].v;
+    mine.push_back(static_cast<std::uint64_t>(e.now().count()));
+    mine.push_back(state);
+    if (hops == 0) return;
+    const std::uint64_t next =
+        state * 6364136223846793005ULL + 1442695040888963407ULL;
+    Traffic* self = this;
+    if (hops % 2 == 0) {
+      e.schedule_at(e.now() + Duration::ns(static_cast<std::int64_t>(
+                                  1 + (next >> 40) % 3000)),
+                    [self, s, next, hops] { self->fire(s, next, hops - 1); });
+      return;
+    }
+    const int S = se.partitions();
+    int dst = static_cast<int>((next >> 33) % static_cast<std::uint64_t>(S));
+    if (dst == s) dst = (dst + 1) % S;
+    const Duration jitter =
+        Duration::ns(static_cast<std::int64_t>((next >> 17) % 5000));
+    se.post(s, dst, e.now() + se.pair_lookahead(s, dst) + jitter,
+            [self, dst, next, hops] { self->fire(dst, next, hops - 1); });
+  }
+
+  [[nodiscard]] std::uint64_t digest() const {
+    pasched::util::Fnv1a h;
+    for (const auto& shard : log) {
+      h.mix(shard.v.size());
+      for (const std::uint64_t v : shard.v) h.mix(v);
+    }
+    return h.value();
+  }
+};
+
+struct TrafficRun {
+  std::uint64_t digest = 0;
+  std::uint64_t events = 0;
+  PlannerStats stats;
+};
+
+TrafficRun run_traffic(int nodes, int workers,
+                       pasched::race::Monitor* monitor = nullptr) {
+  ShardedEngine se(nodes, Duration::us(10));
+  PairLookahead la = PairLookahead::uniform(se.partitions(), Duration::us(10));
+  for (int a = 0; a < nodes; ++a)
+    for (int b = 0; b < nodes; ++b)
+      if (a != b) la.set(a, b, Duration::us(15));
+  se.set_pair_lookahead(la);
+  se.set_monitor(monitor);
+  Traffic tr(se);
+  Traffic* trp = &tr;
+  for (int s = 0; s < se.partitions(); ++s)
+    se.engine_of(s).schedule_at(
+        Time::from_ns(100 + 37 * s), [trp, s] {
+          trp->fire(s, static_cast<std::uint64_t>(s) + 1, 40);
+        });
+  EXPECT_TRUE(se.run_until(Time::from_ns(20'000'000), workers));
+  return {tr.digest(), se.events_processed(), se.planner_stats()};
+}
+}  // namespace
+
+TEST(Sharded, ManyShardsPerWorkerKeepTheDigest) {
+  // 129 shards on 1, 2 and 5 workers: most workers run dozens of shards
+  // per window, and 129 is not a multiple of 2 or 5, so the last pass of
+  // each worker covers a different number of shards.
+  const TrafficRun one = run_traffic(128, 1);
+  EXPECT_EQ(one.events, 129U * 41U);
+  EXPECT_GT(one.stats.ring_posts, 0U);
+  for (const int workers : {2, 5}) {
+    const TrafficRun many = run_traffic(128, workers);
+    EXPECT_EQ(many.digest, one.digest) << "workers=" << workers;
+    EXPECT_EQ(many.events, one.events) << "workers=" << workers;
+    EXPECT_EQ(many.stats.rounds, one.stats.rounds) << "workers=" << workers;
+    EXPECT_EQ(many.stats.windows, one.stats.windows) << "workers=" << workers;
+    EXPECT_EQ(many.stats.coalesced, one.stats.coalesced)
+        << "workers=" << workers;
+    EXPECT_EQ(many.stats.ring_posts, one.stats.ring_posts)
+        << "workers=" << workers;
+  }
+}
+
+TEST(Sharded, RaceMonitorSeesTheRecordedHorizonEdges) {
+  // The ShardMonitor seam contract: one horizon publish per shard per
+  // chained window, and before every window j >= 2 one horizon wait per
+  // (shard, peer) pair. The counts below were recorded on the engine with
+  // per-shard horizon clocks; per-worker progress counters must reproduce
+  // them exactly, on any worker count.
+  for (const int workers : {1, 3}) {
+    pasched::race::Monitor mon(9);
+    run_traffic(8, workers, &mon);
+    const auto st = mon.stats();
+    EXPECT_EQ(st.horizon_publishes, 360U) << "workers=" << workers;
+    EXPECT_EQ(st.horizon_waits, 2520U) << "workers=" << workers;
+    EXPECT_EQ(st.windows, 369U) << "workers=" << workers;
+    EXPECT_EQ(st.plans, 6U) << "workers=" << workers;
+    EXPECT_EQ(st.posts, 180U) << "workers=" << workers;
+    EXPECT_EQ(st.admits, 180U) << "workers=" << workers;
+  }
 }
 
 }  // namespace
