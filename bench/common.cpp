@@ -79,7 +79,7 @@ RunResult run_aggregate(const RunSpec& spec) {
     if (sh == nullptr)
       throw std::logic_error("RunSpec::profile_scale requires parallel >= 1");
     profiler = std::make_unique<scale::RunMonitor>(
-        scale::build_lookahead_matrix(cfg.cluster.fabric, cfg.cluster.nodes),
+        scale::build_lookahead_matrix(cfg.cluster.fabric, sh->shard_map()),
         *sh);
     sh->set_monitor(profiler.get());
   }

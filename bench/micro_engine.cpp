@@ -126,7 +126,7 @@ double run_legacy_once(const Config& cfg) {
 double run_parallel1_once(const Config& cfg) {
   // One node => one shard, no hub: the same event stream, but every window
   // pays drain_inbox + plan_round + the barrier phases.
-  sim::ShardedEngine sh(1, sim::Duration::us(10));
+  sim::ShardedEngine sh(sim::ShardMap(1), sim::Duration::us(10));
   sim::Engine& e = sh.engine_of(0);
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t fired = drive_chains(
@@ -142,7 +142,7 @@ double run_parallel1_once(const Config& cfg) {
 /// one hop per chain.
 double run_parallelN_once(const Config& cfg, int nodes) {
   const sim::Duration spacing = sim::Duration::ns(cfg.spacing_ns);
-  sim::ShardedEngine sh(nodes, spacing);
+  sim::ShardedEngine sh(sim::ShardMap::identity(nodes), spacing);
   std::atomic<std::uint64_t> fired{0};
   const std::uint64_t budget = cfg.events;
   const auto chains = static_cast<std::uint64_t>(cfg.chains);

@@ -17,8 +17,11 @@ Cluster::Cluster(sim::Engine& engine, const ClusterConfig& cfg)
 
 Cluster::Cluster(sim::Router& router, const ClusterConfig& cfg)
     : router_(&router), cfg_(cfg), rng_(cfg.seed) {
-  PASCHED_EXPECTS_MSG(router.partitions() >= cfg.nodes,
-                      "router does not partition every node");
+  for (int i = 0; i < cfg.nodes; ++i) {
+    const int shard = router.shard_of_node(i);
+    PASCHED_EXPECTS_MSG(shard >= 0 && shard < router.partitions(),
+                        "router maps a node to no valid shard");
+  }
   build(cfg);
 }
 

@@ -30,7 +30,8 @@ class Cluster {
   // SingleRouter immediately and never retained raw.
   Cluster(sim::Engine& engine, const ClusterConfig& cfg);
   /// Partitioned mode: `router` (e.g. sim::ShardedEngine) assigns each node
-  /// its own engine shard; the fabric posts deliveries across shards.
+  /// an engine shard through its node -> shard map (every node must map to
+  /// a valid shard); the fabric posts deliveries across shards.
   Cluster(sim::Router& router, const ClusterConfig& cfg);
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -52,7 +53,7 @@ class Cluster {
     return *switch_clock_;
   }
   /// Shard 0's engine: in classic mode this is *the* engine; in partitioned
-  /// mode it is node 0's shard (all shard clocks agree outside windows).
+  /// mode it is node 0's block (all shard clocks agree outside windows).
   [[nodiscard]] sim::Engine& engine() noexcept { return router_->engine_of(0); }
   [[nodiscard]] sim::Router& router() noexcept { return *router_; }
   [[nodiscard]] const ClusterConfig& config() const noexcept { return cfg_; }

@@ -99,6 +99,9 @@ class CoschedManager final : public mpi::SchedulerHook {
  public:
   CoschedManager(cluster::Cluster& cluster, CoschedConfig cfg);
 
+  /// Creates and starts the node's co-scheduler, drawing its window phase
+  /// from the cluster-wide phase stream.
+  void prepare_node(kern::NodeId node) override { (void)node_cosched(node); }
   void register_task(kern::NodeId node, kern::Thread& t) override;
   void detach_task(kern::NodeId node, kern::Thread& t) override;
   void attach_task(kern::NodeId node, kern::Thread& t) override;

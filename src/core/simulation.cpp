@@ -1,11 +1,33 @@
 #include "core/simulation.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <iostream>
+#include <vector>
 
 #include "net/fabric.hpp"
 #include "util/assert.hpp"
 
 namespace pasched::core {
+
+namespace {
+
+// A hardware collective's broadcast deposits one event per task into each
+// block's inbound hub ring within one window, and the block's tasks send
+// their contributions the same way: size every ring for the largest block's
+// task count (and never below the default 256), so the fan-out does not
+// spill into the mutex-guarded overflow lane.
+std::size_t ring_capacity(sim::ShardedEngine& sharded, mpi::Job& job) {
+  std::vector<std::size_t> tasks(
+      static_cast<std::size_t>(sharded.partitions()), 0);
+  for (int rank = 0; rank < job.ntasks(); ++rank)
+    ++tasks[static_cast<std::size_t>(
+        sharded.shard_of_node(job.task(rank).node().id()))];
+  return std::bit_ceil(std::max<std::size_t>(
+      256, *std::max_element(tasks.begin(), tasks.end())));
+}
+
+}  // namespace
 
 Simulation::Simulation(SimulationConfig cfg, const mpi::WorkloadFactory& factory)
     : cfg_(std::move(cfg)) {
@@ -15,20 +37,21 @@ Simulation::Simulation(SimulationConfig cfg, const mpi::WorkloadFactory& factory
         "link_bandwidth contention is sequential-only; unset it or drop "
         "--parallel");
     const sim::Duration global = net::guaranteed_lookahead(cfg_.cluster.fabric);
-    sharded_ =
-        std::make_unique<sim::ShardedEngine>(cfg_.cluster.nodes, global);
+    const sim::ShardMap map(cfg_.cluster.nodes);
+    sharded_ = std::make_unique<sim::ShardedEngine>(map, global);
     // Per-pair lookahead matrix — the runtime consumption of pasched-scale's
     // certificate, built by the same rule (scale::RunMonitor cross-checks
     // the two at monitor install, so a divergence cannot pass an audited
     // run).
-    sharded_->set_pair_lookahead(
-        net::pair_lookahead(cfg_.cluster.fabric, cfg_.cluster.nodes));
+    sharded_->set_pair_lookahead(net::pair_lookahead(cfg_.cluster.fabric, map));
     cluster_ = std::make_unique<cluster::Cluster>(*sharded_, cfg_.cluster);
   } else {
     engine_ = std::make_unique<sim::Engine>();
     cluster_ = std::make_unique<cluster::Cluster>(*engine_, cfg_.cluster);
   }
   job_ = std::make_unique<mpi::Job>(*cluster_, cfg_.job, factory);
+  if (sharded_ != nullptr)
+    sharded_->set_ring_capacity(ring_capacity(*sharded_, *job_));
 
   if (!cfg_.mp_priority.empty()) {
     // MP_PRIORITY flow: the administrative file decides admission (§4).
@@ -63,11 +86,16 @@ SimulationResult Simulation::run() {
   PASCHED_EXPECTS_MSG(!ran_, "Simulation::run called twice");
   ran_ = true;
   cluster_->start();
-  job_->launch();
   if (sharded_ != nullptr) {
+    // Each worker launches its own shards' tasks inside their first window,
+    // in parallel; only the hook's cross-node setup runs here.
+    job_->prepare_launch();
+    mpi::Job* job = job_.get();
+    sharded_->set_prologue([job](int shard) { job->launch_shard(shard); });
     sharded_->run_until(sharded_->engine_of(0).now() + cfg_.horizon,
                         cfg_.parallel);
   } else {
+    job_->launch();
     // srclint-ok(PSL401): the run driver owns the classic-mode engine; this
     // is the one place a single-engine run is advanced.
     engine_->run_until(engine_->now() + cfg_.horizon);

@@ -37,8 +37,9 @@ struct SimulationConfig {
   sim::Duration horizon = sim::Duration::sec(3600);
 
   /// Partitioned execution: 0 = classic single event queue; N >= 1 = one
-  /// event shard per node (plus the switch hub) driven by N worker threads
-  /// under conservative lookahead windows. `--parallel=1` exercises the
+  /// event shard per block of nodes (sim::ShardMap, at most
+  /// sim::kShardBlocks blocks, plus the switch hub) driven by N worker
+  /// threads under conservative lookahead windows. `--parallel=1` exercises the
   /// partitioned machinery on one thread and must match `--parallel=N`
   /// bit for bit. Windows are planned per shard pair from the fabric's
   /// guaranteed-lookahead matrix (net::pair_lookahead, the runtime side of

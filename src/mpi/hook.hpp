@@ -12,6 +12,11 @@ namespace pasched::mpi {
 class SchedulerHook {
  public:
   virtual ~SchedulerHook() = default;
+  /// Sets up the node's side of the hook before its first registration.
+  /// Called once per task-hosting node, in node order, from a quiesced
+  /// context: setup may draw from state shared across nodes, while
+  /// register_task and the rest touch only their node.
+  virtual void prepare_node(kern::NodeId /*node*/) {}
   /// MPI_Init-time registration of a task's thread on its node.
   virtual void register_task(kern::NodeId node, kern::Thread& t) = 0;
   /// Task asks to stop being favored (entering an I/O phase).

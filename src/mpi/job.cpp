@@ -47,15 +47,39 @@ Job::Job(cluster::Cluster& cluster, JobConfig cfg,
 Job::~Job() = default;
 
 void Job::launch() {
+  prepare_launch();
+  for (int s = 0; s < cluster_.router().partitions(); ++s) launch_shard(s);
+}
+
+void Job::prepare_launch() {
   launch_time_ = cluster_.engine().now();
+  if (hook_ == nullptr) return;
+  // Rank order, the order in which registration would first reach each
+  // node; block placement puts a node's tasks at consecutive ranks.
+  int prepared = -1;
+  for (auto& t : tasks_) {
+    if (t->node().id() == prepared) continue;
+    prepared = t->node().id();
+    hook_->prepare_node(prepared);
+  }
+}
+
+void Job::launch_shard(int shard) {
+  sim::Router& r = cluster_.router();
+  const auto here = [&r, shard](Task& t) {
+    return r.shard_of_node(t.node().id()) == shard;
+  };
   // MPI_Init registration: each task's PID reaches the node co-scheduler
   // through the pmd control pipe.
   if (hook_ != nullptr) {
     for (auto& t : tasks_)
-      hook_->register_task(t->node().id(), t->thread());
+      if (here(*t)) hook_->register_task(t->node().id(), t->thread());
   }
-  for (auto& t : tasks_) t->launch();
-  for (auto& a : aux_) a->start();
+  for (auto& t : tasks_)
+    if (here(*t)) t->launch();
+  // aux_[i] serves tasks_[i] (both are built rank by rank).
+  for (std::size_t i = 0; i < aux_.size(); ++i)
+    if (here(*tasks_[i])) aux_[i]->start();
 }
 
 void Job::inject(Task& from, int dst_rank, std::uint64_t tag,

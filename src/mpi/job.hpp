@@ -68,13 +68,23 @@ class Job {
   /// happens-before event stream.
   void set_event_log(trace::EventLog* log) {
     elog_ = log;
-    if (elog_ != nullptr) elog_->ensure_nodes(cluster_.size());
+    if (elog_ != nullptr)
+      for (int n = 0; n < cluster_.size(); ++n)
+        elog_->bind_node(n, cluster_.node(n).kernel().context().shard);
   }
   [[nodiscard]] trace::EventLog* event_log() const noexcept { return elog_; }
 
   /// Registers all tasks with the hook and wakes every task thread (and
   /// progress-engine aux threads, if configured).
   void launch();
+  /// launch() in two steps, for partitioned runs: prepare_launch() stamps
+  /// the launch time and prepares every task-hosting node's hook in node
+  /// order (the one step that touches state shared across nodes), then
+  /// launch_shard(s) runs the rest of the launch for the tasks on shard s,
+  /// on the worker that owns it. Per node, the scheduled events and their
+  /// order are exactly launch()'s.
+  void prepare_launch();
+  void launch_shard(int shard);
 
   [[nodiscard]] bool complete() const noexcept {
     return finished_.load(std::memory_order_acquire) ==

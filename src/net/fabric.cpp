@@ -36,16 +36,23 @@ Duration guaranteed_lookahead_between(const FabricConfig& cfg, int a, int b) {
   return jitter_floor(min_latency_between(cfg, a, b), cfg.jitter_frac);
 }
 
-sim::PairLookahead pair_lookahead(const FabricConfig& cfg, int nodes) {
-  PASCHED_EXPECTS(nodes >= 1);
-  const int shards = nodes > 1 ? nodes + 1 : 1;
+sim::PairLookahead pair_lookahead(const FabricConfig& cfg,
+                                  const sim::ShardMap& map) {
   sim::PairLookahead la =
-      sim::PairLookahead::uniform(shards, guaranteed_lookahead(cfg));
-  // Node-node pairs get the topology-aware per-link bound; hub pairs keep
-  // the uniform global floor.
-  for (int a = 0; a < nodes; ++a)
-    for (int b = 0; b < nodes; ++b)
-      if (a != b) la.set(a, b, guaranteed_lookahead_between(cfg, a, b));
+      sim::PairLookahead::uniform(map.shards(), guaranteed_lookahead(cfg));
+  // Block pairs get the topology-aware bound of their closest member nodes;
+  // hub pairs keep the uniform global floor.
+  if (map.nodes() == 1) return la;
+  for (int a = 0; a < map.blocks(); ++a) {
+    for (int b = 0; b < map.blocks(); ++b) {
+      if (a == b) continue;
+      Duration bound = Duration::max();
+      for (int na = map.first_node(a); na < map.first_node(a + 1); ++na)
+        for (int nb = map.first_node(b); nb < map.first_node(b + 1); ++nb)
+          bound = std::min(bound, guaranteed_lookahead_between(cfg, na, nb));
+      la.set(a, b, bound);
+    }
+  }
   return la;
 }
 

@@ -19,6 +19,7 @@
 #include "sim/engine.hpp"
 #include "sim/planner.hpp"
 #include "sim/random.hpp"
+#include "sim/shard_map.hpp"
 #include "sim/time.hpp"
 
 namespace pasched::net {
@@ -79,17 +80,17 @@ struct FabricConfig {
 [[nodiscard]] sim::Duration guaranteed_lookahead_between(
     const FabricConfig& cfg, int a, int b);
 
-/// The per-shard-pair guaranteed-lookahead matrix of `nodes` nodes under
-/// `cfg`, in sim::ShardedEngine's shard numbering: shards 0..nodes-1 are
-/// the nodes, and multi-node clusters add the switch hub as shard `nodes`
-/// (a single node is one shard with no pairs). Node pairs get
-/// guaranteed_lookahead_between; pairs involving the hub get the global
-/// floor, since hub traffic (hardware-collective contributions and
+/// The per-shard-pair guaranteed-lookahead matrix of the shards of `map`
+/// under `cfg`, in sim::ShardedEngine's shard numbering (blocks, then the
+/// hub; a single node is one shard with no pairs). The bound between two
+/// blocks is the minimum guaranteed_lookahead_between over their member
+/// node pairs, which is sound on any fabric; pairs involving the hub get the
+/// global floor, since hub traffic (hardware-collective contributions and
 /// broadcasts) always pays at least one un-jittered inter-node wire. The
 /// one construction rule: core::Simulation installs this matrix in the
 /// executor and scale::build_lookahead_matrix certifies the same one.
 [[nodiscard]] sim::PairLookahead pair_lookahead(const FabricConfig& cfg,
-                                                int nodes);
+                                                const sim::ShardMap& map);
 
 struct FabricStats {
   std::uint64_t messages = 0;

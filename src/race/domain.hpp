@@ -32,8 +32,8 @@
 
 namespace pasched::race {
 
-/// A shard domain: the shard id of the owning event shard (node shards are
-/// 0..nodes-1, the hub shard is `nodes`; the single legacy engine is 0).
+/// A shard domain: the shard id of the owning event shard (node blocks are
+/// 0..blocks-1, the hub shard is `blocks`; the single legacy engine is 0).
 using Domain = int;
 
 /// No worker scope is active on this thread: setup, teardown, the barrier
@@ -158,9 +158,9 @@ struct EpochCodec {
 /// Container form of the same check, for per-node buffers that have no
 /// Owned member per element (trace::EventLog buckets, Tracer per-node
 /// state). `owner` is the owning domain — for per-node state this is the
-/// node id, relying on the sharded engine's identity shard_of_node mapping.
-/// No epoch is tracked, so violations report as ownership breaches (PSL201)
-/// without a race classification.
+/// shard the node maps to (its kernel's EventContext shard), which holds a
+/// whole block of nodes. No epoch is tracked, so violations report as
+/// ownership breaches (PSL201) without a race classification.
 void assert_write_domain(Domain owner, const char* label, int id,
                          const char* what);
 

@@ -55,10 +55,12 @@ AuditRun run_audited(const core::SimulationConfig& cfg,
       PASCHED_EXPECTS_MSG(sim.cluster().size() > 1,
                           "the planted fault needs a second node");
       // The regression fault: an event executing on shard 0 reaches
-      // straight into node 1's kernel instead of posting through the
-      // router. The callout body itself is inert — the *registration* is
-      // the cross-shard mutation the auditor must flag.
-      kern::Kernel& victim = sim.cluster().node(1).kernel();
+      // straight into the kernel of the first node of block 1 (node 1 on
+      // clusters of up to sim::kShardBlocks nodes) instead of posting
+      // through the router. The callout body itself is inert — the
+      // *registration* is the cross-shard mutation the auditor must flag.
+      kern::Kernel& victim =
+          sim.cluster().node(sh->shard_map().first_node(1)).kernel();
       // srclint-ok(PSL401): the planted fault must bypass the router — a
       // routed post would be legal and the auditor would have nothing to
       // catch.

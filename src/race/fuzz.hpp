@@ -41,9 +41,10 @@ struct AuditOptions {
   int workers = 2;
   /// Window-perturbation source (nullptr = full-lookahead windows).
   sim::ChoiceSource* window_choice = nullptr;
-  /// Plants a direct cross-shard write: an event on shard 0 mutates node 1's
-  /// kernel without going through the router — the CI regression that the
-  /// auditor must catch. Requires a multi-node cluster.
+  /// Plants a direct cross-shard write: an event on shard 0 mutates the
+  /// kernel of block 1's first node (node 1 on small clusters) without going
+  /// through the router — the CI regression that the auditor must catch.
+  /// Requires a multi-node cluster.
   bool plant_cross_shard_write = false;
   /// Simulated time of the planted write.
   sim::Duration plant_at = sim::Duration::sec(1);

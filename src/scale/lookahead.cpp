@@ -60,8 +60,8 @@ std::string LookaheadMatrix::certificate_json() const {
 }
 
 LookaheadMatrix build_lookahead_matrix(const net::FabricConfig& cfg,
-                                       int nodes) {
-  return {net::pair_lookahead(cfg, nodes), nodes, nodes > 1 ? nodes : 0};
+                                       const sim::ShardMap& map) {
+  return {net::pair_lookahead(cfg, map), map.nodes(), map.hub()};
 }
 
 }  // namespace pasched::scale

@@ -16,16 +16,17 @@
 
 #include "net/fabric.hpp"
 #include "sim/planner.hpp"
+#include "sim/shard_map.hpp"
 #include "sim/time.hpp"
 
 namespace pasched::scale {
 
 /// The certified per-shard-pair lookahead matrix: net::pair_lookahead's
 /// bounds (the same matrix the executor installs), plus the cluster shape
-/// and the summaries the report and certificate print. Shards
-/// 0..nodes-1 are the node shards, shard `nodes` is the switch hub
-/// (single-node clusters collapse to one shard and have no pairs). The
-/// diagonal is zero — same-shard scheduling needs no lookahead.
+/// and the summaries the report and certificate print. Shards are the node
+/// blocks of the sim::ShardMap followed by the switch hub (single-node
+/// clusters collapse to one shard and have no pairs). The diagonal is zero
+/// — same-shard scheduling needs no lookahead.
 struct LookaheadMatrix : sim::PairLookahead {
   int nodes = 0;
   int hub_shard = 0;
@@ -43,9 +44,9 @@ struct LookaheadMatrix : sim::PairLookahead {
   [[nodiscard]] std::string certificate_json() const;
 };
 
-/// Builds the matrix for `nodes` nodes of fabric `cfg`, statically, from
-/// net::pair_lookahead.
+/// Builds the matrix for the shards of `map` on fabric `cfg`, statically,
+/// from net::pair_lookahead.
 [[nodiscard]] LookaheadMatrix build_lookahead_matrix(
-    const net::FabricConfig& cfg, int nodes);
+    const net::FabricConfig& cfg, const sim::ShardMap& map);
 
 }  // namespace pasched::scale

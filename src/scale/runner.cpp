@@ -46,12 +46,12 @@ ScaleReport analyze_scenario(const core::SimulationConfig& cfg,
   ScaleReport rep;
   rep.scenario = std::move(scenario_name);
   rep.options = opts;
+  core::Simulation sim(cfg, factory);
+  PASCHED_EXPECTS(sim.sharded() != nullptr);
   rep.matrix = planted != nullptr
                    ? *planted
                    : build_lookahead_matrix(cfg.cluster.fabric,
-                                            cfg.cluster.nodes);
-
-  core::Simulation sim(cfg, factory);
+                                            sim.sharded()->shard_map());
 
   // Same trace plumbing as core::run_canonical: a whole-run tracer feeding
   // one EventLog from every node's kernel plus the job's MPI layer.
@@ -63,7 +63,6 @@ ScaleReport analyze_scenario(const core::SimulationConfig& cfg,
   sim.job().set_event_log(&elog);
   tracer.enable(sim.engine().now());
 
-  PASCHED_EXPECTS(sim.sharded() != nullptr);
   RunMonitor monitor(rep.matrix, *sim.sharded());
   sim.sharded()->set_monitor(&monitor);
 

@@ -4,8 +4,8 @@
 //
 // Two implementations exist: SingleRouter (below) wraps the classic one-
 // engine-for-everything mode, and sim::ShardedEngine (sim/shard.hpp) gives
-// every node its own engine + clock with conservative-window parallel
-// execution. Kernel, daemons, and the co-scheduler only ever touch their
+// every block of nodes (sim::ShardMap) its own engine + clock with
+// conservative-window parallel execution. Kernel, daemons, and the co-scheduler only ever touch their
 // node's EventContext, so they are partition-agnostic by construction; the
 // fabric and the MPI job are the only components that cross shards, and
 // they do it exclusively through Router::post().

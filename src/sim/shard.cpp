@@ -52,16 +52,11 @@ namespace {
 
 }  // namespace
 
-ShardedEngine::ShardedEngine(int nodes, Duration lookahead)
-    : lookahead_(lookahead), wrapup_mu_(wrapup_mu_site()) {
-  PASCHED_EXPECTS(nodes >= 1);
+ShardedEngine::ShardedEngine(const ShardMap& map, Duration lookahead)
+    : map_(map), lookahead_(lookahead), wrapup_mu_(wrapup_mu_site()) {
   PASCHED_EXPECTS_MSG(lookahead > Duration::zero(),
                       "conservative execution requires a positive lookahead");
-  // Single-node clusters keep everything (including the hub) on one shard:
-  // intra-node latency may be below the cross-node lookahead, and with one
-  // node there is nothing to run in parallel anyway.
-  const int shards = nodes > 1 ? nodes + 1 : 1;
-  hub_ = nodes > 1 ? nodes : 0;
+  const int shards = map_.shards();
   engines_.reserve(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i) {
     engines_.push_back(std::make_unique<Engine>());
@@ -75,7 +70,7 @@ ShardedEngine::ShardedEngine(int nodes, Duration lookahead)
   for (auto& row : out_rings_) row.v.assign(n, nullptr);
   inbound_ = std::vector<util::CacheAligned<std::atomic<PairRing*>>>(n);
   arenas_ = std::vector<util::CacheAligned<ShardArena>>(n);
-  post_seq_.assign(n, util::CacheAligned<std::uint64_t>{0});
+  counters_.assign(n, util::CacheAligned<ShardCounters>{});
   next_t_.assign(n, util::CacheAligned<Time>{Time::max()});
   planner_ = std::make_unique<WindowPlanner>(
       PairLookahead::uniform(shards, lookahead_));
@@ -104,9 +99,11 @@ PlannerStats ShardedEngine::planner_stats() const {
   st.rounds = rounds_;
   st.windows = windows_;
   st.final_rounds = final_rounds_;
-  st.coalesced = coalesced_.load(std::memory_order_relaxed);
-  st.ring_posts = ring_posts_.load(std::memory_order_relaxed);
-  st.ring_overflows = ring_overflows_.load(std::memory_order_relaxed);
+  for (const auto& c : counters_) {
+    st.coalesced += c.v.coalesced;
+    st.ring_posts += c.v.ring_posts;
+    st.ring_overflows += c.v.ring_overflows;
+  }
   return st;
 }
 
@@ -142,21 +139,18 @@ void ShardedEngine::post(int src_shard, int dst_shard, Time t,
   const Duration bound = planner_->bound(src_shard, dst_shard);
   PASCHED_CHECK_MSG(t >= src.now() + bound,
                     "cross-shard post violates the guaranteed pair lookahead");
-  CrossNodeEvent ev{t,
-                    src.now(),
-                    bound,
-                    src_shard,
-                    post_seq_[static_cast<std::size_t>(src_shard)].v++,
+  ShardCounters& c = counters_[static_cast<std::size_t>(src_shard)].v;
+  CrossNodeEvent ev{t, src.now(), bound, src_shard, c.post_seq++,
                     std::move(fn)};
   if (monitor_ != nullptr)
     monitor_->on_post(src_shard, dst_shard, t, ev.sent_at, ev.src_seq);
-  ring_posts_.fetch_add(1, std::memory_order_relaxed);
+  ++c.ring_posts;
   PairRing& r = ring_for(src_shard, dst_shard);
   if (!r.ring.try_push(std::move(ev))) {
     // Full ring: spill to the mutex-guarded overflow lane. Overflow keeps
     // the producer's sent_at order, so capped drains can still take a
     // clean prefix.
-    ring_overflows_.fetch_add(1, std::memory_order_relaxed);
+    ++c.ring_overflows;
     const std::scoped_lock lk(r.mu);
     r.overflow.push_back(std::move(ev));
     r.overflow_n.store(r.overflow.size(), std::memory_order_relaxed);
@@ -277,6 +271,7 @@ void ShardedEngine::run_chain(int worker, int nworkers, int S) {
     }
   }
   const int len = plan_.length;
+  const bool prologue = prologue_ && rounds_ == 1;
   std::atomic<std::uint64_t>& progress =
       progress_[static_cast<std::size_t>(worker)].v;
   // Every worker runs every window of every round, so all counters agree
@@ -311,11 +306,12 @@ void ShardedEngine::run_chain(int worker, int nworkers, int S) {
       // past-check read) monotone and schedule-derived.
       const Time wend = std::max(plan_.end_of(j, s), e.now());
       if (monitor_ != nullptr) monitor_->on_window_begin(s, wend);
+      if (j == 1 && prologue) prologue_(s);
       if (e.next_event_time() >= wend) {
         // Quiet-ring batching: nothing due this window (the drained rings
         // were quiet and the engine's next event lies at or past the end),
         // so the window coalesces into the chain as a pure clock advance.
-        coalesced_.fetch_add(1, std::memory_order_relaxed);
+        ++counters_[static_cast<std::size_t>(s)].v.coalesced;
       }
       // Always run (even when quiet): run_before ends by advancing the
       // clock to the window end, and a deterministic, schedule-derived
@@ -392,8 +388,12 @@ void ShardedEngine::plan_round(Time deadline) noexcept {
     den = static_cast<std::int64_t>(kWindowQuantumBuckets);
   }
   next_t_plain_.resize(next_t_.size());
-  for (std::size_t i = 0; i < next_t_.size(); ++i)
+  for (std::size_t i = 0; i < next_t_.size(); ++i) {
     next_t_plain_[i] = next_t_[i].v;
+    // The prologue runs inside the first round and may schedule at now().
+    if (prologue_ && rounds_ == 0)
+      next_t_plain_[i] = std::min(next_t_plain_[i], engines_[i]->now());
+  }
   planner_->plan(next_t_plain_, deadline, num, den, plan_);
   ++rounds_;
   if (plan_.final) {
@@ -427,9 +427,11 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
   phase_ = 0;
   round_ = Round::Window;
   rounds_ = windows_ = final_rounds_ = 0;
-  coalesced_.store(0, std::memory_order_relaxed);
-  ring_posts_.store(0, std::memory_order_relaxed);
-  ring_overflows_.store(0, std::memory_order_relaxed);
+  for (auto& c : counters_) {
+    c.v.coalesced = 0;
+    c.v.ring_posts = 0;
+    c.v.ring_overflows = 0;
+  }
   progress_ = std::vector<util::CacheAligned<std::atomic<std::uint64_t>>>(
       static_cast<std::size_t>(W));
 
@@ -476,6 +478,7 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
                 const race::ScopedDomain sd(s);
                 if (!frozen) engine_of(s).clear_fire_log();
                 if (monitor_ != nullptr) monitor_->on_window_begin(s, deadline);
+                if (prologue_ && rounds_ == 1) prologue_(s);
                 engine_of(s).run_until(deadline);
               }
             } else {
@@ -498,6 +501,7 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
       });
     }
   }  // jthreads join here
+  prologue_ = nullptr;
   if (err) std::rethrow_exception(err);
   return !stopped_early_;
 }

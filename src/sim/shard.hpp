@@ -1,10 +1,11 @@
-// Per-node event shards with conservative-window parallel execution.
+// Block event shards with conservative-window parallel execution.
 //
-// Every cluster node owns one Engine (priority queue + clock); one extra
-// "hub" shard owns cluster-global hardware (the switch's combine unit).
-// Cross-shard events go through post(), which stamps send time and the
-// per-pair guaranteed lookahead and pushes them into the (source,
-// destination) pair's bounded SPSC ring.
+// Every block of contiguous cluster nodes (sim::ShardMap) owns one Engine
+// (priority queue + clock); one extra "hub" shard owns cluster-global
+// hardware (the switch's combine unit). A post between two nodes of one
+// block is a plain schedule_at; cross-shard events go through post(), which
+// stamps send time and the per-pair guaranteed lookahead and pushes them
+// into the (source, destination) pair's bounded SPSC ring.
 //
 // Execution advances in conservative windows (Chandy/Misra/Bryant style)
 // planned per *sync round* by the WindowPlanner (sim/planner.hpp): each
@@ -27,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -34,6 +36,7 @@
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "sim/planner.hpp"
+#include "sim/shard_map.hpp"
 #include "sim/time.hpp"
 #include "util/aligned.hpp"
 #include "util/hotpath.hpp"
@@ -100,12 +103,12 @@ class ShardMonitor {
 
 class ShardedEngine final : public Router {
  public:
-  /// One shard per node plus (for multi-node clusters) a hub shard.
-  /// `lookahead` must be positive: it is the guaranteed minimum latency of
-  /// any cross-shard interaction (net::guaranteed_lookahead derives it from
-  /// the fabric config). Until set_pair_lookahead() installs the per-pair
-  /// matrix, every pair is assumed to sit at this global floor.
-  ShardedEngine(int nodes, Duration lookahead);
+  /// One shard per block of `map` plus (for multi-node clusters) a hub
+  /// shard. `lookahead` must be positive: it is the guaranteed minimum
+  /// latency of any cross-shard interaction (net::guaranteed_lookahead
+  /// derives it from the fabric config). Until set_pair_lookahead() installs
+  /// the per-pair matrix, every pair is assumed to sit at this global floor.
+  ShardedEngine(const ShardMap& map, Duration lookahead);
   ~ShardedEngine() override;
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
@@ -115,9 +118,9 @@ class ShardedEngine final : public Router {
     return static_cast<int>(engines_.size());
   }
   [[nodiscard]] int shard_of_node(int node) const noexcept override {
-    return node;
+    return map_.shard_of(node);
   }
-  [[nodiscard]] int hub_shard() const noexcept override { return hub_; }
+  [[nodiscard]] int hub_shard() const noexcept override { return map_.hub(); }
   [[nodiscard]] Duration lookahead() const noexcept override {
     return lookahead_;
   }
@@ -128,6 +131,8 @@ class ShardedEngine final : public Router {
             Engine::Callback fn) override;
   void request_wrapup(Engine::Callback fn) override;
   void stop_all() override { stop_flag_.store(true, std::memory_order_relaxed); }
+
+  [[nodiscard]] const ShardMap& shard_map() const noexcept { return map_; }
 
   // Planner -------------------------------------------------------------------
   /// Installs the per-pair guaranteed-lookahead matrix (the runtime side of
@@ -150,7 +155,19 @@ class ShardedEngine final : public Router {
   /// false if stopped early via stop_all().
   bool run_until(Time deadline, int workers);
 
-  /// Test hook: per-pair SPSC ring capacity (rounded up to a power of two).
+  /// Work to run once per shard in the next run_until: on the worker that
+  /// owns the shard, inside the shard's first window, before any of its
+  /// events fire. That first round is planned as though every shard had an
+  /// event at its clock, so whatever the prologue schedules at or after
+  /// now() lands inside it. core::Simulation launches the job this way, so
+  /// the launch runs in parallel. Consumed by that run_until; set while no
+  /// workers run.
+  void set_prologue(std::function<void(int shard)> fn) {
+    prologue_ = std::move(fn);
+  }
+
+  /// Per-pair SPSC ring capacity (rounded up to a power of two; 256 unless
+  /// set). core::Simulation sizes it for the largest block's task count.
   /// Call before the first post — live rings are not resized.
   void set_ring_capacity(std::size_t cap) noexcept { ring_capacity_ = cap; }
 
@@ -258,17 +275,26 @@ class ShardedEngine final : public Router {
   /// channels. The lists own the rings.
   std::vector<util::CacheAligned<std::atomic<PairRing*>>> inbound_;
   std::vector<util::CacheAligned<ShardArena>> arenas_;
+  /// A shard's post sequence and execution counters, written only by the
+  /// worker running the shard (or by the completion step, every worker
+  /// parked), so they are plain integers; planner_stats() sums them.
+  struct ShardCounters {
+    std::uint64_t post_seq = 0;  ///< never reset: identifies posts for life
+    std::uint64_t coalesced = 0;
+    std::uint64_t ring_posts = 0;
+    std::uint64_t ring_overflows = 0;
+  };
   // Per-shard slots written by distinct domains every window: one cache
   // line each, or the sharded hot path false-shares its own bookkeeping
   // (the PSL503 layout rule guards this).
-  std::vector<util::CacheAligned<std::uint64_t>> post_seq_;  // owner-written
+  std::vector<util::CacheAligned<ShardCounters>> counters_;  // owner-written
   std::vector<util::CacheAligned<Time>> next_t_;  // published pre-barrier
   /// Per-worker progress: chained windows the worker has finished in this
   /// run_until, stored with release once all its shards ran the window.
   /// Peers acquire it before draining the corresponding ring prefixes.
   std::vector<util::CacheAligned<std::atomic<std::uint64_t>>> progress_;
+  ShardMap map_;
   Duration lookahead_;
-  int hub_ = 0;
   std::size_t ring_capacity_ = 256;
 
   std::unique_ptr<WindowPlanner> planner_;
@@ -285,14 +311,10 @@ class ShardedEngine final : public Router {
   int phase_ = 0;
   bool stopped_early_ = false;
 
-  // Execution counters. rounds/windows/final_rounds are completion-step
-  // only; the rest are worker-incremented atomics.
+  // Completion-step counters; the per-shard ones live in counters_.
   std::uint64_t rounds_ = 0;
   std::uint64_t windows_ = 0;
   std::uint64_t final_rounds_ = 0;
-  alignas(util::kCacheLineBytes) std::atomic<std::uint64_t> coalesced_{0};
-  alignas(util::kCacheLineBytes) std::atomic<std::uint64_t> ring_posts_{0};
-  alignas(util::kCacheLineBytes) std::atomic<std::uint64_t> ring_overflows_{0};
 
   alignas(util::kCacheLineBytes) std::atomic<bool> stop_flag_{false};
   /// Set when a worker dies mid-round: every horizon spin checks it so the
@@ -318,6 +340,7 @@ class ShardedEngine final : public Router {
   alignas(util::kCacheLineBytes) std::atomic<bool> freeze_fire_logs_{false};
   ShardMonitor* monitor_ = nullptr;
   ChoiceSource* window_choice_ = nullptr;
+  std::function<void(int)> prologue_;
 };
 
 }  // namespace pasched::sim

@@ -65,7 +65,7 @@ struct Event {
 ///
 /// Storage is sharded per node so partitioned runs can record from every
 /// shard concurrently without locks: record() appends to the bucket of the
-/// event's node (call ensure_nodes() up front — bucket growth itself is
+/// event's node (call bind_node() up front — bucket growth itself is
 /// single-threaded). events() merges the buckets into one canonical stream
 /// ordered by (t, node, per-node sequence); the merge order is a pure
 /// function of the per-node streams, so sequential and parallel runs of the
@@ -79,25 +79,27 @@ class EventLog {
   void enable() noexcept { enabled_ = true; }
   void disable() noexcept { enabled_ = false; }
 
-  /// Presizes the per-node buckets. Must be called before concurrent
-  /// recording from multiple shards (Tracer::attach and Job::set_event_log
-  /// do this automatically).
-  void ensure_nodes(int nodes) {
-    if (static_cast<std::size_t>(nodes) + 1 > buckets_.size())
-      buckets_.resize(static_cast<std::size_t>(nodes) + 1);
+  /// Presizes `node`'s bucket and names the shard domain that owns it (the
+  /// node's EventContext shard). Must be called for every node before
+  /// concurrent recording from multiple shards; Tracer::attach and
+  /// Job::set_event_log do this automatically.
+  void bind_node(int node, race::Domain owner) {
+    const std::size_t b = static_cast<std::size_t>(node) + 1;
+    if (b >= buckets_.size()) buckets_.resize(b + 1);
+    if (b >= owners_.size()) owners_.resize(b + 1, race::kUnbound);
+    owners_[b] = owner;
   }
 
   void record(const Event& e) {
     if (!enabled_) return;
     // The lock-free sharding contract: a node's bucket is written only from
-    // that node's shard (relying on the sharded engine's identity
-    // node -> shard mapping). Nodeless events go to bucket 0, which only the
-    // free context touches.
-    if (e.node >= 0)
-      PASCHED_ASSERT_DOMAIN(e.node, "trace.EventLog.bucket", e.node,
-                            "record");
+    // the shard that owns the node. Nodeless events go to bucket 0, which
+    // only the free context touches.
     const std::size_t b =
         e.node >= 0 ? static_cast<std::size_t>(e.node) + 1 : 0;
+    if (b > 0 && b < owners_.size())
+      PASCHED_ASSERT_DOMAIN(owners_[b], "trace.EventLog.bucket", e.node,
+                            "record");
     if (b >= buckets_.size()) buckets_.resize(b + 1);  // single-thread path
     buckets_[b].push_back(e);
     dirty_.store(true, std::memory_order_release);
@@ -123,6 +125,7 @@ class EventLog {
 
  private:
   std::vector<std::vector<Event>> buckets_;  // [node + 1]; 0 = nodeless
+  std::vector<race::Domain> owners_;         // [node + 1]; see bind_node
   // srclint-ok(PSL402): post-run lazily-rebuilt cache behind the atomic
   // dirty_ flag; events() documents it is unsafe while shards record.
   mutable std::vector<Event> merged_;

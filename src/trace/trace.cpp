@@ -23,15 +23,22 @@ void Tracer::attach(kern::Kernel& kernel) {
   // Presize the per-node recording state so shards never grow the vectors
   // concurrently during a partitioned run.
   (void)per_node(kernel.node_id());
-  if (elog_ != nullptr) elog_->ensure_nodes(static_cast<int>(node) + 1);
+  if (elog_ != nullptr)
+    elog_->bind_node(kernel.node_id(), kernel.context().shard);
+}
+
+race::Domain Tracer::owner_of(kern::NodeId node) const {
+  const auto n = static_cast<std::size_t>(node);
+  return node >= 0 && n < kernels_.size() && kernels_[n] != nullptr
+             ? kernels_[n]->context().shard
+             : race::kUnbound;
 }
 
 Tracer::PerNode& Tracer::per_node(kern::NodeId node) {
   // The per-node recording state follows the same lock-free contract as the
-  // event log's buckets: only the node's own shard (or the free context —
-  // attach/enable/clear) may touch it.
-  if (node >= 0)
-    PASCHED_ASSERT_DOMAIN(node, "trace.Tracer.node", node, "per_node");
+  // event log's buckets: only the shard that owns the node (or the free
+  // context — attach/enable/clear) may touch it.
+  PASCHED_ASSERT_DOMAIN(owner_of(node), "trace.Tracer.node", node, "per_node");
   const auto n = static_cast<std::size_t>(node < 0 ? 0 : node);
   if (per_node_.size() <= n) per_node_.resize(n + 1);
   if (!per_node_[n]) per_node_[n] = std::make_unique<PerNode>();
@@ -96,7 +103,7 @@ void Tracer::log_event(EventKind kind, Time t, kern::NodeId node,
 }
 
 Tracer::Open& Tracer::slot(kern::NodeId node, kern::CpuId cpu) {
-  PASCHED_ASSERT_DOMAIN(node, "trace.Tracer.slot", node, "slot");
+  PASCHED_ASSERT_DOMAIN(owner_of(node), "trace.Tracer.slot", node, "slot");
   const auto n = static_cast<std::size_t>(node);
   if (open_.size() <= n) open_.resize(n + 1);
   auto& cpus = open_[n];

@@ -49,8 +49,10 @@ class Tracer final : public kern::SchedObserver {
   /// applies on top of this tracer's interval gate.
   void set_event_log(EventLog* log) {
     elog_ = log;
-    if (elog_ != nullptr && !kernels_.empty())
-      elog_->ensure_nodes(static_cast<int>(kernels_.size()));
+    if (elog_ != nullptr)
+      for (std::size_t n = 0; n < kernels_.size(); ++n)
+        if (kernels_[n] != nullptr)
+          elog_->bind_node(static_cast<int>(n), kernels_[n]->context().shard);
   }
   [[nodiscard]] EventLog* event_log() const noexcept { return elog_; }
 
@@ -98,6 +100,9 @@ class Tracer final : public kern::SchedObserver {
     TraceCounts counts;
   };
   PerNode& per_node(kern::NodeId node);
+  /// The shard domain that owns `node`'s recording state: its kernel's
+  /// EventContext shard (kUnbound before attach).
+  [[nodiscard]] race::Domain owner_of(kern::NodeId node) const;
   void push_interval(const Interval& iv);
 
   kern::NodeId node_filter_;

@@ -13,6 +13,8 @@
 #include "core/equivalence.hpp"
 #include "core/presets.hpp"
 #include "core/simulation.hpp"
+#include "race/fuzz.hpp"
+#include "sim/shard_map.hpp"
 
 using namespace pasched;
 
@@ -84,6 +86,41 @@ TEST(ParallelEquivalence, TenSeedsMatchLegacyWithOppositeCoschedParity) {
         << "legacy vs --parallel=4, seed " << seed;
     EXPECT_EQ(legacy.elapsed.count(), par4.elapsed.count())
         << "seed " << seed;
+  }
+}
+
+TEST(ParallelEquivalence, ThirtyTwoNodesInBlocksMatchUnderTheRaceMonitor) {
+  // Above sim::kShardBlocks nodes, every shard holds a block of four nodes:
+  // intra-block posts become local schedule_at calls and the per-node trace
+  // buffers are owned by the block's shard. The classic engine, --parallel=1
+  // and --parallel=3 must still agree bit for bit, with the tracer and the
+  // event log attached, and the race monitor must see no ownership breach.
+  for (const bool cosched : {false, true}) {
+    core::SimulationConfig cfg = scenario(5, cosched);
+    cfg.cluster.nodes = 32;
+    cfg.job.ntasks = 64;
+    cfg.job.tasks_per_node = 2;
+    {
+      core::SimulationConfig blocks = cfg;
+      blocks.parallel = 1;
+      core::Simulation sim(blocks, workload());
+      ASSERT_EQ(sim.sharded()->partitions(), sim::kShardBlocks + 1);
+    }
+    cfg.parallel = 0;
+    const core::CanonicalDigest legacy = core::run_canonical(cfg, workload());
+    ASSERT_TRUE(legacy.completed) << "cosched " << cosched;
+    for (const int workers : {1, 3}) {
+      race::AuditOptions opt;
+      opt.workers = workers;
+      cfg.parallel = workers;
+      const race::AuditRun run = race::run_audited(cfg, workload(), opt);
+      EXPECT_TRUE(run.digest.completed) << "workers " << workers;
+      EXPECT_EQ(run.digest.hash, legacy.hash)
+          << "legacy vs --parallel=" << workers << ", cosched " << cosched;
+      EXPECT_EQ(run.digest.elapsed.count(), legacy.elapsed.count());
+      for (const analysis::Diagnostic& d : run.findings)
+        EXPECT_NE(d.rule, "PSL201") << d.str();
+    }
   }
 }
 

@@ -31,11 +31,16 @@ net::FabricConfig framed_fabric(int frame_size, Duration extra) {
   return f;
 }
 
+// The matrix the executor installs for `nodes` nodes: the default shard map.
+scale::LookaheadMatrix matrix(const net::FabricConfig& f, int nodes) {
+  return scale::build_lookahead_matrix(f, sim::ShardMap(nodes));
+}
+
 }  // namespace
 
 TEST(ScaleLookahead, FlatFabricAllPairsEqualGlobal) {
   // 20us * (1 - 0.02) - 1ns of truncation slack.
-  const auto m = scale::build_lookahead_matrix(flat_fabric(), 4);
+  const auto m = matrix(flat_fabric(), 4);
   EXPECT_EQ(m.nodes, 4);
   EXPECT_EQ(m.shards, 5);
   EXPECT_EQ(m.hub_shard, 4);
@@ -56,7 +61,7 @@ TEST(ScaleLookahead, FrameTopologyWidensCrossFramePairs) {
   // intra-frame minimum — the frame hop can only add latency.
   const auto cfg = framed_fabric(2, Duration::us(10));
   EXPECT_EQ(net::guaranteed_lookahead(cfg).count(), 19599);
-  const auto m = scale::build_lookahead_matrix(cfg, 4);
+  const auto m = matrix(cfg, 4);
   EXPECT_EQ(m.at(0, 1).count(), 19599);
   EXPECT_EQ(m.at(2, 3).count(), 19599);
   EXPECT_EQ(m.at(0, 2).count(), 29399);
@@ -74,20 +79,20 @@ TEST(ScaleLookahead, FrameTopologyWidensCrossFramePairs) {
 TEST(ScaleLookahead, JitterEdgeCases) {
   net::FabricConfig f;
   f.jitter_frac = 0.0;  // only the truncation slack remains
-  EXPECT_EQ(scale::build_lookahead_matrix(f, 2).at(0, 1).count(), 19999);
+  EXPECT_EQ(matrix(f, 2).at(0, 1).count(), 19999);
 
   f.jitter_frac = 0.5;
-  EXPECT_EQ(scale::build_lookahead_matrix(f, 2).at(0, 1).count(), 9999);
+  EXPECT_EQ(matrix(f, 2).at(0, 1).count(), 9999);
 
   // Pathologically tiny latency: the bound clamps at 1ns, never 0 or
   // negative (a zero bound would let the conservative window collapse).
   f.inter_node_latency = Duration::ns(1);
   f.jitter_frac = 0.9;
-  EXPECT_EQ(scale::build_lookahead_matrix(f, 2).at(0, 1).count(), 1);
+  EXPECT_EQ(matrix(f, 2).at(0, 1).count(), 1);
 }
 
 TEST(ScaleLookahead, SingleNodeHasNoPairs) {
-  const auto m = scale::build_lookahead_matrix(flat_fabric(), 1);
+  const auto m = matrix(flat_fabric(), 1);
   EXPECT_EQ(m.shards, 1);
   EXPECT_EQ(m.hub_shard, 0);
   EXPECT_FALSE(m.has_pairs());
@@ -99,8 +104,7 @@ TEST(ScaleLookahead, SingleNodeHasNoPairs) {
 }
 
 TEST(ScaleLookahead, CertificateJsonCarriesTheMatrix) {
-  const auto m =
-      scale::build_lookahead_matrix(framed_fabric(2, Duration::us(10)), 4);
+  const auto m = matrix(framed_fabric(2, Duration::us(10)), 4);
   const std::string cert = m.certificate_json();
   EXPECT_NE(cert.find("\"certificate\""), std::string::npos);
   EXPECT_NE(cert.find("\"nodes\": 4"), std::string::npos);
@@ -124,7 +128,7 @@ TEST(ScaleLookahead, ExecutorInstallsTheCertifiedMatrix) {
   at.loops = 1;
   at.calls_per_loop = 1;
   core::Simulation sim(cfg, apps::aggregate_trace(at));
-  const auto m = scale::build_lookahead_matrix(cfg.cluster.fabric, 4);
+  const auto m = matrix(cfg.cluster.fabric, 4);
   ASSERT_NE(sim.sharded(), nullptr);
   ASSERT_EQ(sim.sharded()->partitions(), m.shards);
   EXPECT_GT(m.at(0, 2), m.global);  // the frames make the matrix non-uniform

@@ -98,7 +98,8 @@ TEST(ScaleWindows, CleanRunCertifiesTheHonestMatrix) {
   core::Simulation sim(cfg, workload());
   ASSERT_NE(sim.sharded(), nullptr);
   scale::RunMonitor mon(
-      scale::build_lookahead_matrix(cfg.cluster.fabric, cfg.cluster.nodes),
+      scale::build_lookahead_matrix(cfg.cluster.fabric,
+                                    sim::ShardMap(cfg.cluster.nodes)),
       *sim.sharded());
   sim.sharded()->set_monitor(&mon);
   const auto res = sim.run();
@@ -118,7 +119,8 @@ TEST(ScaleWindows, CleanRunCertifiesTheHonestMatrix) {
 TEST(ScaleWindows, PlantedUnsoundBoundIsCaught) {
   const core::SimulationConfig cfg = scenario(/*parallel=*/1);
   scale::LookaheadMatrix planted =
-      scale::build_lookahead_matrix(cfg.cluster.fabric, cfg.cluster.nodes);
+      scale::build_lookahead_matrix(cfg.cluster.fabric,
+                                    sim::ShardMap(cfg.cluster.nodes));
   for (int a = 0; a < planted.shards; ++a)
     for (int b = 0; b < planted.shards; ++b)
       if (a != b) planted.set(a, b, planted.at(a, b) * 4);

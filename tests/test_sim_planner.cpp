@@ -30,6 +30,7 @@ using pasched::sim::Duration;
 using pasched::sim::kWindowBatch;
 using pasched::sim::PairLookahead;
 using pasched::sim::RoundPlan;
+using pasched::sim::ShardMap;
 using pasched::sim::Time;
 using pasched::sim::WindowPlanner;
 
@@ -350,21 +351,46 @@ TEST(Planner, MatchesTheBruteForceReferenceOnRandomMatrices) {
 }
 
 TEST(Planner, FramedFabricCompressesToFramesPlusTheHub) {
-  // ASCI White shape: 512 nodes in frames of 16 plus the hub shard. Every
-  // node of a frame sees the same bounds, so the 513 x 513 matrix collapses
-  // to 32 frame classes and one hub class.
+  // ASCI White shape: 512 nodes in frames of 16 plus the hub shard, one
+  // shard per node. Every node of a frame sees the same bounds, so the
+  // 513 x 513 matrix collapses to 32 frame classes and one hub class.
   pasched::net::FabricConfig cfg;
   cfg.frame_size = 16;
   cfg.inter_frame_extra = Duration::us(10);
-  const PairLookahead la = pasched::net::pair_lookahead(cfg, 512);
+  const ShardMap per_node = ShardMap::identity(512);
+  const PairLookahead la = pasched::net::pair_lookahead(cfg, per_node);
   const WindowPlanner p(la);
   EXPECT_EQ(p.classes(), 512 / 16 + 1);
   for (int a = 0; a < la.shards; ++a)
     for (int b = 0; b < la.shards; ++b) ASSERT_EQ(p.bound(a, b), la.at(a, b));
   // A flat fabric is uniform: hub and nodes all share one class.
-  const WindowPlanner flat(pasched::net::pair_lookahead(
-      pasched::net::FabricConfig{}, 512));
+  const WindowPlanner flat(
+      pasched::net::pair_lookahead(pasched::net::FabricConfig{}, per_node));
   EXPECT_EQ(flat.classes(), 1);
+}
+
+TEST(Planner, BlockBoundIsTheClosestMemberPair) {
+  // 512 framed nodes in 12 blocks of 42-43 nodes, which do not align with
+  // the frames: block 0 (nodes 0-42) and block 1 (43-85) share frame 2
+  // (nodes 32-47), so their bound is the intra-frame one; blocks 0 and 2
+  // (86-127) share no frame and pay the inter-frame hop. Hub pairs keep
+  // the global floor.
+  pasched::net::FabricConfig cfg;
+  cfg.frame_size = 16;
+  cfg.inter_frame_extra = Duration::us(10);
+  const ShardMap blocks(512, 12);
+  ASSERT_EQ(blocks.first_node(1), 43);
+  ASSERT_EQ(blocks.first_node(2), 86);
+  const PairLookahead la = pasched::net::pair_lookahead(cfg, blocks);
+  const Duration intra = pasched::net::guaranteed_lookahead_between(cfg, 0, 1);
+  const Duration inter =
+      pasched::net::guaranteed_lookahead_between(cfg, 0, 16);
+  ASSERT_LT(intra, inter);
+  EXPECT_EQ(la.at(0, 1), intra);
+  EXPECT_EQ(la.at(1, 0), intra);
+  EXPECT_EQ(la.at(0, 2), inter);
+  EXPECT_EQ(la.at(0, blocks.hub()), la.global);
+  EXPECT_EQ(la.at(0, 0), Duration::zero());
 }
 
 }  // namespace

@@ -24,6 +24,7 @@ using pasched::sim::EventId;
 using pasched::sim::PairLookahead;
 using pasched::sim::PlannerStats;
 using pasched::sim::ShardedEngine;
+using pasched::sim::ShardMap;
 using pasched::sim::Time;
 
 TEST(EngineWindow, RunBeforeIsExclusiveOfTheEndpoint) {
@@ -114,7 +115,7 @@ TEST(ShardedCancel, CancelRepostAcrossWindowBoundariesStaysBounded) {
       e.schedule_at(e.now() + se.lookahead(), [self] { self->tick(); });
     }
   };
-  ShardedEngine se(2, Duration::us(10));
+  ShardedEngine se(ShardMap::identity(2), Duration::us(10));
   Watchdog wd{se, {}, 2000};
   Watchdog* wdp = &wd;
   se.engine_of(0).schedule_at(Time::from_ns(100), [wdp] { wdp->tick(); });
@@ -138,13 +139,13 @@ TEST(EngineCancel, DrainReleasesEveryPendingEvent) {
 }
 
 TEST(Sharded, SingleNodeClustersUseOneShard) {
-  ShardedEngine se(1, Duration::us(10));
+  ShardedEngine se(ShardMap::identity(1), Duration::us(10));
   EXPECT_EQ(se.partitions(), 1);
   EXPECT_EQ(se.hub_shard(), 0);
 }
 
 TEST(Sharded, MultiNodeClustersGetAHubShard) {
-  ShardedEngine se(4, Duration::us(10));
+  ShardedEngine se(ShardMap::identity(4), Duration::us(10));
   EXPECT_EQ(se.partitions(), 5);
   EXPECT_EQ(se.hub_shard(), 4);
   EXPECT_EQ(se.shard_of_node(2), 2);
@@ -156,7 +157,7 @@ TEST(Sharded, MultiNodeClustersGetAHubShard) {
 // and in FIFO position among events at the edge itself.
 TEST(Sharded, PostAtExactWindowEdgeLandsInTheNextWindow) {
   const Duration kLookahead = Duration::us(10);
-  ShardedEngine se(2, kLookahead);
+  ShardedEngine se(ShardMap::identity(2), kLookahead);
   std::vector<int> order;      // single worker: no concurrent access
   std::vector<std::int64_t> cross_fired_at;
   se.engine_of(1).schedule_at(Time::from_ns(9999),
@@ -184,7 +185,7 @@ TEST(Sharded, PostAtExactWindowEdgeLandsInTheNextWindow) {
 
 #if PASCHED_VALIDATE_ENABLED
 TEST(Sharded, CrossShardPostBelowLookaheadIsRejected) {
-  ShardedEngine se(2, Duration::us(10));
+  ShardedEngine se(ShardMap::identity(2), Duration::us(10));
   EXPECT_THROW(se.post(0, 1, Time::from_ns(5), [] {}),
                pasched::check::CheckError);
 }
@@ -211,7 +212,7 @@ struct PingPong {
 
 std::pair<std::vector<std::int64_t>, std::vector<std::int64_t>> run_pingpong(
     int workers) {
-  ShardedEngine se(2, Duration::us(10));
+  ShardedEngine se(ShardMap::identity(2), Duration::us(10));
   PingPong pp{se, {}, 20};
   PingPong* ppp = &pp;
   se.engine_of(0).schedule_at(Time::from_ns(100), [ppp] { ppp->fire(0); });
@@ -230,7 +231,7 @@ TEST(Sharded, WorkerCountDoesNotChangeTheSchedule) {
 }
 
 TEST(Sharded, StopAllEndsTheRunEarly) {
-  ShardedEngine se(2, Duration::us(10));
+  ShardedEngine se(ShardMap::identity(2), Duration::us(10));
   ShardedEngine* router = &se;
   se.engine_of(0).schedule_at(Time::from_ns(100),
                               [router] { router->stop_all(); });
@@ -242,7 +243,7 @@ TEST(Sharded, StopAllEndsTheRunEarly) {
 }
 
 TEST(Sharded, WrapupRunsAtABarrierNotMidWindow) {
-  ShardedEngine se(2, Duration::us(10));
+  ShardedEngine se(ShardMap::identity(2), Duration::us(10));
   ShardedEngine* router = &se;
   bool ran = false;
   bool* ranp = &ran;
@@ -254,7 +255,7 @@ TEST(Sharded, WrapupRunsAtABarrierNotMidWindow) {
 }
 
 TEST(Sharded, DrainReleasesPendingEventsAndInboxes) {
-  ShardedEngine se(3, Duration::us(10));
+  ShardedEngine se(ShardMap::identity(3), Duration::us(10));
   se.engine_of(0).schedule_at(Time::from_ns(10), [] {});
   se.engine_of(1).schedule_at(Time::from_ns(20), [] {});
   se.post(0, 2, Time::from_ns(100'000), [] {});  // parked in shard 2's inbox
@@ -271,7 +272,7 @@ TEST(Sharded, QuietWindowsCoalesceIntoTheChain) {
   // completely idle, every one of its windows must coalesce, and the round
   // count must sit well below the chained-window count (that gap is the
   // barrier reduction the per-pair planner exists for).
-  ShardedEngine se(2, Duration::us(10));
+  ShardedEngine se(ShardMap::identity(2), Duration::us(10));
   struct Chain {
     Engine& e;
     int remaining;
@@ -297,7 +298,7 @@ TEST(Sharded, FullRingBackpressureSpillsToOverflowWithoutLoss) {
   // consumer cannot drain mid-callback, so everything past the capacity
   // must take the overflow lane — and still be delivered, in order, at its
   // stamped time. One worker keeps the fill deterministic.
-  ShardedEngine se(2, Duration::us(10));
+  ShardedEngine se(ShardMap::identity(2), Duration::us(10));
   se.set_ring_capacity(8);
   std::vector<int> delivered;  // single worker: no concurrent access
   auto* dp = &delivered;
@@ -319,7 +320,7 @@ TEST(Sharded, RingCapacityOneStillDeliversEverythingThroughOverflow) {
   // Degenerate capacity (rounds up to 2): nearly every post overflows.
   // The overflow lane is a correctness path, not best-effort — the digest
   // equivalence across planners depends on it delivering a clean prefix.
-  ShardedEngine se(2, Duration::us(10));
+  ShardedEngine se(ShardMap::identity(2), Duration::us(10));
   se.set_ring_capacity(1);
   int delivered = 0;
   int* dp = &delivered;
@@ -340,7 +341,8 @@ TEST(Sharded, TeardownWithPendingEventsDoesNotLeak) {
   // Shutdown leak regression: destroying a sharded engine mid-simulation
   // (events still queued, cross-shard posts undelivered) must release every
   // slot. Under PASCHED_VALIDATE the destructor asserts emptiness itself.
-  auto se = std::make_unique<ShardedEngine>(4, Duration::us(10));
+  auto se = std::make_unique<ShardedEngine>(ShardMap::identity(4),
+                                            Duration::us(10));
   for (int s = 0; s < 4; ++s)
     se->engine_of(s).schedule_at(Time::from_ns(100 + s), [] {});
   se->post(0, 1, Time::from_ns(100'000), [] {});
@@ -354,7 +356,7 @@ TEST(Sharded, RingFirstPostedMidChainIsDrainedByTheNextWindow) {
   // ring is materialized mid-chain, so shard 1 can only deliver it on time
   // if its window-3 drain finds the ring through its inbound list.
   for (const int workers : {1, 2, 3}) {
-    ShardedEngine se(2, Duration::us(10));
+    ShardedEngine se(ShardMap::identity(2), Duration::us(10));
     std::vector<std::int64_t> shard1;  // touched only by shard 1's worker
     std::int64_t cross_now = -1;
     auto* log = &shard1;
@@ -436,7 +438,7 @@ struct TrafficRun {
 
 TrafficRun run_traffic(int nodes, int workers,
                        pasched::race::Monitor* monitor = nullptr) {
-  ShardedEngine se(nodes, Duration::us(10));
+  ShardedEngine se(ShardMap::identity(nodes), Duration::us(10));
   PairLookahead la = PairLookahead::uniform(se.partitions(), Duration::us(10));
   for (int a = 0; a < nodes; ++a)
     for (int b = 0; b < nodes; ++b)
@@ -472,6 +474,112 @@ TEST(Sharded, ManyShardsPerWorkerKeepTheDigest) {
         << "workers=" << workers;
     EXPECT_EQ(many.stats.ring_posts, one.stats.ring_posts)
         << "workers=" << workers;
+  }
+}
+
+namespace {
+// Node-level traffic on a block map: one token per node hops 40 times,
+// alternating a local step with a send to another node at least the
+// lookahead later, posted between the nodes' shards (a plain schedule_at
+// when both sit in one block). Every event of token k fires at a time
+// congruent to k mod 16, so no two events of one node ever tie and each
+// node's history is fully ordered by time. Nodes log (time, token, state).
+struct NodeTraffic {
+  ShardedEngine& se;
+  int nodes;
+  std::vector<pasched::util::CacheAligned<std::vector<std::uint64_t>>> log;
+
+  NodeTraffic(ShardedEngine& engine, int n)
+      : se(engine), nodes(n), log(static_cast<std::size_t>(n)) {}
+
+  // The first instant at or after `earliest` that belongs to `token`.
+  static Time slot(Time earliest, int token) {
+    const std::int64_t ns = earliest.count();
+    return Time::from_ns(ns + ((token - ns % 16) % 16 + 16) % 16);
+  }
+
+  void fire(int node, int token, std::uint64_t state, int hops) {
+    const int shard = se.shard_of_node(node);
+    Engine& e = se.engine_of(shard);
+    auto& mine = log[static_cast<std::size_t>(node)].v;
+    mine.push_back(static_cast<std::uint64_t>(e.now().count()));
+    mine.push_back(static_cast<std::uint64_t>(token));
+    mine.push_back(state);
+    if (hops == 0) return;
+    const std::uint64_t next =
+        state * 6364136223846793005ULL + 1442695040888963407ULL;
+    NodeTraffic* self = this;
+    if (hops % 2 == 0) {
+      const Duration step =
+          Duration::ns(static_cast<std::int64_t>(1 + (next >> 40) % 3000));
+      e.schedule_at(slot(e.now() + step, token),
+                    [self, node, token, next, hops] {
+                      self->fire(node, token, next, hops - 1);
+                    });
+      return;
+    }
+    int dst =
+        static_cast<int>((next >> 33) % static_cast<std::uint64_t>(nodes));
+    if (dst == node) dst = (dst + 1) % nodes;
+    const Duration wire =
+        se.lookahead() +
+        Duration::ns(static_cast<std::int64_t>((next >> 17) % 5000));
+    se.post(shard, se.shard_of_node(dst), slot(e.now() + wire, token),
+            [self, dst, token, next, hops] {
+              self->fire(dst, token, next, hops - 1);
+            });
+  }
+};
+
+struct NodeTrafficRun {
+  std::vector<std::vector<std::uint64_t>> per_node;
+  PlannerStats stats;
+};
+
+NodeTrafficRun run_node_traffic(const ShardMap& map, int workers) {
+  ShardedEngine se(map, Duration::us(10));
+  NodeTraffic tr(se, map.nodes());
+  NodeTraffic* trp = &tr;
+  for (int n = 0; n < map.nodes(); ++n)
+    se.engine_of(se.shard_of_node(n))
+        .schedule_at(NodeTraffic::slot(Time::from_ns(100 + 37 * n), n),
+                     [trp, n] {
+                       trp->fire(n, n, static_cast<std::uint64_t>(n) + 1, 40);
+                     });
+  EXPECT_TRUE(se.run_until(Time::from_ns(20'000'000), workers));
+  NodeTrafficRun out;
+  for (const auto& l : tr.log) out.per_node.push_back(l.v);
+  out.stats = se.planner_stats();
+  return out;
+}
+}  // namespace
+
+TEST(Sharded, BlockMapsKeepEveryNodeHistory) {
+  // Nine nodes as nine one-node blocks, three blocks of three, and one block
+  // of nine, each on 1, 3 and 8 workers: how nodes are grouped into shards
+  // and how shards are spread over workers must not change what any node
+  // sees, or when.
+  const int kNodes = 9;
+  const NodeTrafficRun ref = run_node_traffic(ShardMap::identity(kNodes), 1);
+  ASSERT_EQ(ref.per_node.size(), static_cast<std::size_t>(kNodes));
+  std::size_t events = 0;
+  for (const auto& h : ref.per_node) events += h.size() / 3;
+  EXPECT_EQ(events, static_cast<std::size_t>(kNodes) * 41U);
+  EXPECT_GT(ref.stats.ring_posts, 0U);
+  for (const int blocks : {kNodes, 3, 1}) {
+    for (const int workers : {1, 3, 8}) {
+      const NodeTrafficRun run =
+          run_node_traffic(ShardMap(kNodes, blocks), workers);
+      EXPECT_EQ(run.per_node, ref.per_node)
+          << "blocks=" << blocks << " workers=" << workers;
+      // One block holds every node: each send is a local schedule_at.
+      if (blocks == 1) {
+        EXPECT_EQ(run.stats.ring_posts, 0U);
+      }
+      if (blocks == 3) {
+        EXPECT_LT(run.stats.ring_posts, ref.stats.ring_posts);
+      }
+    }
   }
 }
 

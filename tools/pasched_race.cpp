@@ -21,9 +21,10 @@
 //   ./pasched-race --replay=SCHEDULE_FILE --scenario=fig3
 //
 // --plant-cross-shard-write injects the CI regression fault: an event on
-// shard 0 mutates node 1's kernel without going through the router; the
-// auditor must flag it (exit 1). Planted runs force --workers=1 so the
-// *logical* violation is caught without a physical data race.
+// shard 0 mutates the kernel of block 1's first node (node 1 at the default
+// sizes) without going through the router; the auditor must flag it
+// (exit 1). Planted runs force --workers=1 so the *logical* violation is
+// caught without a physical data race.
 //
 // Exit status: 0 = no findings, 1 = PSL2xx ERROR findings, 2 = a model
 // invariant is violated, 64 = bad usage.

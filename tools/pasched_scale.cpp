@@ -107,7 +107,7 @@ int run_one(const Scenario& s, const Params& p, std::ostream& report,
     // Inflate EVERY pairwise claim: allreduce traffic flows through the
     // hub, so inflating a single node-node pair might never be exercised.
     scale::LookaheadMatrix planted = scale::build_lookahead_matrix(
-        s.cfg.cluster.fabric, s.cfg.cluster.nodes);
+        s.cfg.cluster.fabric, sim::ShardMap(s.cfg.cluster.nodes));
     for (int a = 0; a < planted.shards; ++a)
       for (int b = 0; b < planted.shards; ++b)
         if (a != b) planted.set(a, b, planted.at(a, b) * 4);
