@@ -2,18 +2,12 @@
 
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <stdexcept>
 
 #include "analysis/lint.hpp"
 #include "apps/aggregate_trace.hpp"
 #include "apps/channels.hpp"
-#include "contend/ledger.hpp"
 #include "mpi/collectives.hpp"
-#include "race/monitor.hpp"
-#include "scale/monitor.hpp"
-#include "sim/shard.hpp"
-#include "util/seam.hpp"
 #include "util/stats.hpp"
 
 namespace bench {
@@ -35,7 +29,6 @@ RunResult run_aggregate(const RunSpec& spec) {
   cfg.job.seed = spec.seed * 7919 + 13;
   cfg.use_coscheduler = spec.use_cosched;
   cfg.cosched = spec.cosched;
-  cfg.parallel = spec.parallel;
 
   if (spec.lint_before_run) {
     analysis::LintConfig lc;
@@ -58,90 +51,14 @@ RunResult run_aggregate(const RunSpec& spec) {
   at.alg = spec.mpi.allreduce_alg;
   at.warmup = spec.warmup;
 
-  if (spec.audit && spec.profile_scale)
-    throw std::logic_error(
-        "RunSpec::audit and RunSpec::profile_scale both want the single "
-        "shard-monitor slot; run them as separate passes");
-
   core::Simulation sim(cfg, apps::aggregate_trace(at));
-  std::unique_ptr<race::Monitor> monitor;
-  std::unique_ptr<scale::RunMonitor> profiler;
-  if (spec.audit) {
-    sim::ShardedEngine* sh = sim.sharded();
-    if (sh == nullptr)
-      throw std::logic_error("RunSpec::audit requires parallel >= 1");
-    monitor = std::make_unique<race::Monitor>(sh->partitions());
-    sh->set_monitor(monitor.get());
-    race::install_sink(monitor.get());
-  }
-  if (spec.profile_scale) {
-    sim::ShardedEngine* sh = sim.sharded();
-    if (sh == nullptr)
-      throw std::logic_error("RunSpec::profile_scale requires parallel >= 1");
-    profiler = std::make_unique<scale::RunMonitor>(
-        scale::build_lookahead_matrix(cfg.cluster.fabric, sh->shard_map()),
-        *sh);
-    sh->set_monitor(profiler.get());
-  }
-  std::unique_ptr<contend::Ledger> ledger;
-  if (spec.ledger) {
-    if (sim.sharded() == nullptr)
-      throw std::logic_error("RunSpec::ledger requires parallel >= 1");
-    ledger = std::make_unique<contend::Ledger>();
-    util::install_seam_observer(ledger.get());
-  }
   const auto sres = sim.run();
-  if (ledger) util::install_seam_observer(nullptr);
-  if (monitor) race::install_sink(nullptr);
-  if (profiler) profiler->finalize();
 
   const auto& ch = sim.job().channel(apps::kChanAllreduce);
   RunResult r;
-  if (monitor) r.audit_violations = monitor->stats().violations;
   r.completed = sres.completed;
   r.procs = cfg.job.ntasks;
   r.elapsed_s = sres.elapsed.to_seconds();
-  r.events = sres.events;
-  r.events_at_completion = sres.events_at_completion;
-  if (profiler) {
-    const scale::SpeedupModel model;
-    r.predicted_max_speedup = model.predicted_speedup(profiler->windows(), 8);
-    r.lookahead_violations = profiler->violations();
-    r.windows = profiler->windows();
-  }
-  if (sim.sharded() != nullptr) {
-    const sim::PlannerStats ps = sim.sharded()->planner_stats();
-    r.planner_rounds = ps.rounds;
-    r.planner_chained = ps.windows;
-    r.planner_coalesced = ps.coalesced;
-    r.ring_posts = ps.ring_posts;
-    r.ring_overflows = ps.ring_overflows;
-  }
-  if (ledger) {
-#if PASCHED_VALIDATE_ENABLED
-    r.ledger_enabled = true;
-#endif
-    const contend::LedgerReport lrep = ledger->report();
-    r.barrier_wait_share = lrep.barrier_wait_share;
-    std::uint64_t bwait = 0, bacq = 0;
-    for (const contend::SiteSummary& s : lrep.sites) {
-      if (s.kind != util::SeamKind::Barrier) continue;
-      bwait += s.wait_ns;
-      bacq += s.acquires;
-    }
-    if (bacq > 0)
-      r.measured_barrier_cost_ns =
-          2.0 * static_cast<double>(bwait) / static_cast<double>(bacq);
-    for (const contend::SiteSummary& s : lrep.sites) {
-      if (r.top_wait_sites.size() == 3) break;
-      LedgerSiteRow row;
-      row.site = s.name;
-      row.acquires = s.acquires;
-      row.wait_ms = static_cast<double>(s.wait_ns) / 1e6;
-      row.wait_share = s.wait_share;
-      r.top_wait_sites.push_back(std::move(row));
-    }
-  }
   r.recorded = ch.recorded_us;
   if (!r.recorded.empty()) {
     const util::Summary s(r.recorded);

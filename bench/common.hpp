@@ -11,7 +11,6 @@
 #include "core/simulation.hpp"
 #include "kern/tunables.hpp"
 #include "mpi/config.hpp"
-#include "scale/windows.hpp"
 #include "sim/time.hpp"
 
 namespace bench {
@@ -41,32 +40,6 @@ struct RunSpec {
   /// simulation. Findings print to stderr; ERROR findings throw — a bench
   /// must not silently measure a configuration the paper calls broken.
   bool lint_before_run = false;
-  /// 0 = classic single event queue; N >= 1 = partitioned execution with N
-  /// worker threads (see SimulationConfig::parallel).
-  int parallel = 0;
-  /// Arms the pasched-race seam monitor + ownership sink on a partitioned
-  /// run (requires parallel >= 1). micro_shard uses it to price the
-  /// full-audit mode against the bare annotation layer.
-  bool audit = false;
-  /// Arms the pasched-scale window profiler + lookahead certifier (requires
-  /// parallel >= 1; mutually exclusive with `audit` — one monitor slot).
-  /// micro_shard runs one profiled pass to predict the speedup ceiling it
-  /// prints next to the measured speedup.
-  bool profile_scale = false;
-  /// Arms the contention ledger on the engine's seam
-  /// mutexes/barrier (requires parallel >= 1). Uses the process-global seam
-  /// observer, not the shard-monitor slot, so it composes with the two
-  /// monitors above. Only measures under -DPASCHED_VALIDATE=ON — release
-  /// seams never notify (RunResult::ledger_enabled records which).
-  bool ledger = false;
-};
-
-/// One row of the contention ledger's ranking (see contend::SiteSummary).
-struct LedgerSiteRow {
-  std::string site;
-  std::uint64_t acquires = 0;
-  double wait_ms = 0;
-  double wait_share = 0;  // of total recorded wait across all sites
 };
 
 struct RunResult {
@@ -84,40 +57,6 @@ struct RunResult {
   double tail20_us = 0;
   double ideal_us = 0;     // analytic no-interference model
   double elapsed_s = 0;    // job wall time
-  std::uint64_t events = 0;
-  /// Events fired strictly before job completion — mode-invariant (the raw
-  /// `events` counter legitimately differs: partitioned runs drain their
-  /// final lookahead window past the completing event).
-  std::uint64_t events_at_completion = 0;
-  /// Ownership/race findings collected when RunSpec::audit was set.
-  std::uint64_t audit_violations = 0;
-  /// Filled when RunSpec::profile_scale was set: the barrier-cost model's
-  /// speedup prediction at 8 workers over the profiled windows, and any
-  /// cross-shard deliveries that undercut the static lookahead certificate
-  /// (must be 0 — a nonzero count means the certificate is unsound).
-  double predicted_max_speedup = 0;
-  std::uint64_t lookahead_violations = 0;
-  /// The profiled window stats themselves (profile_scale runs): lets a
-  /// bench re-price the model with measured constants (event cost from its
-  /// own serial row, barrier cost from the ledger) instead of defaults.
-  pasched::scale::WindowStats windows;
-  /// Planner execution counters (any partitioned run): sync rounds is the
-  /// n_windows figure the scale report publishes; chained/coalesced size
-  /// the batching; ring counters cover the cross-shard SPSC path.
-  std::uint64_t planner_rounds = 0;
-  std::uint64_t planner_chained = 0;
-  std::uint64_t planner_coalesced = 0;
-  std::uint64_t ring_posts = 0;
-  std::uint64_t ring_overflows = 0;
-  /// Filled when RunSpec::ledger was set: whether the build's seams are
-  /// instrumented at all, the barrier's share of all recorded seam wait,
-  /// and the top serialization sites ranked by wait (at most 3).
-  bool ledger_enabled = false;
-  double barrier_wait_share = 0;
-  std::vector<LedgerSiteRow> top_wait_sites;
-  /// Measured per-round barrier cost (two crossings per sync round times
-  /// the average wait per crossing); negative when nothing was recorded.
-  double measured_barrier_cost_ns = -1;
   /// Per-call durations (us) observed by the recorded rank.
   std::vector<double> recorded;
 };

@@ -4,10 +4,11 @@
 // Modes run the same event budget (K concurrent self-rescheduling event
 // chains advancing in fixed steps until ~N total events fire):
 //
-//   legacy      the classic sim::Engine drives the chains directly
-//   parallel1   the same chains run inside a single-node ShardedEngine
-//               under run_until(workers=1) — pricing the conservative-
-//               window machinery (drain, plan, barrier) per event
+//   legacy      a bare sim::Engine drives the chains directly
+//   parallel1   the same chains run inside a one-shard ShardedEngine
+//               under run_until(workers=1) — the serial executor every
+//               parallel = 0 simulation uses, which skips the window
+//               machinery, so this row prices the ShardedEngine wrapper
 //   parallel2/4/8  the chains hop shard-to-shard through post() on an
 //               N-node ShardedEngine with N workers — every event crosses
 //               a pair ring and rides the per-pair horizon chain, so these
@@ -16,7 +17,7 @@
 //               an oversubscribed box)
 //
 // legacy and parallel1 fire the same events in the same order, so their
-// ratio isolates the partitioned core's per-event overhead. Results are
+// ratio isolates what the one-shard executor adds per event. Results are
 // written as JSON to BENCH_engine.json (schema documented in README.md)
 // so successive PRs can diff events/sec across engine changes; the JSON is
 // stamped with the git commit and hardware_concurrency, and each row
@@ -124,8 +125,8 @@ double run_legacy_once(const Config& cfg) {
 }
 
 double run_parallel1_once(const Config& cfg) {
-  // One node => one shard, no hub: the same event stream, but every window
-  // pays drain_inbox + plan_round + the barrier phases.
+  // One node => one shard, no hub: the same event stream on the serial
+  // executor, which runs the engine straight to each deadline.
   sim::ShardedEngine sh(sim::ShardMap(1), sim::Duration::us(10));
   sim::Engine& e = sh.engine_of(0);
   const auto t0 = std::chrono::steady_clock::now();

@@ -9,7 +9,8 @@
 #include "cluster/cluster.hpp"
 #include "common.hpp"
 #include "core/presets.hpp"
-#include "sim/engine.hpp"
+#include "net/fabric.hpp"
+#include "sim/shard.hpp"
 #include "util/flags.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -24,12 +25,14 @@ int main(int argc, char** argv) {
   bench::banner("OS / daemon background load on idle 16-way nodes",
                 "SC'03 Jones et al., §2 (0.2%–1.1% of each CPU, [Jones03])");
 
-  sim::Engine engine;
   cluster::ClusterConfig ccfg = cluster::presets::frost(nodes);
   ccfg.seed = 99;
-  cluster::Cluster cluster(engine, ccfg);
+  // The serial executor: one shard holds every node.
+  sim::ShardedEngine serial(sim::ShardMap(nodes, 1),
+                            net::guaranteed_lookahead(ccfg.fabric));
+  cluster::Cluster cluster(serial, ccfg);
   cluster.start();
-  engine.run_until(engine.now() + sim::Duration::sec(seconds));
+  serial.run_until(serial.engine_of(0).now() + sim::Duration::sec(seconds), 1);
 
   const double total_cpu_s =
       static_cast<double>(seconds) * 16.0;  // per node CPU-seconds available

@@ -6,34 +6,18 @@
 
 namespace pasched::cluster {
 
-// srclint-ok(PSL401): legacy bridge — wrapped into SingleRouter on entry.
-Cluster::Cluster(sim::Engine& engine, const ClusterConfig& cfg)
-    : owned_router_(std::make_unique<sim::SingleRouter>(engine)),
-      router_(owned_router_.get()),
-      cfg_(cfg),
-      rng_(cfg.seed) {
-  build(cfg);
-}
-
 Cluster::Cluster(sim::Router& router, const ClusterConfig& cfg)
     : router_(&router), cfg_(cfg), rng_(cfg.seed) {
+  PASCHED_EXPECTS(cfg.nodes > 0);
+  switch_clock_ = std::make_unique<net::SwitchClock>(router.engine_of(0));
+  fabric_ = std::make_unique<net::Fabric>(router, cfg.fabric, rng_.fork(1),
+                                          cfg.nodes);
   for (int i = 0; i < cfg.nodes; ++i) {
     const int shard = router.shard_of_node(i);
     PASCHED_EXPECTS_MSG(shard >= 0 && shard < router.partitions(),
                         "router maps a node to no valid shard");
-  }
-  build(cfg);
-}
-
-void Cluster::build(const ClusterConfig& cfg) {
-  PASCHED_EXPECTS(cfg.nodes > 0);
-  switch_clock_ = std::make_unique<net::SwitchClock>(router_->engine_of(0));
-  fabric_ = std::make_unique<net::Fabric>(*router_, cfg.fabric, rng_.fork(1),
-                                          cfg.nodes);
-  for (int i = 0; i < cfg.nodes; ++i) {
-    const int shard = router_->shard_of_node(i);
     nodes_.push_back(std::make_unique<Node>(
-        sim::EventContext(router_->engine_of(shard), *router_, shard), i,
+        sim::EventContext(router.engine_of(shard), router, shard), i,
         cfg.node, rng_.fork(100 + static_cast<std::uint64_t>(i))));
   }
 }

@@ -24,14 +24,9 @@ struct ClusterConfig {
 
 class Cluster {
  public:
-  /// Classic mode: one engine runs every node (a SingleRouter is installed
-  /// internally so the code paths above are identical in both modes).
-  // srclint-ok(PSL401): legacy bridge — the engine is wrapped into an owned
-  // SingleRouter immediately and never retained raw.
-  Cluster(sim::Engine& engine, const ClusterConfig& cfg);
-  /// Partitioned mode: `router` (e.g. sim::ShardedEngine) assigns each node
-  /// an engine shard through its node -> shard map (every node must map to
-  /// a valid shard); the fabric posts deliveries across shards.
+  /// `router` (a sim::ShardedEngine; one shard for a serial run) assigns
+  /// each node an engine shard through its node -> shard map (every node
+  /// must map to a valid shard); the fabric posts deliveries across shards.
   Cluster(sim::Router& router, const ClusterConfig& cfg);
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -52,8 +47,8 @@ class Cluster {
   [[nodiscard]] const net::SwitchClock& switch_clock() const noexcept {
     return *switch_clock_;
   }
-  /// Shard 0's engine: in classic mode this is *the* engine; in partitioned
-  /// mode it is node 0's block (all shard clocks agree outside windows).
+  /// Shard 0's engine: node 0's block, and the only engine of a one-shard
+  /// run (all shard clocks agree outside windows).
   [[nodiscard]] sim::Engine& engine() noexcept { return router_->engine_of(0); }
   [[nodiscard]] sim::Router& router() noexcept { return *router_; }
   [[nodiscard]] const ClusterConfig& config() const noexcept { return cfg_; }
@@ -62,9 +57,6 @@ class Cluster {
   [[nodiscard]] bool any_node_evicted() const;
 
  private:
-  void build(const ClusterConfig& cfg);
-
-  std::unique_ptr<sim::SingleRouter> owned_router_;  // classic mode only
   sim::Router* router_;
   ClusterConfig cfg_;
   std::unique_ptr<net::SwitchClock> switch_clock_;

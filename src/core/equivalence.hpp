@@ -1,8 +1,8 @@
 // Canonical run digest for execution-mode equivalence checks: a single hash
 // over everything the simulation's observable history contains — scheduling
 // intervals, the analyzer event stream, and per-rank completion times — in
-// the canonical (t, node, per-node sequence) order. The classic single-queue
-// engine, `--parallel=1`, and `--parallel=N` must all produce the same
+// the canonical (t, node, per-node sequence) order. The serial one-shard
+// run, `--parallel=1`, and `--parallel=N` must all produce the same
 // digest for the same configuration; pasched-audit and the
 // parallel-equivalence property test enforce this.
 #pragma once
@@ -28,7 +28,7 @@ struct CanonicalDigest {
 /// Runs `cfg` to completion with a cluster-wide tracer + event log attached
 /// and digests the observable history. The history is truncated at the job's
 /// completion time T_c (strictly: interval end < T_c, event t < T_c): after
-/// the last rank finishes, the classic engine stops immediately while a
+/// the last rank finishes, a serial run stops immediately while a
 /// partitioned run completes its synchronization window, so post-completion
 /// daemon activity exists only in the latter and is not part of the
 /// equivalence claim.

@@ -31,27 +31,24 @@ std::size_t ring_capacity(sim::ShardedEngine& sharded, mpi::Job& job) {
 
 Simulation::Simulation(SimulationConfig cfg, const mpi::WorkloadFactory& factory)
     : cfg_(std::move(cfg)) {
-  if (cfg_.parallel > 0) {
-    PASCHED_EXPECTS_MSG(
-        cfg_.cluster.fabric.link_bandwidth == 0.0,
-        "link_bandwidth contention is sequential-only; unset it or drop "
-        "--parallel");
-    const sim::Duration global = net::guaranteed_lookahead(cfg_.cluster.fabric);
-    const sim::ShardMap map(cfg_.cluster.nodes);
-    sharded_ = std::make_unique<sim::ShardedEngine>(map, global);
-    // Per-pair lookahead matrix — the runtime consumption of pasched-scale's
-    // certificate, built by the same rule (scale::RunMonitor cross-checks
-    // the two at monitor install, so a divergence cannot pass an audited
-    // run).
-    sharded_->set_pair_lookahead(net::pair_lookahead(cfg_.cluster.fabric, map));
-    cluster_ = std::make_unique<cluster::Cluster>(*sharded_, cfg_.cluster);
-  } else {
-    engine_ = std::make_unique<sim::Engine>();
-    cluster_ = std::make_unique<cluster::Cluster>(*engine_, cfg_.cluster);
-  }
+  PASCHED_EXPECTS_MSG(
+      cfg_.parallel == 0 || cfg_.cluster.fabric.link_bandwidth == 0.0,
+      "link_bandwidth contention is sequential-only; unset it or drop "
+      "--parallel");
+  // A serial run is the one-shard case of the partitioned executor.
+  const sim::ShardMap map = cfg_.parallel > 0
+                                ? sim::ShardMap(cfg_.cluster.nodes)
+                                : sim::ShardMap(cfg_.cluster.nodes, 1);
+  sharded_ = std::make_unique<sim::ShardedEngine>(
+      map, net::guaranteed_lookahead(cfg_.cluster.fabric));
+  // Per-pair lookahead matrix — the runtime consumption of pasched-scale's
+  // certificate, built by the same rule (scale::RunMonitor cross-checks
+  // the two at monitor install, so a divergence cannot pass an audited
+  // run).
+  sharded_->set_pair_lookahead(net::pair_lookahead(cfg_.cluster.fabric, map));
+  cluster_ = std::make_unique<cluster::Cluster>(*sharded_, cfg_.cluster);
   job_ = std::make_unique<mpi::Job>(*cluster_, cfg_.job, factory);
-  if (sharded_ != nullptr)
-    sharded_->set_ring_capacity(ring_capacity(*sharded_, *job_));
+  sharded_->set_ring_capacity(ring_capacity(*sharded_, *job_));
 
   if (!cfg_.mp_priority.empty()) {
     // MP_PRIORITY flow: the administrative file decides admission (§4).
@@ -86,36 +83,21 @@ SimulationResult Simulation::run() {
   PASCHED_EXPECTS_MSG(!ran_, "Simulation::run called twice");
   ran_ = true;
   cluster_->start();
-  if (sharded_ != nullptr) {
-    // Each worker launches its own shards' tasks inside their first window,
-    // in parallel; only the hook's cross-node setup runs here.
-    job_->prepare_launch();
-    mpi::Job* job = job_.get();
-    sharded_->set_prologue([job](int shard) { job->launch_shard(shard); });
-    sharded_->run_until(sharded_->engine_of(0).now() + cfg_.horizon,
-                        cfg_.parallel);
-  } else {
-    job_->launch();
-    // srclint-ok(PSL401): the run driver owns the classic-mode engine; this
-    // is the one place a single-engine run is advanced.
-    engine_->run_until(engine_->now() + cfg_.horizon);
-  }
+  // Each shard launches its own tasks in the run's prologue, before any of
+  // its events fire (in parallel when several workers run); only the hook's
+  // cross-node setup runs here.
+  job_->prepare_launch();
+  mpi::Job* job = job_.get();
+  sharded_->set_prologue([job](int shard) { job->launch_shard(shard); });
+  sharded_->run_until(sharded_->engine_of(0).now() + cfg_.horizon,
+                      cfg_.parallel);
   SimulationResult r;
   r.completed = job_->complete();
   r.elapsed = r.completed ? job_->elapsed() : cfg_.horizon;
-  r.events = sharded_ != nullptr ? sharded_->events_processed()
-                                 : engine_->events_processed();
-  if (r.completed) {
-    // The classic engine stops with now() at the completion event's time, so
-    // its before-now counter is exactly "events with t < T_c"; partitioned
-    // runs subtract the final window's tail at or past T_c.
-    r.events_at_completion =
-        sharded_ != nullptr
-            ? sharded_->events_processed_before(job_->completion_time())
-            : engine_->events_processed_before_now();
-  } else {
-    r.events_at_completion = r.events;
-  }
+  r.events = sharded_->events_processed();
+  r.events_at_completion =
+      r.completed ? sharded_->events_processed_before(job_->completion_time())
+                  : r.events;
   r.any_node_evicted = cluster_->any_node_evicted();
   return r;
 }

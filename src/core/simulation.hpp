@@ -1,4 +1,4 @@
-// One-call experiment runner: builds engine + cluster + job (+ optional
+// One-call experiment runner: builds executor + cluster + job (+ optional
 // co-scheduler), runs to completion, and exposes results. This is the
 // public API most examples and every bench go through.
 #pragma once
@@ -36,25 +36,26 @@ struct SimulationConfig {
   /// and total daemon starvation).
   sim::Duration horizon = sim::Duration::sec(3600);
 
-  /// Partitioned execution: 0 = classic single event queue; N >= 1 = one
+  /// Execution mode. 0 = serial: one sim::ShardedEngine shard holds every
+  /// node and runs on the calling thread with no windows. N >= 1 = one
   /// event shard per block of nodes (sim::ShardMap, at most
   /// sim::kShardBlocks blocks, plus the switch hub) driven by N worker
-  /// threads under conservative lookahead windows. `--parallel=1` exercises the
-  /// partitioned machinery on one thread and must match `--parallel=N`
-  /// bit for bit. Windows are planned per shard pair from the fabric's
-  /// guaranteed-lookahead matrix (net::pair_lookahead, the runtime side of
-  /// pasched-scale's certificate), sim::kWindowBatch chained windows per
-  /// global synchronization. Incompatible with fabric link_bandwidth
-  /// contention.
+  /// threads under conservative lookahead windows. `--parallel=1` exercises
+  /// the partitioned machinery on one thread and must match `--parallel=N`
+  /// and the serial run bit for bit. Windows are planned per shard pair
+  /// from the fabric's guaranteed-lookahead matrix (net::pair_lookahead, the
+  /// runtime side of pasched-scale's certificate), sim::kWindowBatch chained
+  /// windows per global synchronization. N >= 1 is incompatible with fabric
+  /// link_bandwidth contention.
   int parallel = 0;
 };
 
 struct SimulationResult {
   bool completed = false;
   sim::Duration elapsed = sim::Duration::zero();
-  /// Raw events fired, mode-dependent: the classic engine stops at the
-  /// completing event while partitioned runs drain the rest of their final
-  /// lookahead window, so this counter legitimately differs across modes.
+  /// Raw events fired, mode-dependent: a serial run stops at the completing
+  /// event while partitioned runs drain the rest of their final lookahead
+  /// window, so this counter legitimately differs across modes.
   std::uint64_t events = 0;
   /// Events fired strictly before the job's completion time — the
   /// mode-invariant counter (bit-identical histories below T_c imply equal
@@ -73,12 +74,14 @@ class Simulation {
   /// Launches the job and runs until completion (or the horizon).
   SimulationResult run();
 
-  /// Shard 0's engine (the only engine in classic mode).
+  /// Shard 0's engine (the only engine of a serial run).
   [[nodiscard]] sim::Engine& engine() noexcept { return cluster_->engine(); }
-  /// The partitioned executor (nullptr in classic mode) — the attachment
+  /// The partitioned executor of a `parallel >= 1` run — the attachment
   /// point for pasched-race's seam monitor and window-perturbation source.
+  /// nullptr for a serial run: its one shard has no windows or seams to
+  /// observe.
   [[nodiscard]] sim::ShardedEngine* sharded() noexcept {
-    return sharded_.get();
+    return cfg_.parallel > 0 ? sharded_.get() : nullptr;
   }
   [[nodiscard]] cluster::Cluster& cluster() noexcept { return *cluster_; }
   [[nodiscard]] mpi::Job& job() noexcept { return *job_; }
@@ -92,8 +95,7 @@ class Simulation {
 
  private:
   SimulationConfig cfg_;
-  std::unique_ptr<sim::Engine> engine_;          // classic mode
-  std::unique_ptr<sim::ShardedEngine> sharded_;  // --parallel mode
+  std::unique_ptr<sim::ShardedEngine> sharded_;
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<mpi::Job> job_;
   std::unique_ptr<CoschedManager> cosched_;

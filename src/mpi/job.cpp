@@ -219,7 +219,7 @@ void Job::task_finished(Task& t, Time now) {
   if (1 + finished_.fetch_add(1, std::memory_order_acq_rel) == ntasks()) {
     // The epilogue touches other shards' engines (aux-thread timers, the
     // co-scheduler hook, the stop flag), so defer it to the router's next
-    // synchronization point; the SingleRouter runs it inline.
+    // synchronization point (a one-shard router runs it inline).
     Job* self = this;
     cluster_.router().request_wrapup([self] { self->wrapup(); });
   }

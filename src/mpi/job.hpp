@@ -77,9 +77,9 @@ class Job {
   /// Registers all tasks with the hook and wakes every task thread (and
   /// progress-engine aux threads, if configured).
   void launch();
-  /// launch() in two steps, for partitioned runs: prepare_launch() stamps
-  /// the launch time and prepares every task-hosting node's hook in node
-  /// order (the one step that touches state shared across nodes), then
+  /// launch() in two steps, as core::Simulation runs it: prepare_launch()
+  /// stamps the launch time and prepares every task-hosting node's hook in
+  /// node order (the one step that touches state shared across nodes), then
   /// launch_shard(s) runs the rest of the launch for the tasks on shard s,
   /// on the worker that owns it. Per node, the scheduled events and their
   /// order are exactly launch()'s.

@@ -42,7 +42,6 @@ sim::PairLookahead pair_lookahead(const FabricConfig& cfg,
       sim::PairLookahead::uniform(map.shards(), guaranteed_lookahead(cfg));
   // Block pairs get the topology-aware bound of their closest member nodes;
   // hub pairs keep the uniform global floor.
-  if (map.nodes() == 1) return la;
   for (int a = 0; a < map.blocks(); ++a) {
     for (int b = 0; b < map.blocks(); ++b) {
       if (a == b) continue;
@@ -68,15 +67,6 @@ void check_config(const FabricConfig& cfg) {
 }
 }  // namespace
 
-// srclint-ok(PSL401): legacy bridge — wrapped into SingleRouter on entry.
-Fabric::Fabric(sim::Engine& engine, FabricConfig cfg, sim::Rng rng)
-    : owned_router_(std::make_unique<sim::SingleRouter>(engine)),
-      router_(owned_router_.get()),
-      cfg_(cfg),
-      port_seed_base_(rng.next_u64()) {
-  check_config(cfg_);
-}
-
 Fabric::Fabric(sim::Router& router, FabricConfig cfg, sim::Rng rng, int nodes)
     : router_(&router), cfg_(cfg), port_seed_base_(rng.next_u64()) {
   check_config(cfg_);
@@ -89,11 +79,8 @@ Fabric::Fabric(sim::Router& router, FabricConfig cfg, sim::Rng rng, int nodes)
 }
 
 Fabric::Port& Fabric::port(kern::NodeId src) {
-  const auto idx = static_cast<std::size_t>(src);
-  // Growth only happens in single-shard use (tests hand-build fabrics);
-  // partitioned construction presizes the vector.
-  if (idx >= ports_.size()) ports_.resize(idx + 1);
-  auto& slot = ports_[idx];
+  PASCHED_EXPECTS(src >= 0 && static_cast<std::size_t>(src) < ports_.size());
+  auto& slot = ports_[static_cast<std::size_t>(src)];
   if (!slot) {
     // Order-independent seeding: a pure function of the fabric seed and the
     // source id, so which shard first sends does not change any stream.

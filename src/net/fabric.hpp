@@ -82,7 +82,7 @@ struct FabricConfig {
 
 /// The per-shard-pair guaranteed-lookahead matrix of the shards of `map`
 /// under `cfg`, in sim::ShardedEngine's shard numbering (blocks, then the
-/// hub; a single node is one shard with no pairs). The bound between two
+/// hub; a single block is one shard with no pairs). The bound between two
 /// blocks is the minimum guaranteed_lookahead_between over their member
 /// node pairs, which is sound on any fabric; pairs involving the hub get the
 /// global floor, since hub traffic (hardware-collective contributions and
@@ -100,12 +100,9 @@ struct FabricStats {
 
 class Fabric {
  public:
-  /// Classic single-engine mode (owns an internal SingleRouter).
-  // srclint-ok(PSL401): legacy bridge — the engine is wrapped into an owned
-  // SingleRouter immediately and never retained raw.
-  Fabric(sim::Engine& engine, FabricConfig cfg, sim::Rng rng);
-  /// Partitioned mode: deliveries cross shards via `router`. `nodes`
-  /// presizes the per-source ports so concurrent sends never reallocate.
+  /// Deliveries cross shards via `router` (a sim::ShardedEngine; one shard
+  /// for a serial run). `nodes` presizes the per-source ports so concurrent
+  /// sends never reallocate; node ids must lie in [0, nodes).
   Fabric(sim::Router& router, FabricConfig cfg, sim::Rng rng, int nodes);
 
   /// Sends `bytes` from src to dst; `on_deliver` runs at the destination's
@@ -134,7 +131,6 @@ class Fabric {
 
   [[nodiscard]] Port& port(kern::NodeId src);
 
-  std::unique_ptr<sim::SingleRouter> owned_router_;  // classic mode only
   sim::Router* router_;
   FabricConfig cfg_;
   std::uint64_t port_seed_base_;

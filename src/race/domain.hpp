@@ -6,8 +6,8 @@
 // mutating entry point asserts the executing worker holds the object's
 // domain (PASCHED_ASSERT_OWNED).
 //
-// A context with no domain set (kFreeContext) passes every check: legacy
-// single-engine runs, construction/setup, and the barrier completion step
+// A context with no domain set (kFreeContext) passes every check: serial
+// one-shard runs, construction/setup, and the barrier completion step
 // (wrapups) are all quiesced single-threaded contexts where any object may
 // legally be touched. The checks compile to nothing unless the build defines
 // PASCHED_VALIDATE_ENABLED=1, so release hot paths pay zero cost; the Owned
@@ -33,11 +33,11 @@
 namespace pasched::race {
 
 /// A shard domain: the shard id of the owning event shard (node blocks are
-/// 0..blocks-1, the hub shard is `blocks`; the single legacy engine is 0).
+/// 0..blocks-1, the hub shard is `blocks`; a one-block map's shard is 0).
 using Domain = int;
 
 /// No worker scope is active on this thread: setup, teardown, the barrier
-/// completion step, and every legacy (non-partitioned) run.
+/// completion step, and every serial (one-shard) run.
 inline constexpr Domain kFreeContext = -1;
 
 /// The object has not been bound to a domain (hand-built test fixtures);

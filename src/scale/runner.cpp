@@ -110,7 +110,7 @@ ScaleReport analyze_scenario(const core::SimulationConfig& cfg,
   rep.windows = monitor.windows();
 
   // Work/span over the history below T_c — the same truncation the
-  // equivalence digest uses, so legacy and partitioned runs analyze the
+  // equivalence digest uses, so serial and partitioned runs analyze the
   // identical event set. Clock-free build: the DP needs only program order
   // and cross_pred edges, not O(events x threads) vector clocks.
   const sim::Time tc =

@@ -4,8 +4,8 @@
 // window executor will do: each window costs the slowest shard's events
 // (or the per-worker share when shards outnumber workers), plus a fixed
 // barrier crossing. Windows with a handful of events are pure overhead —
-// the PSL302 "barrier-dominated" pathology that makes BENCH_shard.json's
-// 1.00x speedup unsurprising.
+// the PSL302 "barrier-dominated" pathology that caps a run's speedup near
+// 1x however many workers it has.
 #pragma once
 
 #include <cstdint>

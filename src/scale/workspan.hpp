@@ -4,8 +4,8 @@
 // (program order within a thread, matched MsgSend -> MsgRecv edges across
 // threads). work / span is the classic parallelism bound: no executor —
 // however many workers, however clever the windows — can beat it, which
-// makes it the honest "predicted max speedup" to print next to measured
-// speedup in BENCH_shard.json.
+// makes it the honest "predicted max speedup" to print next to a measured
+// speedup such as e2e's shard.speedup.
 #pragma once
 
 #include <cstddef>

@@ -2,13 +2,13 @@
 // them. A Router owns the mapping node -> shard and the cross-shard posting
 // rule; an EventContext is the per-node handle components schedule through.
 //
-// Two implementations exist: SingleRouter (below) wraps the classic one-
-// engine-for-everything mode, and sim::ShardedEngine (sim/shard.hpp) gives
-// every block of nodes (sim::ShardMap) its own engine + clock with
-// conservative-window parallel execution. Kernel, daemons, and the co-scheduler only ever touch their
-// node's EventContext, so they are partition-agnostic by construction; the
-// fabric and the MPI job are the only components that cross shards, and
-// they do it exclusively through Router::post().
+// sim::ShardedEngine (sim/shard.hpp) is the router of every cluster run: it
+// gives every block of nodes (sim::ShardMap) its own engine + clock with
+// conservative-window parallel execution, and a serial run is its one-shard
+// case. Kernel, daemons, and the co-scheduler only ever touch their node's
+// EventContext, so they are partition-agnostic by construction; the fabric
+// and the MPI job are the only components that cross shards, and they do it
+// exclusively through Router::post().
 #pragma once
 
 #include <utility>
@@ -34,8 +34,8 @@ class Router {
   [[nodiscard]] virtual Engine& engine_of(int shard) = 0;
   virtual void post(int src_shard, int dst_shard, Time t,
                     Engine::Callback fn) = 0;
-  /// Runs `fn` once no shard is mid-event: immediately in sequential mode,
-  /// at the next window barrier in parallel mode. Job-completion bookkeeping
+  /// Runs `fn` once no shard is mid-event: immediately with one shard, at
+  /// a later round barrier with several. Job-completion bookkeeping
   /// (hook shutdown, aux-thread cancellation) goes through here so it may
   /// safely touch every node.
   virtual void request_wrapup(Engine::Callback fn) = 0;
@@ -45,8 +45,8 @@ class Router {
 
 /// A node's scheduling handle: the engine that owns its events, plus the
 /// router and this node's shard id for the rare cross-node operations.
-/// Implicitly convertible from a bare Engine& so single-engine construction
-/// (tests, the model checker, the legacy path) keeps working unchanged.
+/// Implicitly convertible from a bare Engine& so kernel-level construction
+/// (kernel tests, the model checker) needs no router.
 struct EventContext {
   Engine* engine = nullptr;
   Router* router = nullptr;
@@ -69,30 +69,6 @@ struct EventContext {
   [[nodiscard]] ChoiceSource* choice_source() const {
     return engine->choice_source();
   }
-};
-
-/// The classic mode: one engine executes every node; every "cross-shard"
-/// post is an ordinary schedule_at and wrapups run inline. Installed
-/// automatically when a Cluster is built from a bare Engine, so the legacy
-/// and sharded paths share one code path everywhere above sim/.
-class SingleRouter final : public Router {
- public:
-  explicit SingleRouter(Engine& engine) : engine_(engine) {}
-  [[nodiscard]] int partitions() const noexcept override { return 1; }
-  [[nodiscard]] int shard_of_node(int) const noexcept override { return 0; }
-  [[nodiscard]] int hub_shard() const noexcept override { return 0; }
-  [[nodiscard]] Duration lookahead() const noexcept override {
-    return Duration::zero();
-  }
-  [[nodiscard]] Engine& engine_of(int) override { return engine_; }
-  void post(int, int, Time t, Engine::Callback fn) override {
-    engine_.schedule_at(t, std::move(fn));
-  }
-  void request_wrapup(Engine::Callback fn) override { fn(); }
-  void stop_all() override { engine_.stop(); }
-
- private:
-  Engine& engine_;
 };
 
 }  // namespace pasched::sim

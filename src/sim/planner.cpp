@@ -136,16 +136,6 @@ void WindowPlanner::plan(const std::vector<Time>& next_t, Time deadline,
     return;
   }
 
-  if (S == 1) {
-    // No pairs to chain over: one window at t0 + quantum. The final gate
-    // above already guaranteed t0 + global <= deadline and the quantum
-    // never exceeds the global bound, so no clamping is needed.
-    const Duration q = shrink(global_, quantum_num, quantum_den);
-    out.length = 1;
-    out.ends.assign(static_cast<std::size_t>(S), t0 + q);
-    return;
-  }
-
   // Effective (possibly fuzz-shrunk) class bounds. Shrinking claims *less*
   // lookahead than guaranteed, which is always conservative; the engine's
   // ring-drain caps keep using the full bounds the events were stamped with.

@@ -27,8 +27,8 @@
 // --parallel=N bit-identical. Safety argument (why a shard can never
 // receive an event in its past) is spelled out in DESIGN.md §7.
 //
-// A single shard has no pairs: it runs one window per round, ending at
-// t0 + L.
+// A single shard has no pairs, so its one window runs to the deadline;
+// ShardedEngine never plans one (a one-shard run skips the planner).
 //
 // Cost. Fabric matrices are highly regular: every node of a frame sees the
 // same bounds, and the hub sees the global floor everywhere. At

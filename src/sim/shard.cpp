@@ -62,8 +62,9 @@ ShardedEngine::ShardedEngine(const ShardMap& map, Duration lookahead)
     engines_.push_back(std::make_unique<Engine>());
     // Fire logs stay armed for the engine's lifetime; each round clears
     // them, so after a stop they hold exactly the final round's fire times
-    // (events_processed_before subtracts that tail).
-    engines_.back()->arm_fire_log();
+    // (events_processed_before subtracts that tail). A one-shard run stops
+    // at the completing event itself and needs no log.
+    if (shards > 1) engines_.back()->arm_fire_log();
   }
   const std::size_t n = static_cast<std::size_t>(shards);
   out_rings_ = std::vector<util::CacheAligned<std::vector<PairRing*>>>(n);
@@ -158,10 +159,15 @@ void ShardedEngine::post(int src_shard, int dst_shard, Time t,
 }
 
 void ShardedEngine::request_wrapup(Engine::Callback fn) {
+  // One shard: no other clock to wait for, so the wrapup runs inline.
+  if (partitions() == 1) {
+    fn();
+    return;
+  }
   // Stamp the requesting shard's clock: the wrapup may only run once every
   // shard has simulated past this instant, so its side effects land at
-  // per-shard times at or after the request — exactly where the inline
-  // SingleRouter puts them, and outside the digest-truncated history.
+  // per-shard times at or after the request — exactly where the one-shard
+  // inline call puts them, and outside the digest-truncated history.
   Time stamp = Time::zero();
   const race::Domain d = race::current_domain();
   if (d >= 0 && d < partitions()) stamp = engine_of(d).now();
@@ -327,6 +333,11 @@ void ShardedEngine::run_chain(int worker, int nworkers, int S) {
   }
 }
 
+void ShardedEngine::stop_all() {
+  stop_flag_.store(true, std::memory_order_relaxed);
+  if (partitions() == 1) engines_.front()->stop();
+}
+
 void ShardedEngine::plan_round(Time deadline) noexcept {
   PASCHED_ALLOC_COLD_SCOPE("ShardedEngine::plan_round");
   phase_ ^= 1;
@@ -432,6 +443,14 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
     c.v.ring_posts = 0;
     c.v.ring_overflows = 0;
   }
+  if (S == 1) {
+    // One shard has no peers to synchronize with: run it straight to the
+    // deadline on the calling thread. The engine stops at the event that
+    // calls stop_all(), so now() is the completion time.
+    const auto prologue = std::exchange(prologue_, nullptr);
+    if (prologue) prologue(0);
+    return engines_.front()->run_until(deadline);
+  }
   progress_ = std::vector<util::CacheAligned<std::atomic<std::uint64_t>>>(
       static_cast<std::size_t>(W));
 
@@ -513,6 +532,7 @@ std::uint64_t ShardedEngine::events_processed() const {
 }
 
 std::uint64_t ShardedEngine::events_processed_before(Time t) const {
+  if (partitions() == 1) return engines_.front()->events_processed_before_now();
   // The tail (fires at or past t) lives entirely in the last executed
   // round: every earlier round ended at or before that round's start,
   // which is at or before t when t is inside the last round.

@@ -22,8 +22,13 @@
 // The plan is a pure function of the round's published inputs and the ring
 // drains are capped by schedule-derived bounds, so which events fire in
 // which order never depends on thread timing: --parallel=1 and
-// --parallel=N stay bit-identical, and both match the legacy single-queue
-// engine under the audit gate's digest.
+// --parallel=N stay bit-identical, and both match the one-shard serial run
+// under the audit gate's digest.
+//
+// A one-shard map (ShardMap(nodes, 1), the serial executor) skips the window
+// machinery: run_until runs the single engine to the deadline on the calling
+// thread, wrapups run inline and stop_all stops the engine at the current
+// event.
 #pragma once
 
 #include <atomic>
@@ -103,7 +108,7 @@ class ShardMonitor {
 
 class ShardedEngine final : public Router {
  public:
-  /// One shard per block of `map` plus (for multi-node clusters) a hub
+  /// One shard per block of `map` plus (for multi-block maps) a hub
   /// shard. `lookahead` must be positive: it is the guaranteed minimum
   /// latency of any cross-shard interaction (net::guaranteed_lookahead
   /// derives it from the fabric config). Until set_pair_lookahead() installs
@@ -130,7 +135,7 @@ class ShardedEngine final : public Router {
   void post(int src_shard, int dst_shard, Time t,
             Engine::Callback fn) override;
   void request_wrapup(Engine::Callback fn) override;
-  void stop_all() override { stop_flag_.store(true, std::memory_order_relaxed); }
+  void stop_all() override;
 
   [[nodiscard]] const ShardMap& shard_map() const noexcept { return map_; }
 
@@ -151,7 +156,8 @@ class ShardedEngine final : public Router {
   /// Runs every shard to `deadline` with `workers` threads (clamped to
   /// [1, partitions()]). Worker w is pinned to core w when the host has at
   /// least `workers` cores; oversubscribed hosts leave placement to the OS,
-  /// where pinning everyone to the same cores would only hurt. Returns
+  /// where pinning everyone to the same cores would only hurt. One shard
+  /// runs on the calling thread with no pool, barrier or pinning. Returns
   /// false if stopped early via stop_all().
   bool run_until(Time deadline, int workers);
 
@@ -178,10 +184,11 @@ class ShardedEngine final : public Router {
   /// until a wrapup request freezes them, so every fire at or past `t`
   /// still sits in them even when the wrapup — and the stop it triggers —
   /// is deferred for a few rounds while lagging shard clocks catch up.
-  /// This is the counter that matches the classic engine's
-  /// events_processed_before_now() — partitioned runs drain the rest of
-  /// their final round past the completion event, so raw counts
-  /// legitimately differ across modes while this one must not.
+  /// Multi-shard runs drain the rest of their final round past the
+  /// completion event, so raw counts legitimately differ from a one-shard
+  /// run's while this one must not. A one-shard run stops at the completing
+  /// event, so it returns the engine's events_processed_before_now() (`t`
+  /// is then the engine's now()).
   [[nodiscard]] std::uint64_t events_processed_before(Time t) const;
   [[nodiscard]] std::size_t events_pending() const;
 

@@ -39,13 +39,14 @@ class ShardMap {
 
   [[nodiscard]] int nodes() const noexcept { return nodes_; }
   [[nodiscard]] int blocks() const noexcept { return blocks_; }
-  /// Blocks plus the hub; a single node is one shard that is also the hub
-  /// (intra-node latency may be below the cross-node lookahead, and with one
-  /// node there is nothing to run in parallel anyway).
+  /// Blocks plus the hub; a single block is one shard that is also the hub
+  /// (with one block there is nothing to run in parallel, and nodes of one
+  /// block talk through plain schedule_at). ShardMap(nodes, 1) is the
+  /// serial executor's map.
   [[nodiscard]] int shards() const noexcept {
-    return nodes_ > 1 ? blocks_ + 1 : 1;
+    return blocks_ > 1 ? blocks_ + 1 : 1;
   }
-  [[nodiscard]] int hub() const noexcept { return nodes_ > 1 ? blocks_ : 0; }
+  [[nodiscard]] int hub() const noexcept { return blocks_ > 1 ? blocks_ : 0; }
 
   [[nodiscard]] int shard_of(int node) const noexcept {
     return static_cast<int>(static_cast<std::int64_t>(node) * blocks_ /

@@ -145,7 +145,7 @@ TEST(ContendLocks, ScopeFilterAndOnlyList) {
   const contend::ContendConfig cfg;
   EXPECT_TRUE(cfg.in_scope("src/sim/shard.cpp"));
   EXPECT_FALSE(cfg.in_scope("tests/test_sim_shard.cpp"));
-  EXPECT_FALSE(cfg.in_scope("bench/micro_shard.cpp"));
+  EXPECT_FALSE(cfg.in_scope("bench/micro_engine.cpp"));
 
   srclint::RuleSelection narrowed;
   narrowed.only = {"PSL503"};

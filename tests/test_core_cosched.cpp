@@ -7,6 +7,7 @@
 #include "core/coscheduler.hpp"
 #include "core/presets.hpp"
 #include "kern/kernel.hpp"
+#include "serial_engine.hpp"
 #include "sim/engine.hpp"
 
 using namespace pasched;
@@ -14,6 +15,7 @@ using namespace pasched::sim::literals;
 using sim::Duration;
 using sim::Engine;
 using sim::Time;
+using testutil::SerialEngine;
 
 namespace {
 
@@ -39,8 +41,9 @@ core::CoschedConfig fast_cosched() {
 }  // namespace
 
 TEST(CoSched, FlipsTaskPrioritiesOverTheWindow) {
-  Engine e;
-  cluster::Cluster cl(e, small_cluster(1));
+  SerialEngine serial(1);
+  Engine& e = serial.engine;
+  cluster::Cluster cl(serial.router, small_cluster(1));
   core::CoschedManager mgr(cl, fast_cosched());
   kern::Kernel& k = cl.node(0).kernel();
   Spinner sp;
@@ -68,10 +71,11 @@ TEST(CoSched, FlipsTaskPrioritiesOverTheWindow) {
 }
 
 TEST(CoSched, WindowBoundariesAlignAcrossNodesWhenSynced) {
-  Engine e;
   cluster::ClusterConfig cfg = small_cluster(3);
   cfg.node.max_clock_offset = Duration::ms(80);
-  cluster::Cluster cl(e, cfg);
+  SerialEngine serial(cfg.nodes);
+  Engine& e = serial.engine;
+  cluster::Cluster cl(serial.router, cfg);
   core::CoschedConfig cc = fast_cosched();
   cc.sync_clocks = true;
   cc.align_to_period_boundary = true;
@@ -103,8 +107,9 @@ TEST(CoSched, WindowBoundariesAlignAcrossNodesWhenSynced) {
 }
 
 TEST(CoSched, RegistrationGoesThroughThePipeDelay) {
-  Engine e;
-  cluster::Cluster cl(e, small_cluster(1));
+  SerialEngine serial(1);
+  Engine& e = serial.engine;
+  cluster::Cluster cl(serial.router, small_cluster(1));
   core::CoschedConfig cc = fast_cosched();
   cc.pipe_delay = Duration::ms(5);
   core::CoschedManager mgr(cl, cc);
@@ -133,8 +138,9 @@ TEST(CoSched, RegistrationGoesThroughThePipeDelay) {
 }
 
 TEST(CoSched, DetachRestoresNormalPriorityAttachRejoins) {
-  Engine e;
-  cluster::Cluster cl(e, small_cluster(1));
+  SerialEngine serial(1);
+  Engine& e = serial.engine;
+  cluster::Cluster cl(serial.router, small_cluster(1));
   core::CoschedManager mgr(cl, fast_cosched());
   kern::Kernel& k = cl.node(0).kernel();
   Spinner sp;
@@ -161,8 +167,9 @@ TEST(CoSched, DetachRestoresNormalPriorityAttachRejoins) {
 }
 
 TEST(CoSched, ShutdownStopsFlipping) {
-  Engine e;
-  cluster::Cluster cl(e, small_cluster(1));
+  SerialEngine serial(1);
+  Engine& e = serial.engine;
+  cluster::Cluster cl(serial.router, small_cluster(1));
   core::CoschedManager mgr(cl, fast_cosched());
   kern::Kernel& k = cl.node(0).kernel();
   Spinner sp;
@@ -183,8 +190,8 @@ TEST(CoSched, ShutdownStopsFlipping) {
 }
 
 TEST(CoSched, ConfigValidation) {
-  Engine e;
-  cluster::Cluster cl(e, small_cluster(1));
+  SerialEngine serial(1);
+  cluster::Cluster cl(serial.router, small_cluster(1));
   core::CoschedConfig bad = fast_cosched();
   bad.duty = 1.5;
   EXPECT_THROW(core::CoScheduler(cl.node(0).kernel(), bad), std::logic_error);
@@ -218,13 +225,14 @@ TEST(CoSched, PresetsMatchPaperSettings) {
 TEST(CoSched, ExtremeDutyStarvesHeartbeat) {
   // §4's warning: give the tasks priority for too long and system daemons
   // starve ("the only way to recover control was to reboot the node").
-  Engine e;
   cluster::ClusterConfig cfg = cluster::presets::frost(1);
   cfg.node.install_daemons = true;
   cfg.node.daemons.heartbeat_deadline = Duration::sec(2);
   cfg.node.daemons.io_service = false;
   cfg.seed = 8;
-  cluster::Cluster cl(e, cfg);
+  SerialEngine serial(cfg.nodes);
+  Engine& e = serial.engine;
+  cluster::Cluster cl(serial.router, cfg);
   core::CoschedConfig cc = core::paper_cosched();
   cc.period = Duration::sec(30);
   cc.duty = 0.999;  // essentially never yields

@@ -45,6 +45,37 @@ TEST(Simulation, RunsToCompletion) {
   EXPECT_EQ(sim.cosched(), nullptr);
 }
 
+TEST(Simulation, SerialRunIsTheOneShardExecutor) {
+  core::Simulation sim(tiny(false), apps::aggregate_trace(tiny_app()));
+  EXPECT_EQ(sim.cluster().router().partitions(), 1);
+  EXPECT_EQ(sim.sharded(), nullptr);
+  const auto r = sim.run();
+  ASSERT_TRUE(r.completed);
+  // Recorded from the classic single-queue engine the one-shard executor
+  // replaced: same completion time, and it too stops at the completing
+  // event, so only that event lies at or past T_c.
+  EXPECT_EQ(r.elapsed.count(), 13'708'299);
+  EXPECT_EQ(r.events, 11'424U);
+  EXPECT_EQ(r.events_at_completion, 11'423U);
+}
+
+TEST(Simulation, LinkContentionRunsSeriallyAndIsRejectedWhenParallel) {
+  core::SimulationConfig cfg = tiny(false);
+  cfg.cluster.fabric.link_bandwidth = 1e6;  // 1 MB/s: 8 B cost 8 us a link
+  {
+    core::Simulation sim(cfg, apps::aggregate_trace(tiny_app()));
+    const auto r = sim.run();
+    ASSERT_TRUE(r.completed);
+    // Recorded from the classic engine; 9.2 us later than without
+    // contention.
+    EXPECT_EQ(r.elapsed.count(), 13'717'510);
+    EXPECT_EQ(r.events_at_completion, 11'423U);
+  }
+  cfg.parallel = 1;
+  EXPECT_THROW(core::Simulation(cfg, apps::aggregate_trace(tiny_app())),
+               std::logic_error);
+}
+
 TEST(Simulation, CoschedulerWiredWhenRequested) {
   core::SimulationConfig cfg = tiny(true);
   cfg.job.ntasks = 32;

@@ -10,6 +10,7 @@
 #include "cluster/cluster.hpp"
 #include "mpi/collectives.hpp"
 #include "mpi/job.hpp"
+#include "serial_engine.hpp"
 #include "sim/engine.hpp"
 
 using namespace pasched;
@@ -46,8 +47,10 @@ cluster::ClusterConfig sterile(int nodes) {
 }
 
 struct Rig {
-  explicit Rig(int nodes) : cluster(engine, sterile(nodes)) {}
-  Engine engine;
+  explicit Rig(int nodes)
+      : serial(nodes), cluster(serial.router, sterile(nodes)) {}
+  testutil::SerialEngine serial;
+  Engine& engine = serial.engine;
   cluster::Cluster cluster;
 };
 
@@ -166,11 +169,12 @@ TEST(MpiJob, AllreduceTimeScalesWithLog) {
 
 TEST(MpiJob, SpinWaitConsumesCpuBlockingIoDoesNot) {
   // This test needs an I/O service, so build a node *with* daemons.
-  Engine engine;
   cluster::ClusterConfig cfg = cluster::presets::frost(1);
   cfg.node.max_clock_offset = Duration::zero();
   cfg.fabric.jitter_frac = 0.0;
-  cluster::Cluster cl(engine, cfg);
+  testutil::SerialEngine serial(cfg.nodes);
+  Engine& engine = serial.engine;
+  cluster::Cluster cl(serial.router, cfg);
   auto factory = [](int rank, int) {
     std::vector<mpi::MicroOp> ops;
     if (rank == 0) ops.push_back(mpi::MicroOp::io(1024));
@@ -189,10 +193,11 @@ TEST(MpiJob, SpinWaitConsumesCpuBlockingIoDoesNot) {
 }
 
 TEST(MpiJob, DistributedIoFansOutToPeerDaemons) {
-  Engine engine;
   cluster::ClusterConfig cfg = cluster::presets::frost(3);
   cfg.node.max_clock_offset = Duration::zero();
-  cluster::Cluster cl(engine, cfg);
+  testutil::SerialEngine serial(cfg.nodes);
+  Engine& engine = serial.engine;
+  cluster::Cluster cl(serial.router, cfg);
   auto factory = [](int rank, int) {
     std::vector<mpi::MicroOp> ops;
     if (rank == 0) ops.push_back(mpi::MicroOp::io(3 * 1024 * 1024));

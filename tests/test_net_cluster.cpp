@@ -2,11 +2,13 @@
 // clock offsets, and cluster assembly / presets.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "net/clock_sync.hpp"
 #include "net/fabric.hpp"
+#include "serial_engine.hpp"
 #include "sim/engine.hpp"
 
 using namespace pasched;
@@ -14,8 +16,12 @@ using namespace pasched::sim::literals;
 using sim::Duration;
 using sim::Engine;
 using sim::Time;
+using testutil::SerialEngine;
 
 namespace {
+// Node ids the hand-built fabrics below send between.
+constexpr int kFabricNodes = 10;
+
 net::FabricConfig no_jitter() {
   net::FabricConfig cfg;
   cfg.jitter_frac = 0.0;
@@ -24,8 +30,9 @@ net::FabricConfig no_jitter() {
 }  // namespace
 
 TEST(Fabric, InterNodeLatencyModel) {
-  Engine e;
-  net::Fabric f(e, no_jitter(), sim::Rng(1));
+  SerialEngine serial(kFabricNodes);
+  Engine& e = serial.engine;
+  net::Fabric f(serial.router, no_jitter(), sim::Rng(1), kFabricNodes);
   Time delivered{};
   f.send(0, 1, 1000, [&] { delivered = e.now(); });
   e.run();
@@ -36,8 +43,9 @@ TEST(Fabric, InterNodeLatencyModel) {
 }
 
 TEST(Fabric, IntraNodeIsSharedMemoryLatency) {
-  Engine e;
-  net::Fabric f(e, no_jitter(), sim::Rng(1));
+  SerialEngine serial(kFabricNodes);
+  Engine& e = serial.engine;
+  net::Fabric f(serial.router, no_jitter(), sim::Rng(1), kFabricNodes);
   Time delivered{};
   f.send(3, 3, 0, [&] { delivered = e.now(); });
   e.run();
@@ -46,8 +54,9 @@ TEST(Fabric, IntraNodeIsSharedMemoryLatency) {
 }
 
 TEST(Fabric, PerPairFifoEvenWithSizeInversion) {
-  Engine e;
-  net::Fabric f(e, no_jitter(), sim::Rng(1));
+  SerialEngine serial(kFabricNodes);
+  Engine& e = serial.engine;
+  net::Fabric f(serial.router, no_jitter(), sim::Rng(1), kFabricNodes);
   std::vector<int> order;
   // Big message first, small second: naive latency would reorder them.
   f.send(0, 1, 1'000'000, [&] { order.push_back(1); });
@@ -59,8 +68,9 @@ TEST(Fabric, PerPairFifoEvenWithSizeInversion) {
 }
 
 TEST(Fabric, DistinctPairsDoNotSerialize) {
-  Engine e;
-  net::Fabric f(e, no_jitter(), sim::Rng(1));
+  SerialEngine serial(kFabricNodes);
+  Engine& e = serial.engine;
+  net::Fabric f(serial.router, no_jitter(), sim::Rng(1), kFabricNodes);
   std::vector<int> order;
   f.send(0, 1, 1'000'000, [&] { order.push_back(1); });
   f.send(2, 3, 8, [&] { order.push_back(2); });
@@ -69,12 +79,21 @@ TEST(Fabric, DistinctPairsDoNotSerialize) {
   EXPECT_EQ(order[0], 2);  // small message on the independent pair wins
 }
 
+TEST(Fabric, SendFromANodeOutsideThePresizedPortsIsRejected) {
+  SerialEngine serial(kFabricNodes);
+  net::Fabric f(serial.router, no_jitter(), sim::Rng(1), kFabricNodes);
+  EXPECT_THROW(f.send(kFabricNodes, 0, 8, [] {}), std::logic_error);
+  EXPECT_THROW(f.send(-1, 0, 8, [] {}), std::logic_error);
+}
+
 TEST(Fabric, JitterIsBoundedAndDeterministic) {
-  Engine e1, e2;
+  SerialEngine s1(kFabricNodes), s2(kFabricNodes);
+  Engine& e1 = s1.engine;
+  Engine& e2 = s2.engine;
   net::FabricConfig cfg;
   cfg.jitter_frac = 0.05;
-  net::Fabric f1(e1, cfg, sim::Rng(9));
-  net::Fabric f2(e2, cfg, sim::Rng(9));
+  net::Fabric f1(s1.router, cfg, sim::Rng(9), kFabricNodes);
+  net::Fabric f2(s2.router, cfg, sim::Rng(9), kFabricNodes);
   Time t1{}, t2{};
   f1.send(0, 1, 8, [&] { t1 = e1.now(); });
   f2.send(0, 1, 8, [&] { t2 = e2.now(); });
@@ -87,10 +106,11 @@ TEST(Fabric, JitterIsBoundedAndDeterministic) {
 }
 
 TEST(Fabric, LinkContentionSerializesIngressBursts) {
-  Engine e;
+  SerialEngine serial(kFabricNodes);
+  Engine& e = serial.engine;
   net::FabricConfig cfg = no_jitter();
   cfg.link_bandwidth = 1e6;  // 1 MB/s: 100 KB takes 100 ms on a link
-  net::Fabric f(e, cfg, sim::Rng(1));
+  net::Fabric f(serial.router, cfg, sim::Rng(1), kFabricNodes);
   std::vector<Time> arrivals(4);
   // Four different senders converge on node 9: ingress must serialize them.
   for (int s = 0; s < 4; ++s) {
@@ -104,8 +124,9 @@ TEST(Fabric, LinkContentionSerializesIngressBursts) {
 }
 
 TEST(Fabric, LinkContentionOffKeepsLatencyModel) {
-  Engine e;
-  net::Fabric f(e, no_jitter(), sim::Rng(1));  // link_bandwidth = 0
+  SerialEngine serial(kFabricNodes);
+  Engine& e = serial.engine;
+  net::Fabric f(serial.router, no_jitter(), sim::Rng(1), kFabricNodes);  // link_bandwidth = 0
   std::vector<Time> arrivals(4);
   for (int s = 0; s < 4; ++s) {
     f.send(s, 9, 100'000, [&, s] { arrivals[static_cast<std::size_t>(s)] = e.now(); });
@@ -118,10 +139,11 @@ TEST(Fabric, LinkContentionOffKeepsLatencyModel) {
 }
 
 TEST(Fabric, LinkContentionDistinctDestinationsDoNotInterfere) {
-  Engine e;
+  SerialEngine serial(kFabricNodes);
+  Engine& e = serial.engine;
   net::FabricConfig cfg = no_jitter();
   cfg.link_bandwidth = 1e6;
-  net::Fabric f(e, cfg, sim::Rng(1));
+  net::Fabric f(serial.router, cfg, sim::Rng(1), kFabricNodes);
   Time a{}, b{};
   f.send(0, 1, 100'000, [&] { a = e.now(); });
   f.send(2, 3, 100'000, [&] { b = e.now(); });
@@ -157,10 +179,10 @@ TEST(LocalClock, RoundTripsLocalAndGlobal) {
 }
 
 TEST(Cluster, AssemblesNodesWithDistinctClockOffsets) {
-  Engine e;
   cluster::ClusterConfig cfg = cluster::presets::frost(4);
   cfg.seed = 3;
-  cluster::Cluster c(e, cfg);
+  SerialEngine serial(cfg.nodes);
+  cluster::Cluster c(serial.router, cfg);
   ASSERT_EQ(c.size(), 4);
   bool any_nonzero = false;
   for (int i = 0; i < 4; ++i) {
@@ -172,9 +194,9 @@ TEST(Cluster, AssemblesNodesWithDistinctClockOffsets) {
 }
 
 TEST(Cluster, SynchronizeClocksZeroesOffsets) {
-  Engine e;
   cluster::ClusterConfig cfg = cluster::presets::frost(6);
-  cluster::Cluster c(e, cfg);
+  SerialEngine serial(cfg.nodes);
+  cluster::Cluster c(serial.router, cfg);
   const Duration worst = c.synchronize_clocks();
   EXPECT_LE(worst.count(), Duration::us(2).count());
   for (int i = 0; i < c.size(); ++i)
@@ -191,10 +213,11 @@ TEST(Cluster, PresetsMatchTheMachines) {
 }
 
 TEST(Cluster, SterileNodeHasNoDaemons) {
-  Engine e;
   cluster::ClusterConfig cfg = cluster::presets::frost(1);
   cfg.node.install_daemons = false;
-  cluster::Cluster c(e, cfg);
+  SerialEngine serial(cfg.nodes);
+  Engine& e = serial.engine;
+  cluster::Cluster c(serial.router, cfg);
   EXPECT_EQ(c.node(0).daemons(), nullptr);
   EXPECT_EQ(c.node(0).io_service(), nullptr);
   c.start();
@@ -206,10 +229,11 @@ TEST(Cluster, SterileNodeHasNoDaemons) {
 
 TEST(Cluster, DeterministicAcrossRebuilds) {
   auto run = [] {
-    Engine e;
     cluster::ClusterConfig cfg = cluster::presets::frost(2);
     cfg.seed = 11;
-    cluster::Cluster c(e, cfg);
+    SerialEngine serial(cfg.nodes);
+    Engine& e = serial.engine;
+    cluster::Cluster c(serial.router, cfg);
     c.start();
     e.run_until(Time::zero() + 5_s);
     return std::pair{e.events_processed(),

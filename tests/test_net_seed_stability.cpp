@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "serial_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
@@ -39,8 +40,10 @@ constexpr int kSendsPerSource = 4;
 /// deliveries in send order, so this is exactly the jitter stream.
 std::map<int, std::vector<std::int64_t>> streams(
     std::uint64_t seed, const std::vector<int>& order) {
-  sim::Engine engine;
-  net::Fabric fabric(engine, net::FabricConfig{}, sim::Rng(seed));
+  testutil::SerialEngine serial(kNodes);
+  sim::Engine& engine = serial.engine;
+  net::Fabric fabric(serial.router, net::FabricConfig{}, sim::Rng(seed),
+                     kNodes);
   std::map<int, std::vector<std::int64_t>> out;
   for (const int src : order) {
     for (int k = 0; k < kSendsPerSource; ++k) {

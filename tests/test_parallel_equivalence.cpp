@@ -1,5 +1,5 @@
-// Property test for partitioned execution: for many seeds, the classic
-// single-queue engine, --parallel=1, --parallel=4, and --parallel=8 must
+// Property test for partitioned execution: for many seeds, the serial
+// one-shard run, --parallel=1, --parallel=4, and --parallel=8 must
 // produce the same canonical (t, node, per-node seq) history digest —
 // identical scheduling intervals, identical analyzer event streams,
 // identical per-rank finish times — on a multi-node cluster with live
@@ -51,17 +51,17 @@ core::CanonicalDigest digest(std::uint64_t seed, bool cosched, int parallel) {
 TEST(ParallelEquivalence, TenSeedsMatchAcrossAllExecutionModes) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const bool cosched = seed % 2 == 0;  // alternate vanilla / prototype
-    const core::CanonicalDigest legacy = digest(seed, cosched, 0);
+    const core::CanonicalDigest serial = digest(seed, cosched, 0);
     const core::CanonicalDigest par1 = digest(seed, cosched, 1);
     const core::CanonicalDigest par4 = digest(seed, cosched, 4);
     const core::CanonicalDigest par8 = digest(seed, cosched, 8);
-    ASSERT_TRUE(legacy.completed) << "seed " << seed;
+    ASSERT_TRUE(serial.completed) << "seed " << seed;
     EXPECT_TRUE(par1.completed) << "seed " << seed;
     EXPECT_TRUE(par4.completed) << "seed " << seed;
     EXPECT_TRUE(par8.completed) << "seed " << seed;
-    EXPECT_EQ(legacy.elapsed.count(), par1.elapsed.count())
+    EXPECT_EQ(serial.elapsed.count(), par1.elapsed.count())
         << "seed " << seed;
-    EXPECT_EQ(legacy.hash, par1.hash) << "legacy vs --parallel=1, seed "
+    EXPECT_EQ(serial.hash, par1.hash) << "serial vs --parallel=1, seed "
                                       << seed;
     EXPECT_EQ(par1.hash, par4.hash) << "--parallel=1 vs --parallel=4, seed "
                                     << seed;
@@ -73,18 +73,18 @@ TEST(ParallelEquivalence, TenSeedsMatchAcrossAllExecutionModes) {
 TEST(ParallelEquivalence, TenSeedsMatchLegacyWithOppositeCoschedParity) {
   // The same ten seeds with vanilla/prototype swapped relative to the test
   // above: the per-pair chained windows of --parallel=4 must replay the
-  // single-queue legacy history on those inputs too. This is the audit
+  // serial one-shard history on those inputs too. This is the audit
   // gate's core claim in test form: window boundaries are invisible to the
   // simulated workload.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const bool cosched = seed % 2 == 1;
-    const core::CanonicalDigest legacy = digest(seed, cosched, 0);
+    const core::CanonicalDigest serial = digest(seed, cosched, 0);
     const core::CanonicalDigest par4 = digest(seed, cosched, 4);
-    ASSERT_TRUE(legacy.completed) << "seed " << seed;
+    ASSERT_TRUE(serial.completed) << "seed " << seed;
     EXPECT_TRUE(par4.completed) << "seed " << seed;
-    EXPECT_EQ(legacy.hash, par4.hash)
-        << "legacy vs --parallel=4, seed " << seed;
-    EXPECT_EQ(legacy.elapsed.count(), par4.elapsed.count())
+    EXPECT_EQ(serial.hash, par4.hash)
+        << "serial vs --parallel=4, seed " << seed;
+    EXPECT_EQ(serial.elapsed.count(), par4.elapsed.count())
         << "seed " << seed;
   }
 }
@@ -92,7 +92,7 @@ TEST(ParallelEquivalence, TenSeedsMatchLegacyWithOppositeCoschedParity) {
 TEST(ParallelEquivalence, ThirtyTwoNodesInBlocksMatchUnderTheRaceMonitor) {
   // Above sim::kShardBlocks nodes, every shard holds a block of four nodes:
   // intra-block posts become local schedule_at calls and the per-node trace
-  // buffers are owned by the block's shard. The classic engine, --parallel=1
+  // buffers are owned by the block's shard. The serial run, --parallel=1
   // and --parallel=3 must still agree bit for bit, with the tracer and the
   // event log attached, and the race monitor must see no ownership breach.
   for (const bool cosched : {false, true}) {
@@ -107,17 +107,17 @@ TEST(ParallelEquivalence, ThirtyTwoNodesInBlocksMatchUnderTheRaceMonitor) {
       ASSERT_EQ(sim.sharded()->partitions(), sim::kShardBlocks + 1);
     }
     cfg.parallel = 0;
-    const core::CanonicalDigest legacy = core::run_canonical(cfg, workload());
-    ASSERT_TRUE(legacy.completed) << "cosched " << cosched;
+    const core::CanonicalDigest serial = core::run_canonical(cfg, workload());
+    ASSERT_TRUE(serial.completed) << "cosched " << cosched;
     for (const int workers : {1, 3}) {
       race::AuditOptions opt;
       opt.workers = workers;
       cfg.parallel = workers;
       const race::AuditRun run = race::run_audited(cfg, workload(), opt);
       EXPECT_TRUE(run.digest.completed) << "workers " << workers;
-      EXPECT_EQ(run.digest.hash, legacy.hash)
-          << "legacy vs --parallel=" << workers << ", cosched " << cosched;
-      EXPECT_EQ(run.digest.elapsed.count(), legacy.elapsed.count());
+      EXPECT_EQ(run.digest.hash, serial.hash)
+          << "serial vs --parallel=" << workers << ", cosched " << cosched;
+      EXPECT_EQ(run.digest.elapsed.count(), serial.elapsed.count());
       for (const analysis::Diagnostic& d : run.findings)
         EXPECT_NE(d.rule, "PSL201") << d.str();
     }

@@ -144,15 +144,15 @@ TEST(ScaleWindows, EventsAtCompletionIsModeInvariant) {
   // The raw counter differs across modes (partitioned runs drain their
   // final window past the completing event); the normalized below-T_c
   // counter must not.
-  const auto legacy = core::Simulation(scenario(0), workload()).run();
+  const auto serial = core::Simulation(scenario(0), workload()).run();
   const auto par1 = core::Simulation(scenario(1), workload()).run();
   const auto par2 = core::Simulation(scenario(2), workload()).run();
-  ASSERT_TRUE(legacy.completed);
+  ASSERT_TRUE(serial.completed);
   ASSERT_TRUE(par1.completed);
   ASSERT_TRUE(par2.completed);
-  EXPECT_EQ(legacy.events_at_completion, par1.events_at_completion);
+  EXPECT_EQ(serial.events_at_completion, par1.events_at_completion);
   EXPECT_EQ(par1.events_at_completion, par2.events_at_completion);
-  EXPECT_LE(legacy.events_at_completion, legacy.events);
+  EXPECT_LE(serial.events_at_completion, serial.events);
   EXPECT_LE(par1.events_at_completion, par1.events);
 }
 

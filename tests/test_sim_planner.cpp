@@ -56,23 +56,6 @@ std::vector<Time> plan_ends(const WindowPlanner& p,
   return ends;
 }
 
-TEST(Planner, SingleShardRunsOneWindowAtTheGlobalBound) {
-  // One shard has no pairs to chain over: one window per round at
-  // t0 + L, not a kWindowBatch chain.
-  const WindowPlanner p(PairLookahead::uniform(1, Duration::us(10)));
-  RoundPlan plan;
-  const std::vector<Time> ends = plan_ends(p, {us(100)}, us(1000), plan);
-  EXPECT_FALSE(plan.final);
-  EXPECT_EQ(plan.length, 1);
-  EXPECT_EQ(ends, (std::vector<Time>{us(110)}));
-  // The quantum shrink applies to the single window too: half of L.
-  RoundPlan half;
-  p.plan({us(100)}, us(1000), 1, 2, half);
-  EXPECT_FALSE(half.final);
-  ASSERT_EQ(half.length, 1);
-  EXPECT_EQ(half.end_of(1, 0), us(105));
-}
-
 TEST(Planner, FlatFabricChainsUniformWindows) {
   // All pairs at the global bound: the per-pair schedule degenerates to the
   // legacy window *shape* but still chains kWindowBatch windows per round —
@@ -241,13 +224,6 @@ RoundPlan reference_plan(const PairLookahead& la,
   const Time t0 = *std::min_element(next_t.begin(), next_t.end());
   if (t0 >= deadline || ref_add(t0, la.global) > deadline) {
     out.final = true;
-    return out;
-  }
-  if (S == 1) {
-    Duration q = la.global * num / den;
-    if (q < Duration::ns(1)) q = Duration::ns(1);
-    out.length = 1;
-    out.ends = {t0 + q};
     return out;
   }
   std::vector<Time> e(next_t);

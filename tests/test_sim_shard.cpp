@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -252,6 +253,60 @@ TEST(Sharded, WrapupRunsAtABarrierNotMidWindow) {
   });
   EXPECT_TRUE(se.run_until(Time::from_ns(1'000'000), 2));
   EXPECT_TRUE(ran);
+}
+
+TEST(Sharded, OneBlockIsOneShardThatIsAlsoTheHub) {
+  ShardedEngine se(ShardMap(9, 1), Duration::us(10));
+  EXPECT_EQ(se.partitions(), 1);
+  EXPECT_EQ(se.hub_shard(), 0);
+  EXPECT_EQ(se.shard_of_node(8), 0);
+}
+
+TEST(Sharded, OneShardStopsAtTheEventThatCallsStopAll) {
+  // The serial executor: no windows, so the run ends at the stopping event
+  // itself and the before-now count is exactly "events before the stop".
+  ShardedEngine se(ShardMap(4, 1), Duration::us(10));
+  ShardedEngine* router = &se;
+  Engine& e = se.engine_of(0);
+  e.schedule_at(Time::from_ns(50), [] {});
+  e.schedule_at(Time::from_ns(100), [router] { router->stop_all(); });
+  e.schedule_at(Time::from_ns(100), [] {
+    FAIL() << "an event tied with the stop but queued after it must not fire";
+  });
+  e.schedule_at(Time::from_ns(200), [] {
+    FAIL() << "event past the stop point must not fire";
+  });
+  EXPECT_FALSE(se.run_until(Time::from_ns(1'000'000), 4));
+  EXPECT_EQ(e.now(), Time::from_ns(100));
+  EXPECT_EQ(se.events_processed(), 2U);
+  EXPECT_EQ(se.events_processed_before(e.now()), 1U);
+  EXPECT_EQ(se.events_processed_before(e.now()),
+            e.events_processed_before_now());
+  // No fire log is kept: a one-shard run has no window tail to subtract.
+  EXPECT_EQ(e.fires_at_or_after(Time::zero()), 0U);
+  EXPECT_EQ(se.planner_stats().rounds, 0U);
+}
+
+TEST(Sharded, OneShardRunsWrapupsAndThePrologueInline) {
+  ShardedEngine se(ShardMap(4, 1), Duration::us(10));
+  ShardedEngine* router = &se;
+  std::vector<int> order;
+  std::vector<int>* orderp = &order;
+  se.engine_of(0).schedule_at(Time::from_ns(100), [router, orderp] {
+    router->request_wrapup([orderp] { orderp->push_back(1); });
+    orderp->push_back(2);
+  });
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id prologue_thread;
+  se.set_prologue([&prologue_thread, orderp](int shard) {
+    EXPECT_EQ(shard, 0);
+    prologue_thread = std::this_thread::get_id();
+    orderp->push_back(0);
+  });
+  EXPECT_TRUE(se.run_until(Time::from_ns(1000), 8));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(prologue_thread, caller);
+  EXPECT_EQ(se.engine_of(0).now(), Time::from_ns(1000));
 }
 
 TEST(Sharded, DrainReleasesPendingEventsAndInboxes) {

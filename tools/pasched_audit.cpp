@@ -12,7 +12,7 @@
 //       [--seed=1] [--verbose]
 //
 // With --parallel-equivalence it instead proves the partitioned execution
-// mode faithful: each scenario runs under the classic single-queue engine,
+// mode faithful: each scenario runs serially (one shard, no windows),
 // --parallel=1 and --parallel=<workers>, and the three canonical history
 // digests (scheduling intervals + analyzer events + per-rank finish times,
 // truncated at job completion) must be identical.
@@ -93,7 +93,7 @@ struct RunDigest {
 };
 
 /// The audited scenario: the vanilla or prototype (+ co-scheduler) kernel
-/// running the synthetic Allreduce benchmark, in classic mode.
+/// running the synthetic Allreduce benchmark, serially (parallel = 0).
 core::SimulationConfig scenario_config(const AuditParams& p, bool prototype) {
   core::SimulationConfig cfg;
   cfg.cluster = cluster::presets::frost(p.nodes);
@@ -187,11 +187,11 @@ RunDigest run_scenario(const AuditParams& p, bool prototype) {
   return d;
 }
 
-/// The execution-mode equivalence gate: classic vs --parallel=1 vs
+/// The execution-mode equivalence gate: one shard vs --parallel=1 vs
 /// --parallel=<workers>, on the fig3 (vanilla) and fig5 (prototype +
 /// co-scheduler) scenario shapes. The partitioned runs execute per-pair
 /// window chains, so any window-schedule dependence in the workload shows
-/// up as a divergence from the single-queue legacy history.
+/// up as a divergence from the one-shard history.
 int run_parallel_equivalence(const AuditParams& p, int workers) {
   int rc = 0;
   for (const bool prototype : {false, true}) {
@@ -199,9 +199,9 @@ int run_parallel_equivalence(const AuditParams& p, int workers) {
     core::SimulationConfig cfg = scenario_config(p, prototype);
     const mpi::WorkloadFactory factory = scenario_workload(p);
 
-    std::cout << "scenario " << name << ": legacy..." << std::flush;
+    std::cout << "scenario " << name << ": one shard..." << std::flush;
     cfg.parallel = 0;
-    const core::CanonicalDigest legacy = core::run_canonical(cfg, factory);
+    const core::CanonicalDigest serial = core::run_canonical(cfg, factory);
     std::cout << " parallel=1..." << std::flush;
     cfg.parallel = 1;
     const core::CanonicalDigest par1 = core::run_canonical(cfg, factory);
@@ -209,9 +209,9 @@ int run_parallel_equivalence(const AuditParams& p, int workers) {
     cfg.parallel = workers;
     const core::CanonicalDigest parn = core::run_canonical(cfg, factory);
 
-    std::cout << "\n  legacy     hash=" << std::hex << legacy.hash << std::dec
-              << " completed=" << legacy.completed
-              << " events=" << legacy.events << "\n  parallel=1 hash="
+    std::cout << "\n  one shard  hash=" << std::hex << serial.hash << std::dec
+              << " completed=" << serial.completed
+              << " events=" << serial.events << "\n  parallel=1 hash="
               << std::hex << par1.hash << std::dec
               << " completed=" << par1.completed << " events=" << par1.events
               << "\n  parallel=" << workers << " hash=" << std::hex
@@ -219,17 +219,17 @@ int run_parallel_equivalence(const AuditParams& p, int workers) {
               << " events=" << parn.events << "\n";
     ScenarioRow row;
     row.name = name;
-    row.hash = legacy.hash;
-    row.events = legacy.events;
-    row.completed = legacy.completed && par1.completed && parn.completed;
+    row.hash = serial.hash;
+    row.events = serial.events;
+    row.completed = serial.completed && par1.completed && parn.completed;
     if (!row.completed) {
       std::cout << "  FAIL: a mode did not run the job to completion\n";
       g_rows.push_back(row);
       rc = 1;
       continue;
     }
-    if (legacy.hash != par1.hash || par1.hash != parn.hash ||
-        legacy.elapsed.count() != par1.elapsed.count() ||
+    if (serial.hash != par1.hash || par1.hash != parn.hash ||
+        serial.elapsed.count() != par1.elapsed.count() ||
         par1.elapsed.count() != parn.elapsed.count()) {
       std::cout << "  FAIL: execution modes diverged\n";
       g_rows.push_back(row);
