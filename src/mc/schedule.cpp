@@ -28,8 +28,8 @@ std::string Schedule::str() const {
 }
 
 std::string Schedule::serialize() const {
-  return "# pasched-mc schedule v1 — replay with pasched-mc --replay or "
-         "pasched-lint --trace-run --schedule\n" +
+  return "# pasched-mc schedule v1 — replay with pasched mc --replay or "
+         "pasched lint --trace-run --schedule\n" +
          str();
 }
 

@@ -80,16 +80,6 @@ std::vector<std::string> Flags::unknown(
   return out;
 }
 
-int run_tool(std::string_view tool, int argc, const char* const* argv,
-             int (*body)(const Flags&)) {
-  try {
-    return body(Flags(argc, argv));
-  } catch (const FlagError& e) {
-    std::cerr << tool << ": " << e.what() << "\n";
-    return 64;
-  }
-}
-
 int write_output(std::string_view tool, const std::string& path,
                  std::string_view what, std::string_view contents, int rc) {
   if (path.empty()) return rc;

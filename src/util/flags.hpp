@@ -11,7 +11,9 @@
 
 namespace pasched::util {
 
-/// A flag value that does not parse as the type asked for (--nodes=abc).
+/// A flag value the program cannot use: one that does not parse as the type
+/// asked for (--nodes=abc) or that a tool rejects (--nodes=0). The `pasched`
+/// driver prints it and exits 64, the bad-usage status.
 class FlagError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -43,13 +45,6 @@ class Flags {
   std::map<std::string, std::string, std::less<>> values_;
   std::vector<std::string> positional_;
 };
-
-/// The shared tool entry point: parses argv and runs `body`. A malformed
-/// flag value (FlagError) prints "<tool>: <message>" to stderr and returns
-/// 64, the bad-usage exit status every pasched tool documents.
-[[nodiscard]] int run_tool(std::string_view tool, int argc,
-                           const char* const* argv,
-                           int (*body)(const Flags&));
 
 /// Writes a tool's --report/--json/--schedule-out output: `contents` to
 /// `path`, then "<what> written to <path>" on stdout. An empty `path` (the

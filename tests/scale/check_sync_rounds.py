@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Gate the per-pair window planner's fig5 sync-round count.
 
-usage: check_sync_rounds.py PASCHED_SCALE
+usage: check_sync_rounds.py PASCHED
 
-Runs `PASCHED_SCALE --scenario=fig5 --calls=120` and requires its sync-round
+Runs `PASCHED scale --scenario=fig5 --calls=120` and requires its sync-round
 count (`rounds` in the JSON report) to be at least MIN_CUT times below the
 count of the retired one-window-per-round planner on the same scenario.
 Round counts are schedule-derived, so both figures are bit-identical on any
@@ -29,10 +29,11 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fig5.json")
         run = subprocess.run(
-            [argv[1], "--scenario=fig5", "--calls=120", "--json=" + path],
+            [argv[1], "scale", "--scenario=fig5", "--calls=120",
+             "--json=" + path],
             stdout=subprocess.DEVNULL, check=False)
         if run.returncode != 0:
-            print(f"pasched-scale exited {run.returncode}")
+            print(f"pasched scale exited {run.returncode}")
             return 1
         with open(path, encoding="utf-8") as f:
             rounds = json.load(f)[0]["rounds"]

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Checks pasched-srclint against its recorded verdicts.
+"""Checks `pasched srclint` against its recorded verdicts.
 
-usage: check_golden.py PASCHED_SRCLINT REPO_ROOT
+usage: check_golden.py PASCHED REPO_ROOT
 
 golden_verdicts.json holds, for the repository tree (".") and each fixture
 corpus, the findings of every rule family (PSL40x "srclint", PSL50x
 "contend", PSL60x "alloc"), both claim lists and the lock-order graph. It
-was recorded with the three scanners that pasched-srclint replaced, so it
-pins the merge: each target is scanned with `--root=<target> --json=...`
+was recorded with the three scanners that the source scanner replaced, so
+it pins the merge: each target is scanned with
+`PASCHED srclint --root=<target> --json=...`
 and every family's findings, the claims and the graph must match.
 
 Fixture corpora must match exactly. On the tree, line numbers are ignored
@@ -30,10 +31,11 @@ FAMILIES = {"srclint": "PSL40", "contend": "PSL50", "alloc": "PSL60"}
 def scan(tool, root):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "scan.json")
-        proc = subprocess.run([tool, "--root=" + root, "--json=" + out],
-                              capture_output=True, text=True)
+        proc = subprocess.run(
+            [tool, "srclint", "--root=" + root, "--json=" + out],
+            capture_output=True, text=True)
         if proc.returncode not in (0, 1):
-            sys.exit(f"{tool} --root={root} exited {proc.returncode}:\n"
+            sys.exit(f"{tool} srclint --root={root} exited {proc.returncode}:\n"
                      f"{proc.stdout}{proc.stderr}")
         with open(out, encoding="utf-8") as f:
             return json.load(f)

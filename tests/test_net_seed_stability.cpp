@@ -10,7 +10,7 @@
 // timestamps for fixed seeds — any change to the derivation, the jitter
 // draw, or the FIFO bump moves every digest and must be a conscious,
 // golden-updating decision, because it silently invalidates cross-version
-// digest comparisons in pasched-audit).
+// digest comparisons in `pasched audit`).
 //
 // Goldens are integers (nanosecond timestamps hashed with FNV-1a): the
 // jitter path uses only IEEE multiply/truncate, no libm, so the values are
@@ -99,7 +99,7 @@ TEST(FabricSeedStability, SeedSelectsEveryStream) {
 TEST(FabricSeedStability, GoldenDigestsArePinned) {
   // Pinned on the derivation port_seed_base + 0x9e3779b97f4a7c15 * (src+1)
   // with xoshiro256** streams and 2% multiplicative jitter. A failure here
-  // means per-source streams moved: every stored pasched-audit digest is
+  // means per-source streams moved: every stored `pasched audit` digest is
   // invalidated, and the change needs a changelog entry, not just a golden
   // bump.
   const std::map<std::uint64_t, std::uint64_t> golden = {

@@ -1,4 +1,4 @@
-// Tests for the pasched-race dynamic auditor: the vector-clock monitor's
+// Tests for the `pasched race` dynamic auditor: the vector-clock monitor's
 // happens-before semantics driven directly (PSL201 vs PSL202 vs PSL203
 // classification), and the end-to-end drivers — the planted cross-shard
 // write regression the CI gate relies on, the zero-interference property of

@@ -1,4 +1,4 @@
-// Per-rule fire/silent coverage for pasched-srclint over the planted
+// Per-rule fire/silent coverage for `pasched srclint` over the planted
 // fixture corpus (tests/srclint/fixtures mirrors the repo layout, so the
 // path-scoped rules see realistic subsystem paths), plus unit coverage of
 // the portable frontend: lexing, suppression attachment, and structural

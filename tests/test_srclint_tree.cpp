@@ -1,4 +1,4 @@
-// Whole-tree gates for pasched-srclint: the repository itself must scan
+// Whole-tree gates for `pasched srclint`: the repository itself must scan
 // clean (every PSL4xx-6xx family is CI-enforced, so a regression here is a
 // build failure), and the planted fixture corpus must trip every PSL40x
 // rule — both directions of the gate, the same pair CI asserts via the

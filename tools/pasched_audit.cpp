@@ -1,4 +1,4 @@
-// pasched-audit: the reproducibility and self-consistency gate.
+// pasched audit: the reproducibility and self-consistency gate.
 //
 // For each kernel preset it runs the paper's synthetic Allreduce benchmark
 // TWICE with the same seed, folds every scheduling-visible artifact — the
@@ -8,7 +8,7 @@
 // (CPU-time conservation, run-queue consistency) and the engine's structural
 // audit. CI runs this to prove the simulator stays deterministic.
 //
-//   ./pasched-audit [--nodes=4] [--tasks-per-node=16] [--calls=120]
+//   pasched audit [--nodes=4] [--tasks-per-node=16] [--calls=120]
 //       [--seed=1] [--verbose]
 //
 // With --parallel-equivalence it instead proves the partitioned execution
@@ -17,7 +17,7 @@
 // digests (scheduling intervals + analyzer events + per-rank finish times,
 // truncated at job completion) must be identical.
 //
-//   ./pasched-audit --parallel-equivalence [--workers=8] [--nodes=4] ...
+//   pasched audit --parallel-equivalence [--workers=8] [--nodes=4] ...
 //
 // Exit status: 0 = reproducible and consistent, 1 = divergence, 2 = a model
 // invariant is violated, 64 = bad usage.
@@ -28,28 +28,17 @@
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
-#include "apps/aggregate_trace.hpp"
 #include "apps/channels.hpp"
 #include "check/audit.hpp"
 #include "check/check.hpp"
 #include "core/equivalence.hpp"
-#include "core/presets.hpp"
-#include "core/simulation.hpp"
+#include "driver.hpp"
 #include "trace/trace.hpp"
-#include "util/flags.hpp"
 #include "util/fnv1a.hpp"
 
-using namespace pasched;
+namespace pasched::tools {
 
 namespace {
-
-struct AuditParams {
-  int nodes = 4;
-  int tasks_per_node = 16;
-  int calls = 120;
-  std::uint64_t seed = 1;
-  bool verbose = false;
-};
 
 /// One row of the --json=FILE report, filled per audited scenario.
 struct ScenarioRow {
@@ -92,32 +81,10 @@ struct RunDigest {
   std::string invariant_error;
 };
 
-/// The audited scenario: the vanilla or prototype (+ co-scheduler) kernel
-/// running the synthetic Allreduce benchmark, serially (parallel = 0).
-core::SimulationConfig scenario_config(const AuditParams& p, bool prototype) {
-  core::SimulationConfig cfg;
-  cfg.cluster = cluster::presets::frost(p.nodes);
-  cfg.cluster.seed = p.seed;
-  cfg.cluster.node.tunables =
-      prototype ? core::prototype_kernel() : core::vanilla_kernel();
-  cfg.job.ntasks = p.nodes * p.tasks_per_node;
-  cfg.job.tasks_per_node = p.tasks_per_node;
-  cfg.job.seed = p.seed;
-  cfg.use_coscheduler = prototype;
-  cfg.cosched = core::paper_cosched();
-  return cfg;
-}
-
-mpi::WorkloadFactory scenario_workload(const AuditParams& p) {
-  apps::AggregateTraceConfig at;
-  at.loops = 1;
-  at.calls_per_loop = p.calls;
-  at.warmup = sim::Duration::sec(6);
-  return apps::aggregate_trace(at);
-}
-
-RunDigest run_scenario(const AuditParams& p, bool prototype) {
-  core::Simulation sim(scenario_config(p, prototype), scenario_workload(p));
+/// Runs the scenario serially (parallel = 0).
+RunDigest run_scenario(const ScenarioFlags& f, bool prototype, bool verbose) {
+  const Scenario s = f.build(prototype);
+  core::Simulation sim(s.cfg, s.factory);
 
   // One tracer observes every node; recording from t=0 captures the full
   // occupancy history, which is the strongest determinism witness we have.
@@ -175,7 +142,7 @@ RunDigest run_scenario(const AuditParams& p, bool prototype) {
       const kern::Kernel& k = sim.cluster().node(n).kernel();
       check::Auditor::verify_conservation(k);
       check::Auditor::verify_runqueues(k);
-      if (p.verbose) {
+      if (verbose) {
         std::cout << "  node " << n << ": "
                   << check::Auditor::conservation(k).str() << "\n";
       }
@@ -192,33 +159,32 @@ RunDigest run_scenario(const AuditParams& p, bool prototype) {
 /// co-scheduler) scenario shapes. The partitioned runs execute per-pair
 /// window chains, so any window-schedule dependence in the workload shows
 /// up as a divergence from the one-shard history.
-int run_parallel_equivalence(const AuditParams& p, int workers) {
+int run_parallel_equivalence(const ScenarioFlags& f) {
   int rc = 0;
   for (const bool prototype : {false, true}) {
-    const char* name = prototype ? "fig5-prototype+cosched" : "fig3-vanilla";
-    core::SimulationConfig cfg = scenario_config(p, prototype);
-    const mpi::WorkloadFactory factory = scenario_workload(p);
+    Scenario s = f.build(prototype);
+    core::SimulationConfig& cfg = s.cfg;
 
-    std::cout << "scenario " << name << ": one shard..." << std::flush;
+    std::cout << "scenario " << s.name << ": one shard..." << std::flush;
     cfg.parallel = 0;
-    const core::CanonicalDigest serial = core::run_canonical(cfg, factory);
+    const core::CanonicalDigest serial = core::run_canonical(cfg, s.factory);
     std::cout << " parallel=1..." << std::flush;
     cfg.parallel = 1;
-    const core::CanonicalDigest par1 = core::run_canonical(cfg, factory);
-    std::cout << " parallel=" << workers << "..." << std::flush;
-    cfg.parallel = workers;
-    const core::CanonicalDigest parn = core::run_canonical(cfg, factory);
+    const core::CanonicalDigest par1 = core::run_canonical(cfg, s.factory);
+    std::cout << " parallel=" << f.workers << "..." << std::flush;
+    cfg.parallel = f.workers;
+    const core::CanonicalDigest parn = core::run_canonical(cfg, s.factory);
 
     std::cout << "\n  one shard  hash=" << std::hex << serial.hash << std::dec
               << " completed=" << serial.completed
               << " events=" << serial.events << "\n  parallel=1 hash="
               << std::hex << par1.hash << std::dec
               << " completed=" << par1.completed << " events=" << par1.events
-              << "\n  parallel=" << workers << " hash=" << std::hex
+              << "\n  parallel=" << f.workers << " hash=" << std::hex
               << parn.hash << std::dec << " completed=" << parn.completed
               << " events=" << parn.events << "\n";
     ScenarioRow row;
-    row.name = name;
+    row.name = s.name;
     row.hash = serial.hash;
     row.events = serial.events;
     row.completed = serial.completed && par1.completed && parn.completed;
@@ -245,45 +211,16 @@ int run_parallel_equivalence(const AuditParams& p, int workers) {
 
 }  // namespace
 
-namespace {
-
-int tool_main(const util::Flags& flags) {
-  // An audit gate must not silently ignore a typo'd flag — a misspelled
-  // --seed would "pass" the wrong scenario.
-  const std::vector<std::string> typos =
-      flags.unknown({"nodes", "tasks-per-node", "calls", "seed", "verbose",
-                     "parallel-equivalence", "workers", "json"});
-  if (!typos.empty()) {
-    std::cerr << "pasched-audit: unknown flag(s):";
-    for (const std::string& t : typos) std::cerr << " --" << t;
-    std::cerr << "\nusage: pasched-audit [--nodes=N] [--tasks-per-node=N]"
-                 " [--calls=N] [--seed=N] [--verbose]"
-                 " [--parallel-equivalence [--workers=N]] [--json=FILE]\n";
-    return 64;
-  }
-  AuditParams p;
-  p.nodes = static_cast<int>(flags.get_int("nodes", p.nodes));
-  p.tasks_per_node =
-      static_cast<int>(flags.get_int("tasks-per-node", p.tasks_per_node));
-  p.calls = static_cast<int>(flags.get_int("calls", p.calls));
-  p.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  p.verbose = flags.get_bool("verbose", false);
-  if (p.nodes < 1 || p.tasks_per_node < 1 || p.calls < 1) {
-    std::cerr << "pasched-audit: --nodes, --tasks-per-node and --calls must"
-                 " be positive\n";
-    return 64;
-  }
-
+int audit_main(const util::Flags& flags) {
+  ScenarioFlags f;
+  f.workers = 8;
+  f.parse(flags, 1);
+  const bool verbose = flags.get_bool("verbose", false);
   const std::string json_path = flags.get("json", "");
 
   if (flags.get_bool("parallel-equivalence", false)) {
-    const int workers = static_cast<int>(flags.get_int("workers", 8));
-    if (workers < 1) {
-      std::cerr << "pasched-audit: --workers must be positive\n";
-      return 64;
-    }
     const int rc = write_json(json_path, "parallel-equivalence",
-                              run_parallel_equivalence(p, workers));
+                              run_parallel_equivalence(f));
     if (rc == 0) std::cout << "pasched-audit: PASS (parallel equivalence)\n";
     return rc;
   }
@@ -292,9 +229,9 @@ int tool_main(const util::Flags& flags) {
   for (const bool prototype : {false, true}) {
     const char* name = prototype ? "prototype+cosched" : "vanilla";
     std::cout << "scenario " << name << ": run 1..." << std::flush;
-    const RunDigest a = run_scenario(p, prototype);
+    const RunDigest a = run_scenario(f, prototype, verbose);
     std::cout << " run 2..." << std::flush;
-    const RunDigest b = run_scenario(p, prototype);
+    const RunDigest b = run_scenario(f, prototype, verbose);
     std::cout << "\n  events=" << a.events << " completed=" << a.completed
               << " hash=" << std::hex << a.hash << std::dec << "\n";
 
@@ -327,8 +264,4 @@ int tool_main(const util::Flags& flags) {
   return rc;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  return util::run_tool("pasched-audit", argc, argv, tool_main);
-}
+}  // namespace pasched::tools

@@ -1,4 +1,4 @@
-// pasched-lint: the offline analysis front-end. Two engines behind one exit
+// pasched lint: the offline analysis front-end. Two engines behind one exit
 // status:
 //
 //   * the config linter (analysis/lint.hpp) — checks kernel tunables,
@@ -10,14 +10,14 @@
 //     it for priority-inversion windows, stalled-sender cascades, and
 //     wait-for cycles (rules PSL101–PSL103).
 //
-//   ./pasched-lint                                  # lint every shipped preset
-//   ./pasched-lint --list-rules
-//   ./pasched-lint --kernel=prototype --cosched=paper
-//   ./pasched-lint --scenario=ale3d-naive           # §5.3 misconfiguration
-//   ./pasched-lint --scenario=ale3d-tuned           # the favored=41 fix
-//   ./pasched-lint --admin=etc/poe.priority
-//   ./pasched-lint --trace-run [--trace-calls=N] [--schedule=FILE]
-//   ./pasched-lint --schedtune --kernel=prototype
+//   pasched lint                                  # lint every shipped preset
+//   pasched lint --list-rules
+//   pasched lint --kernel=prototype --cosched=paper
+//   pasched lint --scenario=ale3d-naive           # §5.3 misconfiguration
+//   pasched lint --scenario=ale3d-tuned           # the favored=41 fix
+//   pasched lint --admin=etc/poe.priority
+//   pasched lint --trace-run [--trace-calls=N] [--schedule=FILE]
+//   pasched lint --schedtune --kernel=prototype
 //
 // Exit status: 0 = no ERROR findings, 1 = at least one ERROR, 64 = bad usage.
 #include <fstream>
@@ -31,14 +31,12 @@
 #include "analysis/lint.hpp"
 #include "apps/aggregate_trace.hpp"
 #include "core/presets.hpp"
-#include "core/simulation.hpp"
+#include "driver.hpp"
 #include "kern/schedtune.hpp"
-#include "mc/schedule.hpp"
 #include "sim/choice.hpp"
 #include "trace/trace.hpp"
-#include "util/flags.hpp"
 
-using namespace pasched;
+namespace pasched::tools {
 
 namespace {
 
@@ -56,9 +54,8 @@ void collect(const std::string& label,
 }
 
 /// Writes the machine-readable report (shared schema/tool header) on the
-/// way out of every lint mode. Usage errors (64) skip the write.
+/// way out of every lint mode.
 int finish(int rc) {
-  if (rc == 64) return rc;
   return util::write_output(
       "pasched-lint", g_json_path, "json report",
       "{\n  " + analysis::json_report_header("pasched-lint") + "\n" +
@@ -80,20 +77,20 @@ int report(const std::string& label,
   return analysis::any_errors(diags) ? 1 : 0;
 }
 
-const kern::Tunables* find_kernel(
-    const std::vector<core::NamedKernelPreset>& presets,
-    const std::string& name) {
-  for (const core::NamedKernelPreset& p : presets)
-    if (p.name == name) return &p.tunables;
-  return nullptr;
+/// The shipped kernel preset `name`; throws util::FlagError for an unknown
+/// one.
+kern::Tunables kernel_preset(const std::string& name) {
+  for (const core::NamedKernelPreset& p : core::named_kernel_presets())
+    if (p.name == name) return p.tunables;
+  throw util::FlagError("unknown kernel preset '" + name + "'");
 }
 
-const core::CoschedConfig* find_cosched(
-    const std::vector<core::NamedCoschedPreset>& presets,
-    const std::string& name) {
-  for (const core::NamedCoschedPreset& p : presets)
-    if (p.name == name) return &p.config;
-  return nullptr;
+/// The shipped co-scheduler preset `name`; throws util::FlagError for an
+/// unknown one.
+core::CoschedConfig cosched_preset(const std::string& name) {
+  for (const core::NamedCoschedPreset& p : core::named_cosched_presets())
+    if (p.name == name) return p.config;
+  throw util::FlagError("unknown cosched preset '" + name + "'");
 }
 
 /// Lints every shipped kernel preset alone and crossed with every shipped
@@ -136,10 +133,7 @@ analysis::LintConfig ale3d_scenario(bool tuned) {
 int lint_admin_file(const std::string& path,
                     const analysis::RuleSelection& rules) {
   std::ifstream in(path);
-  if (!in) {
-    std::cerr << "pasched-lint: cannot read " << path << "\n";
-    return 64;
-  }
+  if (!in) throw util::FlagError("cannot read " + path);
   std::ostringstream text;
   text << in.rdbuf();
   analysis::LintConfig cfg;
@@ -163,10 +157,17 @@ int lint_admin_file(const std::string& path,
 /// Runs a deliberately tight co-scheduling window (so several flips happen
 /// in well under a second of simulated time) over the paper's synthetic
 /// benchmark on a stock kernel, then mines the event stream. When
-/// schedule_path is non-empty, the file (a pasched-mc counterexample) steers
+/// schedule_path is non-empty, the file (an mc counterexample) steers
 /// every recorded choice point; past the schedule's end, defaults apply.
 int run_trace_analysis(int calls, bool verbose,
                        const std::string& schedule_path) {
+  // Schedule-guided replay: steer the engine's choice points with a saved
+  // mc counterexample. The source and tie-break must outlive run().
+  const mc::Schedule sched =
+      schedule_path.empty() ? mc::Schedule{} : read_schedule(schedule_path);
+  mc::GuidedSource guide(sched);
+  sim::SourceTieBreak guided_ties(&guide);
+
   core::SimulationConfig cfg;
   cfg.cluster = cluster::presets::frost(2);
   cfg.cluster.seed = 1;
@@ -187,27 +188,6 @@ int run_trace_analysis(int calls, bool verbose,
   at.warmup = sim::Duration::ms(150);
   core::Simulation sim(cfg, apps::aggregate_trace(at));
 
-  // Schedule-guided replay: steer the engine's choice points with a saved
-  // pasched-mc counterexample. The source and tie-break must outlive run().
-  mc::Schedule sched;
-  if (!schedule_path.empty()) {
-    std::ifstream in(schedule_path);
-    if (!in) {
-      std::cerr << "pasched-lint: cannot read " << schedule_path << "\n";
-      return 64;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    try {
-      sched = mc::Schedule::parse(text.str());
-    } catch (const std::logic_error& e) {
-      std::cerr << "pasched-lint: " << schedule_path << ": " << e.what()
-                << "\n";
-      return 64;
-    }
-  }
-  mc::GuidedSource guide(sched);
-  sim::SourceTieBreak guided_ties(&guide);
   if (!schedule_path.empty()) {
     sim.engine().set_choice_source(&guide);
     sim.engine().set_tie_break(&guided_ties);
@@ -240,27 +220,7 @@ int run_trace_analysis(int calls, bool verbose,
 
 }  // namespace
 
-namespace {
-
-int tool_main(const util::Flags& flags) {
-  const std::vector<std::string> typos = flags.unknown(
-      {"list-rules", "rules", "all-presets", "kernel", "cosched", "scenario",
-       "admin", "schedtune", "trace-run", "trace-calls", "schedule",
-       "verbose", "json"});
-  if (!typos.empty()) {
-    std::cerr << "pasched-lint: unknown flag(s):";
-    for (const std::string& t : typos) std::cerr << " --" << t;
-    std::cerr << "\nusage: pasched-lint [--list-rules] [--rules=all|IDs]"
-                 " [--all-presets]\n"
-                 "       [--kernel=vanilla|prototype]"
-                 " [--cosched=paper|io-aware|none]\n"
-                 "       [--scenario=ale3d-naive|ale3d-tuned]"
-                 " [--admin=FILE] [--schedtune]\n"
-                 "       [--trace-run] [--trace-calls=N] [--schedule=FILE]"
-                 " [--verbose] [--json=FILE]\n";
-    return 64;
-  }
-
+int lint_main(const util::Flags& flags) {
   if (flags.get_bool("list-rules", false)) {
     std::cout << analysis::rule_table();
     return 0;
@@ -270,8 +230,7 @@ int tool_main(const util::Flags& flags) {
   try {
     rules = analysis::RuleSelection::parse(flags.get("rules", "all"));
   } catch (const std::logic_error& e) {
-    std::cerr << "pasched-lint: " << e.what() << " (--list-rules shows all)\n";
-    return 64;
+    throw util::FlagError(std::string(e.what()) + " (--list-rules shows all)");
   }
 
   const std::string kernel = flags.get("kernel", "");
@@ -282,14 +241,8 @@ int tool_main(const util::Flags& flags) {
   g_json_path = flags.get("json", "");
 
   if (flags.get_bool("schedtune", false)) {
-    const auto kernels = core::named_kernel_presets();
-    const kern::Tunables* t =
-        find_kernel(kernels, kernel.empty() ? "prototype" : kernel);
-    if (t == nullptr) {
-      std::cerr << "pasched-lint: unknown kernel preset '" << kernel << "'\n";
-      return 64;
-    }
-    std::cout << kern::describe_tunables(*t);
+    std::cout << kern::describe_tunables(
+        kernel_preset(kernel.empty() ? "prototype" : kernel));
     return 0;
   }
 
@@ -301,35 +254,19 @@ int tool_main(const util::Flags& flags) {
   if (!admin.empty()) return finish(lint_admin_file(admin, rules));
 
   if (!scenario.empty()) {
-    if (scenario != "ale3d-naive" && scenario != "ale3d-tuned") {
-      std::cerr << "pasched-lint: unknown scenario '" << scenario << "'\n";
-      return 64;
-    }
+    if (scenario != "ale3d-naive" && scenario != "ale3d-tuned")
+      throw util::FlagError("unknown scenario '" + scenario + "'");
     return finish(report("scenario " + scenario,
                          analysis::lint(ale3d_scenario(scenario == "ale3d-tuned"),
                                         rules)));
   }
 
   if (!kernel.empty() || !cosched.empty()) {
-    const auto kernels = core::named_kernel_presets();
-    const auto cloths = core::named_cosched_presets();
-    analysis::LintConfig cfg;
-    const kern::Tunables* t =
-        find_kernel(kernels, kernel.empty() ? "vanilla" : kernel);
-    if (t == nullptr) {
-      std::cerr << "pasched-lint: unknown kernel preset '" << kernel << "'\n";
-      return 64;
-    }
-    cfg.tunables = *t;
     std::string label = kernel.empty() ? "vanilla" : kernel;
+    analysis::LintConfig cfg;
+    cfg.tunables = kernel_preset(label);
     if (!cosched.empty() && cosched != "none") {
-      const core::CoschedConfig* c = find_cosched(cloths, cosched);
-      if (c == nullptr) {
-        std::cerr << "pasched-lint: unknown cosched preset '" << cosched
-                  << "'\n";
-        return 64;
-      }
-      cfg.cosched = *c;
+      cfg.cosched = cosched_preset(cosched);
       label += "+" + cosched;
     }
     return finish(report(label, analysis::lint(cfg, rules)));
@@ -339,8 +276,4 @@ int tool_main(const util::Flags& flags) {
   return finish(lint_all_presets(rules));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  return util::run_tool("pasched-lint", argc, argv, tool_main);
-}
+}  // namespace pasched::tools

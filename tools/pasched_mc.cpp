@@ -1,4 +1,4 @@
-// pasched-mc: the bounded schedule-space model checker front-end. Explores
+// pasched mc: the bounded schedule-space model checker front-end. Explores
 // every same-timestamp event ordering, daemon arrival phase, and tick
 // stagger of a small scenario (see --list-configs) up to a depth/run
 // budget, checking four oracles per interleaving: safety (engine + kernel
@@ -7,27 +7,25 @@
 // window), completion at the horizon (lost wakeups), and cross-run outcome
 // divergence.
 //
-//   ./pasched-mc --config=clean                     # certify exhaustively
-//   ./pasched-mc --config=lost-wakeup --shrink      # find + minimize
-//   ./pasched-mc --config=starvation --schedule-out=cex.sched
-//   ./pasched-mc --config=starvation --replay=cex.sched
-//   ./pasched-mc --list-configs
+//   pasched mc --config=clean                     # certify exhaustively
+//   pasched mc --config=lost-wakeup --shrink      # find + minimize
+//   pasched mc --config=starvation --schedule-out=cex.sched
+//   pasched mc --config=starvation --replay=cex.sched
+//   pasched mc --list-configs
 //
 // Exit status: 0 = certified clean, 1 = violation found, 2 = no violation
 // but the budget clipped exploration (NOT a certificate), 64 = bad usage.
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
+#include "driver.hpp"
 #include "mc/configs.hpp"
 #include "mc/explorer.hpp"
-#include "mc/schedule.hpp"
-#include "util/flags.hpp"
 
-using namespace pasched;
+namespace pasched::tools {
 
 namespace {
 
@@ -95,33 +93,16 @@ int report_violation(const mc::Violation& v, mc::Explorer& ex, bool shrink,
       util::write_output("pasched-mc", out_path, "schedule",
                          "# config: " + config + "\n" + cex.serialize(),
                          0) == 0)
-    std::cout << "  replay with --replay=" << out_path
-              << " or pasched-lint --trace-run --schedule=" << out_path
+    std::cout << "  replay with pasched mc --config=" << config
+              << " --replay=" << out_path
+              << " or pasched lint --trace-run --schedule=" << out_path
               << "\n";
   return 1;
 }
 
 }  // namespace
 
-namespace {
-
-int tool_main(const util::Flags& flags) {
-  const std::vector<std::string> typos = flags.unknown(
-      {"config", "list-configs", "depth", "max-runs", "window", "tolerance",
-       "no-reduce", "no-prune", "shrink", "replay", "schedule-out",
-       "verbose", "json"});
-  if (!typos.empty()) {
-    std::cerr << "pasched-mc: unknown flag(s):";
-    for (const std::string& t : typos) std::cerr << " --" << t;
-    std::cerr << "\nusage: pasched-mc --config=NAME [--list-configs]\n"
-                 "       [--depth=N] [--max-runs=N] [--window=US]"
-                 " [--tolerance=SEC]\n"
-                 "       [--no-reduce] [--no-prune] [--shrink]\n"
-                 "       [--replay=FILE] [--schedule-out=FILE] [--verbose]"
-                 " [--json=FILE]\n";
-    return 64;
-  }
-
+int mc_main(const util::Flags& flags) {
   if (flags.get_bool("list-configs", false)) {
     for (const mc::NamedModel& m : mc::model_zoo())
       std::cout << m.name << " — " << m.description << "\n";
@@ -129,17 +110,12 @@ int tool_main(const util::Flags& flags) {
   }
 
   const std::string config = flags.get("config", "");
-  if (config.empty()) {
-    std::cerr << "pasched-mc: --config=NAME required (--list-configs shows "
-                 "all)\n";
-    return 64;
-  }
+  if (config.empty())
+    throw util::FlagError("--config=NAME required (--list-configs shows all)");
   mc::ModelFactory factory = mc::find_model(config);
-  if (!factory) {
-    std::cerr << "pasched-mc: unknown config '" << config
-              << "' (--list-configs shows all)\n";
-    return 64;
-  }
+  if (!factory)
+    throw util::FlagError("unknown config '" + config +
+                          "' (--list-configs shows all)");
 
   mc::ExploreOptions opts;
   opts.max_runs = static_cast<std::size_t>(flags.get_int("max-runs", 20000));
@@ -158,20 +134,7 @@ int tool_main(const util::Flags& flags) {
   mc::Explorer explorer(factory, opts);
 
   if (!replay_path.empty()) {
-    std::ifstream in(replay_path);
-    if (!in) {
-      std::cerr << "pasched-mc: cannot read " << replay_path << "\n";
-      return 64;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    mc::Schedule sched;
-    try {
-      sched = mc::Schedule::parse(text.str());
-    } catch (const std::logic_error& e) {
-      std::cerr << "pasched-mc: " << replay_path << ": " << e.what() << "\n";
-      return 64;
-    }
+    const mc::Schedule sched = read_schedule(replay_path);
     std::cout << "replaying " << sched.size() << " choices against '"
               << config << "'\n";
     const mc::RunRecord rec = explorer.run_schedule(sched);
@@ -214,8 +177,4 @@ int tool_main(const util::Flags& flags) {
                     nullptr, 0);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  return util::run_tool("pasched-mc", argc, argv, tool_main);
-}
+}  // namespace pasched::tools

@@ -1,4 +1,4 @@
-// pasched-race: the shard-ownership and determinism auditor for the
+// pasched race: the shard-ownership and determinism auditor for the
 // partitioned execution core.
 //
 // Runs the paper's scenario shapes (fig3 = vanilla kernel, fig5 = prototype
@@ -8,7 +8,7 @@
 // unordered cross-shard access pair, and any delivery into a shard's past
 // becomes a PSL2xx diagnostic with shard/object/epoch attribution.
 //
-//   ./pasched-race [--scenario=fig3|fig5|both] [--workers=N] [--nodes=N]
+//   pasched race [--scenario=fig3|fig5|both] [--workers=N] [--nodes=N]
 //       [--tasks-per-node=N] [--calls=N] [--seed=N]
 //
 // With --fuzz-windows=N each scenario additionally runs N window
@@ -17,8 +17,8 @@
 // reproduce the unperturbed canonical digest (PSL204 on divergence, with
 // the recorded schedule written next to the report for --replay).
 //
-//   ./pasched-race --fuzz-windows=200 [--report=FILE]
-//   ./pasched-race --replay=SCHEDULE_FILE --scenario=fig3
+//   pasched race --fuzz-windows=200 [--report=FILE]
+//   pasched race --replay=SCHEDULE_FILE --scenario=fig3
 //
 // --plant-cross-shard-write injects the CI regression fault: an event on
 // shard 0 mutates the kernel of block 1's first node (node 1 at the default
@@ -28,64 +28,26 @@
 //
 // Exit status: 0 = no findings, 1 = PSL2xx ERROR findings, 2 = a model
 // invariant is violated, 64 = bad usage.
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
-#include "apps/aggregate_trace.hpp"
-#include "check/check.hpp"
-#include "core/presets.hpp"
-#include "core/simulation.hpp"
-#include "mc/schedule.hpp"
+#include "driver.hpp"
 #include "race/fuzz.hpp"
-#include "util/flags.hpp"
 
-using namespace pasched;
+namespace pasched::tools {
 
 namespace {
 
 struct Params {
-  int nodes = 4;
-  int tasks_per_node = 16;
-  int calls = 120;
-  std::uint64_t seed = 1;
-  int workers = 4;
+  ScenarioFlags scn;
   int fuzz = 0;
   bool plant = false;
-  std::string scenario = "both";
   std::string report;
   std::string replay;
 };
-
-struct Scenario {
-  const char* name;
-  core::SimulationConfig cfg;
-  mpi::WorkloadFactory factory;
-};
-
-Scenario make_scenario(const Params& p, bool prototype) {
-  Scenario s;
-  s.name = prototype ? "fig5-prototype+cosched" : "fig3-vanilla";
-  s.cfg.cluster = cluster::presets::frost(p.nodes);
-  s.cfg.cluster.seed = p.seed;
-  s.cfg.cluster.node.tunables =
-      prototype ? core::prototype_kernel() : core::vanilla_kernel();
-  s.cfg.job.ntasks = p.nodes * p.tasks_per_node;
-  s.cfg.job.tasks_per_node = p.tasks_per_node;
-  s.cfg.job.seed = p.seed;
-  s.cfg.use_coscheduler = prototype;
-  s.cfg.cosched = core::paper_cosched();
-
-  apps::AggregateTraceConfig at;
-  at.loops = 1;
-  at.calls_per_loop = p.calls;
-  at.warmup = sim::Duration::sec(6);
-  s.factory = apps::aggregate_trace(at);
-  return s;
-}
 
 void print_findings(std::ostream& os,
                     const std::vector<analysis::Diagnostic>& findings) {
@@ -104,14 +66,15 @@ std::string json_report(int rc) {
 
 /// Audits one scenario; returns the exit code contribution (0 or 1).
 int run_one(const Scenario& s, const Params& p, std::ostream& report) {
-  std::cout << "scenario " << s.name << ": audit (workers=" << p.workers
+  std::cout << "scenario " << s.name << ": audit (workers=" << p.scn.workers
             << ")..." << std::flush;
   report << "== " << s.name << " ==\n";
 
   std::vector<analysis::Diagnostic> findings;
   if (p.fuzz > 0) {
     const race::FuzzResult fz =
-        race::fuzz_windows(s.cfg, s.factory, p.fuzz, p.seed, p.workers);
+        race::fuzz_windows(s.cfg, s.factory, p.fuzz, p.scn.seed,
+                           p.scn.workers);
     std::cout << " " << fz.runs << " runs (baseline + " << p.fuzz
               << " perturbations), base hash=" << std::hex << fz.base_hash
               << std::dec << "\n";
@@ -127,7 +90,7 @@ int run_one(const Scenario& s, const Params& p, std::ostream& report) {
     }
   } else {
     race::AuditOptions opt;
-    opt.workers = p.plant ? 1 : p.workers;
+    opt.workers = p.plant ? 1 : p.scn.workers;
     opt.plant_cross_shard_write = p.plant;
     const race::AuditRun run = race::run_audited(s.cfg, s.factory, opt);
     std::cout << " hash=" << std::hex << run.digest.hash << std::dec
@@ -152,83 +115,36 @@ int run_one(const Scenario& s, const Params& p, std::ostream& report) {
 
 }  // namespace
 
-namespace {
-
-int tool_main(const util::Flags& flags) {
-  const std::vector<std::string> typos = flags.unknown(
-      {"scenario", "workers", "nodes", "tasks-per-node", "calls", "seed",
-       "fuzz-windows", "plant-cross-shard-write", "report", "replay", "json"});
-  if (!typos.empty()) {
-    std::cerr << "pasched-race: unknown flag(s):";
-    for (const std::string& t : typos) std::cerr << " --" << t;
-    std::cerr << "\nusage: pasched-race [--scenario=fig3|fig5|both]"
-                 " [--workers=N] [--nodes=N] [--tasks-per-node=N] [--calls=N]"
-                 " [--seed=N] [--fuzz-windows=N] [--plant-cross-shard-write]"
-                 " [--report=FILE] [--replay=SCHEDULE_FILE] [--json=FILE]\n";
-    return 64;
-  }
+int race_main(const util::Flags& flags) {
   Params p;
-  p.nodes = static_cast<int>(flags.get_int("nodes", p.nodes));
-  p.tasks_per_node =
-      static_cast<int>(flags.get_int("tasks-per-node", p.tasks_per_node));
-  p.calls = static_cast<int>(flags.get_int("calls", p.calls));
-  p.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  p.workers = static_cast<int>(flags.get_int("workers", p.workers));
+  p.scn.parse(flags, 2, " (the partitioned core needs shards to cross)");
   p.fuzz = static_cast<int>(flags.get_int("fuzz-windows", 0));
   p.plant = flags.get_bool("plant-cross-shard-write", false);
-  p.scenario = flags.get("scenario", "both");
   p.report = flags.get("report", "");
   p.replay = flags.get("replay", "");
-  if (p.nodes < 2 || p.tasks_per_node < 1 || p.calls < 1 || p.workers < 1 ||
-      p.fuzz < 0) {
-    std::cerr << "pasched-race: --nodes must be >= 2 (the partitioned core "
-                 "needs shards to cross) and --tasks-per-node/--calls/"
-                 "--workers positive\n";
-    return 64;
-  }
-  if (p.scenario != "fig3" && p.scenario != "fig5" && p.scenario != "both") {
-    std::cerr << "pasched-race: --scenario must be fig3, fig5 or both\n";
-    return 64;
-  }
-  if (!p.replay.empty() && p.scenario == "both") {
-    std::cerr << "pasched-race: --replay needs a single --scenario\n";
-    return 64;
-  }
+  if (p.fuzz < 0) throw util::FlagError("--fuzz-windows must be >= 0");
+  if (!p.replay.empty() && p.scn.scenario == "both")
+    throw util::FlagError("--replay needs a single --scenario");
 
   std::ostringstream report;
   int rc = 0;
-  try {
-    if (!p.replay.empty()) {
-      std::ifstream in(p.replay);
-      if (!in) {
-        std::cerr << "pasched-race: cannot read " << p.replay << "\n";
-        return 64;
-      }
-      std::stringstream buf;
-      buf << in.rdbuf();
-      const mc::Schedule sched = mc::Schedule::parse(buf.str());
-      const Scenario s = make_scenario(p, p.scenario == "fig5");
-      std::cout << "replaying " << sched.size() << " window choices on "
-                << s.name << "\n";
-      const race::AuditRun run =
-          race::replay_schedule(s.cfg, s.factory, sched, p.workers);
-      std::cout << "  hash=" << std::hex << run.digest.hash << std::dec
-                << "\n";
-      print_findings(std::cout, run.findings);
-      print_findings(report, run.findings);
-      g_collected.insert(g_collected.end(), run.findings.begin(),
-                         run.findings.end());
-      rc = analysis::any_errors(run.findings) ? 1 : 0;
-    } else {
-      if (p.scenario != "fig5")
-        rc = std::max(rc, run_one(make_scenario(p, false), p, report));
-      if (p.scenario != "fig3")
-        rc = std::max(rc, run_one(make_scenario(p, true), p, report));
-    }
-  } catch (const check::CheckError& e) {
-    std::cerr << "pasched-race: model invariant violated: " << e.what()
-              << "\n";
-    return 2;
+  if (!p.replay.empty()) {
+    const mc::Schedule sched = read_schedule(p.replay);
+    const Scenario s = p.scn.build(p.scn.scenario == "fig5");
+    std::cout << "replaying " << sched.size() << " window choices on "
+              << s.name << "\n";
+    const race::AuditRun run =
+        race::replay_schedule(s.cfg, s.factory, sched, p.scn.workers);
+    std::cout << "  hash=" << std::hex << run.digest.hash << std::dec << "\n";
+    print_findings(std::cout, run.findings);
+    print_findings(report, run.findings);
+    g_collected.insert(g_collected.end(), run.findings.begin(),
+                       run.findings.end());
+    rc = analysis::any_errors(run.findings) ? 1 : 0;
+  } else {
+    for (const bool prototype : {false, true})
+      if (p.scn.selects(prototype))
+        rc = std::max(rc, run_one(p.scn.build(prototype), p, report));
   }
 
   const std::string json = json_report(rc);
@@ -240,8 +156,4 @@ int tool_main(const util::Flags& flags) {
   return rc;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  return util::run_tool("pasched-race", argc, argv, tool_main);
-}
+}  // namespace pasched::tools

@@ -1,4 +1,4 @@
-// pasched-scale: the static scalability analyzer for the partitioned
+// pasched scale: the static scalability analyzer for the partitioned
 // execution core.
 //
 // Two halves per scenario (fig3 = vanilla kernel, fig5 = prototype kernel +
@@ -18,7 +18,7 @@
 // PSL303 unsound lookahead claim, PSL304 shard load imbalance, PSL305 hub
 // serialization, PSL306 speedup ceiling below target.
 //
-//   ./pasched-scale [--scenario=fig3|fig5|both] [--nodes=N]
+//   pasched scale [--scenario=fig3|fig5|both] [--nodes=N]
 //       [--tasks-per-node=N] [--calls=N] [--seed=N] [--workers=N]
 //       [--target-workers=N] [--target-speedup=X]
 //       [--report=FILE] [--json=FILE]
@@ -43,67 +43,22 @@
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
-#include "apps/aggregate_trace.hpp"
-#include "check/check.hpp"
-#include "core/presets.hpp"
-#include "core/simulation.hpp"
+#include "driver.hpp"
 #include "scale/runner.hpp"
-#include "util/flags.hpp"
 
-using namespace pasched;
+namespace pasched::tools {
 
 namespace {
 
-struct Params {
-  int nodes = 4;
-  int tasks_per_node = 8;
-  int calls = 60;
-  std::uint64_t seed = 1;
-  int workers = 1;
-  bool plant = false;
-  std::string scenario = "both";
-  std::string report;
-  std::string json;
-  scale::ScaleOptions opts;
-};
-
-struct Scenario {
-  const char* name;
-  core::SimulationConfig cfg;
-  mpi::WorkloadFactory factory;
-};
-
-Scenario make_scenario(const Params& p, bool prototype) {
-  Scenario s;
-  s.name = prototype ? "fig5-prototype+cosched" : "fig3-vanilla";
-  s.cfg.cluster = cluster::presets::frost(p.nodes);
-  s.cfg.cluster.seed = p.seed;
-  s.cfg.cluster.node.tunables =
-      prototype ? core::prototype_kernel() : core::vanilla_kernel();
-  s.cfg.job.ntasks = p.nodes * p.tasks_per_node;
-  s.cfg.job.tasks_per_node = p.tasks_per_node;
-  s.cfg.job.seed = p.seed;
-  s.cfg.use_coscheduler = prototype;
-  s.cfg.cosched = core::paper_cosched();
-  s.cfg.parallel = p.workers;
-
-  apps::AggregateTraceConfig at;
-  at.loops = 1;
-  at.calls_per_loop = p.calls;
-  at.warmup = sim::Duration::sec(6);
-  s.factory = apps::aggregate_trace(at);
-  return s;
-}
-
 /// Analyzes one scenario; returns the exit code contribution (0 or 1).
-int run_one(const Scenario& s, const Params& p, std::ostream& report,
-            std::vector<std::string>& json_reports) {
-  std::cout << "scenario " << s.name << ": analyze (workers=" << p.workers
-            << (p.plant ? ", planted unsound bound" : "") << ")..."
-            << std::flush;
+int run_one(const Scenario& s, const scale::ScaleOptions& opts, bool plant,
+            std::ostream& report, std::vector<std::string>& json_reports) {
+  std::cout << "scenario " << s.name << ": analyze (workers="
+            << s.cfg.parallel << (plant ? ", planted unsound bound" : "")
+            << ")..." << std::flush;
 
   scale::ScaleReport rep;
-  if (p.plant) {
+  if (plant) {
     // Inflate EVERY pairwise claim: allreduce traffic flows through the
     // hub, so inflating a single node-node pair might never be exercised.
     scale::LookaheadMatrix planted = scale::build_lookahead_matrix(
@@ -111,9 +66,9 @@ int run_one(const Scenario& s, const Params& p, std::ostream& report,
     for (int a = 0; a < planted.shards; ++a)
       for (int b = 0; b < planted.shards; ++b)
         if (a != b) planted.set(a, b, planted.at(a, b) * 4);
-    rep = scale::analyze_scenario(s.cfg, s.factory, s.name, p.opts, &planted);
+    rep = scale::analyze_scenario(s.cfg, s.factory, s.name, opts, &planted);
   } else {
-    rep = scale::analyze_scenario(s.cfg, s.factory, s.name, p.opts);
+    rep = scale::analyze_scenario(s.cfg, s.factory, s.name, opts);
   }
 
   std::cout << " windows=" << rep.windows.n_windows()
@@ -135,78 +90,40 @@ int run_one(const Scenario& s, const Params& p, std::ostream& report,
 
 }  // namespace
 
-namespace {
-
-int tool_main(const util::Flags& flags) {
-  const std::vector<std::string> typos = flags.unknown(
-      {"scenario", "workers", "nodes", "tasks-per-node", "calls", "seed",
-       "target-workers", "target-speedup", "plant-unsound-bound", "report",
-       "json"});
-  if (!typos.empty()) {
-    std::cerr << "pasched-scale: unknown flag(s):";
-    for (const std::string& t : typos) std::cerr << " --" << t;
-    std::cerr << "\nusage: pasched-scale [--scenario=fig3|fig5|both]"
-                 " [--nodes=N] [--tasks-per-node=N] [--calls=N] [--seed=N]"
-                 " [--workers=N] [--target-workers=N] [--target-speedup=X]"
-                 " [--plant-unsound-bound] [--report=FILE] [--json=FILE]\n";
-    return 64;
-  }
-  Params p;
-  p.nodes = static_cast<int>(flags.get_int("nodes", p.nodes));
-  p.tasks_per_node =
-      static_cast<int>(flags.get_int("tasks-per-node", p.tasks_per_node));
-  p.calls = static_cast<int>(flags.get_int("calls", p.calls));
-  p.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  p.workers = static_cast<int>(flags.get_int("workers", p.workers));
-  p.plant = flags.get_bool("plant-unsound-bound", false);
-  p.scenario = flags.get("scenario", "both");
-  p.report = flags.get("report", "");
-  p.json = flags.get("json", "");
-  p.opts.target_workers =
-      static_cast<int>(flags.get_int("target-workers", p.opts.target_workers));
-  p.opts.target_speedup =
-      flags.get_double("target-speedup", p.opts.target_speedup);
-  if (p.nodes < 2 || p.tasks_per_node < 1 || p.calls < 1 || p.workers < 1 ||
-      p.opts.target_workers < 1) {
-    std::cerr << "pasched-scale: --nodes must be >= 2 (a single shard has "
-                 "no pairs to certify) and --tasks-per-node/--calls/"
-                 "--workers/--target-workers positive\n";
-    return 64;
-  }
-  if (p.scenario != "fig3" && p.scenario != "fig5" && p.scenario != "both") {
-    std::cerr << "pasched-scale: --scenario must be fig3, fig5 or both\n";
-    return 64;
-  }
+int scale_main(const util::Flags& flags) {
+  ScenarioFlags scn;
+  scn.tasks_per_node = 8;
+  scn.calls = 60;
+  scn.workers = 1;
+  scn.parse(flags, 2, " (a single shard has no pairs to certify)");
+  const bool plant = flags.get_bool("plant-unsound-bound", false);
+  scale::ScaleOptions opts;
+  opts.target_workers =
+      static_cast<int>(flags.get_int("target-workers", opts.target_workers));
+  opts.target_speedup = flags.get_double("target-speedup", opts.target_speedup);
+  if (opts.target_workers < 1)
+    throw util::FlagError("--target-workers must be positive");
 
   std::ostringstream report;
   std::vector<std::string> json_reports;
   int rc = 0;
-  try {
-    if (p.scenario != "fig5")
-      rc = std::max(rc,
-                    run_one(make_scenario(p, false), p, report, json_reports));
-    if (p.scenario != "fig3")
-      rc = std::max(rc,
-                    run_one(make_scenario(p, true), p, report, json_reports));
-  } catch (const check::CheckError& e) {
-    std::cerr << "pasched-scale: model invariant violated: " << e.what()
-              << "\n";
-    return 2;
+  for (const bool prototype : {false, true}) {
+    if (!scn.selects(prototype)) continue;
+    Scenario s = scn.build(prototype);
+    s.cfg.parallel = scn.workers;
+    rc = std::max(rc, run_one(s, opts, plant, report, json_reports));
   }
 
   std::string json = "[\n";
   for (std::size_t i = 0; i < json_reports.size(); ++i)
     json += json_reports[i] + (i + 1 < json_reports.size() ? ",\n" : "");
   json += "]\n";
-  rc = util::write_output("pasched-scale", p.report, "report", report.str(),
+  rc = util::write_output("pasched-scale", flags.get("report", ""), "report",
+                          report.str(), rc);
+  rc = util::write_output("pasched-scale", flags.get("json", ""), "json", json,
                           rc);
-  rc = util::write_output("pasched-scale", p.json, "json", json, rc);
   if (rc == 0) std::cout << "pasched-scale: PASS\n";
   return rc;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  return util::run_tool("pasched-scale", argc, argv, tool_main);
-}
+}  // namespace pasched::tools

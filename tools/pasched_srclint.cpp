@@ -1,9 +1,9 @@
-// pasched-srclint: the source scanner for this repository — architecture
+// pasched srclint: the source scanner for this repository — architecture
 // & hot-path rules, lock-order & serialization rules, and allocation &
 // layout rules over one lex of the tree, plus the two runtime ledgers that
 // verify what the scan certifies (PSL401-406, PSL501-506, PSL601-606).
 //
-// Where pasched-race and pasched-scale audit *executions*, srclint rejects
+// Where `pasched race` and `pasched scale` audit *executions*, srclint rejects
 // the source patterns that make those audits fail before a run exists:
 //
 //   PSL401  raw sim::Engine access outside the Router/EventContext seam
@@ -25,11 +25,11 @@
 //   PSL605  allocation-free region statically certified            (INFO)
 //   PSL606  runtime-refuted allocation-free claim                  (ERROR)
 //
-//   ./pasched-srclint [--root=DIR] [--compile-db=FILE] [--only=PSLnnn[,..]]
+//   pasched srclint [--root=DIR] [--compile-db=FILE] [--only=PSLnnn[,..]]
 //       [--report=FILE] [--json=FILE] [--graph] [--list-rules] [files...]
-//   ./pasched-srclint --ledger [--nodes=N] [--workers=N] [--calls=N]
+//   pasched srclint --ledger [--nodes=N] [--workers=N] [--calls=N]
 //       [--seed=N] [--max-barrier-wait-share=F] [--max-hot-window-allocs=N]
-//   ./pasched-srclint --plant [--fixtures=DIR] [files...]
+//   pasched srclint --plant [--fixtures=DIR] [files...]
 //
 // Scans the tree under --root (default: the current directory), preferring
 // the translation units listed in --compile-db (compile_commands.json,
@@ -70,27 +70,16 @@
 
 #include "alloc/ledger.hpp"
 #include "analysis/diagnostic.hpp"
-#include "apps/aggregate_trace.hpp"
 #include "check/check.hpp"
 #include "contend/ledger.hpp"
-#include "core/presets.hpp"
-#include "core/simulation.hpp"
+#include "driver.hpp"
 #include "srclint/runner.hpp"
 #include "util/allocgate.hpp"
-#include "util/flags.hpp"
 #include "util/seam.hpp"
 
-using namespace pasched;
+namespace pasched::tools {
 
 namespace {
-
-constexpr const char* kUsage =
-    "usage: pasched-srclint [--root=DIR] [--compile-db=FILE]"
-    " [--only=PSLnnn[,...]] [--report=FILE] [--json=FILE] [--graph]"
-    " [--list-rules] [files...]\n"
-    "       pasched-srclint --ledger [--nodes=N] [--workers=N] [--calls=N]"
-    " [--seed=N] [--max-barrier-wait-share=F] [--max-hot-window-allocs=N]\n"
-    "       pasched-srclint --plant [--fixtures=DIR] [files...]\n";
 
 std::vector<std::string> split_commas(const std::string& s) {
   std::vector<std::string> out;
@@ -101,40 +90,19 @@ std::vector<std::string> split_commas(const std::string& s) {
   return out;
 }
 
-struct LedgerParams {
-  int nodes = 8;    // fig5's cluster size
-  int workers = 8;  // parallel8: one worker per node shard
-  int calls = 120;
-  std::uint64_t seed = 1;
-};
-
 /// Runs the fig5 prototype scenario on the partitioned core once, with a
 /// ledger hook installed for exactly the duration of the run.
-void run_fig5(const LedgerParams& p, const std::function<void()>& install,
+void run_fig5(const ScenarioFlags& p, const std::function<void()>& install,
               const std::function<void()>& remove) {
-  core::SimulationConfig cfg;
-  cfg.cluster = cluster::presets::frost(p.nodes);
-  cfg.cluster.seed = p.seed;
-  cfg.cluster.node.tunables = core::prototype_kernel();
-  cfg.job.ntasks = p.nodes * 16;
-  cfg.job.tasks_per_node = 16;
-  cfg.job.seed = p.seed;
-  cfg.use_coscheduler = true;
-  cfg.cosched = core::paper_cosched();
-  cfg.parallel = p.workers;
-
-  apps::AggregateTraceConfig at;
-  at.loops = 1;
-  at.calls_per_loop = p.calls;
-  at.warmup = sim::Duration::sec(6);
-
-  core::Simulation sim(cfg, apps::aggregate_trace(at));
+  Scenario s = p.build(/*prototype=*/true);
+  s.cfg.parallel = p.workers;
+  core::Simulation sim(s.cfg, s.factory);
   install();
   sim.run();
   remove();
 }
 
-contend::LedgerReport contention_ledger(const LedgerParams& p,
+contend::LedgerReport contention_ledger(const ScenarioFlags& p,
                                         contend::Ledger& ledger) {
   run_fig5(
       p,
@@ -146,7 +114,7 @@ contend::LedgerReport contention_ledger(const LedgerParams& p,
   return ledger.report();
 }
 
-alloc::AllocLedgerReport allocation_ledger(const LedgerParams& p,
+alloc::AllocLedgerReport allocation_ledger(const ScenarioFlags& p,
                                            alloc::Ledger& ledger) {
   run_fig5(
       p,
@@ -187,7 +155,7 @@ struct Ledgers {
 void plant_ledgers(srclint::SrclintReport& rep, Ledgers& led) {
   // PSL506: every shard worker takes the wrap-up mutex under its own
   // race::Domain, so a single-domain claim on it must be refuted.
-  LedgerParams tiny;
+  ScenarioFlags tiny;
   tiny.nodes = 2;
   tiny.workers = 2;
   tiny.calls = 8;
@@ -208,7 +176,7 @@ void plant_ledgers(srclint::SrclintReport& rep, Ledgers& led) {
   led.ran = true;
 }
 
-void tree_ledgers(const LedgerParams& lp, srclint::SrclintReport& rep,
+void tree_ledgers(const ScenarioFlags& lp, srclint::SrclintReport& rep,
                   Ledgers& led) {
   led.contention_report = contention_ledger(lp, led.contention);
   led.allocation_report = allocation_ledger(lp, led.allocation);
@@ -228,17 +196,9 @@ void print_ledgers(std::ostream& os, const Ledgers& led) {
           "attributed allocation observed)\n";
 }
 
-int tool_main(const util::Flags& flags) {
-  const std::vector<std::string> typos = flags.unknown(
-      {"root", "compile-db", "only", "report", "json", "graph", "list-rules",
-       "plant", "fixtures", "ledger", "nodes", "workers", "calls", "seed",
-       "max-barrier-wait-share", "max-hot-window-allocs"});
-  if (!typos.empty()) {
-    std::cerr << "pasched-srclint: unknown flag(s):";
-    for (const std::string& t : typos) std::cerr << " --" << t;
-    std::cerr << "\n" << kUsage;
-    return 64;
-  }
+}  // namespace
+
+int srclint_main(const util::Flags& flags) {
   if (flags.get_bool("list-rules", false)) {
     for (const analysis::RuleInfo& r : analysis::all_rules()) {
       const std::string id(r.id);
@@ -266,11 +226,8 @@ int tool_main(const util::Flags& flags) {
                         (tests / "contend/fixtures").string(),
                         (tests / "alloc/fixtures").string()};
     for (const std::string& c : corpora) {
-      if (!std::filesystem::is_directory(c)) {
-        std::cerr << "pasched-srclint: fixture corpus not found at " << c
-                  << "\n";
-        return 64;
-      }
+      if (!std::filesystem::is_directory(c))
+        throw util::FlagError("fixture corpus not found at " + c);
     }
     // Named files are paths relative to whichever corpus holds them.
     for (const std::string& rel : flags.positional()) {
@@ -278,11 +235,8 @@ int tool_main(const util::Flags& flags) {
                        [&](const std::string& c) {
                          return std::filesystem::exists(
                              std::filesystem::path(c) / rel);
-                       })) {
-        std::cerr << "pasched-srclint: " << rel
-                  << " is in no fixture corpus\n";
-        return 64;
-      }
+                       }))
+        throw util::FlagError(rel + " is in no fixture corpus");
     }
   } else {
     opts.compile_db = flags.get("compile-db", "");
@@ -294,37 +248,26 @@ int tool_main(const util::Flags& flags) {
   }
   opts.select.only = split_commas(flags.get("only", ""));
   for (const std::string& id : opts.select.only) {
-    if (analysis::find_rule(id) == nullptr) {
-      std::cerr << "pasched-srclint: unknown rule " << id << "\n";
-      return 64;
-    }
+    if (analysis::find_rule(id) == nullptr)
+      throw util::FlagError("unknown rule " + id);
   }
 
-  LedgerParams lp;
-  lp.nodes = static_cast<int>(flags.get_int("nodes", lp.nodes));
-  lp.workers = static_cast<int>(flags.get_int("workers", lp.workers));
-  lp.calls = static_cast<int>(flags.get_int("calls", lp.calls));
-  lp.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  if (lp.nodes < 2 || lp.workers < 1 || lp.calls < 1) {
-    std::cerr << "pasched-srclint: --nodes must be >= 2 and --workers/"
-                 "--calls positive\n";
-    return 64;
-  }
+  // fig5's cluster size, one worker per node shard (parallel8).
+  ScenarioFlags lp;
+  lp.nodes = 8;
+  lp.workers = 8;
+  lp.parse(flags, 2);
   const double max_share = flags.get_double("max-barrier-wait-share", -1.0);
   const long long max_hot = flags.get_int("max-hot-window-allocs", -1);
   const bool gated = max_share >= 0.0 || max_hot >= 0;
   // A gate that cannot see a ledger would pass vacuously: refuse it.
-  if (gated && !ledger_mode) {
-    std::cerr << "pasched-srclint: --max-barrier-wait-share and "
-                 "--max-hot-window-allocs need --ledger\n";
-    return 64;
-  }
-  if (gated && !PASCHED_VALIDATE_ENABLED) {
-    std::cerr << "pasched-srclint: ledger gates need a "
-                 "-DPASCHED_VALIDATE=ON build (seams and the operator "
-                 "new/delete hook are compiled out)\n";
-    return 64;
-  }
+  if (gated && !ledger_mode)
+    throw util::FlagError(
+        "--max-barrier-wait-share and --max-hot-window-allocs need --ledger");
+  if (gated && !PASCHED_VALIDATE_ENABLED)
+    throw util::FlagError(
+        "ledger gates need a -DPASCHED_VALIDATE=ON build (seams and the "
+        "operator new/delete hook are compiled out)");
 
   srclint::SrclintReport rep;
   Ledgers led;
@@ -350,10 +293,8 @@ int tool_main(const util::Flags& flags) {
     if (PASCHED_VALIDATE_ENABLED && plant) plant_ledgers(rep, led);
     if (PASCHED_VALIDATE_ENABLED && ledger_mode && !plant)
       tree_ledgers(lp, rep, led);
-  } catch (const check::CheckError& e) {
-    std::cerr << "pasched-srclint: model invariant violated: " << e.what()
-              << "\n";
-    return 2;
+  } catch (const check::CheckError&) {
+    throw;  // the driver's exit 2
   } catch (const std::exception& e) {
     std::cerr << "pasched-srclint: " << e.what() << "\n";
     return 64;
@@ -417,8 +358,4 @@ int tool_main(const util::Flags& flags) {
   return rc;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  return util::run_tool("pasched-srclint", argc, argv, tool_main);
-}
+}  // namespace pasched::tools
