@@ -109,16 +109,27 @@ std::vector<int> default_proc_sweep(bool full) {
   return {32, 64, 128, 256, 512, 944};
 }
 
-std::string git_commit() {
-  std::FILE* p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
-  if (p == nullptr) return "unknown";
+namespace {
+std::string shell_line(const char* cmd) {
+  std::FILE* p = ::popen(cmd, "r");
+  if (p == nullptr) return {};
   char buf[64] = {};
   std::string out;
   if (std::fgets(buf, sizeof buf, p) != nullptr) out = buf;
   ::pclose(p);
   while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
     out.pop_back();
-  return out.empty() ? "unknown" : out;
+  return out;
+}
+}  // namespace
+
+std::string git_commit() {
+  const std::string head = shell_line("git rev-parse --short HEAD 2>/dev/null");
+  if (head.empty()) return "unknown";
+  const bool dirty =
+      !shell_line("git status --porcelain --untracked-files=no 2>/dev/null")
+           .empty();
+  return head + (dirty ? "-dirty" : "");
 }
 
 void banner(const std::string& title, const std::string& paper_ref) {

@@ -77,8 +77,9 @@ struct RunResult {
 /// Prints the standard bench banner.
 void banner(const std::string& title, const std::string& paper_ref);
 
-/// The current git commit (short hash), or "unknown" outside a repo — every
-/// BENCH_*.json stamps it so numbers are attributable to a tree state.
+/// The current git commit (short hash, "-dirty" when tracked files differ
+/// from it), or "unknown" outside a repo — every BENCH_*.json stamps it so
+/// numbers are attributable to a tree state.
 [[nodiscard]] std::string git_commit();
 
 }  // namespace bench

@@ -20,12 +20,15 @@
 // ratio isolates what the one-shard executor adds per event. Results are
 // written as JSON to BENCH_engine.json (schema documented in README.md)
 // so successive PRs can diff events/sec across engine changes; the JSON is
-// stamped with the git commit and hardware_concurrency, and each row
+// stamped with the git commit, build type, validation flag, compiler,
+// nproc and hardware_concurrency, and each row
 // carries speedup_valid (false when the row wants more workers than the
 // machine has hardware threads).
 //
 //   ./micro_engine [--chains=K] [--events=N] [--repeats=R]
 //       [--spacing-ns=S] [--out=FILE]
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -40,6 +43,7 @@
 #include <vector>
 
 #include "alloc/ledger.hpp"
+#include "check/check.hpp"
 #include "common.hpp"
 #include "sim/engine.hpp"
 #include "sim/shard.hpp"
@@ -48,6 +52,18 @@
 using namespace pasched;
 
 namespace {
+
+#ifndef MICRO_ENGINE_BUILD_TYPE
+#define MICRO_ENGINE_BUILD_TYPE "unknown"
+#endif
+
+/// CPUs this process may run on.
+int nproc() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) != 0) return 1;
+  return std::max(1, CPU_COUNT(&set));
+}
 
 struct Config {
   int chains = 64;
@@ -317,6 +333,11 @@ int main(int argc, char** argv) {
   std::ostringstream os;
   os << "{\n  \"bench\": \"micro_engine\",\n"
      << "  \"git_commit\": \"" << bench::git_commit() << "\",\n"
+     << "  \"build_type\": \"" << MICRO_ENGINE_BUILD_TYPE << "\",\n"
+     << "  \"validate\": " << (PASCHED_VALIDATE_ENABLED ? "true" : "false")
+     << ",\n"
+     << "  \"compiler\": \"" << __VERSION__ << "\",\n"
+     << "  \"nproc\": " << nproc() << ",\n"
      << "  \"hardware_concurrency\": " << hw << ",\n"
      << "  \"speedup_valid_note\": \"rows with cores > hardware_concurrency "
         "measure oversubscription; compare median_events_per_sec_per_core "

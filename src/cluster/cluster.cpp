@@ -12,6 +12,7 @@ Cluster::Cluster(sim::Router& router, const ClusterConfig& cfg)
   switch_clock_ = std::make_unique<net::SwitchClock>(router.engine_of(0));
   fabric_ = std::make_unique<net::Fabric>(router, cfg.fabric, rng_.fork(1),
                                           cfg.nodes);
+  shard_nodes_.resize(static_cast<std::size_t>(router.partitions()));
   for (int i = 0; i < cfg.nodes; ++i) {
     const int shard = router.shard_of_node(i);
     PASCHED_EXPECTS_MSG(shard >= 0 && shard < router.partitions(),
@@ -19,6 +20,8 @@ Cluster::Cluster(sim::Router& router, const ClusterConfig& cfg)
     nodes_.push_back(std::make_unique<Node>(
         sim::EventContext(router.engine_of(shard), router, shard), i,
         cfg.node, rng_.fork(100 + static_cast<std::uint64_t>(i))));
+    shard_nodes_[static_cast<std::size_t>(shard)].push_back(
+        nodes_.back().get());
   }
 }
 
@@ -49,6 +52,15 @@ bool Cluster::any_node_evicted() const {
     if (d != nullptr && d->any_evicted()) return true;
   }
   return false;
+}
+
+sim::Time Cluster::earliest_post(int shard, sim::Time floor) {
+  sim::Time k = sim::Time::max();
+  for (Node* n : shard_nodes_[static_cast<std::size_t>(shard)]) {
+    k = std::min(k, n->kernel().earliest_post(floor));
+    if (k <= floor) break;
+  }
+  return k;
 }
 
 namespace presets {

@@ -56,12 +56,19 @@ class Cluster {
   /// True if any node's deadline-bearing daemon exceeded its tolerance.
   [[nodiscard]] bool any_node_evicted() const;
 
+  /// K_s for the partitioned engine's earliest-output time: the minimum of
+  /// kern::Kernel::earliest_post over the nodes `shard` owns, Time::max()
+  /// for a shard without nodes (the hub). Stops at `floor` like the kernel
+  /// bound (sim::ShardedEngine::OutputBound).
+  [[nodiscard]] sim::Time earliest_post(int shard, sim::Time floor);
+
  private:
   sim::Router* router_;
   ClusterConfig cfg_;
   std::unique_ptr<net::SwitchClock> switch_clock_;
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<std::vector<Node*>> shard_nodes_;  ///< shard -> its nodes
   sim::Rng rng_;
 };
 

@@ -175,24 +175,24 @@ void CoschedManager::register_task(kern::NodeId node, kern::Thread& t) {
   CoScheduler& cs = node_cosched(node);
   kern::Thread* tp = &t;
   CoScheduler* csp = &cs;
-  cluster_.node(node).kernel().context().schedule_after(cfg_.pipe_delay,
-                                   [csp, tp] { csp->register_task(*tp); });
+  cluster_.node(node).kernel().schedule_kernel_entry(
+      cfg_.pipe_delay, [csp, tp] { csp->register_task(*tp); });
 }
 
 void CoschedManager::detach_task(kern::NodeId node, kern::Thread& t) {
   CoScheduler& cs = node_cosched(node);
   kern::Thread* tp = &t;
   CoScheduler* csp = &cs;
-  cluster_.node(node).kernel().context().schedule_after(cfg_.pipe_delay,
-                                   [csp, tp] { csp->detach(*tp); });
+  cluster_.node(node).kernel().schedule_kernel_entry(
+      cfg_.pipe_delay, [csp, tp] { csp->detach(*tp); });
 }
 
 void CoschedManager::attach_task(kern::NodeId node, kern::Thread& t) {
   CoScheduler& cs = node_cosched(node);
   kern::Thread* tp = &t;
   CoScheduler* csp = &cs;
-  cluster_.node(node).kernel().context().schedule_after(cfg_.pipe_delay,
-                                   [csp, tp] { csp->attach(*tp); });
+  cluster_.node(node).kernel().schedule_kernel_entry(
+      cfg_.pipe_delay, [csp, tp] { csp->attach(*tp); });
 }
 
 void CoschedManager::job_ended() {

@@ -47,6 +47,12 @@ Simulation::Simulation(SimulationConfig cfg, const mpi::WorkloadFactory& factory
   // run).
   sharded_->set_pair_lookahead(net::pair_lookahead(cfg_.cluster.fabric, map));
   cluster_ = std::make_unique<cluster::Cluster>(*sharded_, cfg_.cluster);
+  // Windows are planned on when each shard can next post, which only the
+  // kernels know (ignored by a one-shard run).
+  cluster::Cluster* cluster = cluster_.get();
+  sharded_->set_output_bound([cluster](int shard, sim::Time floor) {
+    return cluster->earliest_post(shard, floor);
+  });
   job_ = std::make_unique<mpi::Job>(*cluster_, cfg_.job, factory);
   sharded_->set_ring_capacity(ring_capacity(*sharded_, *job_));
 

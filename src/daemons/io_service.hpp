@@ -56,6 +56,9 @@ class IoService final : private kern::ThreadClient {
   };
 
   kern::RunDecision next(sim::Time now) override;
+  /// A completion can post (a remote request's ack) or wake a task that
+  /// posts on the spot.
+  [[nodiscard]] bool posts() const noexcept override { return true; }
 
   kern::Kernel& kernel_;
   IoServiceConfig cfg_;

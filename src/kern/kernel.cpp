@@ -48,6 +48,7 @@ void Kernel::start() {
   PASCHED_ASSERT_OWNED(owned_, "start");
   PASCHED_EXPECTS_MSG(!started_, "Kernel::start called twice");
   started_ = true;
+  bound_valid_ = false;
   // Tick-stagger choice point: under a model checker the node's boot-time
   // tick skew is one of kTickPhaseBuckets explorable phases rather than a
   // seed-derived accident. Gated on !cluster_aligned_ticks so configs that
@@ -67,8 +68,10 @@ void Kernel::start() {
 Thread& Kernel::create_thread(ThreadSpec spec, ThreadClient& client) {
   PASCHED_EXPECTS(spec.home_cpu == kNoCpu ||
                   (spec.home_cpu >= 0 && spec.home_cpu < ncpus()));
+  bound_valid_ = false;
   auto t = std::make_unique<Thread>(next_tid_++, std::move(spec), &client);
   t->penalty_unit_ = tun_.penalty_unit;
+  t->posts_ = client.posts();
   Thread& ref = *t;
   threads_.push_back(std::move(t));
   // Ready queues are bounded by the thread count (a thread sits in at most
@@ -295,6 +298,7 @@ void Kernel::wake(Thread& t, CpuId waker_cpu) {
   PASCHED_ASSERT_OWNED(owned_, "wake");
   PASCHED_EXPECTS_MSG(t.state_ == ThreadState::Blocked,
                       "wake() requires a blocked thread: " + t.name());
+  bound_valid_ = false;
   enqueue(t);
   after_enqueue(t, waker_cpu);
 }
@@ -302,6 +306,7 @@ void Kernel::wake(Thread& t, CpuId waker_cpu) {
 void Kernel::kick(Thread& t) {
   PASCHED_ASSERT_OWNED(owned_, "kick");
   if (!t.spin_waiting_) return;  // nothing waiting (message already consumed)
+  bound_valid_ = false;
   t.spin_waiting_ = false;
   if (t.state_ == ThreadState::Running) {
     charge(t, ctx_.now() - t.spin_start_);
@@ -315,6 +320,7 @@ void Kernel::set_priority(Thread& t, Priority prio, bool fixed,
                           CpuId actor_cpu) {
   PASCHED_ASSERT_OWNED(owned_, "set_priority");
   PASCHED_EXPECTS(prio >= kBestPriority && prio <= kWorstPriority);
+  bound_valid_ = false;
   t.base_prio_ = prio;
   t.fixed_prio_ = fixed;
   if (t.state_ == ThreadState::Running) {
@@ -325,8 +331,8 @@ void Kernel::set_priority(Thread& t, Priority prio, bool fixed,
       // Reverse pre-emption: the running thread just became less favored
       // than a waiter (§3, deficiency 1 of the stock RT option).
       if (actor_cpu == c) {
-        ctx_.schedule_after(Duration::zero(),
-                               [this, c] { notice_resched(c); });
+        schedule_kernel_entry(Duration::zero(),
+                              [this, c] { notice_resched(c); });
       } else if (tun_.rt_scheduling && tun_.rt_reverse_preemption) {
         send_preempt_ipi(c, *best);
       }
@@ -353,7 +359,7 @@ void Kernel::after_enqueue(Thread& t, CpuId waker_cpu) {
     // already entered there, so the switch happens at the next dispatch
     // point (modelled as a zero-delay reschedule).
     const CpuId c = target;
-    ctx_.schedule_after(Duration::zero(), [this, c] { notice_resched(c); });
+    schedule_kernel_entry(Duration::zero(), [this, c] { notice_resched(c); });
   } else if (tun_.rt_scheduling) {
     send_preempt_ipi(target, t);
   }
@@ -410,7 +416,7 @@ void Kernel::send_preempt_ipi(CpuId target, Thread& on_behalf) {
   }
   c.ipi_pending = true;
   ++acct_.ipis_sent;
-  ctx_.schedule_after(tun_.ipi_latency, [this, target] {
+  schedule_kernel_entry(tun_.ipi_latency, [this, target] {
     cpus_[static_cast<std::size_t>(target)].ipi_pending = false;
     if (observer_ != nullptr) observer_->on_ipi(ctx_.now(), node_, target);
     notice_resched(target);
@@ -453,9 +459,10 @@ void Kernel::arm_tick(CpuId cpu) {
   // Next tick strictly in the future, aligned in *local* time.
   const Time next_local =
       (local_now() + Duration::ns(1)).align_up(interval, phase);
-  cpus_[static_cast<std::size_t>(cpu)].next_tick_local = next_local;
-  ctx_.schedule_at(clock_.global_of(next_local),
-                      [this, cpu] { on_tick(cpu); });
+  Cpu& c = cpus_[static_cast<std::size_t>(cpu)];
+  c.next_tick_local = next_local;
+  c.next_tick = clock_.global_of(next_local);
+  ctx_.schedule_at(c.next_tick, [this, cpu] { on_tick(cpu); });
 }
 
 PASCHED_HOT void Kernel::on_tick(CpuId cpu) {
@@ -521,8 +528,50 @@ void Kernel::schedule_callout(CpuId cpu, Time due_local,
                               sim::Engine::Callback fn) {
   PASCHED_ASSERT_OWNED(owned_, "schedule_callout");
   PASCHED_EXPECTS(cpu >= 0 && cpu < ncpus());
+  bound_valid_ = false;
   cpus_[static_cast<std::size_t>(cpu)].callouts.push_back(
       Cpu::Callout{due_local, callout_seq_++, std::move(fn)});
+}
+
+Time Kernel::earliest_post(Time floor) {
+  if (bound_valid_ && bound_ > floor) return bound_;
+  bound_valid_ = false;
+  const Time now = ctx_.now();
+  Time dispatch = Time::max();  // earliest instant a queued thread gets a CPU
+  Time k = Time::max();
+  bool runqs = false;  // any per-CPU run queue non-empty
+  for (const Cpu& c : cpus_) {
+    dispatch = std::min(dispatch, c.next_tick);
+    runqs = runqs || !c.runq.empty();
+    const Thread* t = c.current;
+    if (t == nullptr) continue;
+    // burst_len_ is nonzero exactly while the burst's end event is pending.
+    const bool burst = t->burst_len_ > Duration::zero();
+    if (burst) dispatch = std::min(dispatch, t->burst_deadline_);
+    if (!t->posts_) continue;
+    if (burst) {
+      k = std::min(k, std::min(t->burst_deadline_, now + t->burst_len_));
+    } else if (!t->spin_waiting_) {
+      k = std::min(k, now);  // between decisions: consultable right away
+    }
+    if (k <= floor) return k;
+  }
+  if (pending_entries_ > 0) dispatch = std::min(dispatch, floor);
+  const auto queued = [&](const std::vector<Thread*>& q) {
+    for (const Thread* t : q)
+      if (t->posts_ && !t->spin_waiting_)
+        k = std::min(k, dispatch + t->residual_);
+  };
+  queued(globalq_);
+  if (runqs) {
+    for (const Cpu& c : cpus_) {
+      if (k <= floor) return k;
+      queued(c.runq);
+    }
+  }
+  bound_ = k;
+  bound_valid_ = true;
+  return k;
 }
 
 void Kernel::decay_priorities() {

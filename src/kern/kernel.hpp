@@ -94,6 +94,42 @@ class Kernel {
   /// daemon wakeups batch to (big-)tick boundaries.
   void schedule_callout(CpuId cpu, sim::Time due_local, sim::Engine::Callback fn);
 
+  /// Schedules `fn` after `delay` as a kernel entry that may dispatch a
+  /// queued thread outside a tick or burst end — a zero-delay reschedule,
+  /// a preemption IPI, a co-scheduler pipe message. While one is pending,
+  /// earliest_post() lets a queued thread run at the next event.
+  template <class F>
+  void schedule_kernel_entry(sim::Duration delay, F fn) {
+    bound_valid_ = false;
+    ++pending_entries_;
+    ctx_.schedule_after(delay, [this, fn] {
+      --pending_entries_;
+      fn();
+    });
+  }
+
+  /// K, the earliest time any posting thread of this node (ThreadClient::
+  /// posts()) can next be consulted, given the node's state now and no
+  /// delivery arriving first; Time::max() when none can. Per state:
+  ///   Running a burst   min(burst_deadline, now + burst_len): a tick
+  ///                     stretches the burst, a preemption can only clamp
+  ///                     what is left of it to burst_len;
+  ///   Ready             the node's earliest dispatch opportunity — a
+  ///                     burst end or any CPU's next tick, or the next
+  ///                     event while a kernel entry is pending — plus the
+  ///                     thread's residual work;
+  ///   spinning, Blocked or Done   Time::max(): only a delivery wakes it.
+  /// Returns as soon as the answer is known to be <= `floor` (the caller's
+  /// next event time, which it never plans below).
+  ///
+  /// A bound holds for every later consultation until something outside the
+  /// node's own tick, burst and dispatch events changes its state, and all
+  /// such changes enter through this class's public mutators (a delivery
+  /// wakes or kicks a thread). So the last full answer is kept and returned
+  /// again while it is above `floor` and no mutator has run since; it may
+  /// then sit below what a fresh scan would give, which is conservative.
+  [[nodiscard]] sim::Time earliest_post(sim::Time floor);
+
   // -- queries ----------------------------------------------------------------
   [[nodiscard]] sim::Engine& engine() noexcept { return *ctx_.engine; }
   [[nodiscard]] const sim::Engine& engine() const noexcept {
@@ -130,7 +166,11 @@ class Kernel {
   friend class ::pasched::check::Auditor;
 
   struct Cpu {
+    // First, the fields earliest_post() reads, so its scan touches one
+    // cache line per CPU.
     Thread* current = nullptr;
+    sim::Time next_tick{};       // global time of the armed tick event
+    std::vector<Thread*> runq;   // ready threads queued to this CPU
     Thread* last_run = nullptr;  // context-switch cost bookkeeping
     sim::Time run_start{};
     sim::Time idle_since{};  // start of the current idle interval
@@ -142,7 +182,6 @@ class Kernel {
       sim::Engine::Callback fn;
     };
     std::vector<Callout> callouts;
-    std::vector<Thread*> runq;  // ready threads queued to this CPU
   };
 
   // Queue / dispatch machinery.
@@ -188,6 +227,10 @@ class Kernel {
   sim::Time last_decay_{};
   std::uint64_t seq_ = 0;
   std::uint64_t callout_seq_ = 0;
+  int pending_entries_ = 0;  // schedule_kernel_entry events not yet fired
+  // earliest_post()'s last full answer, valid until a public mutator runs.
+  sim::Time bound_ = sim::Time::max();
+  bool bound_valid_ = false;
   // Reused per-tick scratch for due callouts: cleared each on_tick(),
   // capacity persists (grown via util::reserve_cold only), so steady-state
   // tick dispatch is allocation-free.

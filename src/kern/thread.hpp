@@ -82,6 +82,9 @@ class Thread {
   sim::Duration residual_ = sim::Duration::zero();  // unfinished burst work
   sim::Duration pending_switch_cost_ = sim::Duration::zero();
   bool spin_waiting_ = false;  // client returned Spin, not yet kicked
+  // The client's posts(), cached at creation; beside the burst fields
+  // Kernel::earliest_post() reads with it.
+  bool posts_ = false;
   sim::Time spin_start_{};
   sim::EventId burst_event_{};
   sim::Time burst_deadline_{};

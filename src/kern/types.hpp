@@ -72,6 +72,13 @@ class ThreadClient {
  public:
   virtual ~ThreadClient() = default;
   virtual RunDecision next(sim::Time now) = 0;
+  /// True for a *posting* program: one whose next() can call
+  /// sim::Router::post, directly or by waking a thread that may post as
+  /// soon as it runs. Kernel::earliest_post() bounds only these threads, so
+  /// a program that posts without saying so breaks the partitioned run's
+  /// earliest-output claim (validated builds catch it). Read once, when
+  /// the kernel creates the thread.
+  [[nodiscard]] virtual bool posts() const noexcept { return false; }
 };
 
 /// Observer hooks for tracing and tests. All default to no-ops.

@@ -49,6 +49,9 @@ class Task final : public kern::ThreadClient {
   friend class Job;
 
   kern::RunDecision next(sim::Time now) override;
+  /// Sends, hardware-collective contributions and remote I/O all post from
+  /// next().
+  [[nodiscard]] bool posts() const noexcept override { return true; }
   void log_recv_event(bool wait, int src, std::uint64_t key, sim::Time now);
   /// Exact (collision-free) encoding: 24 bits of source rank, 40 bits of tag.
   [[nodiscard]] static std::uint64_t key_of(int src, std::uint64_t tag) {

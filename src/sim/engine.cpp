@@ -107,6 +107,7 @@ PASCHED_HOT void Engine::release_slot(std::uint32_t idx) noexcept {
   ++s.gen;  // invalidate any outstanding EventIds
   s.armed = false;
   s.held = false;
+  s.delivery = false;
   s.heap_pos = kNoHeapPos;
   free_.push_back(idx);  // never reallocates: capacity from grow_slab()
 }
@@ -121,6 +122,34 @@ PASCHED_HOT EventId Engine::schedule_at(Time t, Callback fn) {
   heap_push(HeapItem{t, seq_++, idx, s.gen});
   ++live_;
   return EventId{idx, s.gen};
+}
+
+PASCHED_HOT EventId Engine::schedule_delivery(Time t, Callback fn) {
+  PASCHED_ALLOC_HOT_SCOPE("Engine::schedule_delivery");
+  const EventId id = schedule_at(t, std::move(fn));
+  slots_[id.slot].delivery = true;
+  ++deliveries_pending_;
+  return id;
+}
+
+Time Engine::next_delivery_time(Time limit) const {
+  Time best = limit;
+  if (deliveries_pending_ != 0) min_delivery_below(0, best);
+  return best;
+}
+
+void Engine::min_delivery_below(std::size_t pos, Time& best) const {
+  // Heap order: every entry below `pos` is due no earlier than it, so a
+  // subtree stops at its first delivery or at the best time found so far.
+  if (pos >= heap_.size() || heap_[pos].t >= best) return;
+  const HeapItem& h = heap_[pos];
+  const Slot& s = slots_[h.slot];
+  if (s.delivery && s.gen == h.gen && s.armed) {
+    best = h.t;
+    return;
+  }
+  min_delivery_below(2 * pos + 1, best);
+  min_delivery_below(2 * pos + 2, best);
 }
 
 PASCHED_HOT void Engine::cancel(EventId id) {
@@ -141,6 +170,7 @@ PASCHED_HOT void Engine::cancel(EventId id) {
   // no compaction pass exists.
   heap_remove_at(s.heap_pos);
   --live_;
+  if (s.delivery) --deliveries_pending_;
   release_slot(id.slot);
 }
 
@@ -164,6 +194,7 @@ PASCHED_HOT void Engine::fire_item(const HeapItem& item) {
   // Move the callback out before releasing so the handler can freely
   // schedule/cancel (including reusing this very slot).
   Callback fn = std::move(s.fn);
+  if (s.delivery) --deliveries_pending_;
   --live_;
   release_slot(item.slot);
   ++processed_;
@@ -314,6 +345,7 @@ std::uint64_t Engine::fires_at_or_after(Time t) const noexcept {
 
 void Engine::drain() {
   heap_.clear();
+  deliveries_pending_ = 0;
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].armed) {
       --live_;
@@ -408,6 +440,20 @@ void Engine::check_consistent() const {
                                "disarmed slot " + std::to_string(i) +
                                    " still carries a heap position");
   }
+
+  // The delivery count matches the flagged armed slots, and the pruned
+  // walk finds the earliest of them.
+  std::size_t armed_deliveries = 0;
+  Time earliest = Time::max();
+  for (const HeapItem& h : heap_) {
+    if (!slots_[h.slot].delivery) continue;
+    ++armed_deliveries;
+    earliest = std::min(earliest, h.t);
+  }
+  PASCHED_CHECK_ALWAYS_MSG(armed_deliveries == deliveries_pending_,
+                           "delivery count disagrees with the flagged slots");
+  PASCHED_CHECK_ALWAYS_MSG(next_delivery_time() == earliest,
+                           "next_delivery_time missed the earliest delivery");
 
   // Free-list entries are disarmed, in range, and unique.
   std::vector<bool> freed(slots_.size(), false);

@@ -73,6 +73,19 @@ class Engine {
     return schedule_at(now_ + d, std::move(fn));
   }
 
+  /// schedule_at for a *delivery*: an event posted through a Router
+  /// (sim/context.hpp), whether it crossed shards or stayed local. The
+  /// engine can find the earliest pending one, because a delivery is the
+  /// only event that can make a blocked or spinning thread post at once.
+  /// Costs one flag and one count over schedule_at.
+  EventId schedule_delivery(Time t, Callback fn);
+
+  /// min(earliest pending delivery, limit). O(1) while no delivery is
+  /// pending; otherwise a walk of the heap that prunes at the first
+  /// delivery on each path and at `limit`, so it visits only the events due
+  /// before the answer.
+  [[nodiscard]] Time next_delivery_time(Time limit = Time::max()) const;
+
   /// Cancels the event if it has not fired yet; no-op otherwise. Under
   /// PASCHED_VALIDATE, cancelling a slot that is currently held by a
   /// TieBreak::pick() in progress throws check::CheckError — by then the
@@ -190,6 +203,8 @@ class Engine {
     // the heap but not yet fired or re-queued. Cancellation must not touch
     // it (see cancel()). Always present so layout is validation-agnostic.
     bool held = false;
+    // Scheduled by schedule_delivery(); counted in deliveries_pending_.
+    bool delivery = false;
   };
   struct PASCHED_ARENA HeapItem {
     Time t;
@@ -225,6 +240,7 @@ class Engine {
   bool fire_next();
   bool fire_tied();
   void fire_item(const HeapItem& item);
+  void min_delivery_below(std::size_t pos, Time& best) const;
   // Every clock advance goes through here so processed_before_now_ stays
   // exact: when now() moves strictly forward, everything processed so far
   // fired strictly in the past.
@@ -243,6 +259,7 @@ class Engine {
   // reserve_cold only).
   std::vector<HeapItem> tied_scratch_;
   std::vector<TieCandidate> cands_scratch_;
+  std::size_t deliveries_pending_ = 0;  // armed slots with `delivery` set
   Time now_ = Time::zero();
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;

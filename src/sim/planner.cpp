@@ -116,11 +116,13 @@ WindowPlanner::WindowPlanner(const PairLookahead& la)
             la.at(s, d);
 }
 
-void WindowPlanner::plan(const std::vector<Time>& next_t, Time deadline,
+void WindowPlanner::plan(const std::vector<Time>& next_t,
+                         const std::vector<Time>& out_t, Time deadline,
                          std::int64_t quantum_num, std::int64_t quantum_den,
                          RoundPlan& out) const {
   const int S = shards_;
   PASCHED_EXPECTS(next_t.size() == static_cast<std::size_t>(S));
+  PASCHED_EXPECTS(out_t.size() == static_cast<std::size_t>(S));
   out.shards = S;
   out.final = false;
   out.length = 0;
@@ -146,8 +148,7 @@ void WindowPlanner::plan(const std::vector<Time>& next_t, Time deadline,
                  ? shrink(class_bounds_[i], quantum_num, quantum_den)
                  : Duration::zero();
   // min_{p != s}(x_p + L_ps) for every s, from the per-class minima of x.
-  ClassMinima mins;
-  const auto reach = [&](int s) {
+  const auto reach = [&](const ClassMinima& mins, int s) {
     const int h = class_of_[static_cast<std::size_t>(s)];
     Time r = Time::max();
     for (int g = 0; g < G; ++g) {
@@ -157,47 +158,71 @@ void WindowPlanner::plan(const std::vector<Time>& next_t, Time deadline,
     }
     return r;
   };
-
-  // Null-message fixpoint: the earliest instant each shard could execute
-  // anything, counting work forwarded transitively through other shards.
-  // Values only ever decrease and are bounded below by t0 + 1ns; pass k
-  // settles every shortest path of k hops, so the sweep ends within S
-  // passes.
-  std::vector<Time> horizon(next_t);
-  for (bool changed = true; changed;) {
-    mins.summarize(class_of_, horizon.data(), G);
-    changed = false;
-    for (int s = 0; s < S; ++s) {
-      const Time e = reach(s);
-      if (e < horizon[static_cast<std::size_t>(s)]) {
-        horizon[static_cast<std::size_t>(s)] = e;
-        changed = true;
+  // Null-message fixpoint x_s = min(x_s, min_p (x_p + L_ps)): the earliest
+  // instant each shard could act, counting work forwarded transitively
+  // through other shards. Values only ever decrease and are bounded below
+  // by min(x) + 1ns; pass k settles every shortest path of k hops, so the
+  // sweep ends within S passes.
+  ClassMinima mins;
+  const auto settle = [&](std::vector<Time>& x) {
+    for (bool changed = true; changed;) {
+      mins.summarize(class_of_, x.data(), G);
+      changed = false;
+      for (int s = 0; s < S; ++s) {
+        const Time e = reach(mins, s);
+        if (e < x[static_cast<std::size_t>(s)]) {
+          x[static_cast<std::size_t>(s)] = e;
+          changed = true;
+        }
       }
     }
-  }
+  };
 
+  // E: the earliest instant each shard can execute anything. O*: the
+  // earliest instant it can post, which is all a peer's window must wait
+  // for. With out_t == next_t the two coincide and the plan below is the
+  // next-event one.
+  std::vector<Time> horizon(next_t);
+  settle(horizon);
+  out.outputs = out_t;
+  settle(out.outputs);
+
+  // Window 1 runs to the earliest delivery any peer's output can make,
+  // W(1)_s = min_{p != s}(O*_p + L_ps), but no further than one global
+  // lookahead past the shard's own O*_s unless the next-event window
+  // W_E(1)_s = min_{p != s}(E_p + L_ps) already reaches past that. Since
+  // O* >= E, W(1) >= W_E(1): no window is shorter than the next-event one.
   // Chain up to kWindowBatch windows: each next end is the earliest any
   // incoming neighbor could deliver past its previous end. Rows are
   // pointwise nondecreasing, every entry clamps at the deadline, and
   // W(1)_s >= t0 + 1ns guarantees the round makes progress.
   out.ends.resize(static_cast<std::size_t>(kWindowBatch) *
                   static_cast<std::size_t>(S));
-  const Time* prev = horizon.data();  // W(0) = E
-  for (int j = 1; j <= kWindowBatch; ++j) {
+  Time* row = out.ends.data();
+  mins.summarize(class_of_, horizon.data(), G);
+  for (int s = 0; s < S; ++s) row[s] = reach(mins, s);  // W_E(1)
+  const Duration own = shrink(global_, quantum_num, quantum_den);
+  mins.summarize(class_of_, out.outputs.data(), G);
+  for (int s = 0; s < S; ++s) {
+    const Time capped = std::max(
+        sat_add(out.outputs[static_cast<std::size_t>(s)], own), row[s]);
+    row[s] = std::min(std::min(reach(mins, s), capped), deadline);
+  }
+  out.length = 1;
+  for (int j = 2; j <= kWindowBatch; ++j) {
+    const Time* prev = row;
     mins.summarize(class_of_, prev, G);
-    Time* row = &out.ends[static_cast<std::size_t>(j - 1) *
-                          static_cast<std::size_t>(S)];
+    row += S;
     bool moved = false;
     for (int s = 0; s < S; ++s) {
-      const Time w = std::min(reach(s), deadline);
+      const Time w = std::min(reach(mins, s), deadline);
       row[s] = w;
       if (w > prev[s]) moved = true;
     }
     // A row identical to its predecessor means every shard is pinned at the
     // deadline — further windows would be no-ops, so stop the chain.
-    if (j > 1 && !moved) break;
+    if (!moved) break;
     out.length = j;
-    prev = row;
   }
 }
 

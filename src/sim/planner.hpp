@@ -8,18 +8,31 @@
 // t0 + L, and (2) every window costs a full barrier rendezvous.
 //
 // This planner replaces both with the per-pair guaranteed-lookahead matrix
-// (the certificate pasched-scale emits, src/scale/lookahead.hpp): given
-// every shard's published next event time, it computes the null-message
-// fixpoint
+// (the certificate pasched-scale emits, src/scale/lookahead.hpp). Every
+// shard publishes two times per round: its next event time next_t_s and its
+// earliest-output time O_s >= next_t_s, the earliest instant any of its
+// events or threads can call Router::post (ShardedEngine::OutputBound
+// supplies it; without one O_s = next_t_s). The planner computes two
+// null-message fixpoints,
 //
-//     E_s = min(next_t_s, min_p (E_p + L_ps))
+//     E_s  = min(next_t_s, min_p (E_p  + L_ps))   (earliest execution)
+//     O*_s = min(O_s,      min_p (O*_p + L_ps))   (earliest output)
 //
-// (the earliest instant shard s can possibly execute anything, counting
-// transitively-forwarded work), then chains up to kWindowBatch windows per
-// sync round:
+// each counting work forwarded transitively through other shards, then
+// chains up to kWindowBatch windows per sync round:
 //
-//     W(1)_s = min_{p != s} (E_p + L_ps)
+//     W(1)_s = min( min_{p != s} (O*_p + L_ps),
+//                   max(O*_s + L, min_{p != s} (E_p + L_ps)) )
 //     W(j)_s = min_{p != s} (W(j-1)_p + L_ps)
+//
+// A shard cannot receive anything before its peers can post, so window 1
+// runs to the earliest delivery any peer's output can make — past ticks,
+// daemons and compute bursts that only move local state. The second term
+// stops a shard within one global lookahead L of its own earliest output
+// unless the next-event window already reaches further, which bounds how
+// far a round runs past a job's completion; because O* >= E, no window is
+// ever shorter than the next-event plan's. O* is also the round's claim:
+// validated builds check every post against it (ShardedEngine::post).
 //
 // Every window end is a pure function of the round's published inputs, so
 // all shards compute the identical schedule independently — no coordinator
@@ -98,12 +111,15 @@ struct PlannerStats {
 
 /// One sync round's schedule: either the final deadline-inclusive window or
 /// a chain of `length` (at most kWindowBatch) per-shard window ends. Reused
-/// across rounds — the planner only ever grows the buffer.
+/// across rounds — the planner only ever grows the buffers.
 struct RoundPlan {
   bool final = false;
   int length = 0;
   int shards = 0;
   std::vector<Time> ends;  ///< [(j-1)*shards + s], j in 1..length
+  /// O*_s, the earliest-output fixpoint: no shard s posts before
+  /// outputs[s] in this round. Unset in a final round.
+  std::vector<Time> outputs;
 
   /// End of shard `s`'s j-th chained window (1-based j).
   [[nodiscard]] Time end_of(int j, int s) const {
@@ -120,13 +136,14 @@ class WindowPlanner {
 
   /// Plans one sync round. `next_t` is every shard's published next event
   /// time (Time::max() when idle; cross-shard rings must already be fully
-  /// drained into the engines). Window spans may be shrunk to
-  /// `quantum_num/quantum_den` of each lookahead bound (>= 1 ns) — the
-  /// race-fuzzer's perturbation seam; shrinking is always conservative.
-  /// Pure: identical inputs produce the identical plan.
-  void plan(const std::vector<Time>& next_t, Time deadline,
-            std::int64_t quantum_num, std::int64_t quantum_den,
-            RoundPlan& out) const;
+  /// drained into the engines) and `out_t` its earliest-output time
+  /// (>= next_t; pass next_t itself for the next-event plan). Window spans
+  /// may be shrunk to `quantum_num/quantum_den` of each lookahead bound
+  /// (>= 1 ns) — the race-fuzzer's perturbation seam; shrinking is always
+  /// conservative. Pure: identical inputs produce the identical plan.
+  void plan(const std::vector<Time>& next_t, const std::vector<Time>& out_t,
+            Time deadline, std::int64_t quantum_num,
+            std::int64_t quantum_den, RoundPlan& out) const;
 
   /// The installed bound of one pair (zero on the diagonal).
   [[nodiscard]] Duration bound(int src, int dst) const {

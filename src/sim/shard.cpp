@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <iterator>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -72,7 +73,7 @@ ShardedEngine::ShardedEngine(const ShardMap& map, Duration lookahead)
   inbound_ = std::vector<util::CacheAligned<std::atomic<PairRing*>>>(n);
   arenas_ = std::vector<util::CacheAligned<ShardArena>>(n);
   counters_.assign(n, util::CacheAligned<ShardCounters>{});
-  next_t_.assign(n, util::CacheAligned<Time>{Time::max()});
+  published_.assign(n, util::CacheAligned<Published>{});
   planner_ = std::make_unique<WindowPlanner>(
       PairLookahead::uniform(shards, lookahead_));
 }
@@ -132,8 +133,17 @@ void ShardedEngine::post(int src_shard, int dst_shard, Time t,
   // A component claiming to post from a shard it is not executing on would
   // bypass the whole ownership discipline — catch the spoof at the seam.
   PASCHED_ASSERT_DOMAIN(src_shard, "sim.Router", dst_shard, "post");
+#if PASCHED_VALIDATE_ENABLED
+  if (claims_live_) check_output_claim(src_shard);
+#endif
   if (src_shard == dst_shard) {
-    engine_of(src_shard).schedule_at(t, std::move(fn));
+    // A local delivery can wake a posting thread as surely as an admitted
+    // one, so multi-shard runs track it for the earliest-output bound.
+    Engine& e = engine_of(src_shard);
+    if (partitions() == 1)
+      e.schedule_at(t, std::move(fn));
+    else
+      e.schedule_delivery(t, std::move(fn));
     return;
   }
   Engine& src = engine_of(src_shard);
@@ -156,6 +166,19 @@ void ShardedEngine::post(int src_shard, int dst_shard, Time t,
     r.overflow.push_back(std::move(ev));
     r.overflow_n.store(r.overflow.size(), std::memory_order_relaxed);
   }
+}
+
+void ShardedEngine::check_output_claim(int src_shard) const {
+  const Time sent_at = engines_[static_cast<std::size_t>(src_shard)]->now();
+  const Time claim = plan_.outputs[static_cast<std::size_t>(src_shard)];
+  if (sent_at >= claim) return;
+  throw check::CheckError(
+      "shard " + std::to_string(src_shard) + " posted at sent_at=" +
+      std::to_string(sent_at.count()) + " ns in round " +
+      std::to_string(rounds_) +
+      ", before its earliest-output claim O*=" +
+      std::to_string(claim.count()) +
+      " ns — the OutputBound claimed a later first post than the shard made");
 }
 
 void ShardedEngine::request_wrapup(Engine::Callback fn) {
@@ -244,7 +267,7 @@ PASCHED_HOT void ShardedEngine::admit_sorted(int shard,
                       "cross-shard event arrived in the destination's past");
     if (monitor_ != nullptr)
       monitor_->on_admit(shard, ev.src_shard, ev.src_seq, ev.t, e.now());
-    e.schedule_at(ev.t, std::move(ev.fn));
+    e.schedule_delivery(ev.t, std::move(ev.fn));
   }
 }
 
@@ -333,6 +356,24 @@ void ShardedEngine::run_chain(int worker, int nworkers, int S) {
   }
 }
 
+void ShardedEngine::publish(int shard) {
+  Engine& e = engine_of(shard);
+  Published& p = published_[static_cast<std::size_t>(shard)].v;
+  p.next_t = e.next_event_time();
+  p.out_t = p.next_t;
+  if (!output_bound_ || p.next_t == Time::max()) return;
+  // O_s = max(next_t, min(D_s, K_s)). A delivery due within one lookahead
+  // of next_t leaves O less than a window's worth above next_t, too little
+  // to pay the bound's scan for (next_t is always a sound O). The bound may
+  // stop looking once it reaches next_t, and the delivery walk once it
+  // reaches K.
+  const Time near = p.next_t + lookahead_;
+  if (e.next_delivery_time(near) < near) return;
+  const Time k = output_bound_(shard, p.next_t);
+  if (k <= p.next_t) return;
+  p.out_t = std::max(p.next_t, e.next_delivery_time(k));
+}
+
 void ShardedEngine::stop_all() {
   stop_flag_.store(true, std::memory_order_relaxed);
   if (partitions() == 1) engines_.front()->stop();
@@ -352,6 +393,11 @@ void ShardedEngine::plan_round(Time deadline) noexcept {
   // completions queued during the final round still execute.
   Time ready = Time::max();
   for (const auto& e : engines_) ready = std::min(ready, e->now());
+  // The finished round's claims expire here. A wrapup runs after the
+  // shards published their output times and may change what they can
+  // post, so a round in which one ran plans on next event times.
+  claims_live_ = false;
+  bool wrapped_up = false;
   for (;;) {
     std::vector<Wrapup> due;
     {
@@ -364,6 +410,7 @@ void ShardedEngine::plan_round(Time deadline) noexcept {
       wrapups_.erase(it, wrapups_.end());
     }
     if (due.empty()) break;
+    wrapped_up = true;
     for (Wrapup& w : due) w.fn();
   }
   const bool stopping =
@@ -398,15 +445,21 @@ void ShardedEngine::plan_round(Time deadline) noexcept {
     num = static_cast<std::int64_t>(pick + 1);
     den = static_cast<std::int64_t>(kWindowQuantumBuckets);
   }
-  next_t_plain_.resize(next_t_.size());
-  for (std::size_t i = 0; i < next_t_.size(); ++i) {
-    next_t_plain_[i] = next_t_[i].v;
-    // The prologue runs inside the first round and may schedule at now().
-    if (prologue_ && rounds_ == 0)
+  next_t_plain_.resize(published_.size());
+  out_t_plain_.resize(published_.size());
+  for (std::size_t i = 0; i < published_.size(); ++i) {
+    next_t_plain_[i] = published_[i].v.next_t;
+    out_t_plain_[i] = wrapped_up ? next_t_plain_[i] : published_[i].v.out_t;
+    // The prologue runs inside the first round and may schedule, and post,
+    // at now().
+    if (prologue_ && rounds_ == 0) {
       next_t_plain_[i] = std::min(next_t_plain_[i], engines_[i]->now());
+      out_t_plain_[i] = next_t_plain_[i];
+    }
   }
-  planner_->plan(next_t_plain_, deadline, num, den, plan_);
+  planner_->plan(next_t_plain_, out_t_plain_, deadline, num, den, plan_);
   ++rounds_;
+  claims_live_ = !plan_.final;
   if (plan_.final) {
     round_ = Round::Final;
     final_done_ = true;
@@ -435,6 +488,7 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
   freeze_fire_logs_.store(false, std::memory_order_relaxed);
   stopped_early_ = false;
   final_done_ = false;
+  claims_live_ = false;
   phase_ = 0;
   round_ = Round::Window;
   rounds_ = windows_ = final_rounds_ = 0;
@@ -481,11 +535,10 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
               // under that shard's domain; the scope ends before the barrier
               // so completion-step wrapups execute at kFreeContext. The
               // round-boundary drain is total (every producer is about to
-              // park), so the published next_t covers in-flight posts too.
+              // park), so the published times cover in-flight posts too.
               const race::ScopedDomain sd(s);
               drain_rings(s, /*plan=*/nullptr, 0);
-              next_t_[static_cast<std::size_t>(s)].v =
-                  engine_of(s).next_event_time();
+              publish(s);
             }
             bar.arrive_and_wait();  // completion plans the round
             const Round r = round_;
@@ -521,6 +574,7 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
     }
   }  // jthreads join here
   prologue_ = nullptr;
+  claims_live_ = false;
   if (err) std::rethrow_exception(err);
   return !stopped_early_;
 }

@@ -9,9 +9,10 @@
 //
 // Execution advances in conservative windows (Chandy/Misra/Bryant style)
 // planned per *sync round* by the WindowPlanner (sim/planner.hpp): each
-// round, every shard publishes its next event time, the round barrier's
-// completion step computes a deterministic chain of up to kWindowBatch
-// per-shard windows from the per-pair lookahead matrix, and workers execute
+// round, every shard's own worker publishes its next event time and its
+// earliest-output time (see OutputBound), the round barrier's completion
+// step computes a deterministic chain of up to kWindowBatch per-shard
+// windows from the per-pair lookahead matrix, and workers execute
 // the chain with horizon waits only — before window j each worker spins
 // once on its peers' per-worker progress counters (every peer has finished
 // window j-1), then for each of its shards drains the due prefix of each
@@ -25,10 +26,28 @@
 // --parallel=N stay bit-identical, and both match the one-shard serial run
 // under the audit gate's digest.
 //
+// Earliest-output time. Only some events can post across shards: those that
+// reach a posting thread's program (an MPI task, the I/O daemon) and
+// deliveries, which can wake one. At a round boundary each shard publishes
+//
+//     O_s = max(next_t_s, min(D_s, K_s))
+//
+// where D_s is its earliest pending delivery (every event scheduled through
+// post(), local or admitted; Engine::next_delivery_time) and K_s the
+// OutputBound's earliest time a posting thread can next be consulted. The
+// planner bounds peers' windows by O instead of next_t, so ticks, daemons
+// and compute bursts stop cutting windows short. O = next_t is always
+// sound, so a shard with a delivery due within one lookahead of next_t
+// publishes that without asking the bound. O is a claim: validated
+// builds check in post() that every post's send time is at or past the
+// round's O*_src, and throw check::CheckError naming the shard, the round,
+// the send time and the claim when it is not. Without an OutputBound,
+// O = next_t and the plan is the next-event one.
+//
 // A one-shard map (ShardMap(nodes, 1), the serial executor) skips the window
 // machinery: run_until runs the single engine to the deadline on the calling
 // thread, wrapups run inline and stop_all stops the engine at the current
-// event.
+// event. It never computes O.
 #pragma once
 
 #include <atomic>
@@ -149,6 +168,17 @@ class ShardedEngine final : public Router {
   [[nodiscard]] Duration pair_lookahead(int src, int dst) const {
     return planner_->bound(src, dst);
   }
+  /// K_s: the earliest time any posting thread of `shard` can next be
+  /// consulted (Time::max() when none can before a delivery wakes it).
+  /// Called on the shard's own worker at every round boundary of a
+  /// multi-shard run, with the shard's next event time as `floor`; since
+  /// O_s = max(next_t_s, ...), it may return any value <= floor as soon as
+  /// it knows the answer is at or below it. core::Simulation installs
+  /// cluster::Cluster::earliest_post.
+  using OutputBound = std::function<Time(int shard, Time floor)>;
+  /// Installs the bound (empty restores O = next_t). Set while no workers
+  /// run.
+  void set_output_bound(OutputBound fn) { output_bound_ = std::move(fn); }
   /// Execution counters of the last (or running) run_until.
   [[nodiscard]] PlannerStats planner_stats() const;
 
@@ -269,7 +299,13 @@ class ShardedEngine final : public Router {
   /// seam). Returns early when the run is poisoned.
   void wait_workers(int worker, int nworkers, std::uint64_t windows);
   void run_chain(int worker, int nworkers, int S);
+  /// Publishes `shard`'s next event and earliest-output times for the
+  /// coming plan; runs on its worker after the round-boundary drain.
+  void publish(int shard);
   void plan_round(Time deadline) noexcept;
+  /// Throws check::CheckError when `src_shard` posts before the round's
+  /// O*_src (validated builds only; see post()).
+  void check_output_claim(int src_shard) const;
 
   std::vector<std::unique_ptr<Engine>> engines_;
   /// out_rings_[src][dst]: the rings `src` has materialized, allocated
@@ -295,7 +331,12 @@ class ShardedEngine final : public Router {
   // line each, or the sharded hot path false-shares its own bookkeeping
   // (the PSL503 layout rule guards this).
   std::vector<util::CacheAligned<ShardCounters>> counters_;  // owner-written
-  std::vector<util::CacheAligned<Time>> next_t_;  // published pre-barrier
+  /// What a shard's worker publishes before the round barrier.
+  struct Published {
+    Time next_t = Time::max();
+    Time out_t = Time::max();  ///< O_s; equals next_t without an OutputBound
+  };
+  std::vector<util::CacheAligned<Published>> published_;
   /// Per-worker progress: chained windows the worker has finished in this
   /// run_until, stored with release once all its shards ran the window.
   /// Peers acquire it before draining the corresponding ring prefixes.
@@ -314,6 +355,10 @@ class ShardedEngine final : public Router {
   // srclint-ok(PSL503): completion-step scratch, only ever touched with
   // every worker parked at the round barrier — no concurrent writers exist.
   std::vector<Time> next_t_plain_;
+  // srclint-ok(PSL503): completion-step scratch, as next_t_plain_.
+  std::vector<Time> out_t_plain_;
+  /// True while plan_.outputs holds the running window round's claims.
+  bool claims_live_ = false;
   bool final_done_ = false;
   int phase_ = 0;
   bool stopped_early_ = false;
@@ -348,6 +393,7 @@ class ShardedEngine final : public Router {
   ShardMonitor* monitor_ = nullptr;
   ChoiceSource* window_choice_ = nullptr;
   std::function<void(int)> prologue_;
+  OutputBound output_bound_;
 };
 
 }  // namespace pasched::sim

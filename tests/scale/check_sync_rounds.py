@@ -1,13 +1,22 @@
 #!/usr/bin/env python3
-"""Gate the per-pair window planner's fig5 sync-round count.
+"""Gate the window planner's sync-round count on fig5 and fig3.
 
-usage: check_sync_rounds.py PASCHED
+usage: check_sync_rounds.py PASCHED [fig5|fig3]
 
-Runs `PASCHED scale --scenario=fig5 --calls=120` and requires its sync-round
-count (`rounds` in the JSON report) to be at least MIN_CUT times below the
-count of the retired one-window-per-round planner on the same scenario.
+Runs `pasched scale` on one scenario and requires its sync-round count
+(`rounds` in the JSON report) to be at least MIN_CUT times below a recorded
+count of an older planner on the same scenario:
+
+  fig5  `--scenario=fig5 --calls=120`: 3x below the retired global
+        (one-window-per-round) planner's rounds;
+  fig3  `--scenario=fig3 --calls=24`: 10x below the next-event planner's
+        rounds, i.e. windows planned on next event times instead of on
+        when a shard can next post. A tree that drops the earliest-output
+        bound (sim::ShardedEngine::OutputBound) fails this leg.
+
 Round counts are schedule-derived, so both figures are bit-identical on any
-machine and the ratio is a hard gate rather than a timing heuristic.
+machine and the ratio is a hard gate rather than a timing heuristic. The
+scenario defaults to fig5.
 """
 import json
 import os
@@ -15,34 +24,39 @@ import subprocess
 import sys
 import tempfile
 
-# `rounds` of `pasched-scale --scenario=fig5 --calls=120` under the global
-# (one-window-per-round) planner, recorded at commit 5abd368, the last tree
-# that still carried it.
-RECORDED_GLOBAL_ROUNDS = 2011
-MIN_CUT = 3.0
+# scenario -> (pasched scale flags, recorded rounds, required cut, planner
+# the recorded count belongs to).
+LEGS = {
+    # Recorded at commit 5abd368, the last tree that still carried the
+    # global planner.
+    "fig5": (["--scenario=fig5", "--calls=120"], 2011, 3.0, "global"),
+    # Recorded at commit bcc6d9b, the last tree whose windows were planned
+    # on next event times.
+    "fig3": (["--scenario=fig3", "--calls=24"], 28862, 10.0, "next-event"),
+}
 
 
 def main(argv):
-    if len(argv) != 2:
+    if len(argv) not in (2, 3) or (len(argv) == 3 and argv[2] not in LEGS):
         print(__doc__.strip(), file=sys.stderr)
         return 64
+    scenario = argv[2] if len(argv) == 3 else "fig5"
+    flags, recorded, min_cut, old = LEGS[scenario]
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "fig5.json")
-        run = subprocess.run(
-            [argv[1], "scale", "--scenario=fig5", "--calls=120",
-             "--json=" + path],
-            stdout=subprocess.DEVNULL, check=False)
+        path = os.path.join(tmp, scenario + ".json")
+        run = subprocess.run([argv[1], "scale"] + flags + ["--json=" + path],
+                             stdout=subprocess.DEVNULL, check=False)
         if run.returncode != 0:
             print(f"pasched scale exited {run.returncode}")
             return 1
         with open(path, encoding="utf-8") as f:
             rounds = json.load(f)[0]["rounds"]
-    cut = RECORDED_GLOBAL_ROUNDS / rounds if rounds > 0 else 0.0
-    print(f"sync rounds: perpair {rounds} vs recorded global "
-          f"{RECORDED_GLOBAL_ROUNDS} = {cut:.2f}x")
-    if rounds <= 0 or cut < MIN_CUT:
-        print(f"per-pair planner only cut sync rounds {cut:.2f}x "
-              f"(< {MIN_CUT:g}x)")
+    cut = recorded / rounds if rounds > 0 else 0.0
+    print(f"{scenario} sync rounds: {rounds} vs recorded {old} {recorded} "
+          f"= {cut:.2f}x")
+    if rounds <= 0 or cut < min_cut:
+        print(f"the planner only cut {scenario} sync rounds {cut:.2f}x "
+              f"(< {min_cut:g}x)")
         return 1
     return 0
 

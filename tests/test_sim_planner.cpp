@@ -5,6 +5,8 @@
 //     W(1)_s = min_{p != s} (E_p + L_ps)
 //     W(j)_s = min_{p != s} (W(j-1)_p + L_ps)
 //
+// (the next-event plan, which planning on earliest-output times O = next_t
+// must reproduce exactly)
 // for three fabric shapes — flat (all pairs at the global bound), framed
 // (asymmetric pair bounds, the shape a framed interconnect certificate
 // yields), and jitter (all six off-diagonal bounds distinct) — over the
@@ -13,12 +15,19 @@
 // partitioned core: every shard recomputes this schedule independently, so
 // any drift here breaks bit-identity across worker counts. A brute-force
 // O(S^2) reference planner checks the class-compressed one on thousands of
-// random matrices.
+// random matrices, with and without earliest-output times O >= next_t:
+//
+//     O*_s   = min(O_s, min_p (O*_p + L_ps))
+//     W(1)_s = min(min_{p != s} (O*_p + L_ps), max(O*_s + L, W_E(1)_s))
+//
+// where W_E(1) is the next-event window above.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -49,7 +58,7 @@ PairLookahead matrix(int shards, std::vector<std::int64_t> bounds_us,
 std::vector<Time> plan_ends(const WindowPlanner& p,
                             const std::vector<Time>& next_t, Time deadline,
                             RoundPlan& out) {
-  p.plan(next_t, deadline, 1, 1, out);
+  p.plan(next_t, next_t, deadline, 1, 1, out);
   std::vector<Time> ends;
   for (int j = 1; j <= out.length; ++j)
     for (int s = 0; s < out.shards; ++s) ends.push_back(out.end_of(j, s));
@@ -144,7 +153,8 @@ TEST(Planner, FinalWindowGateMatchesTheLegacyCondition) {
   RoundPlan plan;
   // t0 + global = 110us > deadline 105us: no full window fits, so the round
   // is the deadline-inclusive final window for every shard.
-  p.plan({us(100), us(104)}, us(105), 1, 1, plan);
+  const std::vector<Time> next_t = {us(100), us(104)};
+  p.plan(next_t, next_t, us(105), 1, 1, plan);
   EXPECT_TRUE(plan.final);
   EXPECT_EQ(plan.length, 0);
 }
@@ -154,8 +164,9 @@ TEST(Planner, QuantumShrinkIsConservativeAndKeepsProgress) {
   RoundPlan full;
   RoundPlan half;
   const std::vector<Time> next_t = {us(100), us(101)};
-  p.plan(next_t, us(100'000), 1, 1, full);
-  p.plan(next_t, us(100'000), 1, 2, half);  // fuzzer claims half lookahead
+  p.plan(next_t, next_t, us(100'000), 1, 1, full);
+  // The fuzzer claims half the lookahead.
+  p.plan(next_t, next_t, us(100'000), 1, 2, half);
   ASSERT_EQ(half.length, full.length);
   for (int j = 1; j <= full.length; ++j)
     for (int s = 0; s < 2; ++s) {
@@ -178,8 +189,8 @@ TEST(Planner, IdenticalInputsProduceTheIdenticalPlan) {
   RoundPlan a;
   RoundPlan b;
   const std::vector<Time> next_t = {us(50), us(60), us(70)};
-  p.plan(next_t, us(400), 1, 1, a);
-  p.plan(next_t, us(400), 1, 1, b);
+  p.plan(next_t, next_t, us(400), 1, 1, a);
+  p.plan(next_t, next_t, us(400), 1, 1, b);
   ASSERT_EQ(a.length, b.length);
   ASSERT_EQ(a.final, b.final);
   for (int j = 1; j <= a.length; ++j)
@@ -195,12 +206,37 @@ TEST(Planner, IdleShardsSaturateInsteadOfWrapping) {
   // keeps alternating +10us steps up to W(8) = {180, 190}us.
   const WindowPlanner p(PairLookahead::uniform(2, Duration::us(10)));
   RoundPlan plan;
-  p.plan({us(100), Time::max()}, us(100'000), 1, 1, plan);
+  const std::vector<Time> next_t = {us(100), Time::max()};
+  p.plan(next_t, next_t, us(100'000), 1, 1, plan);
   ASSERT_EQ(plan.length, 8);
   EXPECT_EQ(plan.end_of(1, 0), us(120));
   EXPECT_EQ(plan.end_of(1, 1), us(110));
   EXPECT_EQ(plan.end_of(8, 0), us(180));
   EXPECT_EQ(plan.end_of(8, 1), us(190));
+}
+
+TEST(Planner, OutputTimesStretchWindowOne) {
+  // Uniform 10 us bounds, every shard's next event at 100 us, but the
+  // shards can only post from 1000 us (shard 0) and 5000 us (shards 1, 2):
+  //   E  = {100, 100, 100}          W_E(1) = {110, 110, 110}
+  //   O* = {1000, 1010, 1010}       (shards 1, 2 hear shard 0 at 1010)
+  //   W(1)_0 = min(1010 + 10, max(1000 + 10, 110)) = 1010  (own cap)
+  //   W(1)_1 = min(min(1000, 1010) + 10, max(1020, 110)) = 1010
+  //   W(1)_2 = 1010, and W(j) = 1000 + 10j us on through W(8) = 1080.
+  const WindowPlanner p(PairLookahead::uniform(3, Duration::us(10)));
+  RoundPlan plan;
+  const std::vector<Time> next_t = {us(100), us(100), us(100)};
+  p.plan(next_t, {us(1000), us(5000), us(5000)}, us(100'000), 1, 1, plan);
+  ASSERT_FALSE(plan.final);
+  ASSERT_EQ(plan.length, 8);
+  EXPECT_EQ(plan.outputs, (std::vector<Time>{us(1000), us(1010), us(1010)}));
+  for (int j = 1; j <= 8; ++j)
+    for (int s = 0; s < 3; ++s) EXPECT_EQ(plan.end_of(j, s), us(1000 + 10 * j));
+  // Planned on next event times alone, the same round stops at 110 us.
+  RoundPlan next_event;
+  p.plan(next_t, next_t, us(100'000), 1, 1, next_event);
+  EXPECT_EQ(next_event.end_of(1, 0), us(110));
+  EXPECT_EQ(next_event.outputs, next_t);
 }
 
 // Brute-force reference: the recurrences evaluated over every pair of the
@@ -260,6 +296,102 @@ RoundPlan reference_plan(const PairLookahead& la,
   return out;
 }
 
+// The same brute force for planning on earliest-output times: a second
+// fixpoint over out_t, then window 1 from the rule in the file comment and
+// the unchanged chain. Kept apart from reference_plan, which stays the
+// next-event plan verbatim.
+RoundPlan output_reference_plan(const PairLookahead& la,
+                                const std::vector<Time>& next_t,
+                                const std::vector<Time>& out_t,
+                                Time deadline, std::int64_t num,
+                                std::int64_t den) {
+  const int S = la.shards;
+  const auto shrunk = [&](Duration d) {
+    const Duration q = d * num / den;
+    return q < Duration::ns(1) ? Duration::ns(1) : q;
+  };
+  const auto eff = [&](int src, int dst) { return shrunk(la.at(src, dst)); };
+  RoundPlan out;
+  out.shards = S;
+  const Time t0 = *std::min_element(next_t.begin(), next_t.end());
+  if (t0 >= deadline || ref_add(t0, la.global) > deadline) {
+    out.final = true;
+    return out;
+  }
+  const auto settle = [&](std::vector<Time> x) {
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (int s = 0; s < S; ++s)
+        for (int p = 0; p < S; ++p) {
+          if (p == s) continue;
+          const Time via =
+              ref_add(x[static_cast<std::size_t>(p)], eff(p, s));
+          if (via < x[static_cast<std::size_t>(s)]) {
+            x[static_cast<std::size_t>(s)] = via;
+            changed = true;
+          }
+        }
+    }
+    return x;
+  };
+  const std::vector<Time> e = settle(next_t);
+  out.outputs = settle(out_t);
+  const auto reach = [&](const std::vector<Time>& x, int s) {
+    Time w = Time::max();
+    for (int p = 0; p < S; ++p)
+      if (p != s)
+        w = std::min(w, ref_add(x[static_cast<std::size_t>(p)], eff(p, s)));
+    return w;
+  };
+  std::vector<Time> prev(static_cast<std::size_t>(S));
+  for (int s = 0; s < S; ++s) {
+    const Time own = ref_add(out.outputs[static_cast<std::size_t>(s)],
+                             shrunk(la.global));
+    prev[static_cast<std::size_t>(s)] = std::min(
+        std::min(reach(out.outputs, s), std::max(own, reach(e, s))),
+        deadline);
+  }
+  out.length = 1;
+  out.ends = prev;
+  for (int j = 2; j <= kWindowBatch; ++j) {
+    std::vector<Time> row(static_cast<std::size_t>(S));
+    bool moved = false;
+    for (int s = 0; s < S; ++s) {
+      row[static_cast<std::size_t>(s)] = std::min(reach(prev, s), deadline);
+      if (row[static_cast<std::size_t>(s)] > prev[static_cast<std::size_t>(s)])
+        moved = true;
+    }
+    if (!moved) break;
+    out.length = j;
+    out.ends.insert(out.ends.end(), row.begin(), row.end());
+    prev = row;
+  }
+  return out;
+}
+
+/// A random pair matrix of one of three kinds: uniform, framed (node frames
+/// plus a hub at the global floor, the fabric's shape) or fully random.
+PairLookahead random_matrix(int kind, int S, Duration global,
+                            const std::function<std::int64_t(std::int64_t,
+                                                             std::int64_t)>&
+                                uniform_int) {
+  PairLookahead la = PairLookahead::uniform(S, global);
+  if (kind == 1 && S > 1) {
+    const int nodes = S - 1;
+    const int frame = static_cast<int>(uniform_int(1, nodes));
+    const Duration extra = Duration::ns(uniform_int(0, 30'000));
+    for (int a = 0; a < nodes; ++a)
+      for (int b = 0; b < nodes; ++b)
+        if (a != b && a / frame != b / frame) la.set(a, b, global + extra);
+  } else if (kind == 2) {
+    for (int a = 0; a < S; ++a)
+      for (int b = 0; b < S; ++b)
+        if (a != b) la.set(a, b, global + Duration::ns(uniform_int(0, 40'000)));
+    if (S > 1) la.set(0, S - 1, global);  // keep `global` the minimum
+  }
+  return la;
+}
+
 TEST(Planner, MatchesTheBruteForceReferenceOnRandomMatrices) {
   // Uniform, framed (node frames plus a hub at the global floor, the
   // fabric's shape) and fully random dense matrices; S from 1 to 24; a
@@ -275,21 +407,7 @@ TEST(Planner, MatchesTheBruteForceReferenceOnRandomMatrices) {
     for (int trial = 0; trial < 1000; ++trial) {
       const int S = static_cast<int>(uniform_int(1, 24));
       const Duration global = Duration::ns(uniform_int(1, 50'000));
-      PairLookahead la = PairLookahead::uniform(S, global);
-      if (kind == 1 && S > 1) {
-        const int nodes = S - 1;
-        const int frame = static_cast<int>(uniform_int(1, nodes));
-        const Duration extra = Duration::ns(uniform_int(0, 30'000));
-        for (int a = 0; a < nodes; ++a)
-          for (int b = 0; b < nodes; ++b)
-            if (a != b && a / frame != b / frame) la.set(a, b, global + extra);
-      } else if (kind == 2) {
-        for (int a = 0; a < S; ++a)
-          for (int b = 0; b < S; ++b)
-            if (a != b)
-              la.set(a, b, global + Duration::ns(uniform_int(0, 40'000)));
-        if (S > 1) la.set(0, S - 1, global);  // keep `global` the minimum
-      }
+      const PairLookahead la = random_matrix(kind, S, global, uniform_int);
       std::vector<Time> next_t;
       for (int s = 0; s < S; ++s)
         next_t.push_back(uniform_int(0, 3) == 0
@@ -302,7 +420,7 @@ TEST(Planner, MatchesTheBruteForceReferenceOnRandomMatrices) {
       const std::int64_t num = uniform_int(1, 8);
       const WindowPlanner p(la);
       RoundPlan got;
-      p.plan(next_t, deadline, num, 8, got);
+      p.plan(next_t, next_t, deadline, num, 8, got);
       const RoundPlan want = reference_plan(la, next_t, deadline, num, 8);
       ASSERT_EQ(got.final, want.final) << "kind " << kind << " trial " << trial;
       ASSERT_EQ(got.length, want.length)
@@ -324,6 +442,88 @@ TEST(Planner, MatchesTheBruteForceReferenceOnRandomMatrices) {
   // short at the deadline as well as full chains.
   EXPECT_GT(finals, 50);
   EXPECT_GT(chains_cut, 50);
+}
+
+TEST(Planner, MatchesTheBruteForceReferenceOnRandomOutputTimes) {
+  // The same matrix kinds with every shard's O_s >= next_t_s drawn at
+  // random (a quarter idle, a quarter at next_t). Beyond matching the
+  // reference: O = next_t is the next-event plan exactly, and every first
+  // window lies between the next-event one and min_{p != s}(O*_p + L_ps).
+  std::mt19937_64 rng(20250704);
+  const std::function<std::int64_t(std::int64_t, std::int64_t)> uniform_int =
+      [&rng](std::int64_t lo, std::int64_t hi) {
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+      };
+  int planned = 0;
+  int stretched = 0;
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int trial = 0; trial < 1000; ++trial) {
+      const int S = static_cast<int>(uniform_int(1, 24));
+      const Duration global = Duration::ns(uniform_int(1, 50'000));
+      const PairLookahead la = random_matrix(kind, S, global, uniform_int);
+      std::vector<Time> next_t;
+      std::vector<Time> out_t;
+      for (int s = 0; s < S; ++s) {
+        const Time t = uniform_int(0, 3) == 0
+                           ? Time::max()
+                           : us(100) + Duration::ns(uniform_int(0, 60'000));
+        next_t.push_back(t);
+        const std::int64_t o = uniform_int(0, 3);
+        out_t.push_back(o == 0 || t == Time::max()
+                            ? t
+                            : o == 1 ? Time::max()
+                                     : t + Duration::ns(uniform_int(
+                                               0, 2'000'000)));
+      }
+      const Time deadline =
+          uniform_int(0, 9) == 0
+              ? Time::max()
+              : us(100) + Duration::ns(uniform_int(0, 4'000'000));
+      const std::int64_t num = uniform_int(1, 8);
+      const WindowPlanner p(la);
+      RoundPlan got;
+      p.plan(next_t, out_t, deadline, num, 8, got);
+      const RoundPlan want =
+          output_reference_plan(la, next_t, out_t, deadline, num, 8);
+      const auto where = [&] {
+        return "kind " + std::to_string(kind) + " trial " +
+               std::to_string(trial);
+      };
+      ASSERT_EQ(got.final, want.final) << where();
+      ASSERT_EQ(got.length, want.length) << where();
+      for (int j = 1; j <= want.length; ++j)
+        for (int s = 0; s < S; ++s)
+          ASSERT_EQ(got.end_of(j, s), want.end_of(j, s))
+              << where() << " W(" << j << ")_" << s;
+      // O = next_t: exactly the next-event plan, and its claims are E.
+      RoundPlan base;
+      p.plan(next_t, next_t, deadline, num, 8, base);
+      const RoundPlan today = reference_plan(la, next_t, deadline, num, 8);
+      ASSERT_EQ(base.final, today.final) << where();
+      ASSERT_EQ(base.length, today.length) << where();
+      for (int j = 1; j <= today.length; ++j)
+        for (int s = 0; s < S; ++s)
+          ASSERT_EQ(base.end_of(j, s), today.end_of(j, s)) << where();
+      if (want.final) continue;
+      ASSERT_EQ(got.outputs, want.outputs) << where();
+      ++planned;
+      for (int s = 0; s < S; ++s) {
+        ASSERT_GE(got.end_of(1, s), base.end_of(1, s)) << where();
+        Time reach = Time::max();
+        for (int q = 0; q < S; ++q)
+          if (q != s)
+            reach = std::min(
+                reach, ref_add(got.outputs[static_cast<std::size_t>(q)],
+                               std::max(la.at(q, s) * num / 8,
+                                        Duration::ns(1))));
+        ASSERT_LE(got.end_of(1, s), reach) << where();
+        if (got.end_of(1, s) > base.end_of(1, s)) ++stretched;
+      }
+    }
+  }
+  // Most rounds plan windows, and output times stretch many of them.
+  EXPECT_GT(planned, 2000);
+  EXPECT_GT(stretched, 1000);
 }
 
 TEST(Planner, FramedFabricCompressesToFramesPlusTheHub) {

@@ -4,7 +4,9 @@
 // inbound ring lists, and teardown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -45,6 +47,28 @@ TEST(EngineWindow, RunBeforeAdvancesClockWhenQueueIsEmpty) {
   e.run_before(Time::from_ns(500));
   EXPECT_EQ(e.now(), Time::from_ns(500));
   EXPECT_EQ(e.events_processed(), 0U);
+}
+
+TEST(EngineDelivery, NextDeliveryTimeFindsTheEarliestPendingDelivery) {
+  Engine e;
+  EXPECT_EQ(e.next_delivery_time(), Time::max());
+  for (int t = 1; t <= 50; ++t)  // plain events around the deliveries
+    e.schedule_at(Time::from_ns(10 * t), [] {});
+  const EventId late = e.schedule_delivery(Time::from_ns(300), [] {});
+  e.schedule_delivery(Time::from_ns(205), [] {});
+  e.schedule_delivery(Time::from_ns(205), [] {});
+  EXPECT_EQ(e.next_delivery_time(), Time::from_ns(205));
+  // The limit caps the answer (and the walk).
+  EXPECT_EQ(e.next_delivery_time(Time::from_ns(150)), Time::from_ns(150));
+  e.run_before(Time::from_ns(206));  // both 205 ns deliveries fire
+  EXPECT_EQ(e.next_delivery_time(), Time::from_ns(300));
+  e.cancel(late);
+  EXPECT_EQ(e.next_delivery_time(), Time::max());
+  e.check_consistent();
+  e.schedule_delivery(Time::from_ns(400), [] {});
+  e.drain();
+  EXPECT_EQ(e.next_delivery_time(), Time::max());
+  e.check_consistent();
 }
 
 TEST(EngineCancel, MassCancellationCompactsTheHeap) {
@@ -253,6 +277,85 @@ TEST(Sharded, WrapupRunsAtABarrierNotMidWindow) {
   });
   EXPECT_TRUE(se.run_until(Time::from_ns(1'000'000), 2));
   EXPECT_TRUE(ran);
+}
+
+namespace {
+// Both shards run a local 1 us clock for 1 ms; shard 0 posts once, at
+// 500 us. The clocks never post, which an OutputBound can say.
+struct QuietClocks {
+  ShardedEngine& se;
+  std::vector<std::int64_t> fired[2];
+  bool posted = false;  // shard 0's state
+
+  void tick(int shard) {
+    const Time now = se.engine_of(shard).now();
+    fired[shard].push_back(now.count());
+    if (shard == 0 && now == Time::from_ns(500'000)) {
+      posted = true;
+      QuietClocks* self = this;
+      se.post(0, 1, now + Duration::us(15),
+              [self] { self->fired[1].push_back(-1); });
+    }
+    if (now >= Time::from_ns(1'000'000)) return;
+    QuietClocks* self = this;
+    se.engine_of(shard).schedule_at(now + Duration::us(1),
+                                    [self, shard] { self->tick(shard); });
+  }
+};
+
+std::pair<QuietClocks, std::uint64_t> run_quiet_clocks(bool bounded) {
+  ShardedEngine se(ShardMap::identity(2), Duration::us(10));
+  QuietClocks qc{se, {}, false};
+  QuietClocks* q = &qc;
+  if (bounded) {
+    se.set_output_bound([q](int shard, Time /*floor*/) {
+      return shard == 0 && !q->posted ? Time::from_ns(500'000) : Time::max();
+    });
+  }
+  for (int s = 0; s < 2; ++s)
+    se.engine_of(s).schedule_at(Time::zero(), [q, s] { q->tick(s); });
+  EXPECT_TRUE(se.run_until(Time::from_ns(2'000'000), 2));
+  return {std::move(qc), se.planner_stats().rounds};
+}
+}  // namespace
+
+TEST(Sharded, OutputBoundSkipsQuietEventsWithoutChangingTheHistory) {
+  const auto [plain, plain_rounds] = run_quiet_clocks(false);
+  const auto [bounded, bounded_rounds] = run_quiet_clocks(true);
+  EXPECT_EQ(plain.fired[0], bounded.fired[0]);
+  EXPECT_EQ(plain.fired[1], bounded.fired[1]);
+  ASSERT_EQ(std::count(bounded.fired[1].begin(), bounded.fired[1].end(), -1),
+            1);
+  // Next-event windows stop every 10 us of clock; output-time windows run
+  // to the post, then to the deadline.
+  EXPECT_GE(plain_rounds, 12U);
+  EXPECT_LE(bounded_rounds, 4U);
+}
+
+TEST(Sharded, PostBeforeTheClaimedOutputTimeIsCaught) {
+  if (!PASCHED_VALIDATE_ENABLED)
+    GTEST_SKIP() << "the output-time claim is checked in validated builds";
+  // The bound over-states shard 0's earliest output (1 s) while an event
+  // posts at 100 us: post() must refute the claim, naming the shard, the
+  // round, the send time and the claim.
+  ShardedEngine se(ShardMap::identity(2), Duration::us(10));
+  se.set_output_bound([](int /*shard*/, Time /*floor*/) {
+    return Time::from_ns(1'000'000'000);
+  });
+  ShardedEngine* router = &se;
+  se.engine_of(0).schedule_at(Time::from_ns(100'000), [router] {
+    router->post(0, 1, router->engine_of(0).now() + Duration::us(10), [] {});
+  });
+  try {
+    se.run_until(Time::from_ns(10'000'000), 2);
+    FAIL() << "the over-stated output time went unnoticed";
+  } catch (const pasched::check::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("shard 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("round 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("sent_at=100000 ns"), std::string::npos) << what;
+    EXPECT_NE(what.find("O*=1000000000 ns"), std::string::npos) << what;
+  }
 }
 
 TEST(Sharded, OneBlockIsOneShardThatIsAlsoTheHub) {
