@@ -31,15 +31,14 @@ struct AllocConfig {
   /// even without a PASCHED_HOT marker (belt-and-suspenders: the engine's
   /// event path stays covered if an annotation is dropped).
   std::vector<std::string> lifecycle_functions = {
-      "Engine::schedule_at",    "Engine::cancel",
-      "Engine::fire_next",      "Engine::fire_tied",
-      "Engine::fire_item",      "Engine::acquire_slot",
-      "Engine::release_slot",   "Engine::next_event_time",
-      "Engine::run_before"};
+      "Engine::schedule_at",     "Engine::cancel",
+      "Engine::fire_next",       "Engine::fire_item",
+      "Engine::acquire_slot",    "Engine::release_slot",
+      "Engine::next_event_time", "Engine::run_before"};
   /// Types whose class bodies PSL603 audits for cache-layout hazards
   /// (owning/indirect members in event- or shard-resident values).
   std::vector<std::string> layout_types = {"HeapItem", "Slot",
-                                           "CrossNodeEvent", "TieCandidate"};
+                                           "CrossNodeEvent"};
   [[nodiscard]] bool in_scope(const std::string& rel_path) const;
 };
 

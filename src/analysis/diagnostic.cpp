@@ -75,8 +75,7 @@ const std::vector<RuleInfo>& all_rules() {
       {"PSL014", Severity::Warning,
        "no single low-latency link should collapse the global fabric "
        "lookahead far below the pairwise median — conservative windows are "
-       "sized by the fastest link, so one fast pair serializes every shard "
-       "(static precursor of PSL301)",
+       "sized by the fastest link, so one fast pair serializes every shard",
        "§3.2.1 (windows rest on the minimum fabric latency)"},
       // Trace rules (PSL1xx): checked by the happens-before trace analyzer
       // over an event slice, not by the static config linter.
@@ -114,39 +113,6 @@ const std::vector<RuleInfo>& all_rules() {
        "barrier-phase perturbation — divergence means an ordering accident, "
        "not a scheduling decision, shaped the observable history",
        "§5 (Fig. 3/5 claims depend on bit-identical parallel execution)"},
-      // Scalability rules (PSL3xx): emitted by the pasched-scale static
-      // scalability analyzer (src/scale/) — the lookahead oracle, the
-      // work/span critical path, and the window/barrier cost model.
-      {"PSL301", Severity::Warning,
-       "the single global lookahead should not collapse far below the "
-       "pairwise median of the per-shard-pair lookahead matrix — the gap is "
-       "parallelism a PARSIR-style per-pair window planner would reclaim",
-       "§5.1 (512-node scaling needs windows sized per pair, not globally)"},
-      {"PSL302", Severity::Warning,
-       "conservative windows should carry enough events to amortize their "
-       "barriers: a median events-per-window below the shard count means "
-       "the run is barrier-dominated, not work-dominated",
-       "§3.1.1 (synchronization overhead swamps sub-quantum work slices)"},
-      {"PSL303", Severity::Error,
-       "every runtime cross-shard delivery must respect the statically "
-       "certified per-pair lookahead bound: delivery time >= send time + "
-       "matrix[src][dst] — a violation means the certificate (and any "
-       "window plan built on it) is unsound",
-       "§3.2.1 (conservative windows rest on the minimum fabric latency)"},
-      {"PSL304", Severity::Warning,
-       "per-shard event load should stay balanced: a max/mean shard load "
-       "ratio far above 1 caps parallel speedup at the slowest shard",
-       "§2 (one laggard node stretches every collective — Amdahl by shard)"},
-      {"PSL305", Severity::Warning,
-       "the hub shard (switch hardware collectives) should not serialize "
-       "the run: a high hub share of per-window critical work makes every "
-       "window wait on one shard",
-       "§3.2.1 (the switch's combine unit is cluster-global state)"},
-      {"PSL306", Severity::Warning,
-       "the predicted max speedup at the target worker count should reach "
-       "the roadmap target — a ceiling below target means engine surgery, "
-       "not more workers, is the next move",
-       "§5.1 (the paper's scaling claims assume the OS gets out of the way)"},
       {"PSL401", Severity::Error,
        "outside src/sim and the harness layers (tools/tests/bench), no code "
        "may bind a mutable sim::Engine or call its mutators directly — all "

@@ -19,13 +19,12 @@ bool has_thread(const trace::Event& e) {
 
 }  // namespace
 
-HbGraph HbGraph::build(std::vector<trace::Event> events, bool with_clocks) {
+HbGraph HbGraph::build(std::vector<trace::Event> events) {
   HbGraph g;
   g.events_ = std::move(events);
   const std::size_t n = g.events_.size();
   g.thread_of_.assign(n, -1);
-  g.cross_pred_.assign(n, -1);
-  g.clocks_.assign(with_clocks ? n : 0, {});
+  g.clocks_.assign(n, {});
 
   std::unordered_map<std::int64_t, int> thread_index;
   for (std::size_t i = 0; i < n; ++i) {
@@ -54,19 +53,15 @@ HbGraph HbGraph::build(std::vector<trace::Event> events, bool with_clocks) {
     if (e.kind == trace::EventKind::MsgRecv) {
       const auto it = in_flight.find(e.msg_id);
       if (it != in_flight.end() && !it->second.empty()) {
-        const std::size_t send = it->second.front();
+        const std::vector<std::uint32_t>& sent = g.clocks_[it->second.front()];
         it->second.pop_front();
-        g.cross_pred_[i] = static_cast<std::int64_t>(send);
-        if (with_clocks) {
-          const std::vector<std::uint32_t>& sent = g.clocks_[send];
-          for (std::size_t k = 0; k < t; ++k)
-            clock[k] = std::max(clock[k], sent[k]);
-        }
+        for (std::size_t k = 0; k < t; ++k)
+          clock[k] = std::max(clock[k], sent[k]);
       }
     }
 
     ++clock[static_cast<std::size_t>(ti)];
-    if (with_clocks) g.clocks_[i] = clock;
+    g.clocks_[i] = clock;
 
     if (e.kind == trace::EventKind::MsgSend) in_flight[e.msg_id].push_back(i);
   }

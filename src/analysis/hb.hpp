@@ -18,14 +18,7 @@ class HbGraph {
   /// Builds clocks for a time-ordered event slice. Unmatched receives (the
   /// send fell outside the slice) get no cross-thread edge; events that
   /// carry no thread identity (Idle) get no clock at all.
-  ///
-  /// `with_clocks = false` skips the O(events * threads) vector-clock
-  /// storage and builds only the graph structure (thread indices and
-  /// matched send -> recv edges) — what the work/span critical-path pass
-  /// (src/scale/workspan.hpp) needs on whole-run traces too large for full
-  /// clocks. happens_before()/concurrent()/clock() are invalid then.
-  [[nodiscard]] static HbGraph build(std::vector<trace::Event> events,
-                                     bool with_clocks = true);
+  [[nodiscard]] static HbGraph build(std::vector<trace::Event> events);
 
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
   [[nodiscard]] const trace::Event& event(std::size_t i) const {
@@ -50,20 +43,10 @@ class HbGraph {
     return clocks_[i];
   }
 
-  /// Cross-thread predecessor of event i: for a matched MsgRecv, the index
-  /// of the MsgSend it consumed (FIFO per msg_id); -1 for everything else
-  /// (including unmatched receives). This is the only non-program-order
-  /// happens-before edge, so (thread order, cross_pred) spans the whole
-  /// graph — the work/span DP walks exactly these edges.
-  [[nodiscard]] std::int64_t cross_pred(std::size_t i) const {
-    return cross_pred_[i];
-  }
-
  private:
   std::vector<trace::Event> events_;
   std::vector<int> thread_of_;
   std::vector<std::vector<std::uint32_t>> clocks_;
-  std::vector<std::int64_t> cross_pred_;
   int num_threads_ = 0;
 };
 

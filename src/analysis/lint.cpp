@@ -262,8 +262,7 @@ std::vector<Diagnostic> lint(const LintConfig& cfg,
   // PSL014 — lookahead collapse by a single fast link: the conservative
   // executor sizes *every* window by the global minimum pairwise latency,
   // so one low-latency pair (an intra-frame link in a mostly inter-frame
-  // cluster) serializes all shards. Static precursor of the pasched-scale
-  // PSL301 matrix finding.
+  // cluster) serializes all shards.
   if (cfg.fabric && cfg.nodes >= 2) {
     const Duration global = net::guaranteed_lookahead(*cfg.fabric);
     std::vector<std::int64_t> pairs;
@@ -281,8 +280,8 @@ std::vector<Diagnostic> lint(const LintConfig& cfg,
                  "; every conservative window is sized by the one fastest "
                  "link while most pairs could run " +
                  std::to_string(median / global) + "x wider windows",
-             "plan windows per shard pair (pasched-scale emits the matrix "
-             "certificate) or widen the fast link's latency floor");
+             "plan windows per shard pair (net::pair_lookahead builds the "
+             "matrix) or widen the fast link's latency floor");
     }
   }
 

@@ -5,8 +5,8 @@
 // rank the partitioned core's serialization sites on fig5 parallel8 (the
 // work-list for the ROADMAP item-1 PARSIR-style rework) and (b) police the
 // static analyzer's PSL505 single-domain serialization claims: a claim
-// acquired from two or more domains at runtime is refuted as PSL506,
-// mirroring the PSL303 certify-then-verify pattern.
+// acquired from two or more domains at runtime is refuted as PSL506 (the
+// certify-then-verify pattern PSL605/606 share).
 //
 // Sampling is window-granular by construction: every measured seam sits on
 // the window protocol (inbox drains, plan barrier), so the report

@@ -41,10 +41,8 @@ Simulation::Simulation(SimulationConfig cfg, const mpi::WorkloadFactory& factory
                                 : sim::ShardMap(cfg_.cluster.nodes, 1);
   sharded_ = std::make_unique<sim::ShardedEngine>(
       map, net::guaranteed_lookahead(cfg_.cluster.fabric));
-  // Per-pair lookahead matrix — the runtime consumption of pasched-scale's
-  // certificate, built by the same rule (scale::RunMonitor cross-checks
-  // the two at monitor install, so a divergence cannot pass an audited
-  // run).
+  // Per-pair lookahead matrix; validated builds check every cross-shard
+  // post against it (ShardedEngine::post).
   sharded_->set_pair_lookahead(net::pair_lookahead(cfg_.cluster.fabric, map));
   cluster_ = std::make_unique<cluster::Cluster>(*sharded_, cfg_.cluster);
   // Windows are planned on when each shard can next post, which only the

@@ -43,10 +43,9 @@ struct SimulationConfig {
   /// threads under conservative lookahead windows. `--parallel=1` exercises
   /// the partitioned machinery on one thread and must match `--parallel=N`
   /// and the serial run bit for bit. Windows are planned per shard pair
-  /// from the fabric's guaranteed-lookahead matrix (net::pair_lookahead, the
-  /// runtime side of pasched-scale's certificate), sim::kWindowBatch chained
-  /// windows per global synchronization. N >= 1 is incompatible with fabric
-  /// link_bandwidth contention.
+  /// from the fabric's guaranteed-lookahead matrix (net::pair_lookahead),
+  /// sim::kWindowBatch chained windows per global synchronization. N >= 1
+  /// is incompatible with fabric link_bandwidth contention.
   int parallel = 0;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/choice.hpp"
-#include "sim/engine.hpp"
 #include "util/assert.hpp"
 
 namespace pasched::daemons {
@@ -37,21 +35,8 @@ Daemon::Daemon(kern::Kernel& kernel, DaemonSpec spec, sim::Rng rng,
 
 void Daemon::start() {
   Duration first = spec_.first_due;
-  if (first < Duration::zero()) {
-    // Arrival-phase choice point: a randomized first activation becomes an
-    // explorable decision when a ChoiceSource is installed on the engine
-    // (one of kArrivalPhaseBuckets evenly spaced phases across the period);
-    // otherwise the seeded draw keeps historical behavior bit-for-bit.
-    sim::ChoiceSource* cs = kernel_.engine().choice_source();
-    if (cs != nullptr) {
-      const std::size_t bucket =
-          cs->choose(kArrivalPhaseBuckets, "daemon.arrival_phase");
-      first = spec_.period * static_cast<std::int64_t>(bucket) /
-              static_cast<std::int64_t>(kArrivalPhaseBuckets);
-    } else {
-      first = rng_.uniform_dur(Duration::zero(), spec_.period);
-    }
-  }
+  if (first < Duration::zero())
+    first = rng_.uniform_dur(Duration::zero(), spec_.period);
   const Time base_local = kernel_.local_now() + first;
   for (auto& w : workers_) schedule_activation(*w, base_local);
 }

@@ -58,12 +58,6 @@ struct DaemonStats {
 
 class Daemon {
  public:
-  /// When `first_due` is negative and a sim::ChoiceSource is installed on
-  /// the engine, start() asks it for the arrival phase (one of this many
-  /// evenly spaced offsets across the period) instead of drawing from the
-  /// seeded Rng — making daemon arrival timing an explorable choice point.
-  static constexpr std::size_t kArrivalPhaseBuckets = 4;
-
   /// Worker threads are homed round-robin starting at `first_cpu`.
   Daemon(kern::Kernel& kernel, DaemonSpec spec, sim::Rng rng,
          kern::CpuId first_cpu);

@@ -4,7 +4,6 @@
 
 #include "check/check.hpp"
 #include "check/transitions.hpp"
-#include "sim/choice.hpp"
 #include "util/allocgate.hpp"
 #include "util/assert.hpp"
 #include "util/hotpath.hpp"
@@ -49,18 +48,6 @@ void Kernel::start() {
   PASCHED_EXPECTS_MSG(!started_, "Kernel::start called twice");
   started_ = true;
   bound_valid_ = false;
-  // Tick-stagger choice point: under a model checker the node's boot-time
-  // tick skew is one of kTickPhaseBuckets explorable phases rather than a
-  // seed-derived accident. Gated on !cluster_aligned_ticks so configs that
-  // align ticks (and runs without a ChoiceSource) keep the seeded behavior
-  // and contribute no spurious branches to the choice tree.
-  if (!tun_.cluster_aligned_ticks && ctx_.choice_source() != nullptr) {
-    const std::size_t bucket = ctx_.choice_source()->choose(
-        kTickPhaseBuckets, "kern.tick_phase");
-    unaligned_phase_ = tun_.tick_interval() *
-                       static_cast<std::int64_t>(bucket) /
-                       static_cast<std::int64_t>(kTickPhaseBuckets);
-  }
   last_decay_ = local_now();
   for (CpuId c = 0; c < ncpus(); ++c) arm_tick(c);
 }

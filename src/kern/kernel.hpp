@@ -60,13 +60,6 @@ class Kernel {
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
-  /// When a sim::ChoiceSource is installed on the engine and ticks are not
-  /// cluster-aligned, start() asks it for the node's tick-stagger phase
-  /// (one of this many evenly spaced buckets across the tick interval)
-  /// instead of deriving it from tick_phase_seed — turning boot-time tick
-  /// skew into an explorable choice point.
-  static constexpr std::size_t kTickPhaseBuckets = 4;
-
   /// Arms the periodic tick machinery. Call once before running the engine.
   void start();
 

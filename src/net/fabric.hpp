@@ -45,7 +45,7 @@ struct FabricConfig {
   /// frames pays `inter_frame_extra` on top of inter_node_latency (the
   /// intermediate-switch-board hop of a multi-frame SP system). 0 keeps the
   /// flat single-switch fabric — the default, and what every shipped preset
-  /// uses. The per-shard-pair lookahead matrix (src/scale/) turns this
+  /// uses. The per-shard-pair lookahead matrix (pair_lookahead) turns this
   /// structure into pairwise bounds; the single global guaranteed_lookahead
   /// stays pinned to the intra-frame minimum.
   int frame_size = 0;
@@ -75,8 +75,8 @@ struct FabricConfig {
 /// Per-pair guaranteed lookahead: min_latency_between shrunk by the same
 /// worst-case jitter draw (and truncation slack) as guaranteed_lookahead.
 /// Always >= guaranteed_lookahead(cfg) — the global bound is the matrix
-/// minimum, which is exactly the headroom the per-pair certificate
-/// (src/scale/lookahead.hpp) quantifies.
+/// minimum, and the gap is the headroom the per-pair window planner
+/// reclaims.
 [[nodiscard]] sim::Duration guaranteed_lookahead_between(
     const FabricConfig& cfg, int a, int b);
 
@@ -86,9 +86,8 @@ struct FabricConfig {
 /// blocks is the minimum guaranteed_lookahead_between over their member
 /// node pairs, which is sound on any fabric; pairs involving the hub get the
 /// global floor, since hub traffic (hardware-collective contributions and
-/// broadcasts) always pays at least one un-jittered inter-node wire. The
-/// one construction rule: core::Simulation installs this matrix in the
-/// executor and scale::build_lookahead_matrix certifies the same one.
+/// broadcasts) always pays at least one un-jittered inter-node wire.
+/// core::Simulation installs this matrix in the executor.
 [[nodiscard]] sim::PairLookahead pair_lookahead(const FabricConfig& cfg,
                                                 const sim::ShardMap& map);
 

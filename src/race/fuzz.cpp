@@ -14,7 +14,7 @@ std::size_t RecordingRandomSource::choose(std::size_t n, const char* tag) {
   PASCHED_EXPECTS(n >= 1);
   const auto pick = static_cast<std::size_t>(
       rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-  trace_.push_back(mc::Choice{tag, n, pick});
+  trace_.push_back(Choice{tag, n, pick});
   return pick;
 }
 
@@ -126,8 +126,8 @@ FuzzResult fuzz_windows(const core::SimulationConfig& cfg,
 
 AuditRun replay_schedule(const core::SimulationConfig& cfg,
                          const mpi::WorkloadFactory& factory,
-                         const mc::Schedule& schedule, int workers) {
-  mc::GuidedSource source(schedule);
+                         const Schedule& schedule, int workers) {
+  GuidedSource source(schedule);
   AuditOptions opt;
   opt.workers = workers;
   opt.window_choice = &source;

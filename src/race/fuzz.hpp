@@ -1,11 +1,11 @@
 // The pasched-race run drivers: an audited single run (annotation layer +
 // vector-clock monitor attached to the partitioned executor) and the
 // window-perturbation fuzz loop that shrinks conservative windows toward the
-// legal minimum via the model checker's ChoiceSource seam. Every perturbed
+// legal minimum through the sim::ChoiceSource seam. Every perturbed
 // run must reproduce the unperturbed canonical digest — the lookahead
 // guarantee makes any shorter window equally correct — so a divergence is a
-// latent ordering bug, reported as PSL204 with the replayable mc::Schedule
-// that exposed it.
+// latent ordering bug, reported as PSL204 with the replayable Schedule that
+// exposed it.
 #pragma once
 
 #include <cstdint>
@@ -13,25 +13,25 @@
 
 #include "analysis/diagnostic.hpp"
 #include "core/equivalence.hpp"
-#include "mc/schedule.hpp"
 #include "race/monitor.hpp"
+#include "race/schedule.hpp"
 #include "sim/random.hpp"
 
 namespace pasched::race {
 
 /// A ChoiceSource drawing uniform picks from a seeded Rng while recording
 /// every decision, so a failing perturbation replays exactly through
-/// mc::GuidedSource. Only the barrier completion step queries it
+/// GuidedSource. Only the barrier completion step queries it
 /// ("shard.window_quantum"), so no locking is needed.
 class RecordingRandomSource final : public sim::ChoiceSource {
  public:
   explicit RecordingRandomSource(std::uint64_t seed) : rng_(seed) {}
   std::size_t choose(std::size_t n, const char* tag) override;
-  [[nodiscard]] const mc::Schedule& trace() const noexcept { return trace_; }
+  [[nodiscard]] const Schedule& trace() const noexcept { return trace_; }
 
  private:
   sim::Rng rng_;
-  mc::Schedule trace_;
+  Schedule trace_;
 };
 
 struct AuditOptions {
@@ -70,7 +70,7 @@ struct FuzzResult {
   /// race findings, plus one PSL204 per digest divergence).
   std::vector<analysis::Diagnostic> findings;
   /// The recorded schedule of the first diverging run (empty when none).
-  mc::Schedule failing;
+  Schedule failing;
   bool diverged = false;
 };
 
@@ -82,10 +82,10 @@ struct FuzzResult {
                                       int workers);
 
 /// Replays one recorded perturbation schedule (a PSL204 counterexample)
-/// through mc::GuidedSource and returns the audited run.
+/// through GuidedSource and returns the audited run.
 [[nodiscard]] AuditRun replay_schedule(const core::SimulationConfig& cfg,
                                        const mpi::WorkloadFactory& factory,
-                                       const mc::Schedule& schedule,
+                                       const Schedule& schedule,
                                        int workers);
 
 }  // namespace pasched::race

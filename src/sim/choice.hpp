@@ -1,66 +1,20 @@
-// Pluggable nondeterminism: concrete TieBreak strategies for the engine's
-// same-timestamp seam, and the generic ChoiceSource interface that model
-// components (daemon arrival phases, kernel tick stagger) query for bounded
-// decisions. The model checker (src/mc/) drives both from one recorded
-// schedule; everything else uses the trivial strategies below.
+// Pluggable nondeterminism: the generic ChoiceSource interface a component
+// queries for bounded decisions. ShardedEngine::set_window_choice takes one
+// to perturb window quanta (the race fuzzer drives it from a recorded
+// schedule); with none installed every decision takes its default.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
-
-#include "sim/engine.hpp"
-#include "sim/random.hpp"
 
 namespace pasched::sim {
 
 /// A source of bounded nondeterministic decisions. choose(n, tag) returns a
-/// value in [0, n); `tag` names the choice point (e.g. "engine.tiebreak",
-/// "daemon.arrival_phase") so recorded schedules are self-describing.
+/// value in [0, n); `tag` names the choice point (e.g.
+/// "shard.window_quantum") so recorded schedules are self-describing.
 class ChoiceSource {
  public:
   virtual ~ChoiceSource() = default;
   virtual std::size_t choose(std::size_t n, const char* tag) = 0;
-};
-
-/// The historical default, as an explicit strategy: first-scheduled fires
-/// first. Installing it is behaviorally identical to no strategy at all.
-class FifoTieBreak final : public TieBreak {
- public:
-  std::size_t pick(const std::vector<TieCandidate>& ties) override;
-  [[nodiscard]] const char* name() const noexcept override { return "fifo"; }
-};
-
-/// Adversarial mirror image: last-scheduled fires first. Cheap way to shake
-/// out order dependence without a full exploration.
-class LifoTieBreak final : public TieBreak {
- public:
-  std::size_t pick(const std::vector<TieCandidate>& ties) override;
-  [[nodiscard]] const char* name() const noexcept override { return "lifo"; }
-};
-
-/// Seeded uniform choice among the tied events — a randomized stress mode
-/// that stays bit-reproducible for a given seed.
-class RandomTieBreak final : public TieBreak {
- public:
-  explicit RandomTieBreak(std::uint64_t seed) : rng_(seed) {}
-  std::size_t pick(const std::vector<TieCandidate>& ties) override;
-  [[nodiscard]] const char* name() const noexcept override { return "random"; }
-
- private:
-  Rng rng_;
-};
-
-/// Adapts a ChoiceSource into a TieBreak so one decision stream can drive
-/// every choice point in a run. Non-owning.
-class SourceTieBreak final : public TieBreak {
- public:
-  explicit SourceTieBreak(ChoiceSource* src) : src_(src) {}
-  std::size_t pick(const std::vector<TieCandidate>& ties) override;
-  [[nodiscard]] const char* name() const noexcept override { return "source"; }
-
- private:
-  ChoiceSource* src_;
 };
 
 }  // namespace pasched::sim

@@ -46,7 +46,7 @@ class Router {
 /// A node's scheduling handle: the engine that owns its events, plus the
 /// router and this node's shard id for the rare cross-node operations.
 /// Implicitly convertible from a bare Engine& so kernel-level construction
-/// (kernel tests, the model checker) needs no router.
+/// (kernel tests) needs no router.
 struct EventContext {
   Engine* engine = nullptr;
   Router* router = nullptr;
@@ -66,9 +66,6 @@ struct EventContext {
   }
   void cancel(EventId id) const { engine->cancel(id); }
   [[nodiscard]] bool pending(EventId id) const { return engine->pending(id); }
-  [[nodiscard]] ChoiceSource* choice_source() const {
-    return engine->choice_source();
-  }
 };
 
 }  // namespace pasched::sim

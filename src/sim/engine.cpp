@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "sim/random.hpp"
 #include "util/allocgate.hpp"
 #include "util/assert.hpp"
 #include "util/hotpath.hpp"
@@ -16,7 +15,7 @@ namespace pasched::sim {
 void Engine::grow_slab() {
   // Sanctioned amortized growth: every buffer the hot path pushes into is
   // (re)sized here, inside a cold allocation region, so the per-event code
-  // never reallocates. free_/heap_/scratch capacities track the slot count
+  // never reallocates. free_/heap_ capacities track the slot count
   // — one heap entry and one free-list entry per slot is the worst case.
   PASCHED_ALLOC_COLD_REGION();
   const std::size_t old = slots_.size();
@@ -24,8 +23,6 @@ void Engine::grow_slab() {
   slots_.resize(old + add);
   free_.reserve(slots_.size());
   heap_.reserve(slots_.size());
-  tied_scratch_.reserve(slots_.size());
-  cands_scratch_.reserve(slots_.size());
   // New indices go on the free list high-to-low so back() hands out the
   // lowest index first — the same slot-assignment order the old
   // emplace_back-per-event scheme produced.
@@ -106,7 +103,6 @@ PASCHED_HOT void Engine::release_slot(std::uint32_t idx) noexcept {
   s.fn.reset();
   ++s.gen;  // invalidate any outstanding EventIds
   s.armed = false;
-  s.held = false;
   s.delivery = false;
   s.heap_pos = kNoHeapPos;
   free_.push_back(idx);  // never reallocates: capacity from grow_slab()
@@ -157,13 +153,6 @@ PASCHED_HOT void Engine::cancel(EventId id) {
   if (!id.valid() || id.slot >= slots_.size()) return;
   Slot& s = slots_[id.slot];
   if (s.gen != id.gen || !s.armed) return;  // already fired / cancelled
-  // A held slot is mid-TieBreak::pick(): its heap entry is already popped,
-  // so a cancel here would be silently undone when the candidate is
-  // re-queued (or worse, fired). Surface the bug instead of losing it.
-  PASCHED_CHECK_MSG(!s.held,
-                    "cancel() of an event held by TieBreak::pick() — the "
-                    "cancellation would be lost");
-  if (s.held) return;  // validation off: refuse to corrupt the heap
   // Lazy at the slot layer (the generation bump already invalidates the
   // EventId), eager at the heap layer: the position backlink makes the
   // removal a targeted O(log n) fix-up, so no stale entries accumulate and
@@ -220,13 +209,10 @@ PASCHED_HOT bool Engine::fire_next() {
       }
     }
     PASCHED_ASSERT(top.t >= now_);
-    if (tie_break_ != nullptr) return fire_tied();
     heap_remove_at(0);
     // Causality: pops must come off the heap in strictly increasing (t, seq)
     // order — a regression here reorders same-timestamp events and silently
-    // breaks the engine's FIFO tie-break guarantee. (With a TieBreak
-    // installed same-t reordering is intentional; fire_tied() checks only
-    // time monotonicity.)
+    // breaks the engine's FIFO tie-break guarantee.
     PASCHED_CHECK_MSG(
         top.t > last_fired_t_ ||
             (top.t == last_fired_t_ && top.seq > last_fired_seq_),
@@ -235,53 +221,6 @@ PASCHED_HOT bool Engine::fire_next() {
     return true;
   }
   return false;
-}
-
-PASCHED_HOT bool Engine::fire_tied() {
-  // Precondition: heap top is live. Drain every live entry tied at the
-  // minimum timestamp; indexed pops deliver them in increasing seq order.
-  const Time t0 = heap_.front().t;
-  tied_scratch_.clear();
-  while (!heap_.empty() && heap_.front().t == t0) {
-    const HeapItem top = heap_.front();
-    heap_remove_at(0);
-    const Slot& s = slots_[top.slot];
-    if (s.gen != top.gen || !s.armed) continue;  // defensive, see fire_next
-    tied_scratch_.push_back(top);  // capacity from grow_slab()
-  }
-  PASCHED_ASSERT(!tied_scratch_.empty());
-  std::size_t choice = 0;
-  if (tied_scratch_.size() > 1) {
-    cands_scratch_.clear();
-    for (const HeapItem& h : tied_scratch_) {
-      slots_[h.slot].held = true;
-      cands_scratch_.push_back(TieCandidate{EventId{h.slot, h.gen}, h.seq});
-    }
-    choice = tie_break_->pick(cands_scratch_);
-    PASCHED_CHECK_ALWAYS_MSG(choice < tied_scratch_.size(),
-                             "TieBreak::pick returned an out-of-range index");
-    for (const HeapItem& h : tied_scratch_) slots_[h.slot].held = false;
-    // Re-queue the losers *before* firing so the handler observes a
-    // consistent pending set (it may cancel or reschedule them). A loser
-    // that died while held (validation off) must not re-enter the heap.
-    for (std::size_t i = 0; i < tied_scratch_.size(); ++i) {
-      if (i == choice) continue;
-      const Slot& ls = slots_[tied_scratch_[i].slot];
-      if (ls.gen != tied_scratch_[i].gen || !ls.armed) continue;
-      heap_push(tied_scratch_[i]);
-    }
-  }
-  const HeapItem& chosen = tied_scratch_[choice];
-  {
-    // Defensive (reachable only with validation off and a strategy that
-    // cancelled a held candidate): treat a dead chosen entry as stale.
-    const Slot& s = slots_[chosen.slot];
-    if (s.gen != chosen.gen || !s.armed) return true;
-  }
-  PASCHED_CHECK_MSG(chosen.t >= last_fired_t_,
-                    "event fired with a receding timestamp");
-  fire_item(chosen);
-  return true;
 }
 
 void Engine::run() {
@@ -365,26 +304,8 @@ PASCHED_HOT Time Engine::next_event_time() {
   return Time::max();
 }
 
-std::uint64_t Engine::pending_hash() const {
-  std::vector<std::int64_t> times;
-  times.reserve(live_);
-  for (const HeapItem& h : heap_) {
-    const Slot& s = slots_[h.slot];
-    if (s.gen == h.gen && s.armed) times.push_back(h.t.count());
-  }
-  std::sort(times.begin(), times.end());
-  std::uint64_t state = 0x9e3779b97f4a7c15ULL ^ times.size();
-  std::uint64_t hash = splitmix64(state);
-  for (const std::int64_t t : times) {
-    state ^= static_cast<std::uint64_t>(t);
-    hash = hash * 1099511628211ULL + splitmix64(state);
-  }
-  return hash;
-}
-
 void Engine::check_consistent() const {
   // Every armed slot holds a callback; live_ counts exactly the armed slots.
-  // No slot may be held outside an in-progress TieBreak::pick(), and
   // check_consistent() is only valid between events.
   std::size_t armed = 0;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -395,9 +316,6 @@ void Engine::check_consistent() const {
                                "armed slot " + std::to_string(i) +
                                    " has no callback");
     }
-    PASCHED_CHECK_ALWAYS_MSG(!s.held,
-                             "slot " + std::to_string(i) +
-                                 " still held outside TieBreak::pick()");
   }
   PASCHED_CHECK_ALWAYS_MSG(armed == live_,
                            "live_ disagrees with armed slot count");

@@ -2,11 +2,6 @@
 // stable FIFO tie-breaking and O(1) cancellation. Everything in pasched —
 // kernel ticks, IPIs, CPU burst completions, network deliveries, daemon
 // timers — is an event scheduled here.
-//
-// Same-timestamp ordering is a *choice point*: with no strategy installed
-// the engine keeps its historical FIFO guarantee (scheduling order), but a
-// TieBreak strategy may be plugged in to pick any of the tied events — the
-// seam the model checker (src/mc/) explores exhaustively.
 #pragma once
 
 #include <cstdint>
@@ -28,34 +23,6 @@ struct EventId {
   friend bool operator==(EventId a, EventId b) = default;
 };
 
-/// One of the events tied at the current minimum timestamp. `seq` is the
-/// engine-assigned scheduling order, so candidates arrive FIFO-sorted and
-/// picking index 0 always reproduces the default behavior.
-struct PASCHED_ARENA TieCandidate {
-  EventId id;
-  std::uint64_t seq = 0;
-};
-static_assert(std::is_trivially_destructible_v<TieCandidate> &&
-                  std::is_trivially_copyable_v<TieCandidate>,
-              "TieCandidate lives in a reused scratch buffer: the "
-              "PASCHED_ARENA contract (PSL604) requires trivial "
-              "destruction and memcpy relocation");
-
-/// Strategy for ordering same-timestamp events. pick() receives the tied
-/// candidates in scheduling (seq) order and returns the index to fire next;
-/// the rest are re-queued and re-offered (minus the fired one) until the
-/// timestamp is drained. Candidates are *held* while pick() runs: cancelling
-/// one from inside pick() is rejected under PASCHED_VALIDATE.
-class TieBreak {
- public:
-  virtual ~TieBreak() = default;
-  /// Returns an index into `ties` (size >= 2). Must be in range.
-  virtual std::size_t pick(const std::vector<TieCandidate>& ties) = 0;
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-};
-
-class ChoiceSource;  // sim/choice.hpp — generic bounded-decision source
-
 class Engine {
  public:
   using Callback = InlineCallback<48>;
@@ -67,7 +34,7 @@ class Engine {
   [[nodiscard]] Time now() const noexcept { return now_; }
 
   /// Schedules `fn` at absolute time `t` (must be >= now()). Events with the
-  /// same timestamp fire in scheduling order unless a TieBreak is installed.
+  /// same timestamp fire in scheduling order.
   EventId schedule_at(Time t, Callback fn);
   PASCHED_HOT EventId schedule_after(Duration d, Callback fn) {
     return schedule_at(now_ + d, std::move(fn));
@@ -86,10 +53,7 @@ class Engine {
   /// before the answer.
   [[nodiscard]] Time next_delivery_time(Time limit = Time::max()) const;
 
-  /// Cancels the event if it has not fired yet; no-op otherwise. Under
-  /// PASCHED_VALIDATE, cancelling a slot that is currently held by a
-  /// TieBreak::pick() in progress throws check::CheckError — by then the
-  /// event is already off the heap and cancellation would be silently lost.
+  /// Cancels the event if it has not fired yet; no-op otherwise.
   void cancel(EventId id);
 
   /// True if the event is still pending.
@@ -117,8 +81,7 @@ class Engine {
   /// Heap entries currently allocated. The heap is position-indexed (each
   /// armed slot tracks where its entry sits), so cancel() removes its entry
   /// in O(log n) and no stale entries exist: this equals events_pending()
-  /// whenever no TieBreak::pick() is in flight — the regression test for
-  /// the cancel() leak asserts exactly that.
+  /// — the regression test for the cancel() leak asserts exactly that.
   [[nodiscard]] std::size_t queue_footprint() const noexcept {
     return heap_.size();
   }
@@ -132,19 +95,6 @@ class Engine {
 
   /// Requests that run()/run_until() return after the current event.
   void stop() noexcept { stopped_ = true; }
-
-  /// Installs a same-timestamp ordering strategy (non-owning; must outlive
-  /// its use). nullptr restores the default FIFO fast path.
-  void set_tie_break(TieBreak* tb) noexcept { tie_break_ = tb; }
-  [[nodiscard]] TieBreak* tie_break() const noexcept { return tie_break_; }
-
-  /// A generic decision source for model-level choice points (daemon arrival
-  /// phases, tick stagger). The engine only stores the pointer — components
-  /// that own nondeterminism query it at setup time. Non-owning.
-  void set_choice_source(ChoiceSource* cs) noexcept { choice_source_ = cs; }
-  [[nodiscard]] ChoiceSource* choice_source() const noexcept {
-    return choice_source_;
-  }
 
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
     return processed_;
@@ -169,40 +119,24 @@ class Engine {
   /// Logged fires with timestamp >= t (binary search; the log is sorted).
   [[nodiscard]] std::uint64_t fires_at_or_after(Time t) const noexcept;
 
-  /// Scheduling-order sequence number of the most recently fired event.
-  /// The model checker uses it to correlate engine pops with trace windows.
-  [[nodiscard]] std::uint64_t last_fired_seq() const noexcept {
-    return last_fired_seq_;
-  }
-
-  /// Order-insensitive hash of the pending-event timestamps (splitmix64
-  /// chained over the sorted multiset of live times). Deliberately excludes
-  /// seq counters — two histories that converged to the same pending set
-  /// hash equal, which is what visited-set pruning needs.
-  [[nodiscard]] std::uint64_t pending_hash() const;
-
   /// Full O(n) structural audit of the slot table / heap / free list; throws
   /// check::CheckError on the first inconsistency. Always compiled (calling
   /// it is opt-in); the per-event checks are gated by PASCHED_VALIDATE.
   void check_consistent() const;
 
  private:
-  /// Sentinel heap position for a slot with no heap entry (free, held by a
-  /// TieBreak::pick(), or mid-fire).
+  /// Sentinel heap position for a slot with no heap entry (free or
+  /// mid-fire).
   static constexpr std::uint32_t kNoHeapPos = UINT32_MAX;
 
   struct Slot {
     Callback fn;
     std::uint32_t gen = 0;
-    // Index of this slot's entry in heap_ while armed and not held — the
+    // Index of this slot's entry in heap_ while armed — the
     // backlink that makes cancel() an O(log n) targeted removal instead of
     // a tombstone that compaction must sweep later.
     std::uint32_t heap_pos = kNoHeapPos;
     bool armed = false;
-    // True while the slot sits in a TieBreak::pick() candidate list: off
-    // the heap but not yet fired or re-queued. Cancellation must not touch
-    // it (see cancel()). Always present so layout is validation-agnostic.
-    bool held = false;
     // Scheduled by schedule_delivery(); counted in deliveries_pending_.
     bool delivery = false;
   };
@@ -225,7 +159,7 @@ class Engine {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t idx) noexcept;
-  // All slot-table/heap/free-list/scratch growth funnels through here so
+  // All slot-table/heap/free-list growth funnels through here so
   // the hot path's push_backs never reallocate: after grow_slab(),
   // free_ and heap_ have capacity for every slot. Cold by contract
   // (PASCHED_ALLOC_COLD_REGION).
@@ -238,7 +172,6 @@ class Engine {
   void heap_push(const HeapItem& item) noexcept;
   void heap_remove_at(std::size_t pos) noexcept;
   bool fire_next();
-  bool fire_tied();
   void fire_item(const HeapItem& item);
   void min_delivery_below(std::size_t pos, Time& best) const;
   // Every clock advance goes through here so processed_before_now_ stays
@@ -254,11 +187,6 @@ class Engine {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::vector<HeapItem> heap_;
-  // Reused scratch for fire_tied(): cleared per call, capacity persists so
-  // steady-state tie resolution is allocation-free (grown via grow_slab /
-  // reserve_cold only).
-  std::vector<HeapItem> tied_scratch_;
-  std::vector<TieCandidate> cands_scratch_;
   std::size_t deliveries_pending_ = 0;  // armed slots with `delivery` set
   Time now_ = Time::zero();
   std::uint64_t seq_ = 0;
@@ -268,8 +196,6 @@ class Engine {
   bool fire_log_armed_ = false;
   std::size_t live_ = 0;
   bool stopped_ = false;
-  TieBreak* tie_break_ = nullptr;
-  ChoiceSource* choice_source_ = nullptr;
   // Last fired (t, seq), for the PASCHED_VALIDATE causality check. Always
   // present so the class layout does not depend on the validation flag.
   // The sentinel start time compares below any schedulable time.

@@ -8,7 +8,7 @@
 // t0 + L, and (2) every window costs a full barrier rendezvous.
 //
 // This planner replaces both with the per-pair guaranteed-lookahead matrix
-// (the certificate pasched-scale emits, src/scale/lookahead.hpp). Every
+// (net::pair_lookahead builds it from the fabric topology). Every
 // shard publishes two times per round: its next event time next_t_s and its
 // earliest-output time O_s >= next_t_s, the earliest instant any of its
 // events or threads can call Router::post (ShardedEngine::OutputBound
@@ -63,10 +63,8 @@ namespace pasched::sim {
 
 /// Per-pair guaranteed lookahead bounds, row-major `shards x shards`,
 /// diagonal zero. `global` must be the minimum off-diagonal entry — it
-/// gates the final-window condition. The runtime consumer of the
-/// pasched-scale certificate: core::Simulation fills it from
-/// net::guaranteed_lookahead_between, and scale::RunMonitor cross-checks
-/// it against the certified matrix at monitor install.
+/// gates the final-window condition. core::Simulation fills it from
+/// net::pair_lookahead.
 struct PairLookahead {
   int shards = 0;
   Duration global = Duration::zero();
@@ -98,8 +96,8 @@ struct PairLookahead {
 inline constexpr int kWindowBatch = 8;
 
 /// Execution counters the engine fills as it runs the plans. `rounds` is
-/// the figure the scale report publishes as n_windows — the number of
-/// global synchronizations, which is what the window cost model prices.
+/// the number of global synchronizations; the sync-round gates
+/// (tests/test_core_simulation.cpp) hold it below recorded counts.
 struct PlannerStats {
   std::uint64_t rounds = 0;          ///< sync rounds (global barriers paid)
   std::uint64_t windows = 0;         ///< chained windows executed

@@ -57,6 +57,7 @@
 #include <mutex>
 #include <vector>
 
+#include "sim/choice.hpp"
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "sim/planner.hpp"
@@ -107,8 +108,7 @@ class ShardMonitor {
   virtual void on_window_begin(int shard, Time window_end) = 0;
   /// The round barrier's completion step planned the next round (ending at
   /// `window_end`): every shard is quiesced, so cross-shard happens-before
-  /// is total here. Fires once per *round*, not per chained window — the
-  /// scale profiler's n_windows counts these.
+  /// is total here. Fires once per *round*, not per chained window.
   virtual void on_plan(Time window_end, bool final_window) = 0;
   /// `shard` finished a chained window at `horizon`; its worker publishes
   /// that with release ordering once all of the worker's shards are done —
@@ -159,9 +159,9 @@ class ShardedEngine final : public Router {
   [[nodiscard]] const ShardMap& shard_map() const noexcept { return map_; }
 
   // Planner -------------------------------------------------------------------
-  /// Installs the per-pair guaranteed-lookahead matrix (the runtime side of
-  /// pasched-scale's certificate; core::Simulation builds it with
-  /// net::pair_lookahead). `la.shards` must equal partitions() and
+  /// Installs the per-pair guaranteed-lookahead matrix (core::Simulation
+  /// builds it with net::pair_lookahead). `la.shards` must equal
+  /// partitions() and
   /// `la.global` the constructor lookahead. Set while no workers run.
   void set_pair_lookahead(const PairLookahead& la);
   /// The installed pair bound (what post() stamps events with).

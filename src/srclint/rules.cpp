@@ -84,10 +84,9 @@ class RuleRun {
   void psl401() {
     if (path_in(cfg_.seam_allow, f_.path)) return;
     const auto& t = f_.tokens;
-    static const std::array<const char*, 11> kMutators = {
-        "schedule_at", "schedule_after", "cancel",          "run",
-        "run_until",   "run_before",     "drain",           "stop",
-        "set_tie_break", "set_choice_source", "step"};
+    static const std::array<const char*, 9> kMutators = {
+        "schedule_at", "schedule_after", "cancel", "run",  "run_until",
+        "run_before",  "drain",          "stop",   "step"};
     for (std::size_t i = 0; i < t.size(); ++i) {
       if (t[i].pp || t[i].kind != Tok::Identifier) continue;
       // (a) Binding a mutable reference/pointer to a raw engine.

@@ -1,6 +1,6 @@
 // PSL401–406: repo-specific architecture and hot-path rules over the
 // srclint source model. Each rule encodes a source-level invariant the
-// runtime stack (pasched-audit/race/scale) can only witness after it is
+// runtime stack (pasched audit/race) can only witness after it is
 // violated in an execution — here it is rejected before a run exists.
 //
 //   PSL401  raw engine access outside the Router/EventContext seam
@@ -42,11 +42,9 @@ struct RuleSelection {
 /// root.
 struct RuleConfig {
   /// PSL401: directories whose code may touch sim::Engine directly — the
-  /// engine's own subsystem, the harness layers that drive it by design,
-  /// and src/mc (the model checker constructs single-engine micro-models
-  /// and steers their tie-breaks; that is its whole job).
-  std::vector<std::string> seam_allow = {"src/sim/", "src/mc/", "tools/",
-                                         "tests/", "bench/", "examples/"};
+  /// engine's own subsystem and the harness layers that drive it by design.
+  std::vector<std::string> seam_allow = {"src/sim/", "tools/", "tests/",
+                                         "bench/", "examples/"};
   /// PSL402: shard-resident classes that must carry a race::Owned tag, and
   /// the subsystems they live in.
   std::vector<std::string> shard_resident = {"Node",        "Kernel",

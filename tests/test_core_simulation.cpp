@@ -1,11 +1,14 @@
 // The Simulation facade: end-to-end construction, determinism, horizon
-// behavior, and the co-scheduler wiring.
+// behavior, the co-scheduler wiring, and the planner's sync-round gates.
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "apps/aggregate_trace.hpp"
 #include "apps/channels.hpp"
 #include "core/presets.hpp"
 #include "core/simulation.hpp"
+#include "fig_scenario.hpp"
 
 using namespace pasched;
 using sim::Duration;
@@ -30,6 +33,26 @@ apps::AggregateTraceConfig tiny_app(int calls = 50) {
   at.loops = 1;
   at.calls_per_loop = calls;
   return at;
+}
+
+core::SimulationConfig four_nodes(int parallel) {
+  core::SimulationConfig cfg;
+  cfg.cluster = cluster::presets::frost(4);
+  cfg.cluster.seed = 11;
+  cfg.job.ntasks = 16;
+  cfg.job.tasks_per_node = 4;
+  cfg.job.seed = 12;
+  cfg.parallel = parallel;
+  return cfg;
+}
+
+/// Sync rounds the planner pays for the fig3/fig5 scenario at 3 workers.
+std::uint64_t sync_rounds(bool fig5, int calls) {
+  testutil::FigScenario s = testutil::fig_scenario(fig5, calls);
+  s.cfg.parallel = 3;
+  core::Simulation sim(s.cfg, s.factory);
+  EXPECT_TRUE(sim.run().completed);
+  return sim.sharded()->planner_stats().rounds;
 }
 
 }  // namespace
@@ -131,4 +154,48 @@ TEST(Simulation, RunTwiceIsRejected) {
   core::Simulation sim(tiny(false), apps::aggregate_trace(tiny_app(5)));
   (void)sim.run();
   EXPECT_THROW((void)sim.run(), std::logic_error);
+}
+
+TEST(Simulation, EventsAtCompletionIsModeInvariant) {
+  // The raw counter differs across modes (partitioned runs drain their
+  // final window past the completing event); the normalized below-T_c
+  // counter must not.
+  const auto run = [](int parallel) {
+    return core::Simulation(four_nodes(parallel),
+                            apps::aggregate_trace(tiny_app(12)))
+        .run();
+  };
+  const auto serial = run(0);
+  const auto par1 = run(1);
+  const auto par2 = run(2);
+  ASSERT_TRUE(serial.completed);
+  ASSERT_TRUE(par1.completed);
+  ASSERT_TRUE(par2.completed);
+  EXPECT_EQ(serial.events_at_completion, par1.events_at_completion);
+  EXPECT_EQ(par1.events_at_completion, par2.events_at_completion);
+  EXPECT_LE(serial.events_at_completion, serial.events);
+  EXPECT_LE(par1.events_at_completion, par1.events);
+}
+
+// The sync-round gates hold the planner's round count to a fixed cut below
+// the recorded count of an older planner on the same scenario. Round counts
+// are schedule-derived, so they are identical on any machine and at any
+// worker count, and the cut is a hard gate rather than a timing heuristic.
+
+TEST(SyncRounds, Fig5CutsTheGlobalPlannerRounds3x) {
+  // 2011 rounds: the retired global (one-window-per-round) planner,
+  // recorded at commit 5abd368.
+  const std::uint64_t rounds = sync_rounds(/*fig5=*/true, 120);
+  EXPECT_GT(rounds, 0u);
+  EXPECT_LE(rounds * 3, 2011u) << rounds << " rounds";
+}
+
+TEST(SyncRounds, Fig3CutsTheNextEventPlannerRounds10x) {
+  // 28862 rounds: the planner that planned windows on next event times
+  // instead of on when a shard can next post, recorded at commit bcc6d9b.
+  // A tree that drops the earliest-output bound
+  // (sim::ShardedEngine::OutputBound) fails this gate.
+  const std::uint64_t rounds = sync_rounds(/*fig5=*/false, 24);
+  EXPECT_GT(rounds, 0u);
+  EXPECT_LE(rounds * 10, 28862u) << rounds << " rounds";
 }

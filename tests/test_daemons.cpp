@@ -3,14 +3,12 @@
 // registry calibration, and the GPFS-like I/O service.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "daemons/daemon.hpp"
 #include "daemons/io_service.hpp"
 #include "daemons/registry.hpp"
 #include "kern/kernel.hpp"
-#include "sim/choice.hpp"
 #include "sim/engine.hpp"
 
 using namespace pasched;
@@ -277,62 +275,4 @@ TEST(IoService, QueueDepthVisible) {
   k.start();
   e.run_until(Time::zero() + 1_s);
   EXPECT_EQ(io.queue_depth(), 0u);
-}
-
-TEST(Daemon, ArrivalPhaseChoicePointSelectsBucket) {
-  // first_due < 0 normally draws a random phase; with a ChoiceSource on the
-  // engine it becomes one of kArrivalPhaseBuckets explorable phases. With a
-  // 1 s period and a 400 ms run, bucket 0 (due immediately) activates and
-  // bucket 2 (due at 500 ms) does not.
-  struct Scripted final : sim::ChoiceSource {
-    std::size_t bucket = 0;
-    std::vector<std::string> tags;
-    std::size_t choose(std::size_t n, const char* tag) override {
-      tags.emplace_back(tag);
-      return bucket < n ? bucket : 0;
-    }
-  };
-  auto activations = [](std::size_t bucket, std::vector<std::string>* tags) {
-    Engine e;
-    Scripted src;
-    src.bucket = bucket;
-    e.set_choice_source(&src);
-    kern::Tunables tun = quiet();
-    tun.cluster_aligned_ticks = true;  // keep the tick-phase choice out
-    kern::Kernel k(e, 0, 2, tun, Duration::zero(), 0);
-    auto spec = simple_spec("phased", 1_s, 1_ms);
-    spec.first_due = Duration::ns(-1);
-    daemons::Daemon d(k, spec, sim::Rng(1), 0);
-    k.start();
-    d.start();
-    e.run_until(Time::zero() + 400_ms);
-    if (tags != nullptr) *tags = src.tags;
-    return d.stats().activations;
-  };
-  std::vector<std::string> tags;
-  EXPECT_GE(activations(0, &tags), 1u);
-  ASSERT_EQ(tags.size(), 1u);
-  EXPECT_EQ(tags[0], "daemon.arrival_phase");
-  EXPECT_EQ(activations(2, nullptr), 0u);
-}
-
-TEST(Daemon, ExplicitFirstDueIgnoresChoiceSource) {
-  struct Counting final : sim::ChoiceSource {
-    int calls = 0;
-    std::size_t choose(std::size_t, const char*) override {
-      ++calls;
-      return 0;
-    }
-  } src;
-  Engine e;
-  e.set_choice_source(&src);
-  kern::Tunables tun = quiet();
-  tun.cluster_aligned_ticks = true;
-  kern::Kernel k(e, 0, 2, tun, Duration::zero(), 0);
-  daemons::Daemon d(k, simple_spec("fixed", 100_ms, 1_ms), sim::Rng(1), 0);
-  k.start();
-  d.start();
-  e.run_until(Time::zero() + 300_ms);
-  EXPECT_EQ(src.calls, 0);
-  EXPECT_GE(d.stats().activations, 1u);
 }

@@ -3,11 +3,9 @@
 // ordering guarantees.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "kern/kernel.hpp"
-#include "sim/choice.hpp"
 #include "sim/engine.hpp"
 
 using namespace pasched;
@@ -185,68 +183,6 @@ TEST(KernTicks, DecayHalvesRecentCpuEachPeriod) {
   e.run_until(Time::zero() + Duration::sec(8));
   EXPECT_LT(t.recent_cpu().count(), Duration::ms(20).count());
   EXPECT_LE(t.effective_priority(), 63);
-}
-
-TEST(KernTicks, TickPhaseChoicePointShiftsBootSkew) {
-  // With a ChoiceSource installed and unaligned ticks, the node's boot-time
-  // tick skew becomes an explorable bucket: bucket b shifts every tick by
-  // b/kTickPhaseBuckets of the interval (10 ms / 4 buckets = 2.5 ms).
-  struct Scripted final : sim::ChoiceSource {
-    std::size_t bucket = 0;
-    std::vector<std::string> tags;
-    std::size_t choose(std::size_t n, const char* tag) override {
-      tags.emplace_back(tag);
-      return bucket < n ? bucket : 0;
-    }
-  };
-  auto first_tick = [](std::size_t bucket, std::vector<std::string>* tags) {
-    Engine e;
-    Scripted src;
-    src.bucket = bucket;
-    e.set_choice_source(&src);
-    kern::Tunables tun;
-    tun.synchronized_ticks = true;       // no per-CPU stagger on top
-    tun.cluster_aligned_ticks = false;   // the choice point's gate
-    kern::Kernel k(e, 0, 1, tun, Duration::zero(), /*tick_phase_seed=*/0);
-    struct Log final : kern::SchedObserver {
-      std::vector<Time> ticks;
-      void on_tick(Time t, kern::NodeId, kern::CpuId) override {
-        ticks.push_back(t);
-      }
-    } log;
-    k.set_observer(&log);
-    k.start();
-    e.run_until(Time::zero() + 30_ms);
-    if (tags != nullptr) *tags = src.tags;
-    EXPECT_FALSE(log.ticks.empty());
-    return log.ticks.empty() ? Time::zero() : log.ticks.front();
-  };
-  std::vector<std::string> tags;
-  EXPECT_EQ(first_tick(0, &tags).count(), Duration::ms(10).count());
-  ASSERT_EQ(tags.size(), 1u);
-  EXPECT_EQ(tags[0], "kern.tick_phase");
-  EXPECT_EQ(first_tick(2, nullptr).count(), Duration::ms(5).count());
-  EXPECT_EQ(first_tick(1, nullptr).count(),
-            (Duration::ms(2) + Duration::us(500)).count());
-}
-
-TEST(KernTicks, AlignedTicksIgnoreChoiceSource) {
-  // cluster_aligned_ticks configs must contribute no tick-phase branches.
-  struct Counting final : sim::ChoiceSource {
-    int calls = 0;
-    std::size_t choose(std::size_t, const char*) override {
-      ++calls;
-      return 0;
-    }
-  } src;
-  Engine e;
-  e.set_choice_source(&src);
-  kern::Tunables tun;
-  tun.cluster_aligned_ticks = true;
-  kern::Kernel k(e, 0, 1, tun, Duration::zero(), 0);
-  k.start();
-  e.run_until(Time::zero() + 30_ms);
-  EXPECT_EQ(src.calls, 0);
 }
 
 TEST(KernTicks, StaggerSpreadsCpuPhasesEvenly) {

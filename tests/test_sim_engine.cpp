@@ -202,21 +202,27 @@ TEST(Engine, DrainReleasesEverySlotAndHeapEntry) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(Engine, PendingHashUnaffectedByCancelledHistory) {
-  // The model checker's visited-set digest must see through cancellation:
-  // a schedule+cancel detour converges to the same pending set, so two
-  // engines with identical live events hash equal regardless of history.
-  Engine a;
-  a.schedule_at(Time::zero() + 10_us, [] {});
-  a.schedule_at(Time::zero() + 20_us, [] {});
+TEST(Engine, StepAndNextEventTime) {
+  Engine e;
+  int fired = 0;
+  e.schedule_at(Time::zero() + 1_us, [&] { ++fired; });
+  e.schedule_at(Time::zero() + 2_us, [&] { ++fired; });
+  EXPECT_EQ(e.next_event_time(), Time::zero() + 1_us);
+  EXPECT_TRUE(e.step());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(e.now(), Time::zero() + 1_us);
+  EXPECT_EQ(e.next_event_time(), Time::zero() + 2_us);
+  EXPECT_TRUE(e.step());
+  EXPECT_FALSE(e.step());
+  EXPECT_EQ(e.next_event_time(), Time::max());
+}
 
-  Engine b;
-  const EventId detour = b.schedule_at(Time::zero() + 99_us, [] {});
-  b.schedule_at(Time::zero() + 10_us, [] {});
-  b.cancel(detour);
-  b.schedule_at(Time::zero() + 20_us, [] {});
-
-  EXPECT_EQ(a.pending_hash(), b.pending_hash());
+TEST(Engine, NextEventTimeSkipsCancelled) {
+  Engine e;
+  const EventId a = e.schedule_at(Time::zero() + 1_us, [] {});
+  e.schedule_at(Time::zero() + 5_us, [] {});
+  e.cancel(a);
+  EXPECT_EQ(e.next_event_time(), Time::zero() + 5_us);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

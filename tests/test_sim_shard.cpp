@@ -1,7 +1,7 @@
 // Tests for the partitioned simulation core: Engine's conservative-window
 // primitives (run_before, drain, heap compaction after mass cancellation)
 // and ShardedEngine's cross-shard posting, window planning, horizon waits,
-// inbound ring lists, and teardown.
+// inbound ring lists, teardown, and the lookahead check on real posts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,9 @@
 #include <vector>
 
 #include "check/check.hpp"
+#include "core/simulation.hpp"
+#include "fig_scenario.hpp"
+#include "net/fabric.hpp"
 #include "race/monitor.hpp"
 #include "sim/engine.hpp"
 #include "sim/planner.hpp"
@@ -355,6 +358,38 @@ TEST(Sharded, PostBeforeTheClaimedOutputTimeIsCaught) {
     EXPECT_NE(what.find("round 1"), std::string::npos) << what;
     EXPECT_NE(what.find("sent_at=100000 ns"), std::string::npos) << what;
     EXPECT_NE(what.find("O*=1000000000 ns"), std::string::npos) << what;
+  }
+}
+
+TEST(Sharded, InflatedPairLookaheadIsCaughtAtThePost) {
+  if (!PASCHED_VALIDATE_ENABLED)
+    GTEST_SKIP() << "the pair-lookahead bound is checked in validated builds";
+  // Every off-diagonal bound claimed 4x what the fabric guarantees: the
+  // planner then opens windows the real wire latencies undercut, and the
+  // first cross-shard post must be refuted rather than delivered late.
+  // Allreduce traffic flows through the hub, so inflating a single
+  // node-node pair might never be exercised.
+  const pasched::testutil::FigScenario s =
+      pasched::testutil::fig_scenario(/*fig5=*/false, 24);
+  pasched::core::SimulationConfig cfg = s.cfg;
+  cfg.parallel = 1;
+  pasched::core::Simulation sim(cfg, s.factory);
+  ShardedEngine& se = *sim.sharded();
+  PairLookahead la =
+      pasched::net::pair_lookahead(cfg.cluster.fabric, se.shard_map());
+  for (int a = 0; a < la.shards; ++a)
+    for (int b = 0; b < la.shards; ++b)
+      if (a != b) la.set(a, b, la.at(a, b) * 4);
+  se.set_pair_lookahead(la);
+  try {
+    (void)sim.run();
+    FAIL() << "the inflated pair lookahead went unnoticed";
+  } catch (const pasched::check::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cross-shard post violates the guaranteed pair "
+                        "lookahead"),
+              std::string::npos)
+        << what;
   }
 }
 

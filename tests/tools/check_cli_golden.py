@@ -4,11 +4,8 @@
 usage: check_cli_golden.py PASCHED --validated=ON|OFF
 
 golden_cli.json holds, for a fixed set of invocations, the exit status and
-the JSON report (minus the host-timed fields listed under "_left_out") that
-the six per-tool binaries gave before they became `pasched` subcommands.
-Each entry runs as `PASCHED <args> --json=FILE`, plus
-`--schedule-out=FILE` when the entry records a counterexample schedule; of
-a schedule file only the choice lines are compared, not its comments.
+the JSON report that the per-tool binaries gave before they became
+`pasched` subcommands. Each entry runs as `PASCHED <args> --json=FILE`.
 
 An entry marked "needs_validation" is skipped, by name, when --validated=OFF:
 its verdict comes from checks a -DPASCHED_VALIDATE=OFF build compiles out.
@@ -25,30 +22,11 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_cli.json")
 
 
-def without(value, left_out):
-    """Drops the left-out keys at any depth."""
-    if isinstance(value, dict):
-        return {k: without(v, left_out) for k, v in value.items()
-                if k not in left_out}
-    if isinstance(value, list):
-        return [without(v, left_out) for v in value]
-    return value
-
-
-def choice_lines(path):
-    with open(path, encoding="utf-8") as f:
-        return [line for line in f.read().splitlines()
-                if line.strip() and not line.lstrip().startswith("#")]
-
-
-def check(pasched, entry, left_out):
+def check(pasched, entry):
     """Runs one entry; returns a list of mismatch descriptions."""
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "report.json")
-        sched = os.path.join(tmp, "counterexample.sched")
         cmd = [pasched] + entry["args"] + ["--json=" + report]
-        if "schedule" in entry:
-            cmd.append("--schedule-out=" + sched)
         proc = subprocess.run(cmd, cwd=tmp, capture_output=True, text=True)
         problems = []
         if proc.returncode != entry["exit"]:
@@ -57,16 +35,11 @@ def check(pasched, entry, left_out):
         if not os.path.exists(report):
             return problems + ["no JSON report written"]
         with open(report, encoding="utf-8") as f:
-            got = without(json.load(f), left_out)
+            got = json.load(f)
         if got != entry["json"]:
             problems.append("JSON differs\n  expected: "
                             f"{json.dumps(entry['json'], sort_keys=True)}\n"
                             f"  got: {json.dumps(got, sort_keys=True)}")
-        if "schedule" in entry:
-            have = choice_lines(sched) if os.path.exists(sched) else None
-            if have != entry["schedule"]:
-                problems.append(f"schedule {have}, expected "
-                                f"{entry['schedule']}")
         return problems
 
 
@@ -78,14 +51,13 @@ def main(argv):
     validated = argv[2] == "--validated=ON"
     with open(GOLDEN, encoding="utf-8") as f:
         golden = json.load(f)
-    left_out = set(golden["_left_out"])
 
     failures = 0
     for entry in golden["entries"]:
         if entry.get("needs_validation") and not validated:
             print(f"SKIP {entry['name']}: needs a -DPASCHED_VALIDATE=ON build")
             continue
-        problems = check(pasched, entry, left_out)
+        problems = check(pasched, entry)
         failures += bool(problems)
         print(f"{'FAIL' if problems else 'ok  '} {entry['name']}: "
               f"pasched {' '.join(entry['args'])}")

@@ -1,6 +1,5 @@
 // What the `pasched` driver (pasched.cpp) shares with its subcommands: the
-// six subcommand bodies, the fig3/fig5 scenario builder and the schedule
-// reader.
+// four subcommand bodies and the fig3/fig5 scenario builder.
 //
 // A body receives flags the driver has already checked against the
 // subcommand's known-flag list. It signals bad usage by throwing
@@ -13,7 +12,6 @@
 #include <string>
 
 #include "core/simulation.hpp"
-#include "mc/schedule.hpp"
 #include "mpi/workload.hpp"
 #include "util/flags.hpp"
 
@@ -21,9 +19,7 @@ namespace pasched::tools {
 
 int audit_main(const util::Flags& flags);
 int lint_main(const util::Flags& flags);
-int mc_main(const util::Flags& flags);
 int race_main(const util::Flags& flags);
-int scale_main(const util::Flags& flags);
 int srclint_main(const util::Flags& flags);
 
 /// One of the paper's aggregate-trace scenario shapes on the Frost preset:
@@ -48,17 +44,12 @@ struct ScenarioFlags {
 
   /// Overrides the defaults with the flags given. Throws util::FlagError
   /// when --scenario is not fig3, fig5 or both, --nodes is below
-  /// `min_nodes` (`why` says why, e.g. " (a single shard has no pairs to
-  /// certify)") or a count is not positive.
+  /// `min_nodes` (`why` says why, e.g. " (the partitioned core needs shards
+  /// to cross)") or a count is not positive.
   void parse(const util::Flags& flags, int min_nodes, const char* why = "");
   /// True when --scenario selects this shape.
   [[nodiscard]] bool selects(bool prototype) const;
   [[nodiscard]] Scenario build(bool prototype) const;
 };
-
-/// Reads a saved choice schedule (mc --replay, lint --schedule, race
-/// --replay). An unreadable or malformed file throws util::FlagError
-/// "<path>: <message>".
-[[nodiscard]] mc::Schedule read_schedule(const std::string& path);
 
 }  // namespace pasched::tools

@@ -2,22 +2,16 @@
 //
 //   audit    determinism + execution-mode equivalence gate (pasched_audit.cpp)
 //   lint     config linter + trace analyzer (pasched_lint.cpp)
-//   mc       bounded schedule-space model checker (pasched_mc.cpp)
 //   race     shard-ownership + determinism auditor (pasched_race.cpp)
-//   scale    lookahead certificate + scalability analyzer (pasched_scale.cpp)
 //   srclint  source scanner + runtime ledgers (pasched_srclint.cpp)
 //
 // The driver owns the plumbing every subcommand shares: it rejects flags
 // the subcommand does not know (a typo'd --seed must not "pass" the wrong
 // scenario) and maps util::FlagError to exit 64 and a top-level
 // check::CheckError to exit 2. A missing or unknown subcommand is bad usage
-// too (exit 64). mc's explorer turns every CheckError of a run into a
-// safety violation (exit 1), so none reaches the driver and mc's 2 keeps
-// meaning "budget clipped".
+// too (exit 64).
 #include <array>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,18 +66,6 @@ Scenario ScenarioFlags::build(bool prototype) const {
   return s;
 }
 
-mc::Schedule read_schedule(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw util::FlagError(path + ": cannot read");
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    return mc::Schedule::parse(text.str());
-  } catch (const std::logic_error& e) {
-    throw util::FlagError(path + ": " + e.what());
-  }
-}
-
 namespace {
 
 struct Subcommand {
@@ -94,8 +76,8 @@ struct Subcommand {
   int (*body)(const util::Flags&);
 };
 
-const std::array<Subcommand, 6>& subcommands() {
-  static const std::array<Subcommand, 6> table{{
+const std::array<Subcommand, 4>& subcommands() {
+  static const std::array<Subcommand, 4> table{{
       {"audit",
        {"nodes", "tasks-per-node", "calls", "seed", "verbose",
         "parallel-equivalence", "workers", "json"},
@@ -105,25 +87,13 @@ const std::array<Subcommand, 6>& subcommands() {
        audit_main},
       {"lint",
        {"list-rules", "rules", "all-presets", "kernel", "cosched", "scenario",
-        "admin", "schedtune", "trace-run", "trace-calls", "schedule",
-        "verbose", "json"},
+        "admin", "schedtune", "trace-run", "trace-calls", "verbose", "json"},
        "pasched lint [--list-rules] [--rules=all|IDs] [--all-presets]\n"
        "       [--kernel=vanilla|prototype] [--cosched=paper|io-aware|none]\n"
        "       [--scenario=ale3d-naive|ale3d-tuned] [--admin=FILE]"
        " [--schedtune]\n"
-       "       [--trace-run] [--trace-calls=N] [--schedule=FILE] [--verbose]"
-       " [--json=FILE]\n",
+       "       [--trace-run] [--trace-calls=N] [--verbose] [--json=FILE]\n",
        lint_main},
-      {"mc",
-       {"config", "list-configs", "depth", "max-runs", "window", "tolerance",
-        "no-reduce", "no-prune", "shrink", "replay", "schedule-out",
-        "verbose", "json"},
-       "pasched mc --config=NAME [--list-configs]\n"
-       "       [--depth=N] [--max-runs=N] [--window=US] [--tolerance=SEC]\n"
-       "       [--no-reduce] [--no-prune] [--shrink]\n"
-       "       [--replay=FILE] [--schedule-out=FILE] [--verbose]"
-       " [--json=FILE]\n",
-       mc_main},
       {"race",
        {"scenario", "workers", "nodes", "tasks-per-node", "calls", "seed",
         "fuzz-windows", "plant-cross-shard-write", "report", "replay",
@@ -133,15 +103,6 @@ const std::array<Subcommand, 6>& subcommands() {
        " [--plant-cross-shard-write] [--report=FILE]"
        " [--replay=SCHEDULE_FILE] [--json=FILE]\n",
        race_main},
-      {"scale",
-       {"scenario", "workers", "nodes", "tasks-per-node", "calls", "seed",
-        "target-workers", "target-speedup", "plant-unsound-bound", "report",
-        "json"},
-       "pasched scale [--scenario=fig3|fig5|both] [--nodes=N]"
-       " [--tasks-per-node=N] [--calls=N] [--seed=N] [--workers=N]"
-       " [--target-workers=N] [--target-speedup=X] [--plant-unsound-bound]"
-       " [--report=FILE] [--json=FILE]\n",
-       scale_main},
       {"srclint",
        {"root", "compile-db", "only", "report", "json", "graph",
         "list-rules", "plant", "fixtures", "ledger", "nodes", "workers",

@@ -16,7 +16,7 @@
 //   pasched lint --scenario=ale3d-naive           # §5.3 misconfiguration
 //   pasched lint --scenario=ale3d-tuned           # the favored=41 fix
 //   pasched lint --admin=etc/poe.priority
-//   pasched lint --trace-run [--trace-calls=N] [--schedule=FILE]
+//   pasched lint --trace-run [--trace-calls=N]
 //   pasched lint --schedtune --kernel=prototype
 //
 // Exit status: 0 = no ERROR findings, 1 = at least one ERROR, 64 = bad usage.
@@ -33,7 +33,6 @@
 #include "core/presets.hpp"
 #include "driver.hpp"
 #include "kern/schedtune.hpp"
-#include "sim/choice.hpp"
 #include "trace/trace.hpp"
 
 namespace pasched::tools {
@@ -156,18 +155,8 @@ int lint_admin_file(const std::string& path,
 
 /// Runs a deliberately tight co-scheduling window (so several flips happen
 /// in well under a second of simulated time) over the paper's synthetic
-/// benchmark on a stock kernel, then mines the event stream. When
-/// schedule_path is non-empty, the file (an mc counterexample) steers
-/// every recorded choice point; past the schedule's end, defaults apply.
-int run_trace_analysis(int calls, bool verbose,
-                       const std::string& schedule_path) {
-  // Schedule-guided replay: steer the engine's choice points with a saved
-  // mc counterexample. The source and tie-break must outlive run().
-  const mc::Schedule sched =
-      schedule_path.empty() ? mc::Schedule{} : read_schedule(schedule_path);
-  mc::GuidedSource guide(sched);
-  sim::SourceTieBreak guided_ties(&guide);
-
+/// benchmark on a stock kernel, then mines the event stream.
+int run_trace_analysis(int calls, bool verbose) {
   core::SimulationConfig cfg;
   cfg.cluster = cluster::presets::frost(2);
   cfg.cluster.seed = 1;
@@ -187,13 +176,6 @@ int run_trace_analysis(int calls, bool verbose,
   at.calls_per_loop = calls;
   at.warmup = sim::Duration::ms(150);
   core::Simulation sim(cfg, apps::aggregate_trace(at));
-
-  if (!schedule_path.empty()) {
-    sim.engine().set_choice_source(&guide);
-    sim.engine().set_tie_break(&guided_ties);
-    std::cout << "replaying " << sched.size() << " scheduled choice(s) from "
-              << schedule_path << "\n";
-  }
 
   trace::EventLog elog;
   trace::Tracer tracer(/*node_filter=*/-1);
@@ -248,8 +230,7 @@ int lint_main(const util::Flags& flags) {
 
   if (flags.get_bool("trace-run", false))
     return finish(run_trace_analysis(
-        static_cast<int>(flags.get_int("trace-calls", 400)), verbose,
-        flags.get("schedule", "")));
+        static_cast<int>(flags.get_int("trace-calls", 400)), verbose));
 
   if (!admin.empty()) return finish(lint_admin_file(admin, rules));
 

@@ -28,6 +28,7 @@
 //
 // Exit status: 0 = no findings, 1 = PSL2xx ERROR findings, 2 = a model
 // invariant is violated, 64 = bad usage.
+#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -36,10 +37,25 @@
 #include "analysis/diagnostic.hpp"
 #include "driver.hpp"
 #include "race/fuzz.hpp"
+#include "race/schedule.hpp"
 
 namespace pasched::tools {
 
 namespace {
+
+/// Reads a saved window schedule (--replay). An unreadable or malformed
+/// file throws util::FlagError "<path>: <message>".
+race::Schedule read_schedule(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw util::FlagError(path + ": cannot read");
+  std::ostringstream text;
+  text << in.rdbuf();
+  try {
+    return race::Schedule::parse(text.str());
+  } catch (const std::logic_error& e) {
+    throw util::FlagError(path + ": " + e.what());
+  }
+}
 
 struct Params {
   ScenarioFlags scn;
@@ -129,7 +145,7 @@ int race_main(const util::Flags& flags) {
   std::ostringstream report;
   int rc = 0;
   if (!p.replay.empty()) {
-    const mc::Schedule sched = read_schedule(p.replay);
+    const race::Schedule sched = read_schedule(p.replay);
     const Scenario s = p.scn.build(p.scn.scenario == "fig5");
     std::cout << "replaying " << sched.size() << " window choices on "
               << s.name << "\n";

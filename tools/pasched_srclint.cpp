@@ -3,7 +3,7 @@
 // layout rules over one lex of the tree, plus the two runtime ledgers that
 // verify what the scan certifies (PSL401-406, PSL501-506, PSL601-606).
 //
-// Where `pasched race` and `pasched scale` audit *executions*, srclint rejects
+// Where `pasched audit` and `pasched race` check *executions*, srclint rejects
 // the source patterns that make those audits fail before a run exists:
 //
 //   PSL401  raw sim::Engine access outside the Router/EventContext seam

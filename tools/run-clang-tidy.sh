@@ -48,12 +48,12 @@ mapfile -t sources < <(find "${repo_root}/src" "${repo_root}/tools" \
 
 # Self-check the coverage: every subsystem must contribute at least one
 # source. A directory silently dropping out of the sweep (a path typo, a
-# rename, a new subsystem like src/mc or src/race landing after the script
+# rename, a new subsystem like src/race landing after the script
 # was written) is a coverage hole that looks exactly like "tidy is clean" —
 # make it a hard failure instead.
 required_dirs=(src/alloc src/analysis src/apps src/check src/cluster \
-               src/contend src/core src/daemons src/kern src/mc src/mpi \
-               src/net src/race src/scale src/sim src/srclint src/trace \
+               src/contend src/core src/daemons src/kern src/mpi \
+               src/net src/race src/sim src/srclint src/trace \
                src/util tools tests bench)
 for dir in "${required_dirs[@]}"; do
   if ! printf '%s\n' "${sources[@]}" | grep -q "^${repo_root}/${dir}/"; then
