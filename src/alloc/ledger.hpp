@@ -6,11 +6,10 @@
 // thread-local per-site counters (no locks, no atomics on the hot path;
 // blocks are aggregated after the workers have joined).
 //
-// This is the verify side of the PSL605/PSL606 certify-then-verify pair,
-// mirroring contend::Ledger's PSL505/PSL506: the static analyzer emits an
-// "allocation-free region" claim for every clean PASCHED_HOT function, and
-// check_claims() refutes any claim whose Core site recorded hot-phase
-// allocations at runtime. Dispatch sites ("Engine.callback") measure the
+// This is the verify side of the PSL605/PSL606 certify-then-verify pair:
+// the static analyzer emits an "allocation-free region" claim for every
+// clean PASCHED_HOT function, and check_claims() refutes any claim whose
+// Core site recorded hot-phase allocations at runtime. Dispatch sites ("Engine.callback") measure the
 // *workload's* allocation pressure and never refute an engine claim.
 //
 // When -DPASCHED_VALIDATE=OFF the hook does not exist, install() is a

@@ -146,9 +146,7 @@ const std::vector<RuleInfo>& all_rules() {
        "protocol",
        "§3.2.1 (parallelism belongs to the engine, not to callers)"},
       // Contention rules (PSL5xx): emitted by pasched-srclint's static
-      // lock-order/serialization rules (src/contend/) and the runtime
-      // contention ledger — the work-list generator for the ROADMAP item-1
-      // (PARSIR-style window/ring) perf rework.
+      // lock-order/serialization rules (src/contend/).
       {"PSL501", Severity::Error,
        "the cross-TU lock-order graph must stay acyclic: two code paths "
        "acquiring the same mutexes in opposite order can deadlock the "
@@ -172,14 +170,9 @@ const std::vector<RuleInfo>& all_rules() {
        "§3.1.1 (sub-quantum slices leave no room for coherence stalls)"},
       {"PSL505", Severity::Warning,
        "a mutex guarding state whose race::Owned tag proves single-domain "
-       "ownership is wider than its ownership scope — the serialization "
-       "claim is suspect and the runtime ledger must confirm or refute it",
+       "ownership is wider than its ownership scope: it serializes a "
+       "partition-private path the ownership discipline already isolates",
        "§3.2 (ownership, not locking, is the paper's isolation mechanism)"},
-      {"PSL506", Severity::Error,
-       "a statically claimed single-domain serialization site was acquired "
-       "from multiple domains at runtime: the PSL505 claim (and any lock "
-       "removal built on it) is refuted by the contention ledger",
-       "§5 (certify-then-verify: runtime witnesses police static claims)"},
       // PSL6xx: pasched-srclint — allocation & memory-layout discipline on
       // the event hot path, certified statically (601-605) and verified by
       // the runtime allocation ledger (606).

@@ -15,7 +15,7 @@ namespace {
 }  // namespace
 
 LockGraph::LockGraph(const std::vector<FileLocks>& files) {
-  // 1. Member-declaration map: "mu" -> "Inbox.mu". On a (rare) collision —
+  // 1. Member-declaration map: "mu" -> "PairRing.mu". On a (rare) collision —
   // two classes declaring the same member name — the lexicographically
   // smallest canonical name wins, deterministically.
   for (const FileLocks& fl : files) {
@@ -24,7 +24,6 @@ LockGraph::LockGraph(const std::vector<FileLocks>& files) {
       auto it = member_to_canonical_.find(m.member);
       if (it == member_to_canonical_.end() || canon < it->second)
         member_to_canonical_[m.member] = canon;
-      if (m.seam) canonical_is_seam_[canon] = true;
     }
   }
 
@@ -33,12 +32,8 @@ LockGraph::LockGraph(const std::vector<FileLocks>& files) {
   for (const FileLocks& fl : files) {
     for (const FunctionLocks& fn : fl.functions) {
       FunctionSummary& s = functions_[fn.name];
-      for (const Acquisition& a : fn.acquisitions) {
-        const std::string canon = canonical(a.mutex, fl.path);
-        s.acquires.insert(canon);
-        if (canonical_is_seam_.count(canon) != 0)
-          s.seam_locks_closed = true;
-      }
+      for (const Acquisition& a : fn.acquisitions)
+        s.acquires.insert(canonical(a.mutex, fl.path));
       if (!fn.blocking.empty()) s.blocks_direct = true;
       for (const CallSite& c : fn.calls) callees[fn.name].insert(c.callee);
     }
@@ -73,10 +68,6 @@ LockGraph::LockGraph(const std::vector<FileLocks>& files) {
             s.blocks_closed = true;
             changed = true;
           }
-          if (ts.seam_locks_closed && !s.seam_locks_closed) {
-            s.seam_locks_closed = true;
-            changed = true;
-          }
         }
       }
     }
@@ -89,12 +80,6 @@ LockGraph::LockGraph(const std::vector<FileLocks>& files) {
         const std::string to = canonical(a.mutex, fl.path);
         for (const std::string& h : a.held)
           add_edge(canonical(h, fl.path), to, fl.path, a.line);
-        if (canonical_is_seam_.count(to) != 0) {
-          for (const std::string& h : a.held)
-            blocking_.push_back(BlockingViolation{
-                canonical(h, fl.path), "acquire of seam `" + to + "`",
-                fl.path, a.line, false});
-        }
       }
       for (const BlockingUse& b : fn.blocking) {
         for (const std::string& h : b.held)
@@ -107,13 +92,11 @@ LockGraph::LockGraph(const std::vector<FileLocks>& files) {
         const auto bit = by_last.find(c.callee);
         if (bit == by_last.end()) continue;
         bool blocks = false;
-        bool seam = false;
         std::set<std::string> callee_acquires;
         for (const std::string& target : bit->second) {
           if (target == fn.name) continue;
           const FunctionSummary& ts = functions_.at(target);
           blocks = blocks || ts.blocks_closed;
-          seam = seam || ts.seam_locks_closed;
           callee_acquires.insert(ts.acquires_closed.begin(),
                                  ts.acquires_closed.end());
         }
@@ -121,12 +104,9 @@ LockGraph::LockGraph(const std::vector<FileLocks>& files) {
           const std::string hc = canonical(h, fl.path);
           for (const std::string& m : callee_acquires)
             add_edge(hc, m, fl.path, c.line);
-          if (blocks || seam)
+          if (blocks)
             blocking_.push_back(BlockingViolation{
-                hc,
-                "call to `" + c.callee + "`" +
-                    (blocks ? " (reaches a blocking seam)"
-                            : " (drains an instrumented seam mutex)"),
+                hc, "call to `" + c.callee + "` (reaches a blocking seam)",
                 fl.path, c.line, true});
         }
       }

@@ -1,6 +1,6 @@
 // Cross-TU lock-order graph for the PSL50x rules. Canonicalizes the names
 // extract_locks recorded ("mu" written inside ShardedEngine::post becomes
-// the node "Inbox.mu" via the member-declaration map; locals fall back to
+// the node "PairRing.mu" via the member-declaration map; locals fall back to
 // "file:name"), merges same-named functions across TUs, closes acquired
 // locksets and blocking-ness over the call graph, and builds the directed
 // held-before graph whose cycles are PSL501 and whose blocking reach under
@@ -47,9 +47,6 @@ struct FunctionSummary {
   std::set<std::string> acquires_closed; // incl. everything callees acquire
   bool blocks_direct = false;            // contains a blocking seam itself
   bool blocks_closed = false;            // or reaches one through calls
-  bool seam_locks_closed = false;        // acquires an instrumented seam
-                                         // mutex (inbox-drain style) —
-                                         // parking-adjacent for PSL502
 };
 
 class LockGraph {
@@ -92,8 +89,7 @@ class LockGraph {
   void add_edge(const std::string& from, const std::string& to,
                 const std::string& file, int line);
 
-  std::map<std::string, std::string> member_to_canonical_;  // "mu"->"Inbox.mu"
-  std::map<std::string, bool> canonical_is_seam_;
+  std::map<std::string, std::string> member_to_canonical_;  // "mu"->"PairRing.mu"
   std::set<std::string> nodes_;
   std::vector<LockEdge> edges_;
   std::map<std::string, std::set<std::size_t>> adj_;  // node -> edge indices

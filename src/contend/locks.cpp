@@ -142,8 +142,7 @@ FileLocks extract_locks(const SourceFile& f, const ContendConfig& cfg) {
       if (k >= cb.body_end || t[k].kind != Tok::Punct ||
           (t[k].text != ";" && t[k].text != "{" && t[k].text != "="))
         continue;
-      out.mutex_members.push_back(MutexMember{
-          cb.name, t[j].text, t[j].line, t[i].text == "SeamMutex"});
+      out.mutex_members.push_back(MutexMember{cb.name, t[j].text, t[j].line});
     }
   }
 

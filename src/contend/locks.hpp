@@ -26,8 +26,7 @@ struct ContendConfig {
                                           "unique_lock", "shared_lock"};
   /// Type names that declare a mutex member ("Class.member" graph nodes).
   std::vector<std::string> mutex_types = {"mutex", "timed_mutex",
-                                          "recursive_mutex", "shared_mutex",
-                                          "SeamMutex"};
+                                          "recursive_mutex", "shared_mutex"};
   /// Member calls that park the calling thread (blocking seams). Note
   /// arrive_and_drop is absent: dropping never parks.
   std::vector<std::string> blocking_calls = {"arrive_and_wait", "wait",
@@ -43,7 +42,6 @@ struct MutexMember {
   std::string cls;
   std::string member;
   int line = 0;
-  bool seam = false;  // declared as util::SeamMutex (an instrumented seam)
 };
 
 /// One lock acquisition inside a function body.

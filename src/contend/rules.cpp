@@ -373,7 +373,6 @@ void rule_psl502(const LockGraph& g,
 void rule_psl505(const SourceFile& f, const FileLocks& locks,
                  const srclint::RuleSelection& sel,
                  std::vector<analysis::Diagnostic>& findings,
-                 std::vector<SerializationClaim>& claims,
                  FileRuleStats& stats) {
   const auto& t = f.tokens;
   std::set<std::string> owned_classes;
@@ -389,17 +388,13 @@ void rule_psl505(const SourceFile& f, const FileLocks& locks,
   for (const MutexMember& m : locks.mutex_members) {
     if (owned_classes.count(m.cls) == 0) continue;
     const std::string site = m.cls + "." + m.member;
-    // The claim outlives the WARN: a suppressed PSL505 still gets its
-    // runtime verification (PSL506) — certify, then verify.
-    claims.push_back(SerializationClaim{site, f.path, m.line});
     emit(findings, stats, f, sel, "PSL505", analysis::Severity::Warning,
          m.line,
          "mutex `" + site + "` guards a class whose race::Owned tag "
          "proves single-domain ownership: the lock is wider than the "
          "ownership scope and serializes a partition-private path",
          "narrow the mutex to the genuinely shared state, or suppress "
-         "with srclint-ok(PSL505) — either way the contention ledger "
-         "verifies the claim at runtime (PSL506 on refutation)");
+         "with srclint-ok(PSL505)");
   }
 }
 
@@ -409,11 +404,10 @@ void run_file_rules(const SourceFile& f, const FileLocks& locks,
                     const ContendConfig& cfg,
                     const srclint::RuleSelection& sel,
                     std::vector<analysis::Diagnostic>& findings,
-                    std::vector<SerializationClaim>& claims,
                     FileRuleStats& stats) {
   rule_psl503(f, cfg, sel, findings, stats);
   rule_psl504(f, sel, findings, stats);
-  rule_psl505(f, locks, sel, findings, claims, stats);
+  rule_psl505(f, locks, sel, findings, stats);
 }
 
 std::size_t run_graph_rules(

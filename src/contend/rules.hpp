@@ -1,7 +1,6 @@
 // The PSL50x rules over the srclint source model: false-sharing layout
-// (PSL503), contended atomic in a hot loop (PSL504) and coarse-mutex-over-
-// owned-state serialization claims (PSL505, which also feeds the runtime
-// ledger's PSL506 check) run per file; the lock-order cycle (PSL501) and
+// (PSL503), contended atomic in a hot loop (PSL504) and coarse mutex over
+// owned state (PSL505) run per file; the lock-order cycle (PSL501) and
 // lock-across-blocking-seam (PSL502) rules run once over the whole-scan
 // LockGraph.
 #pragma once
@@ -13,7 +12,6 @@
 
 #include "analysis/diagnostic.hpp"
 #include "contend/graph.hpp"
-#include "contend/ledger.hpp"
 #include "contend/locks.hpp"
 #include "srclint/rules.hpp"
 #include "srclint/source.hpp"
@@ -24,15 +22,11 @@ struct FileRuleStats {
   int suppressions_honored = 0;
 };
 
-/// Runs PSL503/PSL504/PSL505 over one file. Suppressions are honored for
-/// findings; PSL505 claims are recorded into `claims` even when the WARN is
-/// suppressed — the certify-then-verify contract keeps runtime verification
-/// alive for silenced claims.
+/// Runs PSL503/PSL504/PSL505 over one file. Suppressions are honored.
 void run_file_rules(const srclint::SourceFile& f, const FileLocks& locks,
                     const ContendConfig& cfg,
                     const srclint::RuleSelection& sel,
                     std::vector<analysis::Diagnostic>& findings,
-                    std::vector<SerializationClaim>& claims,
                     FileRuleStats& stats);
 
 /// Runs PSL501 (one ERROR per lock-order cycle) and PSL502 (one ERROR per

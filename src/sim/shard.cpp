@@ -1,6 +1,7 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
+#include <barrier>
 #include <exception>
 #include <iterator>
 #include <string>
@@ -20,41 +21,8 @@
 
 namespace pasched::sim {
 
-namespace {
-
-// Ledger site ids for the engine's serialization seams. Registration is
-// idempotent by name and cold, so function-local statics keep the ids
-// without ordering constraints against other TUs.
-[[nodiscard]] int ring_overflow_site() {
-  static const int site =
-      util::register_seam_site("Ring.overflow", util::SeamKind::Mutex);
-  return site;
-}
-
-[[nodiscard]] int wrapup_mu_site() {
-  static const int site = util::register_seam_site(
-      "ShardedEngine.wrapup_mu_", util::SeamKind::Mutex);
-  return site;
-}
-
-[[nodiscard]] int window_barrier_site() {
-  static const int site = util::register_seam_site(
-      "ShardedEngine.window_barrier", util::SeamKind::Barrier);
-  return site;
-}
-
-#if PASCHED_VALIDATE_ENABLED
-[[nodiscard]] int horizon_wait_site() {
-  static const int site = util::register_seam_site(
-      "ShardedEngine.horizon_wait", util::SeamKind::Wait);
-  return site;
-}
-#endif
-
-}  // namespace
-
 ShardedEngine::ShardedEngine(const ShardMap& map, Duration lookahead)
-    : map_(map), lookahead_(lookahead), wrapup_mu_(wrapup_mu_site()) {
+    : map_(map), lookahead_(lookahead) {
   PASCHED_EXPECTS_MSG(lookahead > Duration::zero(),
                       "conservative execution requires a positive lookahead");
   const int shards = map_.shards();
@@ -116,7 +84,7 @@ ShardedEngine::PairRing& ShardedEngine::ring_for(int src, int dst) {
   // First contact on this producer/consumer pair: a one-time allocation,
   // amortized to zero over the run (rings are never torn down mid-run).
   PASCHED_ALLOC_COLD_REGION();
-  slot = new PairRing(ring_capacity_, ring_overflow_site(), src);
+  slot = new PairRing(ring_capacity_, src);
   // Other producers may push onto the same list concurrently; the release
   // CAS publishes the ring's construction and its next link together.
   std::atomic<PairRing*>& head = inbound_[static_cast<std::size_t>(dst)].v;
@@ -277,18 +245,10 @@ void ShardedEngine::wait_workers(int worker, int nworkers,
     if (v == worker) continue;
     std::atomic<std::uint64_t>& done = progress_[static_cast<std::size_t>(v)].v;
     if (done.load(std::memory_order_acquire) >= windows) continue;
-#if PASCHED_VALIDATE_ENABLED
-    util::SeamObserver* obs = util::seam_observer();
-    const std::uint64_t t0 = obs != nullptr ? util::detail::seam_now_ns() : 0;
-#endif
     do {
       if (poisoned_.load(std::memory_order_relaxed)) return;
       std::this_thread::yield();
     } while (done.load(std::memory_order_acquire) < windows);
-#if PASCHED_VALIDATE_ENABLED
-    if (obs != nullptr)
-      obs->on_wait(horizon_wait_site(), util::detail::seam_now_ns() - t0);
-#endif
   }
 }
 
@@ -512,7 +472,7 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
   std::mutex err_mu;
   {
     auto completion = [this, deadline]() noexcept { plan_round(deadline); };
-    util::SeamBarrier bar(window_barrier_site(), W, completion);
+    std::barrier bar(W, completion);
     std::vector<std::jthread> pool;
     pool.reserve(static_cast<std::size_t>(W));
     for (int w = 0; w < W; ++w) {

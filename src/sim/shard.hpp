@@ -65,7 +65,6 @@
 #include "sim/time.hpp"
 #include "util/aligned.hpp"
 #include "util/hotpath.hpp"
-#include "util/seam.hpp"
 #include "util/spsc_ring.hpp"
 
 namespace pasched::sim {
@@ -255,12 +254,10 @@ class ShardedEngine final : public Router {
   /// plus a mutex-guarded overflow lane for the rare full-ring case.
   /// Blocking on a full ring would deadlock the window protocol (the
   /// consumer only drains after the producer's horizon advances past the
-  /// window doing the pushing), so overload spills instead. Every instance
-  /// shares the ledger site "Ring.overflow" (per-pair rows would fragment
-  /// the ranking).
+  /// window doing the pushing), so overload spills instead.
   struct PairRing {
     util::SpscRing<CrossNodeEvent> ring;
-    util::SeamMutex mu;
+    std::mutex mu;
     std::vector<CrossNodeEvent> overflow;  // guarded by mu; sent_at-sorted
     /// Mirror of overflow.size(), updated under mu: lets the consumer skip
     /// the lock entirely on the (overwhelmingly common) empty case.
@@ -270,8 +267,7 @@ class ShardedEngine final : public Router {
     /// published and never changed afterwards.
     PairRing* next_inbound = nullptr;
 
-    PairRing(std::size_t cap, int site, int source)
-        : ring(cap), mu(site), src(source) {}
+    PairRing(std::size_t cap, int source) : ring(cap), src(source) {}
   };
 
   /// Per-shard event arena: the admission scratch buffer every ring drain
@@ -295,8 +291,7 @@ class ShardedEngine final : public Router {
   /// delivery into the destination engine. Lock-free by construction.
   PASCHED_HOT void admit_sorted(int shard, std::vector<CrossNodeEvent>& q);
   /// Spins until every other worker's progress counter reaches `windows`
-  /// (acquire; instrumented as the "ShardedEngine.horizon_wait" ledger
-  /// seam). Returns early when the run is poisoned.
+  /// (acquire). Returns early when the run is poisoned.
   void wait_workers(int worker, int nworkers, std::uint64_t windows);
   void run_chain(int worker, int nworkers, int S);
   /// Publishes `shard`'s next event and earliest-output times for the
@@ -373,7 +368,7 @@ class ShardedEngine final : public Router {
   /// survivors fall through to the round barrier instead of waiting forever
   /// on a horizon that will never advance.
   alignas(util::kCacheLineBytes) std::atomic<bool> poisoned_{false};
-  util::SeamMutex wrapup_mu_;
+  std::mutex wrapup_mu_;
   /// A deferred wrapup: the callback plus the requesting shard's clock at
   /// request time. The completion step only runs it once *every* shard's
   /// clock has passed the stamp — the per-pair replacement for the global

@@ -29,12 +29,6 @@ void sort_report(SrclintReport& rep) {
                      return a.subject != b.subject ? a.subject < b.subject
                                                    : a.rule < b.rule;
                    });
-  std::stable_sort(rep.lock_claims.begin(), rep.lock_claims.end(),
-                   [](const contend::SerializationClaim& a,
-                      const contend::SerializationClaim& b) {
-                     return a.site != b.site ? a.site < b.site
-                                             : a.file < b.file;
-                   });
   std::stable_sort(rep.alloc_claims.begin(), rep.alloc_claims.end(),
                    [](const alloc::AllocClaim& a, const alloc::AllocClaim& b) {
                      return a.function != b.function
@@ -53,7 +47,6 @@ void SrclintReport::add(std::vector<analysis::Diagnostic> extra) {
 
 void SrclintReport::merge(SrclintReport other) {
   append(findings, other.findings);
-  append(lock_claims, other.lock_claims);
   append(alloc_claims, other.alloc_claims);
   append(graph, other.graph);
   SrclintStats& s = stats;
@@ -91,9 +84,8 @@ std::string SrclintReport::str() const {
      << " mutex members, lock graph " << stats.graph_nodes << " nodes / "
      << stats.graph_edges << " edges / " << stats.cycles << " cycles, "
      << stats.arena_types << " arena type"
-     << (stats.arena_types == 1 ? "" : "s") << ", " << lock_claims.size()
-     << " serialization claim" << (lock_claims.size() == 1 ? "" : "s")
-     << ", " << alloc_claims.size() << " allocation-free claim"
+     << (stats.arena_types == 1 ? "" : "s") << ", " << alloc_claims.size()
+     << " allocation-free claim"
      << (alloc_claims.size() == 1 ? "" : "s") << ", "
      << stats.suppressions_honored << " suppressions honored, "
      << findings.size() << " finding" << (findings.size() == 1 ? "" : "s")
@@ -121,14 +113,7 @@ std::string SrclintReport::json() const {
   for (std::size_t i = 0; i < graph.size(); ++i)
     os << (i == 0 ? "\n" : ",\n") << "    \"" << json_escape(graph[i])
        << "\"";
-  os << (graph.empty() ? "]" : "\n  ]") << ",\n  \"lock_claims\": [";
-  for (std::size_t i = 0; i < lock_claims.size(); ++i) {
-    const contend::SerializationClaim& c = lock_claims[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"site\": \""
-       << json_escape(c.site) << "\", \"file\": \"" << json_escape(c.file)
-       << "\", \"line\": " << c.line << "}";
-  }
-  os << (lock_claims.empty() ? "]" : "\n  ]") << ",\n  \"alloc_claims\": [";
+  os << (graph.empty() ? "]" : "\n  ]") << ",\n  \"alloc_claims\": [";
   for (std::size_t i = 0; i < alloc_claims.size(); ++i) {
     const alloc::AllocClaim& c = alloc_claims[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"function\": \""
@@ -171,7 +156,7 @@ SrclintReport run_files(const SrclintOptions& opts,
       for (const contend::FunctionLocks& fn : fl.functions)
         rep.stats.acquisitions += fn.acquisitions.size();
       contend::run_file_rules(f, fl, opts.contend, opts.select, rep.findings,
-                              rep.lock_claims, lock_stats);
+                              lock_stats);
       locks.push_back(std::move(fl));
       lock_files.push_back(std::move(f));
     }

@@ -1,8 +1,9 @@
 // The one source scanner: discovery → one lex per file → PSL401-406
 // (srclint/rules), PSL501-505 (contend/{locks,graph,rules}) and PSL601-605
 // (alloc/rules) over that SourceFile → one ordered report carrying the
-// findings, the cross-TU lock-order graph, and both claim lists the runtime
-// ledgers verify (PSL506, PSL606). The tool and the tests share this path.
+// findings, the cross-TU lock-order graph, and the allocation-free claims
+// the runtime allocation ledger verifies (PSL606). The tool and the tests
+// share this path.
 //
 // Frontend seam: SourceFile is the only contract between discovery and the
 // rules. Today it is produced by the built-in portable lexer (lex_file);
@@ -17,7 +18,6 @@
 #include "alloc/ledger.hpp"
 #include "alloc/rules.hpp"
 #include "analysis/diagnostic.hpp"
-#include "contend/ledger.hpp"
 #include "contend/locks.hpp"
 #include "srclint/rules.hpp"
 
@@ -49,14 +49,13 @@ struct SrclintStats {
 
 struct SrclintReport {
   std::vector<analysis::Diagnostic> findings;  // sorted by (subject, rule)
-  std::vector<contend::SerializationClaim> lock_claims;  // PSL505 sites
-  std::vector<alloc::AllocClaim> alloc_claims;           // PSL605 regions
+  std::vector<alloc::AllocClaim> alloc_claims;  // PSL605 regions
   std::vector<std::string> graph;  // canonical lock-order edge lines
   SrclintStats stats;
   std::string origin;  // discovery origin, see compiledb.hpp
 
   [[nodiscard]] bool clean() const noexcept { return findings.empty(); }
-  /// Adds findings (a ledger's refutations) and restores the order.
+  /// Adds findings (the ledger's refutations) and restores the order.
   void add(std::vector<analysis::Diagnostic> extra);
   /// Folds another scan (a second fixture corpus) into this report.
   void merge(SrclintReport other);

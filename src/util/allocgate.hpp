@@ -6,7 +6,7 @@
 // operator new/delete hook (src/alloc/hook.cpp) can split every allocation
 // into "hot window" vs "barrier/cold" buckets per site; under
 // -DPASCHED_VALIDATE=OFF every macro below compiles to nothing and no hook
-// exists — the same zero-overhead contract as util::SeamMutex.
+// exists.
 //
 // Site kinds:
 //   Core      engine/kernel bookkeeping the static analyzer certifies

@@ -1,7 +1,7 @@
 // Planted PSL505: a coarse mutex guarding state whose race::Owned tag
 // already proves single-domain ownership — the lock is wider than the
-// ownership scope. Also emits the serialization claim "Queue.qmu_" that
-// the runtime ledger would verify (PSL506 on refutation).
+// ownership scope. The WARN names the site as "Queue.qmu_", the graph
+// node the lock-order rules use for the same member.
 #include <mutex>
 
 namespace race {

@@ -5,16 +5,18 @@ usage: check_golden.py PASCHED REPO_ROOT
 
 golden_verdicts.json holds, for the repository tree (".") and each fixture
 corpus, the findings of every rule family (PSL40x "srclint", PSL50x
-"contend", PSL60x "alloc"), both claim lists and the lock-order graph. It
-was recorded with the three scanners that the source scanner replaced, so
-it pins the merge: each target is scanned with
+"contend", PSL60x "alloc"), the allocation-free claims and the lock-order
+graph. It was recorded with the three scanners that the source scanner
+replaced, so it pins the merge: each target is scanned with
 `PASCHED srclint --root=<target> --json=...`
 and every family's findings, the claims and the graph must match.
 
 Fixture corpora must match exactly. On the tree, line numbers are ignored
 (any edit to a scanned file moves them); the findings, claim sets and graph
-edges must still match. The golden file is recorded data: it is edited only
-by hand, never regenerated from the scanner under test.
+edges must still match. Since nothing checks them, tree entries must not
+record `line` keys: one that does is a failure, so stale numbers cannot
+creep back. The golden file is recorded data: it is edited only by hand,
+never regenerated from the scanner under test.
 """
 import json
 import os
@@ -47,10 +49,18 @@ def verdicts(report):
     for family, prefix in FAMILIES.items():
         out[family] = {"findings": [d for d in report["findings"]
                                     if d["rule"].startswith(prefix)]}
-    out["contend"]["claims"] = report["lock_claims"]
     out["contend"]["graph"] = report["graph"]
     out["alloc"]["claims"] = report["alloc_claims"]
     return out
+
+
+def line_keys(value):
+    """Counts the `line` keys anywhere inside a golden value."""
+    if isinstance(value, dict):
+        return ("line" in value) + sum(line_keys(v) for v in value.values())
+    if isinstance(value, list):
+        return sum(line_keys(v) for v in value)
+    return 0
 
 
 def without_lines(value):
@@ -79,6 +89,11 @@ def main():
             for key, want in expected.items():
                 have = got[family][key]
                 if t == ".":
+                    if line_keys(want):
+                        failures += 1
+                        print(f"UNCHECKED LINES {t} {family}.{key}: the tree "
+                              f"golden records {line_keys(want)} `line` "
+                              f"keys that are never compared; delete them")
                     want, have = without_lines(want), without_lines(have)
                 if have != want:
                     failures += 1

@@ -22,20 +22,16 @@ contend::FileLocks extract(const std::string& code,
 
 }  // namespace
 
-TEST(ContendLocks, MutexMembersExtractWithSeamFlag) {
+TEST(ContendLocks, MutexMembersExtractClassAndMember) {
   const contend::FileLocks locks = extract(R"(
 struct Inbox {
   std::mutex mu;
-  util::SeamMutex smu_;
   int payload = 0;
 };
 )");
-  ASSERT_EQ(locks.mutex_members.size(), 2u);
+  ASSERT_EQ(locks.mutex_members.size(), 1u);
   EXPECT_EQ(locks.mutex_members[0].cls, "Inbox");
   EXPECT_EQ(locks.mutex_members[0].member, "mu");
-  EXPECT_FALSE(locks.mutex_members[0].seam);
-  EXPECT_EQ(locks.mutex_members[1].member, "smu_");
-  EXPECT_TRUE(locks.mutex_members[1].seam);
 }
 
 TEST(ContendLocks, GuardAcquisitionsAccumulateTheHeldSet) {

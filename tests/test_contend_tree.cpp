@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "contend/locks.hpp"
 #include "srclint/runner.hpp"
+#include "srclint/source.hpp"
 
 using namespace pasched;
 
@@ -31,11 +33,18 @@ TEST(ContendTree, RepositoryScansClean) {
   EXPECT_GT(rep.stats.files_in_scope, 100u);
   EXPECT_GT(rep.stats.functions, 500u);
   // The partitioned core's seams must be visible to extraction: the engine
-  // declares SeamMutex members and takes locks in drain/post paths.
-  EXPECT_GE(rep.stats.mutex_members, 5u);
+  // declares mutex members and takes locks in drain/post paths.
+  EXPECT_GE(rep.stats.mutex_members, 4u);
   EXPECT_GE(rep.stats.acquisitions, 20u);
-  // No live PSL505 claims in the tree today; the corpus covers the path.
-  EXPECT_TRUE(rep.lock_claims.empty());
+  const srclint::SourceFile shard = srclint::lex_file(
+      std::string(PASCHED_REPO_ROOT) + "/src/sim/shard.hpp",
+      "src/sim/shard.hpp");
+  std::set<std::string> members;
+  for (const contend::MutexMember& m :
+       contend::extract_locks(shard, contend::ContendConfig{}).mutex_members)
+    members.insert(m.cls + "." + m.member);
+  EXPECT_EQ(members.count("PairRing.mu"), 1u);
+  EXPECT_EQ(members.count("ShardedEngine.wrapup_mu_"), 1u);
 }
 
 TEST(ContendTree, FixtureCorpusNeverLeaksIntoCleanScans) {
@@ -53,14 +62,13 @@ TEST(ContendTree, PlantedCorpusTripsEveryStaticRule) {
   EXPECT_TRUE(analysis::any_errors(rep.findings));
   std::set<std::string> rules;
   for (const analysis::Diagnostic& d : rep.findings) rules.insert(d.rule);
-  // PSL506 is runtime-only (the ledger refutation); the static sweep must
-  // trip everything else.
   for (const char* r : {"PSL501", "PSL502", "PSL503", "PSL504", "PSL505"})
     EXPECT_EQ(rules.count(r), 1u) << "corpus never trips " << r;
-  EXPECT_EQ(rules.count("PSL506"), 0u);
   EXPECT_EQ(rep.stats.cycles, 2u);  // one in-file ABBA, one cross-TU
-  ASSERT_EQ(rep.lock_claims.size(), 1u);
-  EXPECT_EQ(rep.lock_claims[0].site, "Queue.qmu_");
+  std::vector<std::string> psl505;
+  for (const analysis::Diagnostic& d : rep.findings)
+    if (d.rule == "PSL505") psl505.push_back(d.subject);
+  EXPECT_EQ(psl505, std::vector<std::string>{"src/psl505_fire.cxx:16"});
 }
 
 TEST(ContendTree, GoldenLockOrderGraph) {
@@ -82,6 +90,6 @@ TEST(ContendTree, ReportCarriesTheSharedJsonHeader) {
   const std::string js = rep.json();
   EXPECT_EQ(js.find("{\n  \"schema\": 1,\n  \"tool\": \"pasched-srclint\","),
             0u);
-  EXPECT_NE(js.find("\"lock_claims\""), std::string::npos);
+  EXPECT_NE(js.find("\"alloc_claims\""), std::string::npos);
   EXPECT_NE(js.find("\"graph\""), std::string::npos);
 }

@@ -182,12 +182,14 @@ TEST(Simulation, EventsAtCompletionIsModeInvariant) {
 // are schedule-derived, so they are identical on any machine and at any
 // worker count, and the cut is a hard gate rather than a timing heuristic.
 
-TEST(SyncRounds, Fig5CutsTheGlobalPlannerRounds3x) {
+TEST(SyncRounds, Fig5CutsTheGlobalPlannerRounds6x) {
   // 2011 rounds: the retired global (one-window-per-round) planner,
-  // recorded at commit 5abd368.
+  // recorded at commit 5abd368. A tree that drops the earliest-output bound
+  // (sim::ShardedEngine::OutputBound) plans 429 rounds here, one that stops
+  // chaining windows (sim::kWindowBatch = 1) 1529; both fail this gate.
   const std::uint64_t rounds = sync_rounds(/*fig5=*/true, 120);
   EXPECT_GT(rounds, 0u);
-  EXPECT_LE(rounds * 3, 2011u) << rounds << " rounds";
+  EXPECT_LE(rounds * 6, 2011u) << rounds << " rounds";
 }
 
 TEST(SyncRounds, Fig3CutsTheNextEventPlannerRounds10x) {

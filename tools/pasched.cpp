@@ -3,7 +3,7 @@
 //   audit    determinism + execution-mode equivalence gate (pasched_audit.cpp)
 //   lint     config linter + trace analyzer (pasched_lint.cpp)
 //   race     shard-ownership + determinism auditor (pasched_race.cpp)
-//   srclint  source scanner + runtime ledgers (pasched_srclint.cpp)
+//   srclint  source scanner + runtime allocation ledger (pasched_srclint.cpp)
 //
 // The driver owns the plumbing every subcommand shares: it rejects flags
 // the subcommand does not know (a typo'd --seed must not "pass" the wrong
@@ -106,12 +106,12 @@ const std::array<Subcommand, 4>& subcommands() {
       {"srclint",
        {"root", "compile-db", "only", "report", "json", "graph",
         "list-rules", "plant", "fixtures", "ledger", "nodes", "workers",
-        "calls", "seed", "max-barrier-wait-share", "max-hot-window-allocs"},
+        "calls", "seed", "max-hot-window-allocs"},
        "pasched srclint [--root=DIR] [--compile-db=FILE]"
        " [--only=PSLnnn[,...]] [--report=FILE] [--json=FILE] [--graph]"
        " [--list-rules] [files...]\n"
        "       pasched srclint --ledger [--nodes=N] [--workers=N] [--calls=N]"
-       " [--seed=N] [--max-barrier-wait-share=F] [--max-hot-window-allocs=N]\n"
+       " [--seed=N] [--max-hot-window-allocs=N]\n"
        "       pasched srclint --plant [--fixtures=DIR] [files...]\n",
        srclint_main},
   }};

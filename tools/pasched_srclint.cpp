@@ -1,7 +1,8 @@
 // pasched srclint: the source scanner for this repository — architecture
 // & hot-path rules, lock-order & serialization rules, and allocation &
-// layout rules over one lex of the tree, plus the two runtime ledgers that
-// verify what the scan certifies (PSL401-406, PSL501-506, PSL601-606).
+// layout rules over one lex of the tree, plus the runtime allocation ledger
+// that verifies what the scan certifies (PSL401-406, PSL501-505,
+// PSL601-606).
 //
 // Where `pasched audit` and `pasched race` check *executions*, srclint rejects
 // the source patterns that make those audits fail before a run exists:
@@ -17,7 +18,6 @@
 //   PSL503  false-sharing layout in a shard-shared class           (WARN)
 //   PSL504  shared atomic read-modify-written in a hot loop        (WARN)
 //   PSL505  coarse mutex over race::Owned single-domain state      (WARN)
-//   PSL506  runtime-refuted PSL505 serialization claim             (ERROR)
 //   PSL601  heap allocation in a hot/lifecycle engine function     (ERROR)
 //   PSL602  undisciplined container growth on the hot path         (ERROR)
 //   PSL603  cache-layout hazard in an event/shard-resident type    (WARN)
@@ -28,7 +28,7 @@
 //   pasched srclint [--root=DIR] [--compile-db=FILE] [--only=PSLnnn[,..]]
 //       [--report=FILE] [--json=FILE] [--graph] [--list-rules] [files...]
 //   pasched srclint --ledger [--nodes=N] [--workers=N] [--calls=N]
-//       [--seed=N] [--max-barrier-wait-share=F] [--max-hot-window-allocs=N]
+//       [--seed=N] [--max-hot-window-allocs=N]
 //   pasched srclint --plant [--fixtures=DIR] [files...]
 //
 // Scans the tree under --root (default: the current directory), preferring
@@ -38,21 +38,17 @@
 // files. --graph also prints the lock-order graph.
 //
 // --ledger then runs the fig5 aggregate-trace scenario on the partitioned
-// core (default 8 nodes / 8 workers) twice — once under the contention
-// ledger, once under the allocation ledger, so neither hook perturbs the
-// other's counts — and cross-checks every PSL505 claim against the observed
-// acquiring domains (PSL506) and every PSL605 claim against the observed
-// hot allocations (PSL606). --max-barrier-wait-share and
-// --max-hot-window-allocs gate the two ledgers' headline numbers; they need
-// --ledger and a -DPASCHED_VALIDATE=ON build.
+// core (default 8 nodes / 8 workers) once under the allocation ledger and
+// cross-checks every PSL605 claim against the observed hot allocations
+// (PSL606). --max-hot-window-allocs gates the ledger's headline number; it
+// needs --ledger and a -DPASCHED_VALIDATE=ON build.
 //
 // --plant scans the three planted-violation corpora in place (default
 // <root>/tests/{srclint,contend,alloc}/fixtures; --fixtures=DIR scans that
 // one corpus instead; positional files restrict each corpus's scan to the
-// corpus-relative files it holds) and adds both runtime legs: a 2-worker run
-// refuting a fabricated serialization claim (PSL506) and a deliberately
+// corpus-relative files it holds) and adds the runtime leg: a deliberately
 // allocating hot scope refuting a fabricated allocation-free claim (PSL606).
-// CI asserts it exits 1 and names all eighteen rules.
+// CI asserts it exits 1 and names all seventeen rules.
 //
 // Findings are silenced per line with `// srclint-ok(PSLnnn): reason`;
 // honored suppressions are counted in the report so they stay auditable.
@@ -62,7 +58,6 @@
 #include <algorithm>
 #include <exception>
 #include <filesystem>
-#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -71,11 +66,9 @@
 #include "alloc/ledger.hpp"
 #include "analysis/diagnostic.hpp"
 #include "check/check.hpp"
-#include "contend/ledger.hpp"
 #include "driver.hpp"
 #include "srclint/runner.hpp"
 #include "util/allocgate.hpp"
-#include "util/seam.hpp"
 
 namespace pasched::tools {
 
@@ -90,47 +83,17 @@ std::vector<std::string> split_commas(const std::string& s) {
   return out;
 }
 
-/// Runs the fig5 prototype scenario on the partitioned core once, with a
-/// ledger hook installed for exactly the duration of the run.
-void run_fig5(const ScenarioFlags& p, const std::function<void()>& install,
-              const std::function<void()>& remove) {
-  Scenario s = p.build(/*prototype=*/true);
-  s.cfg.parallel = p.workers;
-  core::Simulation sim(s.cfg, s.factory);
-  install();
-  sim.run();
-  remove();
-}
+struct LedgerRun {
+  alloc::Ledger ledger;
+  alloc::AllocLedgerReport report;
+  bool ran = false;
+};
 
-contend::LedgerReport contention_ledger(const ScenarioFlags& p,
-                                        contend::Ledger& ledger) {
-  run_fig5(
-      p,
-      [&] {
-        ledger.reset();
-        util::install_seam_observer(&ledger);
-      },
-      [] { util::install_seam_observer(nullptr); });
-  return ledger.report();
-}
-
-alloc::AllocLedgerReport allocation_ledger(const ScenarioFlags& p,
-                                           alloc::Ledger& ledger) {
-  run_fig5(
-      p,
-      [&] {
-        ledger.reset();
-        ledger.install();
-      },
-      [&] { ledger.remove(); });
-  return ledger.report();
-}
-
-/// The --plant PSL606 leg: a deliberately allocating hot scope under a
-/// Core site, refuting a fabricated allocation-free claim on that site.
-alloc::AllocLedgerReport planted_allocation(alloc::Ledger& ledger) {
-  ledger.reset();
-  ledger.install();
+/// The --plant runtime leg: a hot scope under a Core site that allocates on
+/// purpose, checked against a fabricated allocation-free claim on that site.
+void plant_ledger(srclint::SrclintReport& rep, LedgerRun& led) {
+  led.ledger.reset();
+  led.ledger.install();
   {
     PASCHED_ALLOC_HOT_SCOPE("PlantedHotPath");
     std::vector<int> spill;
@@ -139,59 +102,34 @@ alloc::AllocLedgerReport planted_allocation(alloc::Ledger& ledger) {
     sink = spill.data();
     static_cast<void>(sink);
   }
-  ledger.remove();
-  return ledger.report();
-}
-
-struct Ledgers {
-  contend::Ledger contention;
-  alloc::Ledger allocation;
-  contend::LedgerReport contention_report;
-  alloc::AllocLedgerReport allocation_report;
-  bool ran = false;
-};
-
-/// Both --plant runtime legs, each against a claim fabricated to fail.
-void plant_ledgers(srclint::SrclintReport& rep, Ledgers& led) {
-  // PSL506: every shard worker takes the wrap-up mutex under its own
-  // race::Domain, so a single-domain claim on it must be refuted.
-  ScenarioFlags tiny;
-  tiny.nodes = 2;
-  tiny.workers = 2;
-  tiny.calls = 8;
-  led.contention_report = contention_ledger(tiny, led.contention);
-  std::vector<contend::SerializationClaim> lock_claims = rep.lock_claims;
-  lock_claims.push_back(contend::SerializationClaim{
-      "ShardedEngine.wrapup_mu_", "tests/contend/fixtures/planted-claim",
-      1});
-  rep.add(led.contention.check_claims(lock_claims));
-
-  // PSL606: a hot scope that allocates on purpose, checked against a
-  // fabricated allocation-free claim on the same Core site.
-  led.allocation_report = planted_allocation(led.allocation);
-  std::vector<alloc::AllocClaim> alloc_claims = rep.alloc_claims;
-  alloc_claims.push_back(alloc::AllocClaim{
+  led.ledger.remove();
+  led.report = led.ledger.report();
+  std::vector<alloc::AllocClaim> claims = rep.alloc_claims;
+  claims.push_back(alloc::AllocClaim{
       "PlantedHotPath", "tests/alloc/fixtures/planted-claim", 1});
-  rep.add(led.allocation.check_claims(alloc_claims));
+  rep.add(led.ledger.check_claims(claims));
   led.ran = true;
 }
 
-void tree_ledgers(const ScenarioFlags& lp, srclint::SrclintReport& rep,
-                  Ledgers& led) {
-  led.contention_report = contention_ledger(lp, led.contention);
-  led.allocation_report = allocation_ledger(lp, led.allocation);
-  rep.add(led.contention.check_claims(rep.lock_claims));
-  rep.add(led.allocation.check_claims(rep.alloc_claims));
+/// Runs the fig5 prototype scenario on the partitioned core once, with the
+/// allocation ledger installed for exactly the duration of the run.
+void tree_ledger(const ScenarioFlags& p, srclint::SrclintReport& rep,
+                 LedgerRun& led) {
+  Scenario s = p.build(/*prototype=*/true);
+  s.cfg.parallel = p.workers;
+  core::Simulation sim(s.cfg, s.factory);
+  led.ledger.reset();
+  led.ledger.install();
+  sim.run();
+  led.ledger.remove();
+  led.report = led.ledger.report();
+  rep.add(led.ledger.check_claims(rep.alloc_claims));
   led.ran = true;
 }
 
-void print_ledgers(std::ostream& os, const Ledgers& led) {
-  os << led.contention_report.str();
-  if (led.contention_report.sites.empty())
-    os << "pasched-srclint: contention ledger recorded nothing (no "
-          "instrumented seam crossed)\n";
-  os << led.allocation_report.str();
-  if (led.allocation_report.sites.empty())
+void print_ledger(std::ostream& os, const LedgerRun& led) {
+  os << led.report.str();
+  if (led.report.sites.empty())
     os << "pasched-srclint: allocation ledger recorded nothing (no "
           "attributed allocation observed)\n";
 }
@@ -257,20 +195,18 @@ int srclint_main(const util::Flags& flags) {
   lp.nodes = 8;
   lp.workers = 8;
   lp.parse(flags, 2);
-  const double max_share = flags.get_double("max-barrier-wait-share", -1.0);
   const long long max_hot = flags.get_int("max-hot-window-allocs", -1);
-  const bool gated = max_share >= 0.0 || max_hot >= 0;
   // A gate that cannot see a ledger would pass vacuously: refuse it.
-  if (gated && !ledger_mode)
+  if (max_hot >= 0 && !ledger_mode)
     throw util::FlagError(
-        "--max-barrier-wait-share and --max-hot-window-allocs need --ledger");
-  if (gated && !PASCHED_VALIDATE_ENABLED)
+        "ledger gates (--max-hot-window-allocs) need --ledger");
+  if (max_hot >= 0 && !PASCHED_VALIDATE_ENABLED)
     throw util::FlagError(
-        "ledger gates need a -DPASCHED_VALIDATE=ON build (seams and the "
-        "operator new/delete hook are compiled out)");
+        "the ledger gate needs a -DPASCHED_VALIDATE=ON build (the operator "
+        "new/delete hook is compiled out)");
 
   srclint::SrclintReport rep;
-  Ledgers led;
+  LedgerRun led;
   try {
     if (plant) {
       for (const std::string& c : corpora) {
@@ -290,9 +226,9 @@ int srclint_main(const util::Flags& flags) {
     } else {
       rep = srclint::run_tree(opts);
     }
-    if (PASCHED_VALIDATE_ENABLED && plant) plant_ledgers(rep, led);
+    if (PASCHED_VALIDATE_ENABLED && plant) plant_ledger(rep, led);
     if (PASCHED_VALIDATE_ENABLED && ledger_mode && !plant)
-      tree_ledgers(lp, rep, led);
+      tree_ledger(lp, rep, led);
   } catch (const check::CheckError&) {
     throw;  // the driver's exit 2
   } catch (const std::exception& e) {
@@ -306,46 +242,32 @@ int srclint_main(const util::Flags& flags) {
     for (const std::string& e : rep.graph) std::cout << "  " << e << "\n";
   }
   if (led.ran) {
-    print_ledgers(std::cout, led);
+    print_ledger(std::cout, led);
   } else if (plant || ledger_mode) {
-    std::cout << "pasched-srclint: ledgers unavailable under "
-                 "-DPASCHED_VALIDATE=OFF (seams compile to plain "
-                 "std::mutex/std::barrier and the operator new/delete hook "
-                 "is compiled out)"
-              << (plant ? "; PSL506/PSL606 legs skipped" : "") << "\n";
+    std::cout << "pasched-srclint: allocation ledger unavailable under "
+                 "-DPASCHED_VALIDATE=OFF (the operator new/delete hook is "
+                 "compiled out)"
+              << (plant ? "; PSL606 leg skipped" : "") << "\n";
   }
 
   std::ostringstream text;
   text << rep.str();
-  if (led.ran) print_ledgers(text, led);
+  if (led.ran) print_ledger(text, led);
   std::string js = rep.json();
   if (led.ran) {
-    // Splice the ledger objects into the report before the closing brace.
+    // Splice the ledger object into the report before the closing brace.
     js.insert(js.rfind("\n}"),
-              ",\n  \"contention_ledger\": " +
-                  led.contention_report.json(2) +
-                  ",\n  \"allocation_ledger\": " +
-                  led.allocation_report.json(2));
+              ",\n  \"allocation_ledger\": " + led.report.json(2));
   }
 
-  // Regression gates (the nightly CI wiring). barrier_wait_share is the
-  // fraction of measured wait the global round barrier still carries; the
-  // per-pair planner exists to keep it low. hot_window_allocs counts
+  // Regression gate (the nightly CI wiring). hot_window_allocs counts
   // hot-phase heap traffic on Core (engine/kernel bookkeeping) sites; the
   // event slab and scratch-reuse discipline exist to hold it at zero.
   int rc = 0;
-  if (max_share >= 0.0 &&
-      led.contention_report.barrier_wait_share > max_share) {
-    std::cout << "pasched-srclint: FAIL (barrier_wait_share "
-              << led.contention_report.barrier_wait_share << " > "
-              << max_share << ")\n";
-    rc = 1;
-  }
-  if (max_hot >= 0 && led.allocation_report.hot_window_allocs >
-                          static_cast<std::uint64_t>(max_hot)) {
+  if (max_hot >= 0 &&
+      led.report.hot_window_allocs > static_cast<std::uint64_t>(max_hot)) {
     std::cout << "pasched-srclint: FAIL (hot_window_allocs "
-              << led.allocation_report.hot_window_allocs << " > " << max_hot
-              << ")\n";
+              << led.report.hot_window_allocs << " > " << max_hot << ")\n";
     rc = 1;
   }
   if (rc == 0 && analysis::any_errors(rep.findings)) rc = 1;
