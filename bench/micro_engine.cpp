@@ -15,6 +15,13 @@
 //               rows price the cross-shard path under real thread
 //               parallelism (events/sec-per-core is the honest column on
 //               an oversubscribed box)
+//   hold1500/hold12000  the classic hold model on a bare sim::Engine:
+//               N events pending (the e2e workloads' mean pending set is
+//               1.5 k serially, 11 k at the 512-node size); each fire
+//               re-arms itself a random increment ahead, and one fire in
+//               49 also cancels and re-arms a random other event, so 2 %
+//               of schedules are cancelled. The 64 chains above keep the
+//               queue tiny; these rows price the queue itself.
 //
 // legacy and parallel1 fire the same events in the same order, so their
 // ratio isolates what the one-shard executor adds per event. Results are
@@ -76,8 +83,10 @@ struct Config {
 struct ModeResult {
   std::string mode;
   std::uint64_t events = 0;
-  /// Worker threads the mode runs (legacy/parallel1 = 1).
+  /// Worker threads the mode runs (legacy/parallel1/hold = 1).
   int cores = 1;
+  /// Events pending in the engine(s) throughout the run.
+  std::size_t pending = 0;
   /// False when the row wants more workers than hardware threads — its
   /// absolute throughput then measures oversubscription.
   bool speedup_valid = true;
@@ -149,6 +158,69 @@ double run_parallel1_once(const Config& cfg) {
   const std::uint64_t fired = drive_chains(
       e, cfg, [&](sim::Time until) { sh.run_until(until, 1); });
   return static_cast<double>(fired) / seconds_since(t0);
+}
+
+/// The hold model's shared state: one EventId per pending event, so a
+/// fire can cancel and re-arm another one, and a xorshift stream for the
+/// increments and the cancel victims.
+struct HoldState {
+  sim::Engine* e;
+  std::vector<sim::EventId> ids;
+  std::uint64_t rng;
+  std::uint64_t fired;
+  std::uint64_t budget;
+  std::uint64_t max_increment_ns;
+
+  std::uint64_t next() {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  }
+  void arm(std::uint32_t k);
+};
+
+/// One hold event: re-arms its own slot k, and every 49th fire also
+/// cancels and re-arms a random other slot.
+struct HoldTick {
+  HoldState* h;
+  std::uint32_t k;
+
+  void operator()() const {
+    if (++h->fired >= h->budget) {
+      h->e->stop();
+      return;
+    }
+    h->arm(k);
+    if (h->fired % 49 == 0) {
+      const auto victim =
+          static_cast<std::uint32_t>(h->next() % h->ids.size());
+      h->e->cancel(h->ids[victim]);
+      h->arm(victim);
+    }
+  }
+};
+static_assert(std::is_trivially_copyable_v<HoldTick> &&
+                  sizeof(HoldTick) <= 48,
+              "HoldTick must stay inline in Engine::Callback");
+
+void HoldState::arm(std::uint32_t k) {
+  const auto dt = static_cast<std::int64_t>(1 + next() % max_increment_ns);
+  ids[k] = e->schedule_after(sim::Duration::ns(dt), HoldTick{this, k});
+}
+
+/// Fills the queue with `pending` events, then times the hold loop until
+/// cfg.events fire. Increments are uniform in [1, 2 * pending * spacing],
+/// so the queue holds its size.
+double run_hold_once(const Config& cfg, std::size_t pending) {
+  sim::Engine e;
+  HoldState h{&e, std::vector<sim::EventId>(pending), 0x9e3779b97f4a7c15ULL,
+              0, cfg.events,
+              2 * pending * static_cast<std::uint64_t>(cfg.spacing_ns)};
+  for (std::uint32_t k = 0; k < pending; ++k) h.arm(k);
+  const auto t0 = std::chrono::steady_clock::now();
+  e.run();
+  return static_cast<double>(h.fired) / seconds_since(t0);
 }
 
 /// Cross-shard mode: the chains hop shard s -> s+1 (mod nodes) through
@@ -228,11 +300,12 @@ AllocProbe run_alloc_probe(const Config& cfg) {
 }
 
 ModeResult measure(const std::string& mode, const Config& cfg, int cores,
-                   const std::function<double()>& once) {
+                   std::size_t pending, const std::function<double()>& once) {
   ModeResult r;
   r.mode = mode;
   r.events = cfg.events;
   r.cores = cores;
+  r.pending = pending;
   const unsigned hw = std::thread::hardware_concurrency();
   r.speedup_valid = hw > 0 && static_cast<unsigned>(cores) <= hw;
   if (!r.speedup_valid)
@@ -255,7 +328,7 @@ ModeResult measure(const std::string& mode, const Config& cfg, int cores,
 
 void emit_mode(std::ostream& os, const ModeResult& r, bool last) {
   os << "    {\"mode\": \"" << r.mode << "\", \"events\": " << r.events
-     << ", \"cores\": " << r.cores
+     << ", \"cores\": " << r.cores << ", \"pending\": " << r.pending
      << ", \"speedup_valid\": " << (r.speedup_valid ? "true" : "false")
      << ", \"best_events_per_sec\": " << static_cast<std::uint64_t>(r.best)
      << ", \"median_events_per_sec\": " << static_cast<std::uint64_t>(r.median)
@@ -299,14 +372,18 @@ int main(int argc, char** argv) {
   std::cout << "micro_engine: " << cfg.chains << " chains, " << cfg.events
             << " events/run, " << cfg.repeats
             << " repeats, hardware_concurrency=" << hw << "\n";
+  const auto chains = static_cast<std::size_t>(cfg.chains);
   std::vector<ModeResult> modes;
-  modes.push_back(
-      measure("legacy", cfg, 1, [&cfg] { return run_legacy_once(cfg); }));
-  modes.push_back(measure("parallel1", cfg, 1,
+  modes.push_back(measure("legacy", cfg, 1, chains,
+                          [&cfg] { return run_legacy_once(cfg); }));
+  modes.push_back(measure("parallel1", cfg, 1, chains,
                           [&cfg] { return run_parallel1_once(cfg); }));
   for (const int n : {2, 4, 8})
-    modes.push_back(measure("parallel" + std::to_string(n), cfg, n,
+    modes.push_back(measure("parallel" + std::to_string(n), cfg, n, chains,
                             [&cfg, n] { return run_parallelN_once(cfg, n); }));
+  for (const std::size_t n : {std::size_t{1500}, std::size_t{12000}})
+    modes.push_back(measure("hold" + std::to_string(n), cfg, 1, n,
+                            [&cfg, n] { return run_hold_once(cfg, n); }));
   const ModeResult& legacy = modes[0];
   const ModeResult& par1 = modes[1];
   const double ratio = legacy.median > 0 ? par1.median / legacy.median : 0;

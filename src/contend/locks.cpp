@@ -130,11 +130,21 @@ FileLocks extract_locks(const SourceFile& f, const ContendConfig& cfg) {
   const auto& t = f.tokens;
 
   // Mutex member declarations: inside every class body, a mutex type name
-  // followed by an identifier then ';' / '{' / '='.
-  for (const srclint::ClassBody& cb : srclint::find_all_class_bodies(f)) {
+  // followed by an identifier then ';' / '{' / '='. A member of a nested
+  // class is credited to the innermost class only, never to its enclosers.
+  const std::vector<srclint::ClassBody> bodies =
+      srclint::find_all_class_bodies(f);
+  const auto in_nested = [&](const srclint::ClassBody& cb, std::size_t i) {
+    return std::any_of(bodies.begin(), bodies.end(),
+                       [&](const srclint::ClassBody& inner) {
+                         return inner.body_begin > cb.body_begin &&
+                                inner.body_begin <= i && i < inner.body_end;
+                       });
+  };
+  for (const srclint::ClassBody& cb : bodies) {
     for (std::size_t i = cb.body_begin; i + 1 < cb.body_end; ++i) {
       if (t[i].pp || t[i].kind != Tok::Identifier) continue;
-      if (!contains(cfg.mutex_types, t[i].text)) continue;
+      if (!contains(cfg.mutex_types, t[i].text) || in_nested(cb, i)) continue;
       std::size_t j = i + 1;
       if (j < cb.body_end && t[j].text == "<") j = skip_template_args(t, j);
       if (j >= cb.body_end || t[j].kind != Tok::Identifier) continue;

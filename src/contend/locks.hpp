@@ -31,9 +31,12 @@ struct ContendConfig {
   /// arrive_and_drop is absent: dropping never parks.
   std::vector<std::string> blocking_calls = {"arrive_and_wait", "wait",
                                              "wait_for", "wait_until"};
-  /// Classes whose field layout PSL503 audits for false sharing.
-  std::vector<std::string> shared_classes = {"ShardedEngine", "Inbox",
-                                             "Ledger"};
+  /// Classes whose field layout PSL503 audits for false sharing. PairRing
+  /// is ShardedEngine's per-pair ring, touched by a producer and a consumer
+  /// worker. Inbox no longer exists in src/; the psl503_fire.cxx fixture
+  /// still plants the rule on a class of that name.
+  std::vector<std::string> shared_classes = {"ShardedEngine", "PairRing",
+                                             "Inbox", "Ledger"};
   [[nodiscard]] bool in_scope(const std::string& rel_path) const;
 };
 

@@ -40,53 +40,58 @@ PASCHED_HOT void Engine::heap_place(std::size_t pos) noexcept {
   slots_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
-PASCHED_HOT void Engine::sift_up(std::size_t pos) noexcept {
+// Both sifts move a hole rather than swapping: each displaced entry is
+// written once and re-anchored once, and `item` is stored where the hole
+// stops.
+PASCHED_HOT void Engine::sift_up(std::size_t pos,
+                                 const HeapItem& item) noexcept {
   while (pos > 0) {
-    const std::size_t parent = (pos - 1) / 2;
-    if (!heap_before(heap_[pos], heap_[parent])) break;
-    std::swap(heap_[pos], heap_[parent]);
+    const std::size_t parent = (pos - 1) / kHeapArity;
+    if (!heap_before(item, heap_[parent])) break;
+    heap_[pos] = heap_[parent];
     heap_place(pos);
     pos = parent;
   }
+  heap_[pos] = item;
   heap_place(pos);
 }
 
-PASCHED_HOT void Engine::sift_down(std::size_t pos) noexcept {
+PASCHED_HOT void Engine::sift_down(std::size_t pos,
+                                   const HeapItem& item) noexcept {
   const std::size_t n = heap_.size();
   for (;;) {
-    std::size_t best = pos;
-    const std::size_t l = 2 * pos + 1;
-    const std::size_t r = 2 * pos + 2;
-    if (l < n && heap_before(heap_[l], heap_[best])) best = l;
-    if (r < n && heap_before(heap_[r], heap_[best])) best = r;
-    if (best == pos) break;
-    std::swap(heap_[pos], heap_[best]);
+    const std::size_t first = kHeapArity * pos + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kHeapArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c)
+      if (heap_before(heap_[c], heap_[best])) best = c;
+    if (!heap_before(heap_[best], item)) break;
+    heap_[pos] = heap_[best];
     heap_place(pos);
     pos = best;
   }
+  heap_[pos] = item;
   heap_place(pos);
 }
 
 PASCHED_HOT void Engine::heap_push(const HeapItem& item) noexcept {
   heap_.push_back(item);  // never reallocates: capacity from grow_slab()
-  sift_up(heap_.size() - 1);
+  sift_up(heap_.size() - 1, item);
 }
 
 PASCHED_HOT void Engine::heap_remove_at(std::size_t pos) noexcept {
   PASCHED_ASSERT(pos < heap_.size());
   slots_[heap_[pos].slot].heap_pos = kNoHeapPos;
-  const std::size_t last = heap_.size() - 1;
-  if (pos != last) {
-    heap_[pos] = heap_[last];
-    heap_.pop_back();
-    heap_place(pos);
-    // The replacement can violate the heap property in at most one
-    // direction; the other call is a no-op.
-    sift_down(pos);
-    sift_up(pos);
-  } else {
-    heap_.pop_back();
-  }
+  const HeapItem last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  // The last entry refills the hole; it can violate the heap property in
+  // at most one direction.
+  if (pos > 0 && heap_before(last, heap_[(pos - 1) / kHeapArity]))
+    sift_up(pos, last);
+  else
+    sift_down(pos, last);
 }
 
 PASCHED_HOT std::uint32_t Engine::acquire_slot() {
@@ -115,7 +120,7 @@ PASCHED_HOT EventId Engine::schedule_at(Time t, Callback fn) {
   Slot& s = slots_[idx];
   s.fn = std::move(fn);
   s.armed = true;
-  heap_push(HeapItem{t, seq_++, idx, s.gen});
+  heap_push(HeapItem{t, seq_++, idx});
   ++live_;
   return EventId{idx, s.gen};
 }
@@ -138,14 +143,13 @@ void Engine::min_delivery_below(std::size_t pos, Time& best) const {
   // Heap order: every entry below `pos` is due no earlier than it, so a
   // subtree stops at its first delivery or at the best time found so far.
   if (pos >= heap_.size() || heap_[pos].t >= best) return;
-  const HeapItem& h = heap_[pos];
-  const Slot& s = slots_[h.slot];
-  if (s.delivery && s.gen == h.gen && s.armed) {
-    best = h.t;
+  if (slots_[heap_[pos].slot].delivery) {
+    best = heap_[pos].t;
     return;
   }
-  min_delivery_below(2 * pos + 1, best);
-  min_delivery_below(2 * pos + 2, best);
+  const std::size_t first = kHeapArity * pos + 1;
+  for (std::size_t c = first; c < first + kHeapArity; ++c)
+    min_delivery_below(c, best);
 }
 
 PASCHED_HOT void Engine::cancel(EventId id) {
@@ -196,31 +200,22 @@ PASCHED_HOT void Engine::fire_item(const HeapItem& item) {
 }
 
 PASCHED_HOT bool Engine::fire_next() {
-  while (!heap_.empty()) {
-    const HeapItem top = heap_.front();
-    {
-      // Defensive only: indexed removal leaves no stale entries. Kept so a
-      // regression degrades to the legacy skip-on-pop behavior instead of
-      // firing a dead slot.
-      const Slot& s = slots_[top.slot];
-      if (s.gen != top.gen || !s.armed) {
-        heap_remove_at(0);
-        continue;
-      }
-    }
-    PASCHED_ASSERT(top.t >= now_);
-    heap_remove_at(0);
-    // Causality: pops must come off the heap in strictly increasing (t, seq)
-    // order — a regression here reorders same-timestamp events and silently
-    // breaks the engine's FIFO tie-break guarantee.
-    PASCHED_CHECK_MSG(
-        top.t > last_fired_t_ ||
-            (top.t == last_fired_t_ && top.seq > last_fired_seq_),
-        "event fired out of (t, seq) order");
-    fire_item(top);
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  const HeapItem top = heap_.front();
+  // Indexed removal is eager, so the top entry is always live.
+  PASCHED_CHECK_MSG(slots_[top.slot].armed && slots_[top.slot].heap_pos == 0,
+                    "heap top is not an armed slot anchored at position 0");
+  PASCHED_ASSERT(top.t >= now_);
+  heap_remove_at(0);
+  // Causality: pops must come off the heap in strictly increasing (t, seq)
+  // order — a regression here reorders same-timestamp events and silently
+  // breaks the engine's FIFO tie-break guarantee.
+  PASCHED_CHECK_MSG(
+      top.t > last_fired_t_ ||
+          (top.t == last_fired_t_ && top.seq > last_fired_seq_),
+      "event fired out of (t, seq) order");
+  fire_item(top);
+  return true;
 }
 
 void Engine::run() {
@@ -235,28 +230,11 @@ bool Engine::run_until(Time deadline) {
   PASCHED_EXPECTS(deadline >= now_);
   stopped_ = false;
   while (!stopped_) {
-    // Peek: find the next live event time without firing.
-    bool fired = false;
-    while (!heap_.empty()) {
-      const HeapItem& top = heap_.front();
-      const Slot& s = slots_[top.slot];
-      if (s.gen != top.gen || !s.armed) {  // defensive, see fire_next
-        heap_remove_at(0);
-        continue;
-      }
-      if (top.t > deadline) {
-        advance_clock(deadline);
-        return true;
-      }
-      fired = fire_next();
-      break;
+    if (heap_.empty() || heap_.front().t > deadline) {
+      advance_clock(deadline);
+      return true;
     }
-    if (!fired) {
-      if (heap_.empty()) {
-        advance_clock(deadline);
-        return true;
-      }
-    }
+    fire_next();
   }
   return false;
 }
@@ -264,16 +242,7 @@ bool Engine::run_until(Time deadline) {
 PASCHED_HOT void Engine::run_before(Time end) {
   PASCHED_ALLOC_HOT_SCOPE("Engine::run_before");
   PASCHED_EXPECTS(end >= now_);
-  while (!heap_.empty()) {
-    const HeapItem& top = heap_.front();
-    const Slot& s = slots_[top.slot];
-    if (s.gen != top.gen || !s.armed) {  // defensive, see fire_next
-      heap_remove_at(0);
-      continue;
-    }
-    if (top.t >= end) break;
-    fire_next();
-  }
+  while (!heap_.empty() && heap_.front().t < end) fire_next();
   advance_clock(end);
 }
 
@@ -294,14 +263,8 @@ void Engine::drain() {
   PASCHED_ASSERT(live_ == 0);
 }
 
-PASCHED_HOT Time Engine::next_event_time() {
-  while (!heap_.empty()) {
-    const HeapItem& top = heap_.front();
-    const Slot& s = slots_[top.slot];
-    if (s.gen == top.gen && s.armed) return top.t;
-    heap_remove_at(0);  // defensive, see fire_next
-  }
-  return Time::max();
+PASCHED_HOT Time Engine::next_event_time() const noexcept {
+  return heap_.empty() ? Time::max() : heap_.front().t;
 }
 
 void Engine::check_consistent() const {
@@ -320,8 +283,8 @@ void Engine::check_consistent() const {
   PASCHED_CHECK_ALWAYS_MSG(armed == live_,
                            "live_ disagrees with armed slot count");
 
-  // The indexed heap holds exactly one current-generation entry per armed
-  // slot, position backlinks agree, the (t, seq) heap property holds, and —
+  // The indexed 4-ary heap holds exactly one entry per armed slot,
+  // position backlinks agree, the (t, seq) heap property holds, and —
   // since cancel() removes eagerly — no stale entries exist at all:
   // queue_footprint() == events_pending() between events.
   PASCHED_CHECK_ALWAYS_MSG(heap_.size() == live_,
@@ -333,9 +296,8 @@ void Engine::check_consistent() const {
     PASCHED_CHECK_ALWAYS_MSG(h.slot < slots_.size(),
                              "heap entry references an out-of-range slot");
     const Slot& s = slots_[h.slot];
-    PASCHED_CHECK_ALWAYS_MSG(s.gen == h.gen && s.armed,
-                             "stale heap entry at position " +
-                                 std::to_string(p));
+    PASCHED_CHECK_ALWAYS_MSG(s.armed, "stale heap entry at position " +
+                                          std::to_string(p));
     PASCHED_CHECK_ALWAYS_MSG(
         s.heap_pos == p,
         "slot " + std::to_string(h.slot) + " heap_pos backlink says " +
@@ -343,7 +305,7 @@ void Engine::check_consistent() const {
             std::to_string(p));
     if (p > 0)
       PASCHED_CHECK_ALWAYS_MSG(
-          !heap_before(heap_[p], heap_[(p - 1) / 2]),
+          !heap_before(heap_[p], heap_[(p - 1) / kHeapArity]),
           "heap property violated at position " + std::to_string(p));
     ++refs[h.slot];
   }

@@ -1,5 +1,6 @@
-// The discrete-event simulation engine: a time-ordered event queue with
-// stable FIFO tie-breaking and O(1) cancellation. Everything in pasched —
+// The discrete-event simulation engine: a time-ordered event queue (an
+// indexed 4-ary heap) with stable FIFO tie-breaking and O(log n)
+// cancellation. Everything in pasched —
 // kernel ticks, IPIs, CPU burst completions, network deliveries, daemon
 // timers — is an event scheduled here.
 #pragma once
@@ -89,9 +90,9 @@ class Engine {
   /// Fires exactly one event. Returns false if the queue is empty.
   PASCHED_HOT bool step() { return fire_next(); }
 
-  /// Timestamp of the next live event, or Time::max() if none. Prunes stale
-  /// (cancelled) heap entries as a side effect; does not advance now().
-  [[nodiscard]] Time next_event_time();
+  /// Timestamp of the next pending event, or Time::max() if none; does not
+  /// advance now().
+  [[nodiscard]] Time next_event_time() const noexcept;
 
   /// Requests that run()/run_until() return after the current event.
   void stop() noexcept { stopped_ = true; }
@@ -128,6 +129,10 @@ class Engine {
   /// Sentinel heap position for a slot with no heap entry (free or
   /// mid-fire).
   static constexpr std::uint32_t kNoHeapPos = UINT32_MAX;
+  /// Children per heap node: the parent of position p is (p - 1) / 4 and
+  /// its children are 4p + 1 .. 4p + 4. Half the levels of a binary heap,
+  /// and a node's four 24-byte children span at most three cache lines.
+  static constexpr std::size_t kHeapArity = 4;
 
   struct Slot {
     Callback fn;
@@ -144,7 +149,6 @@ class Engine {
     Time t;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;
   };
   static_assert(std::is_trivially_destructible_v<HeapItem> &&
                     std::is_trivially_copyable_v<HeapItem>,
@@ -165,10 +169,11 @@ class Engine {
   // (PASCHED_ALLOC_COLD_REGION).
   void grow_slab();
   void grow_fire_log();
-  // Indexed-heap primitives: every move re-anchors Slot::heap_pos.
+  // Indexed-heap primitives: every move re-anchors Slot::heap_pos. The
+  // sifts carry `item` into the hole at `pos` and store it where it stops.
   void heap_place(std::size_t pos) noexcept;
-  void sift_up(std::size_t pos) noexcept;
-  void sift_down(std::size_t pos) noexcept;
+  void sift_up(std::size_t pos, const HeapItem& item) noexcept;
+  void sift_down(std::size_t pos, const HeapItem& item) noexcept;
   void heap_push(const HeapItem& item) noexcept;
   void heap_remove_at(std::size_t pos) noexcept;
   bool fire_next();

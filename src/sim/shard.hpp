@@ -260,8 +260,11 @@ class ShardedEngine final : public Router {
     std::mutex mu;
     std::vector<CrossNodeEvent> overflow;  // guarded by mu; sent_at-sorted
     /// Mirror of overflow.size(), updated under mu: lets the consumer skip
-    /// the lock entirely on the (overwhelmingly common) empty case.
-    std::atomic<std::size_t> overflow_n{0};
+    /// the lock entirely on the (overwhelmingly common) empty case. It
+    /// starts a cache line, so the consumer's per-drain load does not share
+    /// a line with the mutex and lane the producer writes on overflow; the
+    /// fields after it never change once the ring is published.
+    alignas(util::kCacheLineBytes) std::atomic<std::size_t> overflow_n{0};
     int src;  ///< source shard: picks the pair bound for drain caps
     /// Next ring in the destination's inbound list; set before the ring is
     /// published and never changed afterwards.

@@ -4,6 +4,7 @@
 // cross-TU LockGraph canonicalizes.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "contend/locks.hpp"
@@ -32,6 +33,26 @@ struct Inbox {
   ASSERT_EQ(locks.mutex_members.size(), 1u);
   EXPECT_EQ(locks.mutex_members[0].cls, "Inbox");
   EXPECT_EQ(locks.mutex_members[0].member, "mu");
+}
+
+TEST(ContendLocks, NestedClassMutexBelongsToTheInnermostClassOnly) {
+  const contend::FileLocks locks = extract(R"(
+class Engine {
+  struct Ring {
+    std::mutex mu;
+    struct Lane {
+      std::mutex lane_mu;
+    };
+  };
+  std::mutex outer_mu_;
+};
+)");
+  ASSERT_EQ(locks.mutex_members.size(), 3u);
+  std::set<std::string> members;
+  for (const contend::MutexMember& m : locks.mutex_members)
+    members.insert(m.cls + "." + m.member);
+  EXPECT_EQ(members, (std::set<std::string>{"Ring.mu", "Lane.lane_mu",
+                                            "Engine.outer_mu_"}));
 }
 
 TEST(ContendLocks, GuardAcquisitionsAccumulateTheHeldSet) {

@@ -34,7 +34,7 @@ TEST(ContendTree, RepositoryScansClean) {
   EXPECT_GT(rep.stats.functions, 500u);
   // The partitioned core's seams must be visible to extraction: the engine
   // declares mutex members and takes locks in drain/post paths.
-  EXPECT_GE(rep.stats.mutex_members, 4u);
+  EXPECT_GE(rep.stats.mutex_members, 3u);
   EXPECT_GE(rep.stats.acquisitions, 20u);
   const srclint::SourceFile shard = srclint::lex_file(
       std::string(PASCHED_REPO_ROOT) + "/src/sim/shard.hpp",
@@ -43,8 +43,10 @@ TEST(ContendTree, RepositoryScansClean) {
   for (const contend::MutexMember& m :
        contend::extract_locks(shard, contend::ContendConfig{}).mutex_members)
     members.insert(m.cls + "." + m.member);
-  EXPECT_EQ(members.count("PairRing.mu"), 1u);
-  EXPECT_EQ(members.count("ShardedEngine.wrapup_mu_"), 1u);
+  // Exactly these: the nested PairRing's mutex is not also credited to the
+  // enclosing ShardedEngine.
+  EXPECT_EQ(members, (std::set<std::string>{"PairRing.mu",
+                                            "ShardedEngine.wrapup_mu_"}));
 }
 
 TEST(ContendTree, FixtureCorpusNeverLeaksIntoCleanScans) {

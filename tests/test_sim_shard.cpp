@@ -96,9 +96,9 @@ TEST(EngineCancel, CancelRepostOfTheSameSlotAcrossWindowsStaysBounded) {
   // Watchdog pattern regression: a component arms a far-future timeout,
   // then every window cancels and re-arms it. The freed slot is recycled
   // immediately (free-list LIFO), so the same slot index is cancelled and
-  // re-posted thousands of times with window boundaries (run_before +
-  // next_event_time pruning) interleaved between heap compactions. The
-  // footprint must stay bounded and the slot table consistent throughout.
+  // re-posted thousands of times with window boundaries (run_before)
+  // interleaved. The footprint must stay bounded and the slot table
+  // consistent throughout.
   Engine e;
   EventId timeout;
   int fired = 0;
@@ -126,8 +126,8 @@ TEST(ShardedCancel, CancelRepostAcrossWindowBoundariesStaysBounded) {
   // The same watchdog pattern inside the partitioned executor: an event
   // chain on shard 0 re-posts itself exactly on the window edge (so every
   // hop lands in a fresh window) and each hop cancels + re-arms a timeout
-  // on its own engine. Exercises cancel()'s compaction against the window
-  // planner's next_event_time() stale-entry pruning.
+  // on its own engine. Exercises cancel()'s indexed removal against the
+  // window planner's next_event_time() reads.
   struct Watchdog {
     ShardedEngine& se;
     EventId timeout;
