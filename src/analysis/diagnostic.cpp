@@ -116,8 +116,8 @@ const std::vector<RuleInfo>& all_rules() {
       {"PSL401", Severity::Error,
        "outside src/sim and the harness layers (tools/tests/bench), no code "
        "may bind a mutable sim::Engine or call its mutators directly — all "
-       "posting goes through sim::EventContext / sim::Router, the seam that "
-       "keeps partitioned execution sound",
+       "posting goes through sim::EventContext / sim::ShardedEngine::post, "
+       "the seam that keeps partitioned execution sound",
        "§3.2.1 (one global event queue is exactly what does not scale)"},
       {"PSL402", Severity::Error,
        "every shard-resident type (cluster::Node, kern::Kernel, mpi::Job/"

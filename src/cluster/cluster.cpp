@@ -6,7 +6,7 @@
 
 namespace pasched::cluster {
 
-Cluster::Cluster(sim::Router& router, const ClusterConfig& cfg)
+Cluster::Cluster(sim::ShardedEngine& router, const ClusterConfig& cfg)
     : router_(&router), cfg_(cfg), rng_(cfg.seed) {
   PASCHED_EXPECTS(cfg.nodes > 0);
   switch_clock_ = std::make_unique<net::SwitchClock>(router.engine_of(0));
@@ -18,7 +18,7 @@ Cluster::Cluster(sim::Router& router, const ClusterConfig& cfg)
     PASCHED_EXPECTS_MSG(shard >= 0 && shard < router.partitions(),
                         "router maps a node to no valid shard");
     nodes_.push_back(std::make_unique<Node>(
-        sim::EventContext(router.engine_of(shard), router, shard), i,
+        sim::EventContext(router.engine_of(shard), shard), i,
         cfg.node, rng_.fork(100 + static_cast<std::uint64_t>(i))));
     shard_nodes_[static_cast<std::size_t>(shard)].push_back(
         nodes_.back().get());

@@ -8,9 +8,9 @@
 #include "cluster/node.hpp"
 #include "net/clock_sync.hpp"
 #include "net/fabric.hpp"
-#include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
+#include "sim/shard.hpp"
 
 namespace pasched::cluster {
 
@@ -24,10 +24,10 @@ struct ClusterConfig {
 
 class Cluster {
  public:
-  /// `router` (a sim::ShardedEngine; one shard for a serial run) assigns
-  /// each node an engine shard through its node -> shard map (every node
-  /// must map to a valid shard); the fabric posts deliveries across shards.
-  Cluster(sim::Router& router, const ClusterConfig& cfg);
+  /// `router` (one shard for a serial run) assigns each node an engine
+  /// shard through its node -> shard map (every node must map to a valid
+  /// shard); the fabric posts deliveries across shards through it.
+  Cluster(sim::ShardedEngine& router, const ClusterConfig& cfg);
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
@@ -50,7 +50,7 @@ class Cluster {
   /// Shard 0's engine: node 0's block, and the only engine of a one-shard
   /// run (all shard clocks agree outside windows).
   [[nodiscard]] sim::Engine& engine() noexcept { return router_->engine_of(0); }
-  [[nodiscard]] sim::Router& router() noexcept { return *router_; }
+  [[nodiscard]] sim::ShardedEngine& router() noexcept { return *router_; }
   [[nodiscard]] const ClusterConfig& config() const noexcept { return cfg_; }
 
   /// True if any node's deadline-bearing daemon exceeded its tolerance.
@@ -63,7 +63,7 @@ class Cluster {
   [[nodiscard]] sim::Time earliest_post(int shard, sim::Time floor);
 
  private:
-  sim::Router* router_;
+  sim::ShardedEngine* router_;
   ClusterConfig cfg_;
   std::unique_ptr<net::SwitchClock> switch_clock_;
   std::unique_ptr<net::Fabric> fabric_;

@@ -36,7 +36,7 @@ struct ContendConfig {
   /// worker. Inbox no longer exists in src/; the psl503_fire.cxx fixture
   /// still plants the rule on a class of that name.
   std::vector<std::string> shared_classes = {"ShardedEngine", "PairRing",
-                                             "Inbox", "Ledger"};
+                                             "Inbox"};
   [[nodiscard]] bool in_scope(const std::string& rel_path) const;
 };
 

@@ -73,7 +73,7 @@ class ThreadClient {
   virtual ~ThreadClient() = default;
   virtual RunDecision next(sim::Time now) = 0;
   /// True for a *posting* program: one whose next() can call
-  /// sim::Router::post, directly or by waking a thread that may post as
+  /// sim::ShardedEngine::post, directly or by waking a thread that may post as
   /// soon as it runs. Kernel::earliest_post() bounds only these threads, so
   /// a program that posts without saying so breaks the partitioned run's
   /// earliest-output claim (validated builds catch it). Read once, when

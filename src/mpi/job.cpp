@@ -65,7 +65,7 @@ void Job::prepare_launch() {
 }
 
 void Job::launch_shard(int shard) {
-  sim::Router& r = cluster_.router();
+  sim::ShardedEngine& r = cluster_.router();
   const auto here = [&r, shard](Task& t) {
     return r.shard_of_node(t.node().id()) == shard;
   };
@@ -156,7 +156,7 @@ void Job::hw_contribute(Task& t, std::uint64_t seq, std::size_t bytes) {
   // combine unit lives on the router's hub shard, so the count is only ever
   // mutated there; the wire hop is at least the fabric's guaranteed
   // lookahead, which makes this a legal cross-shard edge.
-  sim::Router& r = cluster_.router();
+  sim::ShardedEngine& r = cluster_.router();
   const sim::Duration wire =
       cluster_.fabric().latency_for(0, cluster_.size() > 1 ? 1 : 0, bytes);
   const int src = r.shard_of_node(t.node().id());
@@ -174,7 +174,7 @@ void Job::hw_arrive(std::uint64_t seq, std::size_t bytes) {
   const int got = ++hw_pending_[seq];
   if (got < ntasks()) return;
   hw_pending_.erase(seq);
-  sim::Router& r = cluster_.router();
+  sim::ShardedEngine& r = cluster_.router();
   const sim::Duration wire =
       cluster_.fabric().latency_for(0, cluster_.size() > 1 ? 1 : 0, bytes);
   const int hub = r.hub_shard();

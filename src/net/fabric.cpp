@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/shard.hpp"
 #include "util/assert.hpp"
 
 namespace pasched::net {
@@ -67,7 +68,8 @@ void check_config(const FabricConfig& cfg) {
 }
 }  // namespace
 
-Fabric::Fabric(sim::Router& router, FabricConfig cfg, sim::Rng rng, int nodes)
+Fabric::Fabric(sim::ShardedEngine& router, FabricConfig cfg, sim::Rng rng,
+               int nodes)
     : router_(&router), cfg_(cfg), port_seed_base_(rng.next_u64()) {
   check_config(cfg_);
   PASCHED_EXPECTS(nodes >= 1);

@@ -4,9 +4,9 @@
 //
 // The fabric is one of only two cross-shard edges in partitioned execution
 // (the other is the switch's hardware-collective hub): deliveries go through
-// sim::Router::post(), and every per-message mutable state — jitter stream,
-// FIFO watermarks, statistics — lives in a per-source-node Port so sends
-// from different shards never share state.
+// sim::ShardedEngine::post(), and every per-message mutable state — jitter
+// stream, FIFO watermarks, statistics — lives in a per-source-node Port so
+// sends from different shards never share state.
 #pragma once
 
 #include <cstdint>
@@ -15,12 +15,15 @@
 #include <vector>
 
 #include "kern/types.hpp"
-#include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "sim/planner.hpp"
 #include "sim/random.hpp"
 #include "sim/shard_map.hpp"
 #include "sim/time.hpp"
+
+namespace pasched::sim {
+class ShardedEngine;
+}  // namespace pasched::sim
 
 namespace pasched::net {
 
@@ -99,10 +102,11 @@ struct FabricStats {
 
 class Fabric {
  public:
-  /// Deliveries cross shards via `router` (a sim::ShardedEngine; one shard
-  /// for a serial run). `nodes` presizes the per-source ports so concurrent
-  /// sends never reallocate; node ids must lie in [0, nodes).
-  Fabric(sim::Router& router, FabricConfig cfg, sim::Rng rng, int nodes);
+  /// Deliveries cross shards via `router` (one shard for a serial run).
+  /// `nodes` presizes the per-source ports so concurrent sends never
+  /// reallocate; node ids must lie in [0, nodes).
+  Fabric(sim::ShardedEngine& router, FabricConfig cfg, sim::Rng rng,
+         int nodes);
 
   /// Sends `bytes` from src to dst; `on_deliver` runs at the destination's
   /// arrival time, on the destination node's shard. Deliveries between the
@@ -130,7 +134,7 @@ class Fabric {
 
   [[nodiscard]] Port& port(kern::NodeId src);
 
-  sim::Router* router_;
+  sim::ShardedEngine* router_;
   FabricConfig cfg_;
   std::uint64_t port_seed_base_;
   std::vector<std::unique_ptr<Port>> ports_;

@@ -2,21 +2,15 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "cluster/cluster.hpp"
 #include "kern/kernel.hpp"
+#include "sim/random.hpp"
 #include "util/assert.hpp"
 
 namespace pasched::race {
-
-std::size_t RecordingRandomSource::choose(std::size_t n, const char* tag) {
-  PASCHED_EXPECTS(n >= 1);
-  const auto pick = static_cast<std::size_t>(
-      rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-  trace_.push_back(Choice{tag, n, pick});
-  return pick;
-}
 
 namespace {
 
@@ -48,8 +42,7 @@ AuditRun run_audited(const core::SimulationConfig& cfg,
                         "pasched-race requires partitioned execution");
     monitor = std::make_unique<Monitor>(sh->partitions());
     sh->set_monitor(monitor.get());
-    if (opt.window_choice != nullptr)
-      sh->set_window_choice(opt.window_choice);
+    sh->set_window_jitter(opt.window_jitter);
     install_sink(monitor.get());
     if (opt.plant_cross_shard_write) {
       PASCHED_EXPECTS_MSG(sim.cluster().size() > 1,
@@ -90,11 +83,11 @@ FuzzResult fuzz_windows(const core::SimulationConfig& cfg,
 
   const sim::Rng seeder(seed);
   for (int i = 0; i < iterations; ++i) {
-    RecordingRandomSource source(
-        seeder.fork(static_cast<std::uint64_t>(i)).next_u64());
+    const std::uint64_t jitter =
+        seeder.fork(static_cast<std::uint64_t>(i)).next_u64();
     AuditOptions opt;
     opt.workers = workers;
-    opt.window_choice = &source;
+    opt.window_jitter = jitter;
     const AuditRun run = run_audited(cfg, factory, opt);
     ++out.runs;
     for (const analysis::Diagnostic& d : run.findings)
@@ -102,36 +95,23 @@ FuzzResult fuzz_windows(const core::SimulationConfig& cfg,
     if (run.digest.hash == base.digest.hash &&
         run.digest.elapsed.count() == base.digest.elapsed.count())
       continue;
-    if (!out.diverged) {
-      out.diverged = true;
-      out.failing = source.trace();
-    }
     analysis::Diagnostic d;
     d.rule = "PSL204";
     d.severity = analysis::Severity::Error;
     d.subject = "window-fuzz";
     std::ostringstream msg;
-    msg << "perturbation " << i << " (seed " << seed << ") diverged: hash "
-        << std::hex << run.digest.hash << " vs baseline " << base.digest.hash
-        << std::dec << " over " << source.trace().size()
-        << " recorded window choices";
+    msg << "perturbation " << i << " (seed " << seed << ", window jitter "
+        << jitter << ") diverged: hash " << std::hex << run.digest.hash
+        << " vs baseline " << base.digest.hash << std::dec;
     d.message = msg.str();
-    d.fix_hint =
-        "replay the recorded schedule with pasched-race --replay to "
-        "reproduce, then look for state crossing shards outside the router";
+    d.fix_hint = "rerun pasched race on this scenario with --seed=" +
+                 std::to_string(seed) + " --fuzz-windows=" +
+                 std::to_string(i + 1) +
+                 " to reproduce, then look for state crossing shards "
+                 "outside sim::ShardedEngine::post";
     out.findings.push_back(std::move(d));
   }
   return out;
-}
-
-AuditRun replay_schedule(const core::SimulationConfig& cfg,
-                         const mpi::WorkloadFactory& factory,
-                         const Schedule& schedule, int workers) {
-  GuidedSource source(schedule);
-  AuditOptions opt;
-  opt.workers = workers;
-  opt.window_choice = &source;
-  return run_audited(cfg, factory, opt);
 }
 
 }  // namespace pasched::race

@@ -1,46 +1,30 @@
 // The pasched-race run drivers: an audited single run (annotation layer +
 // vector-clock monitor attached to the partitioned executor) and the
 // window-perturbation fuzz loop that shrinks conservative windows toward the
-// legal minimum through the sim::ChoiceSource seam. Every perturbed
-// run must reproduce the unperturbed canonical digest — the lookahead
-// guarantee makes any shorter window equally correct — so a divergence is a
-// latent ordering bug, reported as PSL204 with the replayable Schedule that
-// exposed it.
+// legal minimum with seeded window jitter (sim::ShardedEngine::
+// set_window_jitter). Every perturbed run must reproduce the unperturbed
+// canonical digest — the lookahead guarantee makes any shorter window
+// equally correct — so a divergence is a latent ordering bug, reported as
+// PSL204 naming the perturbation index and fuzz seed that reproduce it.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
 #include "core/equivalence.hpp"
 #include "race/monitor.hpp"
-#include "race/schedule.hpp"
-#include "sim/random.hpp"
 
 namespace pasched::race {
-
-/// A ChoiceSource drawing uniform picks from a seeded Rng while recording
-/// every decision, so a failing perturbation replays exactly through
-/// GuidedSource. Only the barrier completion step queries it
-/// ("shard.window_quantum"), so no locking is needed.
-class RecordingRandomSource final : public sim::ChoiceSource {
- public:
-  explicit RecordingRandomSource(std::uint64_t seed) : rng_(seed) {}
-  std::size_t choose(std::size_t n, const char* tag) override;
-  [[nodiscard]] const Schedule& trace() const noexcept { return trace_; }
-
- private:
-  sim::Rng rng_;
-  Schedule trace_;
-};
 
 struct AuditOptions {
   /// Worker threads for the partitioned run (>= 1). The planted-fault
   /// regression scenario should run with 1 so the *logical* violation is
   /// observed without a physical data race.
   int workers = 2;
-  /// Window-perturbation source (nullptr = full-lookahead windows).
-  sim::ChoiceSource* window_choice = nullptr;
+  /// Window-jitter seed (std::nullopt = full-lookahead windows).
+  std::optional<std::uint64_t> window_jitter;
   /// Plants a direct cross-shard write: an event on shard 0 mutates the
   /// kernel of block 1's first node (node 1 on small clusters) without going
   /// through the router — the CI regression that the auditor must catch.
@@ -69,23 +53,15 @@ struct FuzzResult {
   /// All findings across the baseline and every perturbed run (ownership /
   /// race findings, plus one PSL204 per digest divergence).
   std::vector<analysis::Diagnostic> findings;
-  /// The recorded schedule of the first diverging run (empty when none).
-  Schedule failing;
-  bool diverged = false;
 };
 
 /// Runs the unperturbed baseline, then `iterations` seeded window
-/// perturbations, checking each digest against the baseline.
+/// perturbations, checking each digest against the baseline. Perturbation
+/// i jitters with the seed sim::Rng(seed).fork(i).next_u64(), so a
+/// run with the same `seed` and at least i+1 iterations replays it.
 [[nodiscard]] FuzzResult fuzz_windows(const core::SimulationConfig& cfg,
                                       const mpi::WorkloadFactory& factory,
                                       int iterations, std::uint64_t seed,
                                       int workers);
-
-/// Replays one recorded perturbation schedule (a PSL204 counterexample)
-/// through GuidedSource and returns the audited run.
-[[nodiscard]] AuditRun replay_schedule(const core::SimulationConfig& cfg,
-                                       const mpi::WorkloadFactory& factory,
-                                       const Schedule& schedule,
-                                       int workers);
 
 }  // namespace pasched::race

@@ -140,8 +140,8 @@ void Monitor::report(const Violation& v) {
           << v.last_clock;
     d.message = msg.str();
     d.fix_hint =
-        "route the effect through sim::Router::post so it executes on the "
-        "owning shard";
+        "route the effect through sim::ShardedEngine::post so it executes on "
+        "the owning shard";
     record(std::move(d));
   }
   // Race classification: the breach is also a data race unless the

@@ -41,10 +41,11 @@ class Engine {
     return schedule_at(now_ + d, std::move(fn));
   }
 
-  /// schedule_at for a *delivery*: an event posted through a Router
-  /// (sim/context.hpp), whether it crossed shards or stayed local. The
-  /// engine can find the earliest pending one, because a delivery is the
-  /// only event that can make a blocked or spinning thread post at once.
+  /// schedule_at for a *delivery*: an event posted through
+  /// ShardedEngine::post (sim/shard.hpp), whether it crossed shards or
+  /// stayed local. The engine can find the earliest pending one, because a
+  /// delivery is the only event that can make a blocked or spinning thread
+  /// post at once.
   /// Costs one flag and one count over schedule_at.
   EventId schedule_delivery(Time t, Callback fn);
 

@@ -11,7 +11,7 @@
 // (net::pair_lookahead builds it from the fabric topology). Every
 // shard publishes two times per round: its next event time next_t_s and its
 // earliest-output time O_s >= next_t_s, the earliest instant any of its
-// events or threads can call Router::post (ShardedEngine::OutputBound
+// events or threads can call ShardedEngine::post (ShardedEngine::OutputBound
 // supplies it; without one O_s = next_t_s). The planner computes two
 // null-message fixpoints,
 //
@@ -105,6 +105,7 @@ struct PlannerStats {
   std::uint64_t final_rounds = 0;    ///< deadline-inclusive rounds (0 or 1)
   std::uint64_t ring_posts = 0;      ///< cross-shard events via SPSC rings
   std::uint64_t ring_overflows = 0;  ///< posts that spilled to the overflow lane
+  friend bool operator==(const PlannerStats&, const PlannerStats&) = default;
 };
 
 /// One sync round's schedule: either the final deadline-inclusive window or

@@ -15,7 +15,6 @@
 
 #include "check/check.hpp"
 #include "race/domain.hpp"
-#include "sim/choice.hpp"
 #include "util/allocgate.hpp"
 #include "util/assert.hpp"
 
@@ -100,7 +99,7 @@ void ShardedEngine::post(int src_shard, int dst_shard, Time t,
                          Engine::Callback fn) {
   // A component claiming to post from a shard it is not executing on would
   // bypass the whole ownership discipline — catch the spoof at the seam.
-  PASCHED_ASSERT_DOMAIN(src_shard, "sim.Router", dst_shard, "post");
+  PASCHED_ASSERT_DOMAIN(src_shard, "sim.ShardedEngine", dst_shard, "post");
 #if PASCHED_VALIDATE_ENABLED
   if (claims_live_) check_output_claim(src_shard);
 #endif
@@ -394,16 +393,14 @@ void ShardedEngine::plan_round(Time deadline) noexcept {
   }
   // The full lookahead bounds are the *largest* legal window steps; any
   // shorter span is equally conservative (events can only post further
-  // into the future). The perturbation seam shrinks every bound toward the
-  // 1 ns minimum so the pasched-race fuzzer can vary window phasing
-  // without ever breaking the causality guarantee.
+  // into the future). Window jitter shrinks every bound toward the 1 ns
+  // minimum so the pasched-race fuzzer can vary window phasing without
+  // ever breaking the causality guarantee.
   std::int64_t num = 1;
   std::int64_t den = 1;
-  if (window_choice_ != nullptr) {
-    const std::size_t pick =
-        window_choice_->choose(kWindowQuantumBuckets, "shard.window_quantum");
-    num = static_cast<std::int64_t>(pick + 1);
-    den = static_cast<std::int64_t>(kWindowQuantumBuckets);
+  if (window_jitter_) {
+    den = kWindowQuantumBuckets;
+    num = window_jitter_->uniform_int(0, den - 1) + 1;
   }
   next_t_plain_.resize(published_.size());
   out_t_plain_.resize(published_.size());

@@ -55,12 +55,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
-#include "sim/choice.hpp"
-#include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "sim/planner.hpp"
+#include "sim/random.hpp"
 #include "sim/shard_map.hpp"
 #include "sim/time.hpp"
 #include "util/aligned.hpp"
@@ -124,7 +124,7 @@ class ShardMonitor {
   virtual void on_horizon_wait(int /*dst_shard*/, int /*src_shard*/) {}
 };
 
-class ShardedEngine final : public Router {
+class ShardedEngine {
  public:
   /// One shard per block of `map` plus (for multi-block maps) a hub
   /// shard. `lookahead` must be positive: it is the guaranteed minimum
@@ -132,28 +132,37 @@ class ShardedEngine final : public Router {
   /// derives it from the fabric config). Until set_pair_lookahead() installs
   /// the per-pair matrix, every pair is assumed to sit at this global floor.
   ShardedEngine(const ShardMap& map, Duration lookahead);
-  ~ShardedEngine() override;
+  ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  // Router --------------------------------------------------------------------
-  [[nodiscard]] int partitions() const noexcept override {
+  // Partition -----------------------------------------------------------------
+  [[nodiscard]] int partitions() const noexcept {
     return static_cast<int>(engines_.size());
   }
-  [[nodiscard]] int shard_of_node(int node) const noexcept override {
+  /// The shard that owns `node`'s events.
+  [[nodiscard]] int shard_of_node(int node) const noexcept {
     return map_.shard_of(node);
   }
-  [[nodiscard]] int hub_shard() const noexcept override { return map_.hub(); }
-  [[nodiscard]] Duration lookahead() const noexcept override {
-    return lookahead_;
-  }
-  [[nodiscard]] Engine& engine_of(int shard) override {
+  /// The shard that owns cluster-global state (the switch's
+  /// hardware-collective combine unit).
+  [[nodiscard]] int hub_shard() const noexcept { return map_.hub(); }
+  /// The global guaranteed minimum latency of any cross-shard interaction.
+  [[nodiscard]] Duration lookahead() const noexcept { return lookahead_; }
+  [[nodiscard]] Engine& engine_of(int shard) {
     return *engines_[static_cast<std::size_t>(shard)];
   }
-  void post(int src_shard, int dst_shard, Time t,
-            Engine::Callback fn) override;
-  void request_wrapup(Engine::Callback fn) override;
-  void stop_all() override;
+  /// Delivers `fn` into `dst_shard`'s timeline at `t`. For a cross-shard
+  /// post `t` must be at least the pair lookahead past the source shard's
+  /// clock — the conservative guarantee the executor synchronizes on.
+  void post(int src_shard, int dst_shard, Time t, Engine::Callback fn);
+  /// Runs `fn` once no shard is mid-event: immediately with one shard, at
+  /// a later round barrier with several. Job-completion bookkeeping (hook
+  /// shutdown, aux-thread cancellation) goes through here so it may safely
+  /// touch every node.
+  void request_wrapup(Engine::Callback fn);
+  /// Requests that execution stop at the next safe point.
+  void stop_all();
 
   [[nodiscard]] const ShardMap& shard_map() const noexcept { return map_; }
 
@@ -232,20 +241,20 @@ class ShardedEngine final : public Router {
   void set_monitor(ShardMonitor* m) noexcept { monitor_ = m; }
   [[nodiscard]] ShardMonitor* monitor() const noexcept { return monitor_; }
 
-  /// Window-perturbation choice point: when a source is installed, each
-  /// round's window spans are drawn from it ("shard.window_quantum",
-  /// kWindowQuantumBuckets evenly spaced fractions of each lookahead bound)
-  /// instead of always spanning the full bound. Shrinking the window is
-  /// always conservative — the lookahead guarantee is unchanged — so every
-  /// perturbed run must stay bit-identical to the unperturbed one; the
-  /// pasched-race fuzzer drives this seam to flush out orderings that
-  /// accidentally depend on window phasing. Non-owning; nullptr restores
-  /// full-lookahead windows.
-  void set_window_choice(ChoiceSource* cs) noexcept { window_choice_ = cs; }
-  [[nodiscard]] ChoiceSource* window_choice() const noexcept {
-    return window_choice_;
+  /// Window jitter: with a seed installed, each round's window spans are
+  /// drawn from a sim::Rng seeded with it — one of kWindowQuantumBuckets
+  /// evenly spaced fractions of each lookahead bound per round — instead of
+  /// always spanning the full bound. Shrinking the window is always
+  /// conservative (the lookahead guarantee is unchanged), so every jittered
+  /// run must stay bit-identical to the unjittered one; the pasched-race
+  /// window fuzzer uses this to flush out orderings that accidentally
+  /// depend on window phasing. std::nullopt restores full-lookahead
+  /// windows. Set while no workers run.
+  void set_window_jitter(std::optional<std::uint64_t> seed) noexcept {
+    window_jitter_.reset();
+    if (seed) window_jitter_.emplace(*seed);
   }
-  static constexpr std::size_t kWindowQuantumBuckets = 8;
+  static constexpr std::int64_t kWindowQuantumBuckets = 8;
 
  private:
   enum class Round : std::uint8_t { Window, Final, Stop };
@@ -389,7 +398,7 @@ class ShardedEngine final : public Router {
   /// is deferred across rounds.
   alignas(util::kCacheLineBytes) std::atomic<bool> freeze_fire_logs_{false};
   ShardMonitor* monitor_ = nullptr;
-  ChoiceSource* window_choice_ = nullptr;
+  std::optional<Rng> window_jitter_;  ///< drawn in the completion step
   std::function<void(int)> prologue_;
   OutputBound output_bound_;
 };

@@ -79,7 +79,7 @@ class RuleRun {
     out_.push_back(std::move(d));
   }
 
-  // -- PSL401: the Router/EventContext posting seam -------------------------
+  // -- PSL401: the ShardedEngine/EventContext posting seam ------------------
 
   void psl401() {
     if (path_in(cfg_.seam_allow, f_.path)) return;
@@ -102,9 +102,9 @@ class RuleRun {
         if (!is_const) {
           report("PSL401", t[i].line,
                  "mutable sim::Engine reference/pointer bound outside the "
-                 "Router/EventContext seam (src/sim, tools, tests)",
+                 "ShardedEngine/EventContext seam (src/sim, tools, tests)",
                  "schedule through this node's sim::EventContext, or cross "
-                 "shards through sim::Router::post()");
+                 "shards through sim::ShardedEngine::post()");
         }
         continue;
       }
@@ -125,9 +125,11 @@ class RuleRun {
           report("PSL401", t[i].line,
                  "direct engine mutation `" + t[base].text + "..." +
                      t[i].text +
-                     "()` bypasses the Router/EventContext posting seam",
+                     "()` bypasses the ShardedEngine/EventContext posting "
+                     "seam",
                  "post through sim::EventContext::schedule_*/cancel or "
-                 "sim::Router::post() so partitioned execution stays sound");
+                 "sim::ShardedEngine::post() so partitioned execution stays "
+                 "sound");
         }
       }
     }

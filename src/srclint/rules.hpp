@@ -3,7 +3,7 @@
 // runtime stack (pasched audit/race) can only witness after it is
 // violated in an execution — here it is rejected before a run exists.
 //
-//   PSL401  raw engine access outside the Router/EventContext seam
+//   PSL401  raw engine access outside the ShardedEngine/EventContext seam
 //   PSL402  shard-resident type without ownership annotation discipline
 //   PSL403  allocation / locking / throw / blocking inside PASCHED_HOT
 //   PSL404  side effects inside vanishing-check macro arguments

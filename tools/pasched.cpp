@@ -96,12 +96,10 @@ const std::array<Subcommand, 4>& subcommands() {
        lint_main},
       {"race",
        {"scenario", "workers", "nodes", "tasks-per-node", "calls", "seed",
-        "fuzz-windows", "plant-cross-shard-write", "report", "replay",
-        "json"},
+        "fuzz-windows", "plant-cross-shard-write", "report", "json"},
        "pasched race [--scenario=fig3|fig5|both] [--workers=N] [--nodes=N]"
        " [--tasks-per-node=N] [--calls=N] [--seed=N] [--fuzz-windows=N]"
-       " [--plant-cross-shard-write] [--report=FILE]"
-       " [--replay=SCHEDULE_FILE] [--json=FILE]\n",
+       " [--plant-cross-shard-write] [--report=FILE] [--json=FILE]\n",
        race_main},
       {"srclint",
        {"root", "compile-db", "only", "report", "json", "graph",

@@ -13,12 +13,13 @@
 //
 // With --fuzz-windows=N each scenario additionally runs N window
 // perturbations: conservative windows are shrunk toward the legal minimum
-// through the sim::ChoiceSource seam, and every perturbed run must
-// reproduce the unperturbed canonical digest (PSL204 on divergence, with
-// the recorded schedule written next to the report for --replay).
+// by seeded window jitter, and every perturbed run must reproduce the
+// unperturbed canonical digest. A divergence is a PSL204 naming the
+// perturbation index and --seed; the perturbations are a pure function of
+// the seed, so the same --scenario/--seed with --fuzz-windows set past that
+// index reproduces it.
 //
 //   pasched race --fuzz-windows=200 [--report=FILE]
-//   pasched race --replay=SCHEDULE_FILE --scenario=fig3
 //
 // --plant-cross-shard-write injects the CI regression fault: an event on
 // shard 0 mutates the kernel of block 1's first node (node 1 at the default
@@ -28,7 +29,6 @@
 //
 // Exit status: 0 = no findings, 1 = PSL2xx ERROR findings, 2 = a model
 // invariant is violated, 64 = bad usage.
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -37,32 +37,16 @@
 #include "analysis/diagnostic.hpp"
 #include "driver.hpp"
 #include "race/fuzz.hpp"
-#include "race/schedule.hpp"
 
 namespace pasched::tools {
 
 namespace {
-
-/// Reads a saved window schedule (--replay). An unreadable or malformed
-/// file throws util::FlagError "<path>: <message>".
-race::Schedule read_schedule(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw util::FlagError(path + ": cannot read");
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    return race::Schedule::parse(text.str());
-  } catch (const std::logic_error& e) {
-    throw util::FlagError(path + ": " + e.what());
-  }
-}
 
 struct Params {
   ScenarioFlags scn;
   int fuzz = 0;
   bool plant = false;
   std::string report;
-  std::string replay;
 };
 
 void print_findings(std::ostream& os,
@@ -95,15 +79,6 @@ int run_one(const Scenario& s, const Params& p, std::ostream& report) {
               << " perturbations), base hash=" << std::hex << fz.base_hash
               << std::dec << "\n";
     findings = fz.findings;
-    if (fz.diverged) {
-      const std::string sched_file =
-          std::string("pasched-race.") + s.name + ".failing-schedule";
-      // Already failing (PSL204): a lost schedule file keeps exit 1.
-      (void)util::write_output("pasched-race", sched_file,
-                               "  failing window schedule",
-                               fz.failing.serialize(), 1);
-      report << "failing schedule:\n" << fz.failing.serialize() << "\n";
-    }
   } else {
     race::AuditOptions opt;
     opt.workers = p.plant ? 1 : p.scn.workers;
@@ -137,31 +112,13 @@ int race_main(const util::Flags& flags) {
   p.fuzz = static_cast<int>(flags.get_int("fuzz-windows", 0));
   p.plant = flags.get_bool("plant-cross-shard-write", false);
   p.report = flags.get("report", "");
-  p.replay = flags.get("replay", "");
   if (p.fuzz < 0) throw util::FlagError("--fuzz-windows must be >= 0");
-  if (!p.replay.empty() && p.scn.scenario == "both")
-    throw util::FlagError("--replay needs a single --scenario");
 
   std::ostringstream report;
   int rc = 0;
-  if (!p.replay.empty()) {
-    const race::Schedule sched = read_schedule(p.replay);
-    const Scenario s = p.scn.build(p.scn.scenario == "fig5");
-    std::cout << "replaying " << sched.size() << " window choices on "
-              << s.name << "\n";
-    const race::AuditRun run =
-        race::replay_schedule(s.cfg, s.factory, sched, p.scn.workers);
-    std::cout << "  hash=" << std::hex << run.digest.hash << std::dec << "\n";
-    print_findings(std::cout, run.findings);
-    print_findings(report, run.findings);
-    g_collected.insert(g_collected.end(), run.findings.begin(),
-                       run.findings.end());
-    rc = analysis::any_errors(run.findings) ? 1 : 0;
-  } else {
-    for (const bool prototype : {false, true})
-      if (p.scn.selects(prototype))
-        rc = std::max(rc, run_one(p.scn.build(prototype), p, report));
-  }
+  for (const bool prototype : {false, true})
+    if (p.scn.selects(prototype))
+      rc = std::max(rc, run_one(p.scn.build(prototype), p, report));
 
   const std::string json = json_report(rc);
   rc = util::write_output("pasched-race", p.report, "report", report.str(),

@@ -7,7 +7,7 @@
 // Where `pasched audit` and `pasched race` check *executions*, srclint rejects
 // the source patterns that make those audits fail before a run exists:
 //
-//   PSL401  raw sim::Engine access outside the Router/EventContext seam
+//   PSL401  raw sim::Engine access outside the ShardedEngine/EventContext seam
 //   PSL402  shard-resident type / mutable field without ownership discipline
 //   PSL403  allocation, locking, throw, blocking, or I/O inside PASCHED_HOT
 //   PSL404  side effects inside vanishing PASCHED_CHECK/ASSERT arguments
