@@ -100,7 +100,7 @@ const std::vector<RuleInfo>& all_rules() {
        "§3.2 (per-node kernel state is private to its node's scheduler)"},
       {"PSL202", Severity::Error,
        "every cross-shard access pair must be ordered by the shard "
-       "happens-before relation (router posts, inbox drains, window "
+       "happens-before relation (ShardedEngine posts, inbox drains, window "
        "barriers) — unordered pairs are data races in the parallel core",
        "§3.2.1 (cross-node effects travel only through the switch fabric)"},
       {"PSL203", Severity::Error,

@@ -6,19 +6,19 @@
 
 namespace pasched::cluster {
 
-Cluster::Cluster(sim::ShardedEngine& router, const ClusterConfig& cfg)
-    : router_(&router), cfg_(cfg), rng_(cfg.seed) {
+Cluster::Cluster(sim::ShardedEngine& sharded, const ClusterConfig& cfg)
+    : sharded_(&sharded), cfg_(cfg), rng_(cfg.seed) {
   PASCHED_EXPECTS(cfg.nodes > 0);
-  switch_clock_ = std::make_unique<net::SwitchClock>(router.engine_of(0));
-  fabric_ = std::make_unique<net::Fabric>(router, cfg.fabric, rng_.fork(1),
+  switch_clock_ = std::make_unique<net::SwitchClock>(sharded.engine_of(0));
+  fabric_ = std::make_unique<net::Fabric>(sharded, cfg.fabric, rng_.fork(1),
                                           cfg.nodes);
-  shard_nodes_.resize(static_cast<std::size_t>(router.partitions()));
+  shard_nodes_.resize(static_cast<std::size_t>(sharded.partitions()));
   for (int i = 0; i < cfg.nodes; ++i) {
-    const int shard = router.shard_of_node(i);
-    PASCHED_EXPECTS_MSG(shard >= 0 && shard < router.partitions(),
-                        "router maps a node to no valid shard");
+    const int shard = sharded.shard_of_node(i);
+    PASCHED_EXPECTS_MSG(shard >= 0 && shard < sharded.partitions(),
+                        "the sharded engine maps a node to no valid shard");
     nodes_.push_back(std::make_unique<Node>(
-        sim::EventContext(router.engine_of(shard), shard), i,
+        sim::EventContext(sharded.engine_of(shard), shard), i,
         cfg.node, rng_.fork(100 + static_cast<std::uint64_t>(i))));
     shard_nodes_[static_cast<std::size_t>(shard)].push_back(
         nodes_.back().get());

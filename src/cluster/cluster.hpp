@@ -24,10 +24,10 @@ struct ClusterConfig {
 
 class Cluster {
  public:
-  /// `router` (one shard for a serial run) assigns each node an engine
+  /// `sharded` (one shard for a serial run) assigns each node an engine
   /// shard through its node -> shard map (every node must map to a valid
   /// shard); the fabric posts deliveries across shards through it.
-  Cluster(sim::ShardedEngine& router, const ClusterConfig& cfg);
+  Cluster(sim::ShardedEngine& sharded, const ClusterConfig& cfg);
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
@@ -49,8 +49,10 @@ class Cluster {
   }
   /// Shard 0's engine: node 0's block, and the only engine of a one-shard
   /// run (all shard clocks agree outside windows).
-  [[nodiscard]] sim::Engine& engine() noexcept { return router_->engine_of(0); }
-  [[nodiscard]] sim::ShardedEngine& router() noexcept { return *router_; }
+  [[nodiscard]] sim::Engine& engine() noexcept {
+    return sharded_->engine_of(0);
+  }
+  [[nodiscard]] sim::ShardedEngine& sharded() noexcept { return *sharded_; }
   [[nodiscard]] const ClusterConfig& config() const noexcept { return cfg_; }
 
   /// True if any node's deadline-bearing daemon exceeded its tolerance.
@@ -63,7 +65,7 @@ class Cluster {
   [[nodiscard]] sim::Time earliest_post(int shard, sim::Time floor);
 
  private:
-  sim::ShardedEngine* router_;
+  sim::ShardedEngine* sharded_;
   ClusterConfig cfg_;
   std::unique_ptr<net::SwitchClock> switch_clock_;
   std::unique_ptr<net::Fabric> fabric_;

@@ -24,7 +24,7 @@ Job::Job(cluster::Cluster& cluster, JobConfig cfg,
       cfg_.tasks_per_node <=
           cluster_.node(cfg_.first_node).kernel().ncpus(),
       "tasks_per_node exceeds CPUs per node");
-  hub_owned_.bind(cluster_.router().hub_shard(), "mpi.Job.hw", 0);
+  hub_owned_.bind(cluster_.sharded().hub_shard(), "mpi.Job.hw", 0);
   sim::Rng job_rng(cfg_.seed);
   spans_.resize(static_cast<std::size_t>(cfg_.ntasks));
   for (int rank = 0; rank < cfg_.ntasks; ++rank) {
@@ -48,7 +48,7 @@ Job::~Job() = default;
 
 void Job::launch() {
   prepare_launch();
-  for (int s = 0; s < cluster_.router().partitions(); ++s) launch_shard(s);
+  for (int s = 0; s < cluster_.sharded().partitions(); ++s) launch_shard(s);
 }
 
 void Job::prepare_launch() {
@@ -65,7 +65,7 @@ void Job::prepare_launch() {
 }
 
 void Job::launch_shard(int shard) {
-  sim::ShardedEngine& r = cluster_.router();
+  sim::ShardedEngine& r = cluster_.sharded();
   const auto here = [&r, shard](Task& t) {
     return r.shard_of_node(t.node().id()) == shard;
   };
@@ -153,10 +153,10 @@ void Job::submit_io(Task& t, std::size_t bytes) {
 
 void Job::hw_contribute(Task& t, std::uint64_t seq, std::size_t bytes) {
   // Contribution travels to the switch's combine unit (one wire hop). The
-  // combine unit lives on the router's hub shard, so the count is only ever
-  // mutated there; the wire hop is at least the fabric's guaranteed
+  // combine unit lives on the sharded engine's hub shard, so the count is
+  // only ever mutated there; the wire hop is at least the fabric's guaranteed
   // lookahead, which makes this a legal cross-shard edge.
-  sim::ShardedEngine& r = cluster_.router();
+  sim::ShardedEngine& r = cluster_.sharded();
   const sim::Duration wire =
       cluster_.fabric().latency_for(0, cluster_.size() > 1 ? 1 : 0, bytes);
   const int src = r.shard_of_node(t.node().id());
@@ -174,7 +174,7 @@ void Job::hw_arrive(std::uint64_t seq, std::size_t bytes) {
   const int got = ++hw_pending_[seq];
   if (got < ntasks()) return;
   hw_pending_.erase(seq);
-  sim::ShardedEngine& r = cluster_.router();
+  sim::ShardedEngine& r = cluster_.sharded();
   const sim::Duration wire =
       cluster_.fabric().latency_for(0, cluster_.size() > 1 ? 1 : 0, bytes);
   const int hub = r.hub_shard();
@@ -193,8 +193,11 @@ void Job::on_span(Task& t, std::uint32_t channel, std::uint64_t /*seq*/,
   PASCHED_EXPECTS(channel < kMaxChannels);
   // Recorded per rank (shards never contend); folded into ChannelStats
   // lazily in canonical (rank, span-sequence) order.
+  const std::int64_t ns = (end - begin).count();
+  PASCHED_EXPECTS(ns >= 0);
   spans_[static_cast<std::size_t>(t.rank())].push_back(
-      SpanRec{channel, (end - begin).to_us(), begin});
+      (static_cast<std::uint64_t>(ns) << kChannelBits) | channel);
+  if (t.rank() == cfg_.record_rank) recorded_begin_.push_back(begin);
   channels_dirty_.store(true, std::memory_order_release);
 }
 
@@ -202,12 +205,18 @@ void Job::rebuild_channels() const {
   if (!channels_dirty_.load(std::memory_order_acquire)) return;
   for (auto& ch : channels_) ch = ChannelStats{};
   for (std::size_t rank = 0; rank < spans_.size(); ++rank) {
-    for (const SpanRec& s : spans_[rank]) {
-      ChannelStats& ch = channels_[s.channel];
-      ch.all_us.add(s.us);
-      if (static_cast<int>(rank) == cfg_.record_rank) {
-        ch.recorded_us.push_back(s.us);
-        ch.recorded_begin.push_back(s.begin);
+    const bool recorded = static_cast<int>(rank) == cfg_.record_rank;
+    const std::vector<std::uint64_t>& row = spans_[rank];
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      ChannelStats& ch = channels_[row[i] & kChannelMask];
+      // Bit-identical to the (end - begin).to_us() of the span.
+      const double us =
+          Duration::ns(static_cast<std::int64_t>(row[i] >> kChannelBits))
+              .to_us();
+      ch.all_us.add(us);
+      if (recorded) {
+        ch.recorded_us.push_back(us);
+        ch.recorded_begin.push_back(recorded_begin_[i]);
       }
     }
   }
@@ -218,10 +227,10 @@ void Job::task_finished(Task& t, Time now) {
   t.finish_time_ = now;
   if (1 + finished_.fetch_add(1, std::memory_order_acq_rel) == ntasks()) {
     // The epilogue touches other shards' engines (aux-thread timers, the
-    // co-scheduler hook, the stop flag), so defer it to the router's next
-    // synchronization point (a one-shard router runs it inline).
+    // co-scheduler hook, the stop flag), so defer it to the sharded
+    // engine's next synchronization point (a one-shard run does it inline).
     Job* self = this;
-    cluster_.router().request_wrapup([self] { self->wrapup(); });
+    cluster_.sharded().request_wrapup([self] { self->wrapup(); });
   }
 }
 
@@ -231,7 +240,7 @@ void Job::wrapup() {
     completion_time_ = std::max(completion_time_, t->finish_time_);
   for (auto& a : aux_) a->cancel();
   if (hook_ != nullptr) hook_->job_ended();
-  if (cfg_.stop_engine_on_complete) cluster_.router().stop_all();
+  if (cfg_.stop_engine_on_complete) cluster_.sharded().stop_all();
 }
 
 void Job::hook_detach(Task& t) {

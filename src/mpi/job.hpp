@@ -130,13 +130,12 @@ class Job {
   void hook_detach(Task& t);
   void hook_attach(Task& t);
 
-  /// One recorded marker span; stored per rank so shards never contend, then
-  /// folded into ChannelStats in canonical (rank, span-sequence) order.
-  struct SpanRec {
-    std::uint32_t channel;
-    double us;
-    sim::Time begin;
-  };
+  /// Span-log word of one marker span: its length in ns above the 3
+  /// channel bits. Stored per rank so shards never contend, then folded
+  /// into ChannelStats in canonical (rank, span-sequence) order.
+  static constexpr int kChannelBits = 3;
+  static constexpr std::uint64_t kChannelMask = (1U << kChannelBits) - 1;
+  static_assert(kMaxChannels <= kChannelMask + 1);
 
   cluster::Cluster& cluster_;
   JobConfig cfg_;
@@ -144,7 +143,10 @@ class Job {
   std::vector<std::unique_ptr<AuxThread>> aux_;
   SchedulerHook* hook_ = nullptr;
   trace::EventLog* elog_ = nullptr;
-  std::vector<std::vector<SpanRec>> spans_;  // [rank], presized in ctor
+  std::vector<std::vector<std::uint64_t>> spans_;  // [rank], presized in ctor
+  // The record_rank's span begins, one per word of its spans_ row (only
+  // that rank's shard appends).
+  std::vector<sim::Time> recorded_begin_;
   // srclint-ok(PSL402): post-run lazily-rebuilt cache behind the atomic
   // channels_dirty_ flag; rebuilt only after the shard workers have joined.
   mutable std::array<ChannelStats, kMaxChannels> channels_;

@@ -1,5 +1,7 @@
 #include "mpi/task.hpp"
 
+#include <algorithm>
+
 #include "mpi/job.hpp"
 #include "util/assert.hpp"
 
@@ -33,20 +35,32 @@ Task::Task(Job& job, int rank, int size, cluster::Node& node, kern::CpuId cpu,
 
 void Task::launch() { node_.kernel().wake(*thread_, kern::kExternalActor); }
 
+std::vector<Task::Mail>::iterator Task::find_mail(std::uint64_t key) {
+  return std::find_if(mailbox_.begin(), mailbox_.end(),
+                      [key](const Mail& m) { return m.first == key; });
+}
+
 bool Task::try_consume(int src, std::uint64_t tag) {
-  const auto it = mailbox_.find(key_of(src, tag));
+  const auto it = find_mail(key_of(src, tag));
   if (it == mailbox_.end()) return false;
-  if (--it->second == 0) mailbox_.erase(it);
+  if (--it->second == 0) {
+    *it = mailbox_.back();  // swap-remove: order is never observed
+    mailbox_.pop_back();
+  }
   return true;
 }
 
 void Task::deposit(int src, std::uint64_t tag) {
-  // Deliveries must arrive through the fabric/router onto the home shard —
-  // a direct call from another shard's event is exactly the corruption the
-  // annotation layer exists to catch.
+  // Deliveries must arrive through the fabric or a ShardedEngine post onto
+  // the home shard — a direct call from another shard's event is exactly
+  // the corruption the annotation layer exists to catch.
   PASCHED_ASSERT_OWNED(owned_, "deposit");
   const std::uint64_t key = key_of(src, tag);
-  ++mailbox_[key];
+  const auto it = find_mail(key);
+  if (it != mailbox_.end())
+    ++it->second;
+  else
+    mailbox_.emplace_back(key, 1);
   if (wait_key_ != key) return;
   if (thread_->state() == kern::ThreadState::Blocked) {
     // Spin-block receive parked the task: demand-wake it on arrival.

@@ -7,7 +7,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/node.hpp"
@@ -58,6 +58,9 @@ class Task final : public kern::ThreadClient {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 40) |
            (tag & ((1ULL << 40) - 1));
   }
+  /// (key_of(src, tag), count) of arrived-but-unreceived messages.
+  using Mail = std::pair<std::uint64_t, std::uint32_t>;
+  [[nodiscard]] std::vector<Mail>::iterator find_mail(std::uint64_t key);
   [[nodiscard]] bool try_consume(int src, std::uint64_t tag);
 
   Job& job_;
@@ -80,7 +83,11 @@ class Task final : public kern::ThreadClient {
   static constexpr std::uint64_t kNoWait = UINT64_MAX;
   std::uint64_t wait_key_ = kNoWait;
 
-  std::unordered_map<std::uint64_t, std::uint32_t> mailbox_;
+  /// Scanned linearly: a task holds few early keys at once (at most 13 in
+  /// the e2e workloads, and under one compared per deposit on average). A
+  /// drained entry is swap-removed, so no message allocates or frees a
+  /// node.
+  std::vector<Mail> mailbox_;
   std::array<sim::Time, kMaxChannels> open_mark_{};
 };
 

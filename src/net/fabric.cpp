@@ -68,13 +68,17 @@ void check_config(const FabricConfig& cfg) {
 }
 }  // namespace
 
-Fabric::Fabric(sim::ShardedEngine& router, FabricConfig cfg, sim::Rng rng,
+Fabric::Fabric(sim::ShardedEngine& sharded, FabricConfig cfg, sim::Rng rng,
                int nodes)
-    : router_(&router), cfg_(cfg), port_seed_base_(rng.next_u64()) {
+    : sharded_(&sharded),
+      cfg_(cfg),
+      port_seed_base_(rng.next_u64()),
+      egress_free_(static_cast<std::size_t>(nodes)),
+      ingress_free_(static_cast<std::size_t>(nodes)) {
   check_config(cfg_);
   PASCHED_EXPECTS(nodes >= 1);
   PASCHED_EXPECTS_MSG(
-      cfg_.link_bandwidth == 0.0 || router.partitions() == 1,
+      cfg_.link_bandwidth == 0.0 || sharded.partitions() == 1,
       "link_bandwidth contention serializes senders cluster-wide and cannot "
       "run partitioned");
   ports_.resize(static_cast<std::size_t>(nodes));
@@ -114,14 +118,15 @@ FabricStats Fabric::stats() const {
 void Fabric::send(kern::NodeId src, kern::NodeId dst, std::size_t bytes,
                   sim::Engine::Callback on_deliver) {
   Port& p = port(src);
+  PASCHED_EXPECTS(dst >= 0 && static_cast<std::size_t>(dst) < ports_.size());
   ++p.stats.messages;
   p.stats.bytes += bytes;
   if (src == dst) ++p.stats.intra_node;
   Duration lat = latency_for(src, dst, bytes);
   if (cfg_.jitter_frac > 0.0) lat = p.rng.jittered(lat, cfg_.jitter_frac);
-  const int src_shard = router_->shard_of_node(src);
-  const int dst_shard = router_->shard_of_node(dst);
-  Time depart = router_->engine_of(src_shard).now();
+  const int src_shard = sharded_->shard_of_node(src);
+  const int dst_shard = sharded_->shard_of_node(dst);
+  Time depart = sharded_->engine_of(src_shard).now();
   if (cfg_.link_bandwidth > 0.0 && src != dst) {
     // Serialize on the sender's egress link, then occupy the receiver's
     // ingress link: a burst of messages into one node queues up.
@@ -129,20 +134,26 @@ void Fabric::send(kern::NodeId src, kern::NodeId dst, std::size_t bytes,
     const Duration xfer = Duration::from_seconds(
         static_cast<double>(std::max<std::size_t>(bytes, 1)) /
         cfg_.link_bandwidth);
-    Time& efree = egress_free_[static_cast<std::uint32_t>(src)];
+    Time& efree = egress_free_[static_cast<std::size_t>(src)];
     depart = std::max(depart, efree);
     efree = depart + xfer;
-    Time& ifree = ingress_free_[static_cast<std::uint32_t>(dst)];
+    Time& ifree = ingress_free_[static_cast<std::size_t>(dst)];
     const Time arrive_start = std::max(depart + lat - xfer, ifree);
     ifree = arrive_start + xfer;
     depart = arrive_start + xfer - lat;  // so deliver_at lands after ingress
   }
   Time deliver_at = depart + lat;
-  const auto it = p.last_delivery.find(static_cast<std::uint32_t>(dst));
-  if (it != p.last_delivery.end() && deliver_at <= it->second)
-    deliver_at = it->second + Duration::ns(1);  // FIFO per pair
-  p.last_delivery[static_cast<std::uint32_t>(dst)] = deliver_at;
-  router_->post(src_shard, dst_shard, deliver_at, std::move(on_deliver));
+  const auto it = std::find_if(
+      p.last_delivery.begin(), p.last_delivery.end(),
+      [dst](const auto& w) { return w.first == dst; });
+  if (it == p.last_delivery.end()) {
+    p.last_delivery.emplace_back(dst, deliver_at);
+  } else {
+    if (deliver_at <= it->second)
+      deliver_at = it->second + Duration::ns(1);  // FIFO per pair
+    it->second = deliver_at;
+  }
+  sharded_->post(src_shard, dst_shard, deliver_at, std::move(on_deliver));
 }
 
 }  // namespace pasched::net

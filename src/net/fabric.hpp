@@ -11,7 +11,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "kern/types.hpp"
@@ -102,10 +102,10 @@ struct FabricStats {
 
 class Fabric {
  public:
-  /// Deliveries cross shards via `router` (one shard for a serial run).
+  /// Deliveries cross shards via `sharded` (one shard for a serial run).
   /// `nodes` presizes the per-source ports so concurrent sends never
   /// reallocate; node ids must lie in [0, nodes).
-  Fabric(sim::ShardedEngine& router, FabricConfig cfg, sim::Rng rng,
+  Fabric(sim::ShardedEngine& sharded, FabricConfig cfg, sim::Rng rng,
          int nodes);
 
   /// Sends `bytes` from src to dst; `on_deliver` runs at the destination's
@@ -128,20 +128,23 @@ class Fabric {
     explicit Port(std::uint64_t seed) : rng(seed) {}
     sim::Rng rng;
     FabricStats stats;
-    // FIFO watermark per destination: last scheduled delivery time.
-    std::unordered_map<std::uint32_t, sim::Time> last_delivery;
+    // FIFO watermark per destination: last scheduled delivery time. A
+    // flat scan, since a source talks to few destinations (at most 36 in
+    // the e2e workloads); a dense per-node row would cost nodes^2 words.
+    std::vector<std::pair<kern::NodeId, sim::Time>> last_delivery;
   };
 
   [[nodiscard]] Port& port(kern::NodeId src);
 
-  sim::ShardedEngine* router_;
+  sim::ShardedEngine* sharded_;
   FabricConfig cfg_;
   std::uint64_t port_seed_base_;
   std::vector<std::unique_ptr<Port>> ports_;
-  // Link-contention state: the time each node's egress/ingress link frees
-  // up. Ingress couples senders cluster-wide — sequential mode only.
-  std::unordered_map<std::uint32_t, sim::Time> egress_free_;
-  std::unordered_map<std::uint32_t, sim::Time> ingress_free_;
+  // Link-contention state, indexed by node: the time each node's
+  // egress/ingress link frees up. Ingress couples senders cluster-wide —
+  // sequential mode only.
+  std::vector<sim::Time> egress_free_;
+  std::vector<sim::Time> ingress_free_;
 };
 
 }  // namespace pasched::net

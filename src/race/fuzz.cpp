@@ -50,12 +50,12 @@ AuditRun run_audited(const core::SimulationConfig& cfg,
       // The regression fault: an event executing on shard 0 reaches
       // straight into the kernel of the first node of block 1 (node 1 on
       // clusters of up to sim::kShardBlocks nodes) instead of posting
-      // through the router. The callout body itself is inert — the
+      // through ShardedEngine::post. The callout body itself is inert — the
       // *registration* is the cross-shard mutation the auditor must flag.
       kern::Kernel& victim =
           sim.cluster().node(sh->shard_map().first_node(1)).kernel();
-      // srclint-ok(PSL401): the planted fault must bypass the router — a
-      // routed post would be legal and the auditor would have nothing to
+      // srclint-ok(PSL401): the planted fault must bypass the post seam — a
+      // posted delivery would be legal and the auditor would have nothing to
       // catch.
       sh->engine_of(0).schedule_at(
           sh->engine_of(0).now() + opt.plant_at, [&victim] {

@@ -27,7 +27,8 @@ struct AuditOptions {
   std::optional<std::uint64_t> window_jitter;
   /// Plants a direct cross-shard write: an event on shard 0 mutates the
   /// kernel of block 1's first node (node 1 on small clusters) without going
-  /// through the router — the CI regression that the auditor must catch.
+  /// through ShardedEngine::post — the CI regression that the auditor must
+  /// catch.
   /// Requires a multi-node cluster.
   bool plant_cross_shard_write = false;
   /// Simulated time of the planted write.

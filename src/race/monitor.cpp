@@ -166,8 +166,8 @@ void Monitor::report(const Violation& v) {
       << " of that domain) — a true cross-shard race";
   d.message = msg.str();
   d.fix_hint =
-      "order the accesses with a router post or move the state to the "
-      "accessing shard";
+      "order the accesses with a sim::ShardedEngine::post or move the "
+      "state to the accessing shard";
   record(std::move(d));
 }
 

@@ -1,5 +1,5 @@
 // The dynamic half of pasched-race: a FastTrack-style vector-clock checker
-// hung on the sharded engine's cross-shard seams (router posts, inbox
+// hung on the sharded engine's cross-shard seams (posts, inbox
 // drains, window begins, barrier plans) plus the ViolationSink that turns
 // ownership breaches from the annotation layer (race/domain.hpp) into
 // PSL2xx diagnostics.

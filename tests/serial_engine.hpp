@@ -10,10 +10,10 @@ namespace pasched::testutil {
 
 struct SerialEngine {
   explicit SerialEngine(int nodes)
-      : router(sim::ShardMap(nodes, 1), sim::Duration::us(1)) {}
+      : sharded(sim::ShardMap(nodes, 1), sim::Duration::us(1)) {}
 
-  sim::ShardedEngine router;
-  sim::Engine& engine = router.engine_of(0);
+  sim::ShardedEngine sharded;
+  sim::Engine& engine = sharded.engine_of(0);
 };
 
 }  // namespace pasched::testutil

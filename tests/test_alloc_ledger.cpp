@@ -6,12 +6,18 @@
 // Counting is process-global while installed, so every test brackets its
 // allocations with reset()/install()/remove() and asserts only on its own
 // named rows (gtest's incidental allocations land in "(unscoped)").
+//
+// The message-path regression at the end runs a small fig5 job under the
+// ledger: the MPI and fabric message path keeps its state in flat arrays,
+// so delivering a message must not allocate.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "alloc/ledger.hpp"
+#include "core/simulation.hpp"
+#include "fig_scenario.hpp"
 #include "util/allocgate.hpp"
 
 using namespace pasched;
@@ -220,3 +226,27 @@ TEST(AllocLedger, ReportRanksSitesByHotTraffic) {
 }
 
 #endif  // PASCHED_VALIDATE_ENABLED
+
+TEST(AllocLedger, MessagePathAllocatesLessThanOncePerTwentyMessages) {
+  if (!alloc::Ledger::available())
+    GTEST_SKIP() << "the allocation hook needs -DPASCHED_VALIDATE=ON";
+  testutil::FigScenario s = testutil::fig_scenario(/*fig5=*/true, 500);
+  core::Simulation sim(s.cfg, s.factory);
+  alloc::Ledger ledger;
+  ledger.reset();
+  ledger.install();
+  const core::SimulationResult r = sim.run();
+  ledger.remove();
+  ASSERT_TRUE(r.completed);
+  const alloc::AllocLedgerReport rep = ledger.report();
+  std::uint64_t dispatch = 0;
+  for (const alloc::SiteAllocRow& row : rep.sites)
+    if (row.name == "Engine.callback") dispatch = row.hot_allocs;
+  const std::uint64_t messages = sim.cluster().fabric().stats().messages;
+  ASSERT_GT(messages, 1000u);
+  // A hash-map mailbox allocates a node per message; growth of the flat
+  // mailboxes, watermarks and span logs is amortized over the whole run.
+  EXPECT_LT(dispatch * 20, messages)
+      << dispatch << " Engine.callback hot allocations for " << messages
+      << " messages\n" << rep.str();
+}

@@ -43,7 +43,7 @@ core::CoschedConfig fast_cosched() {
 TEST(CoSched, FlipsTaskPrioritiesOverTheWindow) {
   SerialEngine serial(1);
   Engine& e = serial.engine;
-  cluster::Cluster cl(serial.router, small_cluster(1));
+  cluster::Cluster cl(serial.sharded, small_cluster(1));
   core::CoschedManager mgr(cl, fast_cosched());
   kern::Kernel& k = cl.node(0).kernel();
   Spinner sp;
@@ -75,7 +75,7 @@ TEST(CoSched, WindowBoundariesAlignAcrossNodesWhenSynced) {
   cfg.node.max_clock_offset = Duration::ms(80);
   SerialEngine serial(cfg.nodes);
   Engine& e = serial.engine;
-  cluster::Cluster cl(serial.router, cfg);
+  cluster::Cluster cl(serial.sharded, cfg);
   core::CoschedConfig cc = fast_cosched();
   cc.sync_clocks = true;
   cc.align_to_period_boundary = true;
@@ -109,7 +109,7 @@ TEST(CoSched, WindowBoundariesAlignAcrossNodesWhenSynced) {
 TEST(CoSched, RegistrationGoesThroughThePipeDelay) {
   SerialEngine serial(1);
   Engine& e = serial.engine;
-  cluster::Cluster cl(serial.router, small_cluster(1));
+  cluster::Cluster cl(serial.sharded, small_cluster(1));
   core::CoschedConfig cc = fast_cosched();
   cc.pipe_delay = Duration::ms(5);
   core::CoschedManager mgr(cl, cc);
@@ -140,7 +140,7 @@ TEST(CoSched, RegistrationGoesThroughThePipeDelay) {
 TEST(CoSched, DetachRestoresNormalPriorityAttachRejoins) {
   SerialEngine serial(1);
   Engine& e = serial.engine;
-  cluster::Cluster cl(serial.router, small_cluster(1));
+  cluster::Cluster cl(serial.sharded, small_cluster(1));
   core::CoschedManager mgr(cl, fast_cosched());
   kern::Kernel& k = cl.node(0).kernel();
   Spinner sp;
@@ -169,7 +169,7 @@ TEST(CoSched, DetachRestoresNormalPriorityAttachRejoins) {
 TEST(CoSched, ShutdownStopsFlipping) {
   SerialEngine serial(1);
   Engine& e = serial.engine;
-  cluster::Cluster cl(serial.router, small_cluster(1));
+  cluster::Cluster cl(serial.sharded, small_cluster(1));
   core::CoschedManager mgr(cl, fast_cosched());
   kern::Kernel& k = cl.node(0).kernel();
   Spinner sp;
@@ -191,7 +191,7 @@ TEST(CoSched, ShutdownStopsFlipping) {
 
 TEST(CoSched, ConfigValidation) {
   SerialEngine serial(1);
-  cluster::Cluster cl(serial.router, small_cluster(1));
+  cluster::Cluster cl(serial.sharded, small_cluster(1));
   core::CoschedConfig bad = fast_cosched();
   bad.duty = 1.5;
   EXPECT_THROW(core::CoScheduler(cl.node(0).kernel(), bad), std::logic_error);
@@ -232,7 +232,7 @@ TEST(CoSched, ExtremeDutyStarvesHeartbeat) {
   cfg.seed = 8;
   SerialEngine serial(cfg.nodes);
   Engine& e = serial.engine;
-  cluster::Cluster cl(serial.router, cfg);
+  cluster::Cluster cl(serial.sharded, cfg);
   core::CoschedConfig cc = core::paper_cosched();
   cc.period = Duration::sec(30);
   cc.duty = 0.999;  // essentially never yields

@@ -70,7 +70,7 @@ TEST(Simulation, RunsToCompletion) {
 
 TEST(Simulation, SerialRunIsTheOneShardExecutor) {
   core::Simulation sim(tiny(false), apps::aggregate_trace(tiny_app()));
-  EXPECT_EQ(sim.cluster().router().partitions(), 1);
+  EXPECT_EQ(sim.cluster().sharded().partitions(), 1);
   EXPECT_EQ(sim.sharded(), nullptr);
   const auto r = sim.run();
   ASSERT_TRUE(r.completed);

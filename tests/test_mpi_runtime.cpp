@@ -4,6 +4,7 @@
 // protocol.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "mpi/job.hpp"
 #include "serial_engine.hpp"
 #include "sim/engine.hpp"
+#include "trace/events.hpp"
 
 using namespace pasched;
 using namespace pasched::sim::literals;
@@ -48,7 +50,7 @@ cluster::ClusterConfig sterile(int nodes) {
 
 struct Rig {
   explicit Rig(int nodes)
-      : serial(nodes), cluster(serial.router, sterile(nodes)) {}
+      : serial(nodes), cluster(serial.sharded, sterile(nodes)) {}
   testutil::SerialEngine serial;
   Engine& engine = serial.engine;
   cluster::Cluster cluster;
@@ -174,7 +176,7 @@ TEST(MpiJob, SpinWaitConsumesCpuBlockingIoDoesNot) {
   cfg.fabric.jitter_frac = 0.0;
   testutil::SerialEngine serial(cfg.nodes);
   Engine& engine = serial.engine;
-  cluster::Cluster cl(serial.router, cfg);
+  cluster::Cluster cl(serial.sharded, cfg);
   auto factory = [](int rank, int) {
     std::vector<mpi::MicroOp> ops;
     if (rank == 0) ops.push_back(mpi::MicroOp::io(1024));
@@ -197,7 +199,7 @@ TEST(MpiJob, DistributedIoFansOutToPeerDaemons) {
   cfg.node.max_clock_offset = Duration::zero();
   testutil::SerialEngine serial(cfg.nodes);
   Engine& engine = serial.engine;
-  cluster::Cluster cl(serial.router, cfg);
+  cluster::Cluster cl(serial.sharded, cfg);
   auto factory = [](int rank, int) {
     std::vector<mpi::MicroOp> ops;
     if (rank == 0) ops.push_back(mpi::MicroOp::io(3 * 1024 * 1024));
@@ -326,6 +328,212 @@ TEST(MpiJob, RecordedRankSpansInSequenceOrder) {
     EXPECT_GT(ch.recorded_begin[i].count(), ch.recorded_begin[i - 1].count());
   }
   EXPECT_EQ(job.channel(0).all_us.count(), 5u);
+}
+
+namespace {
+
+/// The receive-side events (waits and consumes) of `rank`, in order.
+std::vector<trace::Event> recv_events(const trace::EventLog& log, int rank) {
+  std::vector<trace::Event> out;
+  for (const trace::Event& e : log.events())
+    if (e.dst_rank == rank && (e.kind == trace::EventKind::MsgRecvWait ||
+                               e.kind == trace::EventKind::MsgRecv))
+      out.push_back(e);
+  return out;
+}
+
+}  // namespace
+
+TEST(MpiJob, EarlyDuplicatesAreConsumedOnePerReceive) {
+  // Two sends with the same (src, tag) reach rank 1 before it posts a
+  // receive; a third follows 20 ms later. Each receive takes exactly one:
+  // the first two find a message, the third waits for the late one.
+  Rig rig(2);
+  auto factory = [](int rank, int) {
+    std::vector<mpi::MicroOp> ops;
+    if (rank == 0) {
+      ops.push_back(mpi::MicroOp::send(1, 5, 8));
+      ops.push_back(mpi::MicroOp::send(1, 5, 8));
+      ops.push_back(mpi::MicroOp::compute(20_ms));
+      ops.push_back(mpi::MicroOp::send(1, 5, 8));
+    } else {
+      ops.push_back(mpi::MicroOp::compute(5_ms));
+      ops.push_back(mpi::MicroOp::recv(0, 5));
+      ops.push_back(mpi::MicroOp::recv(0, 5));
+      ops.push_back(mpi::MicroOp::mark_begin(0, 0));
+      ops.push_back(mpi::MicroOp::recv(0, 5));
+      ops.push_back(mpi::MicroOp::mark_end(0, 0));
+    }
+    return std::make_unique<FixedOps>(std::move(ops));
+  };
+  mpi::JobConfig jc = job_cfg(2, 1);
+  jc.record_rank = 1;
+  mpi::Job job(rig.cluster, jc, factory);
+  trace::EventLog log;
+  log.enable();
+  job.set_event_log(&log);
+  rig.cluster.start();
+  job.launch();
+  rig.engine.run_until(Time::zero() + 1_s);
+  ASSERT_TRUE(job.complete());
+  const std::vector<trace::Event> ev = recv_events(log, 1);
+  ASSERT_EQ(ev.size(), 4u);
+  EXPECT_EQ(ev[0].kind, trace::EventKind::MsgRecv);
+  EXPECT_EQ(ev[1].kind, trace::EventKind::MsgRecv);
+  EXPECT_EQ(ev[2].kind, trace::EventKind::MsgRecvWait);
+  EXPECT_EQ(ev[3].kind, trace::EventKind::MsgRecv);
+  // The third receive waited from ~5 ms to the late send at ~20 ms.
+  ASSERT_EQ(job.channel(0).recorded_us.size(), 1u);
+  EXPECT_GT(job.channel(0).recorded_us[0], 14'000.0);
+}
+
+TEST(MpiJob, ManyEarlyKeysDrainInReverseAndInSentOrder) {
+  // Rank 1 holds 14 distinct early keys and receives them last-sent first;
+  // then 14 more early keys, received first-sent first, so every consume
+  // swap-removes from the front of the mailbox. A third round of the same
+  // keys, each sent 1 ms apart, must find nothing left over: every one of
+  // those receives waits.
+  constexpr std::uint64_t kKeys = 14;
+  Rig rig(2);
+  auto factory = [](int rank, int) {
+    std::vector<mpi::MicroOp> ops;
+    if (rank == 0) {
+      for (std::uint64_t tag = 0; tag < kKeys; ++tag)
+        ops.push_back(mpi::MicroOp::send(1, tag, 8));
+      ops.push_back(mpi::MicroOp::compute(10_ms));
+      for (std::uint64_t tag = 0; tag < kKeys; ++tag)
+        ops.push_back(mpi::MicroOp::send(1, tag, 8));
+      ops.push_back(mpi::MicroOp::compute(20_ms));
+      for (std::uint64_t tag = 0; tag < kKeys; ++tag) {
+        ops.push_back(mpi::MicroOp::send(1, tag, 8));
+        ops.push_back(mpi::MicroOp::compute(1_ms));
+      }
+    } else {
+      ops.push_back(mpi::MicroOp::compute(5_ms));
+      for (std::uint64_t tag = kKeys; tag-- > 0;)
+        ops.push_back(mpi::MicroOp::recv(0, tag));
+      ops.push_back(mpi::MicroOp::compute(10_ms));
+      for (int round = 0; round < 2; ++round)
+        for (std::uint64_t tag = 0; tag < kKeys; ++tag)
+          ops.push_back(mpi::MicroOp::recv(0, tag));
+    }
+    return std::make_unique<FixedOps>(std::move(ops));
+  };
+  mpi::Job job(rig.cluster, job_cfg(2, 1), factory);
+  trace::EventLog log;
+  log.enable();
+  job.set_event_log(&log);
+  rig.cluster.start();
+  job.launch();
+  rig.engine.run_until(Time::zero() + 1_s);
+  ASSERT_TRUE(job.complete());
+  const std::vector<trace::Event> ev = recv_events(log, 1);
+  ASSERT_EQ(ev.size(), 4 * kKeys);
+  // Rounds one and two: no receive waits, and they take the keys in
+  // opposite orders.
+  for (std::size_t i = 0; i < 2 * kKeys; ++i)
+    EXPECT_EQ(ev[i].kind, trace::EventKind::MsgRecv) << i;
+  for (std::size_t k = 0; k < kKeys; ++k)
+    EXPECT_EQ(ev[k].msg_id, ev[2 * kKeys - 1 - k].msg_id) << k;
+  // Round three: each receive waits for its own message.
+  for (std::size_t i = 2 * kKeys; i < ev.size(); i += 2) {
+    EXPECT_EQ(ev[i].kind, trace::EventKind::MsgRecvWait) << i;
+    EXPECT_EQ(ev[i + 1].kind, trace::EventKind::MsgRecv) << i;
+    EXPECT_EQ(ev[i].msg_id, ev[i + 1].msg_id) << i;
+    EXPECT_EQ(ev[i].msg_id, ev[kKeys + (i - 2 * kKeys) / 2].msg_id) << i;
+  }
+}
+
+TEST(MpiJob, SpanLongerThanTwoToThe32NanosecondsFoldsExactly) {
+  // The span log keeps a span's length in ns above its channel bits; a
+  // 5 s span does not fit 32 bits and must still fold to the exact
+  // (end - begin).to_us().
+  Rig rig(1);
+  auto factory = [](int, int) {
+    std::vector<mpi::MicroOp> ops;
+    ops.push_back(mpi::MicroOp::compute(1_ms));
+    ops.push_back(mpi::MicroOp::mark_begin(5, 0));
+    ops.push_back(mpi::MicroOp::compute(Duration::sec(5)));
+    ops.push_back(mpi::MicroOp::mark_end(5, 0));
+    return std::make_unique<FixedOps>(std::move(ops));
+  };
+  mpi::Job job(rig.cluster, job_cfg(1, 1), factory);
+  rig.cluster.start();
+  job.launch();
+  rig.engine.run_until(Time::zero() + 10_s);
+  ASSERT_TRUE(job.complete());
+  const mpi::ChannelStats& ch = job.channel(5);
+  ASSERT_EQ(ch.recorded_us.size(), 1u);
+  ASSERT_EQ(ch.recorded_begin.size(), 1u);
+  // The span closes with the task's last op, at its finish time.
+  const double expected =
+      (job.task(0).finish_time() - ch.recorded_begin[0]).to_us();
+  EXPECT_GT(expected, static_cast<double>(1ULL << 32) / 1000.0);
+  EXPECT_EQ(ch.recorded_us[0], expected);
+  EXPECT_EQ(ch.all_us.count(), 1u);
+  EXPECT_EQ(ch.all_us.min(), expected);
+  EXPECT_EQ(ch.all_us.max(), expected);
+}
+
+TEST(MpiJob, RecordedBeginsStayAlignedAcrossInterleavedChannels) {
+  // Rank 1 is the recorded rank and interleaves channels 0 and 1, three
+  // times over; rank 0 contributes a channel-0 span of its own. Each
+  // channel's recorded_begin must pair with its own recorded_us.
+  Rig rig(1);
+  auto factory = [](int rank, int) {
+    std::vector<mpi::MicroOp> ops;
+    if (rank == 0) {
+      ops.push_back(mpi::MicroOp::mark_begin(0, 0));
+      ops.push_back(mpi::MicroOp::compute(7_ms));
+      ops.push_back(mpi::MicroOp::mark_end(0, 0));
+      return std::make_unique<FixedOps>(std::move(ops));
+    }
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      ops.push_back(mpi::MicroOp::mark_begin(0, k));
+      ops.push_back(mpi::MicroOp::compute(Duration::ms(
+          static_cast<std::int64_t>(k) + 1)));
+      ops.push_back(mpi::MicroOp::mark_begin(1, k));
+      ops.push_back(mpi::MicroOp::compute(1_ms));
+      ops.push_back(mpi::MicroOp::mark_end(0, k));
+      ops.push_back(mpi::MicroOp::compute(2_ms));
+      ops.push_back(mpi::MicroOp::mark_end(1, k));
+    }
+    return std::make_unique<FixedOps>(std::move(ops));
+  };
+  mpi::JobConfig jc = job_cfg(2, 2);
+  jc.record_rank = 1;
+  mpi::Job job(rig.cluster, jc, factory);
+  rig.cluster.start();
+  job.launch();
+  rig.engine.run_until(Time::zero() + 1_s);
+  ASSERT_TRUE(job.complete());
+  const mpi::ChannelStats& c0 = job.channel(0);
+  const mpi::ChannelStats& c1 = job.channel(1);
+  ASSERT_EQ(c0.recorded_us.size(), 3u);
+  ASSERT_EQ(c0.recorded_begin.size(), 3u);
+  ASSERT_EQ(c1.recorded_us.size(), 3u);
+  ASSERT_EQ(c1.recorded_begin.size(), 3u);
+  EXPECT_EQ(c0.all_us.count(), 4u);  // rank 0's span is not recorded
+  EXPECT_EQ(c1.all_us.count(), 3u);
+  const auto end_of = [](const mpi::ChannelStats& c, std::size_t k) {
+    return c.recorded_begin[k] +
+           Duration::ns(std::llround(c.recorded_us[k] * 1000.0));
+  };
+  for (std::size_t k = 0; k < 3; ++k) {
+    const double ms = static_cast<double>(k) + 1.0;
+    // Channel 1 opens (k + 1) ms into channel 0's span k ...
+    EXPECT_GE((c1.recorded_begin[k] - c0.recorded_begin[k]).to_ms(), ms);
+    EXPECT_LT((c1.recorded_begin[k] - c0.recorded_begin[k]).to_ms(),
+              ms + 0.5);
+    // ... channel 0 closes 1 ms later, inside channel 1's span ...
+    EXPECT_GE(c0.recorded_us[k], (ms + 1.0) * 1000.0);
+    EXPECT_LT(end_of(c0, k), end_of(c1, k));
+    EXPECT_GE(c1.recorded_us[k], 3000.0);
+    // ... and the next channel-0 span opens as channel 1's span k closes.
+    if (k + 1 < 3) {
+      EXPECT_EQ(c0.recorded_begin[k + 1], end_of(c1, k));
+    }
+  }
 }
 
 TEST(MpiJob, SpinBlockReceiverYieldsCpuWhileWaiting) {

@@ -32,7 +32,7 @@ net::FabricConfig no_jitter() {
 TEST(Fabric, InterNodeLatencyModel) {
   SerialEngine serial(kFabricNodes);
   Engine& e = serial.engine;
-  net::Fabric f(serial.router, no_jitter(), sim::Rng(1), kFabricNodes);
+  net::Fabric f(serial.sharded, no_jitter(), sim::Rng(1), kFabricNodes);
   Time delivered{};
   f.send(0, 1, 1000, [&] { delivered = e.now(); });
   e.run();
@@ -45,7 +45,7 @@ TEST(Fabric, InterNodeLatencyModel) {
 TEST(Fabric, IntraNodeIsSharedMemoryLatency) {
   SerialEngine serial(kFabricNodes);
   Engine& e = serial.engine;
-  net::Fabric f(serial.router, no_jitter(), sim::Rng(1), kFabricNodes);
+  net::Fabric f(serial.sharded, no_jitter(), sim::Rng(1), kFabricNodes);
   Time delivered{};
   f.send(3, 3, 0, [&] { delivered = e.now(); });
   e.run();
@@ -56,7 +56,7 @@ TEST(Fabric, IntraNodeIsSharedMemoryLatency) {
 TEST(Fabric, PerPairFifoEvenWithSizeInversion) {
   SerialEngine serial(kFabricNodes);
   Engine& e = serial.engine;
-  net::Fabric f(serial.router, no_jitter(), sim::Rng(1), kFabricNodes);
+  net::Fabric f(serial.sharded, no_jitter(), sim::Rng(1), kFabricNodes);
   std::vector<int> order;
   // Big message first, small second: naive latency would reorder them.
   f.send(0, 1, 1'000'000, [&] { order.push_back(1); });
@@ -67,10 +67,32 @@ TEST(Fabric, PerPairFifoEvenWithSizeInversion) {
   EXPECT_EQ(order[1], 2);
 }
 
+TEST(Fabric, PerPairFifoHoldsAcrossManyDestinations) {
+  // One source talks to 47 destinations, each pair seeing a big message,
+  // then a small one, then a medium one sent in reverse destination order:
+  // every pair's deliveries keep their send order even though the per-
+  // source watermarks are found by scanning.
+  constexpr int kNodes = 48;
+  SerialEngine serial(kNodes);
+  Engine& e = serial.engine;
+  net::Fabric f(serial.sharded, no_jitter(), sim::Rng(1), kNodes);
+  std::vector<std::vector<int>> got(kNodes);
+  for (int d = 1; d < kNodes; ++d)
+    f.send(0, d, 1'000'000, [&got, d] { got[d].push_back(1); });
+  for (int d = 1; d < kNodes; ++d)
+    f.send(0, d, 8, [&got, d] { got[d].push_back(2); });
+  for (int d = kNodes - 1; d >= 1; --d)
+    f.send(0, d, 10'000, [&got, d] { got[d].push_back(3); });
+  e.run();
+  for (int d = 1; d < kNodes; ++d)
+    EXPECT_EQ(got[d], (std::vector<int>{1, 2, 3})) << "destination " << d;
+  EXPECT_EQ(f.stats().messages, 3u * (kNodes - 1));
+}
+
 TEST(Fabric, DistinctPairsDoNotSerialize) {
   SerialEngine serial(kFabricNodes);
   Engine& e = serial.engine;
-  net::Fabric f(serial.router, no_jitter(), sim::Rng(1), kFabricNodes);
+  net::Fabric f(serial.sharded, no_jitter(), sim::Rng(1), kFabricNodes);
   std::vector<int> order;
   f.send(0, 1, 1'000'000, [&] { order.push_back(1); });
   f.send(2, 3, 8, [&] { order.push_back(2); });
@@ -81,9 +103,12 @@ TEST(Fabric, DistinctPairsDoNotSerialize) {
 
 TEST(Fabric, SendFromANodeOutsideThePresizedPortsIsRejected) {
   SerialEngine serial(kFabricNodes);
-  net::Fabric f(serial.router, no_jitter(), sim::Rng(1), kFabricNodes);
+  net::Fabric f(serial.sharded, no_jitter(), sim::Rng(1), kFabricNodes);
   EXPECT_THROW(f.send(kFabricNodes, 0, 8, [] {}), std::logic_error);
   EXPECT_THROW(f.send(-1, 0, 8, [] {}), std::logic_error);
+  // The destination indexes the per-node link state: it is checked too.
+  EXPECT_THROW(f.send(0, kFabricNodes, 8, [] {}), std::logic_error);
+  EXPECT_THROW(f.send(0, -1, 8, [] {}), std::logic_error);
 }
 
 TEST(Fabric, JitterIsBoundedAndDeterministic) {
@@ -92,8 +117,8 @@ TEST(Fabric, JitterIsBoundedAndDeterministic) {
   Engine& e2 = s2.engine;
   net::FabricConfig cfg;
   cfg.jitter_frac = 0.05;
-  net::Fabric f1(s1.router, cfg, sim::Rng(9), kFabricNodes);
-  net::Fabric f2(s2.router, cfg, sim::Rng(9), kFabricNodes);
+  net::Fabric f1(s1.sharded, cfg, sim::Rng(9), kFabricNodes);
+  net::Fabric f2(s2.sharded, cfg, sim::Rng(9), kFabricNodes);
   Time t1{}, t2{};
   f1.send(0, 1, 8, [&] { t1 = e1.now(); });
   f2.send(0, 1, 8, [&] { t2 = e2.now(); });
@@ -110,7 +135,7 @@ TEST(Fabric, LinkContentionSerializesIngressBursts) {
   Engine& e = serial.engine;
   net::FabricConfig cfg = no_jitter();
   cfg.link_bandwidth = 1e6;  // 1 MB/s: 100 KB takes 100 ms on a link
-  net::Fabric f(serial.router, cfg, sim::Rng(1), kFabricNodes);
+  net::Fabric f(serial.sharded, cfg, sim::Rng(1), kFabricNodes);
   std::vector<Time> arrivals(4);
   // Four different senders converge on node 9: ingress must serialize them.
   for (int s = 0; s < 4; ++s) {
@@ -126,7 +151,7 @@ TEST(Fabric, LinkContentionSerializesIngressBursts) {
 TEST(Fabric, LinkContentionOffKeepsLatencyModel) {
   SerialEngine serial(kFabricNodes);
   Engine& e = serial.engine;
-  net::Fabric f(serial.router, no_jitter(), sim::Rng(1), kFabricNodes);  // link_bandwidth = 0
+  net::Fabric f(serial.sharded, no_jitter(), sim::Rng(1), kFabricNodes);  // link_bandwidth = 0
   std::vector<Time> arrivals(4);
   for (int s = 0; s < 4; ++s) {
     f.send(s, 9, 100'000, [&, s] { arrivals[static_cast<std::size_t>(s)] = e.now(); });
@@ -143,7 +168,7 @@ TEST(Fabric, LinkContentionDistinctDestinationsDoNotInterfere) {
   Engine& e = serial.engine;
   net::FabricConfig cfg = no_jitter();
   cfg.link_bandwidth = 1e6;
-  net::Fabric f(serial.router, cfg, sim::Rng(1), kFabricNodes);
+  net::Fabric f(serial.sharded, cfg, sim::Rng(1), kFabricNodes);
   Time a{}, b{};
   f.send(0, 1, 100'000, [&] { a = e.now(); });
   f.send(2, 3, 100'000, [&] { b = e.now(); });
@@ -182,7 +207,7 @@ TEST(Cluster, AssemblesNodesWithDistinctClockOffsets) {
   cluster::ClusterConfig cfg = cluster::presets::frost(4);
   cfg.seed = 3;
   SerialEngine serial(cfg.nodes);
-  cluster::Cluster c(serial.router, cfg);
+  cluster::Cluster c(serial.sharded, cfg);
   ASSERT_EQ(c.size(), 4);
   bool any_nonzero = false;
   for (int i = 0; i < 4; ++i) {
@@ -196,7 +221,7 @@ TEST(Cluster, AssemblesNodesWithDistinctClockOffsets) {
 TEST(Cluster, SynchronizeClocksZeroesOffsets) {
   cluster::ClusterConfig cfg = cluster::presets::frost(6);
   SerialEngine serial(cfg.nodes);
-  cluster::Cluster c(serial.router, cfg);
+  cluster::Cluster c(serial.sharded, cfg);
   const Duration worst = c.synchronize_clocks();
   EXPECT_LE(worst.count(), Duration::us(2).count());
   for (int i = 0; i < c.size(); ++i)
@@ -217,7 +242,7 @@ TEST(Cluster, SterileNodeHasNoDaemons) {
   cfg.node.install_daemons = false;
   SerialEngine serial(cfg.nodes);
   Engine& e = serial.engine;
-  cluster::Cluster c(serial.router, cfg);
+  cluster::Cluster c(serial.sharded, cfg);
   EXPECT_EQ(c.node(0).daemons(), nullptr);
   EXPECT_EQ(c.node(0).io_service(), nullptr);
   c.start();
@@ -233,7 +258,7 @@ TEST(Cluster, DeterministicAcrossRebuilds) {
     cfg.seed = 11;
     SerialEngine serial(cfg.nodes);
     Engine& e = serial.engine;
-    cluster::Cluster c(serial.router, cfg);
+    cluster::Cluster c(serial.sharded, cfg);
     c.start();
     e.run_until(Time::zero() + 5_s);
     return std::pair{e.events_processed(),

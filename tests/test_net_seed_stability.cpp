@@ -42,7 +42,7 @@ std::map<int, std::vector<std::int64_t>> streams(
     std::uint64_t seed, const std::vector<int>& order) {
   testutil::SerialEngine serial(kNodes);
   sim::Engine& engine = serial.engine;
-  net::Fabric fabric(serial.router, net::FabricConfig{}, sim::Rng(seed),
+  net::Fabric fabric(serial.sharded, net::FabricConfig{}, sim::Rng(seed),
                      kNodes);
   std::map<int, std::vector<std::int64_t>> out;
   for (const int src : order) {

@@ -1,7 +1,9 @@
 // InlineCallback: the no-allocation callable used for every event.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "sim/callback.hpp"
@@ -89,4 +91,56 @@ TEST(InlineCallback, CapturesUpToCapacity) {
   };
   cb();
   EXPECT_EQ(sum, 15);
+}
+
+TEST(InlineCallback, SharedPtrCaptureIsDestroyedOnceAcrossThreeMoves) {
+  // Job::submit_io's shape: a countdown shared between callbacks. The
+  // capture owns a reference, so it takes the relocate/destroy path.
+  int deleted = 0;
+  int ran = 0;
+  std::weak_ptr<int> probe;
+  {
+    std::shared_ptr<int> wait(new int(1), [&deleted](int* p) {
+      ++deleted;
+      delete p;
+    });
+    probe = wait;
+    int* runs = &ran;
+    auto fn = [wait, runs] { *runs += *wait; };
+    static_assert(!std::is_trivially_copyable_v<decltype(fn)>);
+    InlineCallback<48> a = std::move(fn);
+    EXPECT_EQ(probe.use_count(), 2);  // `wait` and the wrapper
+    wait.reset();
+    InlineCallback<48> b = std::move(a);
+    InlineCallback<48> c = std::move(b);
+    InlineCallback<48> d;
+    d = std::move(c);
+    EXPECT_EQ(probe.use_count(), 1) << "only the live wrapper holds it";
+    d();
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(deleted, 0);
+  }
+  EXPECT_EQ(deleted, 1) << "the capture is destroyed exactly once";
+  EXPECT_TRUE(probe.expired());
+}
+
+TEST(InlineCallback, TrivialCaptureRunsAfterThreeMoves) {
+  // Job::inject's shape: a pointer and two integers, moved bytewise.
+  std::uint64_t seen = 0;
+  std::uint64_t* sink = &seen;
+  const int src = 7;
+  const std::uint64_t tag = 1'000'000'007;
+  auto fn = [sink, src, tag] { *sink = tag + static_cast<std::uint64_t>(src); };
+  static_assert(std::is_trivially_copyable_v<decltype(fn)>);
+  InlineCallback<48> a = fn;
+  InlineCallback<48> b = std::move(a);
+  InlineCallback<48> c = std::move(b);
+  InlineCallback<48> d;
+  d = std::move(c);
+  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(static_cast<bool>(b));  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(static_cast<bool>(c));  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(static_cast<bool>(d));
+  d();
+  EXPECT_EQ(seen, 1'000'000'014u);
 }

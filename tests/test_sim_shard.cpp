@@ -192,15 +192,15 @@ TEST(Sharded, PostAtExactWindowEdgeLandsInTheNextWindow) {
                               [&order] { order.push_back(1); });
   se.engine_of(1).schedule_at(Time::from_ns(10000),
                               [&order] { order.push_back(2); });
-  ShardedEngine* router = &se;
+  ShardedEngine* sharded = &se;
   auto* ord = &order;
   auto* cross = &cross_fired_at;
-  se.engine_of(0).schedule_at(Time::zero(), [router, ord, cross] {
+  se.engine_of(0).schedule_at(Time::zero(), [sharded, ord, cross] {
     // t == src.now() + lookahead: legal (>=) but right on the edge.
-    router->post(0, 1, router->engine_of(0).now() + Duration::us(10),
-                 [router, ord, cross] {
+    sharded->post(0, 1, sharded->engine_of(0).now() + Duration::us(10),
+                 [sharded, ord, cross] {
                    ord->push_back(3);
-                   cross->push_back(router->engine_of(1).now().count());
+                   cross->push_back(sharded->engine_of(1).now().count());
                  });
     ord->push_back(0);
   });
@@ -260,9 +260,9 @@ TEST(Sharded, WorkerCountDoesNotChangeTheSchedule) {
 
 TEST(Sharded, StopAllEndsTheRunEarly) {
   ShardedEngine se(ShardMap::identity(2), Duration::us(10));
-  ShardedEngine* router = &se;
+  ShardedEngine* sharded = &se;
   se.engine_of(0).schedule_at(Time::from_ns(100),
-                              [router] { router->stop_all(); });
+                              [sharded] { sharded->stop_all(); });
   se.engine_of(1).schedule_at(Time::from_ns(50'000'000), [] {
     FAIL() << "event past the stop point must not fire";
   });
@@ -272,11 +272,11 @@ TEST(Sharded, StopAllEndsTheRunEarly) {
 
 TEST(Sharded, WrapupRunsAtABarrierNotMidWindow) {
   ShardedEngine se(ShardMap::identity(2), Duration::us(10));
-  ShardedEngine* router = &se;
+  ShardedEngine* sharded = &se;
   bool ran = false;
   bool* ranp = &ran;
-  se.engine_of(0).schedule_at(Time::from_ns(100), [router, ranp] {
-    router->request_wrapup([ranp] { *ranp = true; });
+  se.engine_of(0).schedule_at(Time::from_ns(100), [sharded, ranp] {
+    sharded->request_wrapup([ranp] { *ranp = true; });
   });
   EXPECT_TRUE(se.run_until(Time::from_ns(1'000'000), 2));
   EXPECT_TRUE(ran);
@@ -345,9 +345,9 @@ TEST(Sharded, PostBeforeTheClaimedOutputTimeIsCaught) {
   se.set_output_bound([](int /*shard*/, Time /*floor*/) {
     return Time::from_ns(1'000'000'000);
   });
-  ShardedEngine* router = &se;
-  se.engine_of(0).schedule_at(Time::from_ns(100'000), [router] {
-    router->post(0, 1, router->engine_of(0).now() + Duration::us(10), [] {});
+  ShardedEngine* sharded = &se;
+  se.engine_of(0).schedule_at(Time::from_ns(100'000), [sharded] {
+    sharded->post(0, 1, sharded->engine_of(0).now() + Duration::us(10), [] {});
   });
   try {
     se.run_until(Time::from_ns(10'000'000), 2);
@@ -404,10 +404,10 @@ TEST(Sharded, OneShardStopsAtTheEventThatCallsStopAll) {
   // The serial executor: no windows, so the run ends at the stopping event
   // itself and the before-now count is exactly "events before the stop".
   ShardedEngine se(ShardMap(4, 1), Duration::us(10));
-  ShardedEngine* router = &se;
+  ShardedEngine* sharded = &se;
   Engine& e = se.engine_of(0);
   e.schedule_at(Time::from_ns(50), [] {});
-  e.schedule_at(Time::from_ns(100), [router] { router->stop_all(); });
+  e.schedule_at(Time::from_ns(100), [sharded] { sharded->stop_all(); });
   e.schedule_at(Time::from_ns(100), [] {
     FAIL() << "an event tied with the stop but queued after it must not fire";
   });
@@ -427,11 +427,11 @@ TEST(Sharded, OneShardStopsAtTheEventThatCallsStopAll) {
 
 TEST(Sharded, OneShardRunsWrapupsAndThePrologueInline) {
   ShardedEngine se(ShardMap(4, 1), Duration::us(10));
-  ShardedEngine* router = &se;
+  ShardedEngine* sharded = &se;
   std::vector<int> order;
   std::vector<int>* orderp = &order;
-  se.engine_of(0).schedule_at(Time::from_ns(100), [router, orderp] {
-    router->request_wrapup([orderp] { orderp->push_back(1); });
+  se.engine_of(0).schedule_at(Time::from_ns(100), [sharded, orderp] {
+    sharded->request_wrapup([orderp] { orderp->push_back(1); });
     orderp->push_back(2);
   });
   const std::thread::id caller = std::this_thread::get_id();
@@ -495,11 +495,11 @@ TEST(Sharded, FullRingBackpressureSpillsToOverflowWithoutLoss) {
   se.set_ring_capacity(8);
   std::vector<int> delivered;  // single worker: no concurrent access
   auto* dp = &delivered;
-  ShardedEngine* router = &se;
-  se.engine_of(0).schedule_at(Time::from_ns(100), [router, dp] {
-    const Time t = router->engine_of(0).now() + Duration::us(10);
+  ShardedEngine* sharded = &se;
+  se.engine_of(0).schedule_at(Time::from_ns(100), [sharded, dp] {
+    const Time t = sharded->engine_of(0).now() + Duration::us(10);
     for (int i = 0; i < 40; ++i)
-      router->post(0, 1, t + Duration::ns(i), [dp, i] { dp->push_back(i); });
+      sharded->post(0, 1, t + Duration::ns(i), [dp, i] { dp->push_back(i); });
   });
   EXPECT_TRUE(se.run_until(Time::from_ns(1'000'000), 1));
   ASSERT_EQ(delivered.size(), 40U);
@@ -517,11 +517,11 @@ TEST(Sharded, RingCapacityOneStillDeliversEverythingThroughOverflow) {
   se.set_ring_capacity(1);
   int delivered = 0;
   int* dp = &delivered;
-  ShardedEngine* router = &se;
-  se.engine_of(0).schedule_at(Time::from_ns(100), [router, dp] {
-    const Time t = router->engine_of(0).now() + Duration::us(10);
+  ShardedEngine* sharded = &se;
+  se.engine_of(0).schedule_at(Time::from_ns(100), [sharded, dp] {
+    const Time t = sharded->engine_of(0).now() + Duration::us(10);
     for (int i = 0; i < 10; ++i)
-      router->post(0, 1, t + Duration::ns(i), [dp] { ++*dp; });
+      sharded->post(0, 1, t + Duration::ns(i), [dp] { ++*dp; });
   });
   EXPECT_TRUE(se.run_until(Time::from_ns(1'000'000), 1));
   EXPECT_EQ(delivered, 10);
@@ -554,17 +554,17 @@ TEST(Sharded, RingFirstPostedMidChainIsDrainedByTheNextWindow) {
     std::int64_t cross_now = -1;
     auto* log = &shard1;
     auto* cross = &cross_now;
-    ShardedEngine* router = &se;
+    ShardedEngine* sharded = &se;
     for (int s = 0; s < 3; ++s)
       se.engine_of(s).schedule_at(Time::from_ns(1000), [] {});
     se.engine_of(1).schedule_at(Time::from_ns(25'500),
                                 [log] { log->push_back(25'500); });
     se.engine_of(1).schedule_at(Time::from_ns(26'500),
                                 [log] { log->push_back(26'500); });
-    se.engine_of(0).schedule_at(Time::from_ns(16'000), [router, log, cross] {
-      router->post(0, 1, Time::from_ns(26'000), [router, log, cross] {
+    se.engine_of(0).schedule_at(Time::from_ns(16'000), [sharded, log, cross] {
+      sharded->post(0, 1, Time::from_ns(26'000), [sharded, log, cross] {
         log->push_back(26'000);
-        *cross = router->engine_of(1).now().count();
+        *cross = sharded->engine_of(1).now().count();
       });
     });
     EXPECT_TRUE(se.run_until(Time::from_ns(1'000'000), workers));

@@ -23,7 +23,7 @@
 //
 // --plant-cross-shard-write injects the CI regression fault: an event on
 // shard 0 mutates the kernel of block 1's first node (node 1 at the default
-// sizes) without going through the router; the auditor must flag it
+// sizes) without going through ShardedEngine::post; the auditor must flag it
 // (exit 1). Planted runs force --workers=1 so the *logical* violation is
 // caught without a physical data race.
 //
