@@ -11,7 +11,7 @@
 //               machinery, so this row prices the ShardedEngine wrapper
 //   parallel2/4/8  the chains hop shard-to-shard through post() on an
 //               N-node ShardedEngine with N workers — every event crosses
-//               a pair ring and rides the per-pair horizon chain, so these
+//               a pair ring and rides the horizon chain, so these
 //               rows price the cross-shard path under real thread
 //               parallelism (events/sec-per-core is the honest column on
 //               an oversubscribed box)
@@ -150,7 +150,7 @@ double run_legacy_once(const Config& cfg) {
 }
 
 double run_parallel1_once(const Config& cfg) {
-  // One node => one shard, no hub: the same event stream on the serial
+  // One node => one shard: the same event stream on the serial
   // executor, which runs the engine straight to each deadline.
   sim::ShardedEngine sh(sim::ShardMap(1), sim::Duration::us(10));
   sim::Engine& e = sh.engine_of(0);
@@ -225,10 +225,10 @@ double run_hold_once(const Config& cfg, std::size_t pending) {
 
 /// Cross-shard mode: the chains hop shard s -> s+1 (mod nodes) through
 /// post(), one hop per spacing, run by `nodes` workers. Every event
-/// crosses a pair ring and is gated by the per-pair horizon chain — the
+/// crosses a pair ring and is gated by the horizon chain — the
 /// partitioned core's cross-shard path under real thread parallelism. The
-/// pair lookahead equals the hop spacing, so each chained window carries
-/// one hop per chain.
+/// lookahead equals the hop spacing, so each chained window carries one
+/// hop per chain.
 double run_parallelN_once(const Config& cfg, int nodes) {
   const sim::Duration spacing = sim::Duration::ns(cfg.spacing_ns);
   sim::ShardedEngine sh(sim::ShardMap::identity(nodes), spacing);

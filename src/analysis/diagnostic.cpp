@@ -72,11 +72,6 @@ const std::vector<RuleInfo>& all_rules() {
        "co-scheduler priorities must lie in [0,127] with favored "
        "numerically below unfavored, duty in (0,1], period positive",
        "§4 (the external co-scheduler's parameter contract)"},
-      {"PSL014", Severity::Warning,
-       "no single low-latency link should collapse the global fabric "
-       "lookahead far below the pairwise median — conservative windows are "
-       "sized by the fastest link, so one fast pair serializes every shard",
-       "§3.2.1 (windows rest on the minimum fabric latency)"},
       // Trace rules (PSL1xx): checked by the happens-before trace analyzer
       // over an event slice, not by the static config linter.
       {"PSL101", Severity::Warning,

@@ -1,6 +1,6 @@
 #include "analysis/lint.hpp"
 
-#include <algorithm>
+#include <utility>
 #include <sstream>
 #include <stdexcept>
 
@@ -257,32 +257,6 @@ std::vector<Diagnostic> lint(const LintConfig& cfg,
            "buys nothing",
            "enable synchronized_ticks together with cluster alignment "
            "(§3.2.1)");
-  }
-
-  // PSL014 — lookahead collapse by a single fast link: the conservative
-  // executor sizes *every* window by the global minimum pairwise latency,
-  // so one low-latency pair (an intra-frame link in a mostly inter-frame
-  // cluster) serializes all shards.
-  if (cfg.fabric && cfg.nodes >= 2) {
-    const Duration global = net::guaranteed_lookahead(*cfg.fabric);
-    std::vector<std::int64_t> pairs;
-    for (int a = 0; a < cfg.nodes; ++a)
-      for (int b = a + 1; b < cfg.nodes; ++b)
-        pairs.push_back(
-            net::guaranteed_lookahead_between(*cfg.fabric, a, b).count());
-    std::sort(pairs.begin(), pairs.end());
-    const Duration median = Duration::ns(pairs[pairs.size() / 2]);
-    if (global.count() * 2 <= median.count()) {
-      e.emit("PSL014", "fabric",
-             "global guaranteed lookahead " + global.str() +
-                 " is collapsed to half (or less) of the pairwise median " +
-                 median.str() +
-                 "; every conservative window is sized by the one fastest "
-                 "link while most pairs could run " +
-                 std::to_string(median / global) + "x wider windows",
-             "plan windows per shard pair (net::pair_lookahead builds the "
-             "matrix) or widen the fast link's latency floor");
-    }
   }
 
   // PSL012 — IPIs slower than the tick.

@@ -15,7 +15,6 @@
 #include "daemons/registry.hpp"
 #include "kern/tunables.hpp"
 #include "mpi/config.hpp"
-#include "net/fabric.hpp"
 
 namespace pasched::analysis {
 
@@ -34,11 +33,6 @@ struct LintConfig {
   /// pure-collective benchmarks, favoring tasks over mmfsd is the paper's
   /// own setting.
   bool workload_uses_io = false;
-  /// Fabric topology + node count for the partitioned-execution rules
-  /// (PSL014): checked only when both are present and nodes >= 2, since the
-  /// lookahead-collapse question needs actual cross-node pairs.
-  std::optional<net::FabricConfig> fabric;
-  int nodes = 0;
 };
 
 /// Which rules to run. Empty `ids` = all rules.

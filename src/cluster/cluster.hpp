@@ -59,9 +59,8 @@ class Cluster {
   [[nodiscard]] bool any_node_evicted() const;
 
   /// K_s for the partitioned engine's earliest-output time: the minimum of
-  /// kern::Kernel::earliest_post over the nodes `shard` owns, Time::max()
-  /// for a shard without nodes (the hub). Stops at `floor` like the kernel
-  /// bound (sim::ShardedEngine::OutputBound).
+  /// kern::Kernel::earliest_post over the nodes `shard` owns. Stops at
+  /// `floor` like the kernel bound (sim::ShardedEngine::OutputBound).
   [[nodiscard]] sim::Time earliest_post(int shard, sim::Time floor);
 
  private:

@@ -13,10 +13,10 @@ namespace pasched::core {
 namespace {
 
 // A hardware collective's broadcast deposits one event per task into each
-// block's inbound hub ring within one window, and the block's tasks send
-// their contributions the same way: size every ring for the largest block's
-// task count (and never below the default 256), so the fan-out does not
-// spill into the mutex-guarded overflow lane.
+// block's ring from shard 0 within one window, and the block's tasks send
+// their contributions to shard 0 the same way: size every ring for the
+// largest block's task count (and never below the default 256), so the
+// fan-out does not spill into the mutex-guarded overflow lane.
 std::size_t ring_capacity(sim::ShardedEngine& sharded, mpi::Job& job) {
   std::vector<std::size_t> tasks(
       static_cast<std::size_t>(sharded.partitions()), 0);
@@ -39,11 +39,10 @@ Simulation::Simulation(SimulationConfig cfg, const mpi::WorkloadFactory& factory
   const sim::ShardMap map = cfg_.parallel > 0
                                 ? sim::ShardMap(cfg_.cluster.nodes)
                                 : sim::ShardMap(cfg_.cluster.nodes, 1);
+  // Validated builds check every cross-shard post against the lookahead
+  // (ShardedEngine::post).
   sharded_ = std::make_unique<sim::ShardedEngine>(
       map, net::guaranteed_lookahead(cfg_.cluster.fabric));
-  // Per-pair lookahead matrix; validated builds check every cross-shard
-  // post against it (ShardedEngine::post).
-  sharded_->set_pair_lookahead(net::pair_lookahead(cfg_.cluster.fabric, map));
   cluster_ = std::make_unique<cluster::Cluster>(*sharded_, cfg_.cluster);
   // Windows are planned on when each shard can next post, which only the
   // kernels know (ignored by a one-shard run).

@@ -39,13 +39,13 @@ struct SimulationConfig {
   /// Execution mode. 0 = serial: one sim::ShardedEngine shard holds every
   /// node and runs on the calling thread with no windows. N >= 1 = one
   /// event shard per block of nodes (sim::ShardMap, at most
-  /// sim::kShardBlocks blocks, plus the switch hub) driven by N worker
-  /// threads under conservative lookahead windows. `--parallel=1` exercises
-  /// the partitioned machinery on one thread and must match `--parallel=N`
-  /// and the serial run bit for bit. Windows are planned per shard pair
-  /// from the fabric's guaranteed-lookahead matrix (net::pair_lookahead),
-  /// sim::kWindowBatch chained windows per global synchronization. N >= 1
-  /// is incompatible with fabric link_bandwidth contention.
+  /// sim::kShardBlocks blocks) driven by N worker threads under
+  /// conservative lookahead windows. `--parallel=1` exercises the
+  /// partitioned machinery on one thread and must match `--parallel=N` and
+  /// the serial run bit for bit. Windows are planned from the fabric's
+  /// guaranteed lookahead (net::guaranteed_lookahead), sim::kWindowBatch
+  /// chained windows per global synchronization. N >= 1 is incompatible
+  /// with fabric link_bandwidth contention.
   int parallel = 0;
 };
 

@@ -24,7 +24,7 @@ Job::Job(cluster::Cluster& cluster, JobConfig cfg,
       cfg_.tasks_per_node <=
           cluster_.node(cfg_.first_node).kernel().ncpus(),
       "tasks_per_node exceeds CPUs per node");
-  hub_owned_.bind(cluster_.sharded().hub_shard(), "mpi.Job.hw", 0);
+  combine_owned_.bind(kCombineShard, "mpi.Job.hw", 0);
   sim::Rng job_rng(cfg_.seed);
   spans_.resize(static_cast<std::size_t>(cfg_.ntasks));
   for (int rank = 0; rank < cfg_.ntasks; ++rank) {
@@ -153,21 +153,21 @@ void Job::submit_io(Task& t, std::size_t bytes) {
 
 void Job::hw_contribute(Task& t, std::uint64_t seq, std::size_t bytes) {
   // Contribution travels to the switch's combine unit (one wire hop). The
-  // combine unit lives on the sharded engine's hub shard, so the count is
-  // only ever mutated there; the wire hop is at least the fabric's guaranteed
-  // lookahead, which makes this a legal cross-shard edge.
+  // combine unit lives on shard 0, so the count is only ever mutated there;
+  // the wire hop is at least the fabric's guaranteed lookahead, which makes
+  // this a legal cross-shard edge from every other shard.
   sim::ShardedEngine& r = cluster_.sharded();
   const sim::Duration wire =
       cluster_.fabric().latency_for(0, cluster_.size() > 1 ? 1 : 0, bytes);
   const int src = r.shard_of_node(t.node().id());
   Job* self = this;
-  r.post(src, r.hub_shard(), r.engine_of(src).now() + wire,
+  r.post(src, kCombineShard, r.engine_of(src).now() + wire,
          [self, seq, bytes] { self->hw_arrive(seq, bytes); });
 }
 
 void Job::hw_arrive(std::uint64_t seq, std::size_t bytes) {
-  PASCHED_ASSERT_OWNED(hub_owned_, "hw_arrive");
-  // Hub shard: the unit fires when the last task's contribution arrives and
+  PASCHED_ASSERT_OWNED(combine_owned_, "hw_arrive");
+  // Shard 0: the unit fires when the last task's contribution arrives and
   // broadcasts the result to every task via its adapter (one more wire hop
   // plus the combine latency) — the same end-to-end time as the classic
   // single-queue model: t_last + 2 * wire + hw_collective_latency.
@@ -177,12 +177,11 @@ void Job::hw_arrive(std::uint64_t seq, std::size_t bytes) {
   sim::ShardedEngine& r = cluster_.sharded();
   const sim::Duration wire =
       cluster_.fabric().latency_for(0, cluster_.size() > 1 ? 1 : 0, bytes);
-  const int hub = r.hub_shard();
-  const sim::Time at =
-      r.engine_of(hub).now() + wire + cfg_.mpi.hw_collective_latency;
+  const sim::Time at = r.engine_of(kCombineShard).now() + wire +
+                       cfg_.mpi.hw_collective_latency;
   for (auto& task : tasks_) {
     Task* tp = task.get();
-    r.post(hub, r.shard_of_node(tp->node().id()), at,
+    r.post(kCombineShard, r.shard_of_node(tp->node().id()), at,
            [tp, seq] { tp->deposit(kHwSwitchRank, seq); });
   }
 }

@@ -117,7 +117,7 @@ class Job {
   void inject(Task& from, int dst_rank, std::uint64_t tag, std::size_t bytes);
   void submit_io(Task& t, std::size_t bytes);
   void hw_contribute(Task& t, std::uint64_t seq, std::size_t bytes);
-  /// Runs on the switch's hub shard: counts contributions and broadcasts.
+  /// Runs on kCombineShard: counts contributions and broadcasts.
   void hw_arrive(std::uint64_t seq, std::size_t bytes);
   void on_span(Task& t, std::uint32_t channel, std::uint64_t seq,
                sim::Time begin, sim::Time end);
@@ -136,6 +136,10 @@ class Job {
   static constexpr int kChannelBits = 3;
   static constexpr std::uint64_t kChannelMask = (1U << kChannelBits) - 1;
   static_assert(kMaxChannels <= kChannelMask + 1);
+  /// The shard that hosts the switch's hardware-collective combine unit.
+  /// Every shard's posts to it pay a full inter-node wire hop, at least the
+  /// fabric's guaranteed lookahead, so any shard can host it.
+  static constexpr int kCombineShard = 0;
 
   cluster::Cluster& cluster_;
   JobConfig cfg_;
@@ -151,8 +155,8 @@ class Job {
   // channels_dirty_ flag; rebuilt only after the shard workers have joined.
   mutable std::array<ChannelStats, kMaxChannels> channels_;
   mutable std::atomic<bool> channels_dirty_{false};
-  std::unordered_map<std::uint64_t, int> hw_pending_;  // hub shard only
-  race::Owned hub_owned_;  // guards hw_pending_ (the combine-unit state)
+  std::unordered_map<std::uint64_t, int> hw_pending_;  // kCombineShard only
+  race::Owned combine_owned_;  // guards hw_pending_ (the combine-unit state)
   std::atomic<int> finished_{0};
   sim::Time launch_time_{};
   sim::Time completion_time_{};

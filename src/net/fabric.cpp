@@ -10,50 +10,14 @@ namespace pasched::net {
 using sim::Duration;
 using sim::Time;
 
-namespace {
-// Shrinks a pre-jitter latency floor by the worst-case jitter draw. One
-// nanosecond of slack absorbs the double->int truncation in Rng::jittered;
-// clamp to at least 1 ns so windows always advance.
-Duration jitter_floor(Duration latency, double jitter_frac) {
-  const double floor_ns =
-      static_cast<double>(latency.count()) * (1.0 - jitter_frac);
+Duration guaranteed_lookahead(const FabricConfig& cfg) {
+  // Shrink the wire latency by the worst-case jitter draw. One nanosecond
+  // of slack absorbs the double->int truncation in Rng::jittered; clamp to
+  // at least 1 ns so windows always advance.
+  const double floor_ns = static_cast<double>(cfg.inter_node_latency.count()) *
+                          (1.0 - cfg.jitter_frac);
   const std::int64_t ns = static_cast<std::int64_t>(floor_ns) - 1;
   return Duration::ns(std::max<std::int64_t>(ns, 1));
-}
-}  // namespace
-
-Duration guaranteed_lookahead(const FabricConfig& cfg) {
-  return jitter_floor(cfg.inter_node_latency, cfg.jitter_frac);
-}
-
-Duration min_latency_between(const FabricConfig& cfg, int a, int b) {
-  Duration base = cfg.inter_node_latency;
-  if (a != b && cfg.frame_size > 0 && cfg.frame_of(a) != cfg.frame_of(b))
-    base += cfg.inter_frame_extra;
-  return base;
-}
-
-Duration guaranteed_lookahead_between(const FabricConfig& cfg, int a, int b) {
-  return jitter_floor(min_latency_between(cfg, a, b), cfg.jitter_frac);
-}
-
-sim::PairLookahead pair_lookahead(const FabricConfig& cfg,
-                                  const sim::ShardMap& map) {
-  sim::PairLookahead la =
-      sim::PairLookahead::uniform(map.shards(), guaranteed_lookahead(cfg));
-  // Block pairs get the topology-aware bound of their closest member nodes;
-  // hub pairs keep the uniform global floor.
-  for (int a = 0; a < map.blocks(); ++a) {
-    for (int b = 0; b < map.blocks(); ++b) {
-      if (a == b) continue;
-      Duration bound = Duration::max();
-      for (int na = map.first_node(a); na < map.first_node(a + 1); ++na)
-        for (int nb = map.first_node(b); nb < map.first_node(b + 1); ++nb)
-          bound = std::min(bound, guaranteed_lookahead_between(cfg, na, nb));
-      la.set(a, b, bound);
-    }
-  }
-  return la;
 }
 
 namespace {
@@ -61,10 +25,6 @@ void check_config(const FabricConfig& cfg) {
   PASCHED_EXPECTS(cfg.inter_node_latency > Duration::zero());
   PASCHED_EXPECTS(cfg.intra_node_latency > Duration::zero());
   PASCHED_EXPECTS(cfg.jitter_frac >= 0.0 && cfg.jitter_frac < 1.0);
-  PASCHED_EXPECTS(cfg.frame_size >= 0);
-  PASCHED_EXPECTS_MSG(cfg.inter_frame_extra >= Duration::zero(),
-                      "a negative inter-frame hop would put cross-frame "
-                      "latency below the global lookahead floor");
 }
 }  // namespace
 
@@ -99,8 +59,8 @@ Fabric::Port& Fabric::port(kern::NodeId src) {
 
 Duration Fabric::latency_for(kern::NodeId src, kern::NodeId dst,
                              std::size_t bytes) const {
-  const Duration base = src == dst ? cfg_.intra_node_latency
-                                   : min_latency_between(cfg_, src, dst);
+  const Duration base =
+      src == dst ? cfg_.intra_node_latency : cfg_.inter_node_latency;
   return base + cfg_.per_byte * static_cast<std::int64_t>(bytes);
 }
 

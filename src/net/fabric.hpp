@@ -3,8 +3,9 @@
 // order per (src, dst) pair, like the real adapter microcode.
 //
 // The fabric is one of only two cross-shard edges in partitioned execution
-// (the other is the switch's hardware-collective hub): deliveries go through
-// sim::ShardedEngine::post(), and every per-message mutable state — jitter
+// (the other is the switch's hardware-collective combine unit): deliveries
+// go through sim::ShardedEngine::post(), and every per-message mutable
+// state — jitter
 // stream, FIFO watermarks, statistics — lives in a per-source-node Port so
 // sends from different shards never share state.
 #pragma once
@@ -16,9 +17,7 @@
 
 #include "kern/types.hpp"
 #include "sim/engine.hpp"
-#include "sim/planner.hpp"
 #include "sim/random.hpp"
-#include "sim/shard_map.hpp"
 #include "sim/time.hpp"
 
 namespace pasched::sim {
@@ -43,22 +42,6 @@ struct FabricConfig {
   /// Sequential-only: ingress serialization couples all senders to one
   /// node, which has no lookahead, so --parallel rejects it.
   double link_bandwidth = 0.0;
-  /// Optional SP frame topology: when > 0, nodes are grouped into frames of
-  /// this many nodes, and a delivery whose endpoints sit in different
-  /// frames pays `inter_frame_extra` on top of inter_node_latency (the
-  /// intermediate-switch-board hop of a multi-frame SP system). 0 keeps the
-  /// flat single-switch fabric — the default, and what every shipped preset
-  /// uses. The per-shard-pair lookahead matrix (pair_lookahead) turns this
-  /// structure into pairwise bounds; the single global guaranteed_lookahead
-  /// stays pinned to the intra-frame minimum.
-  int frame_size = 0;
-  sim::Duration inter_frame_extra = sim::Duration::zero();
-
-  /// The frame a node belongs to (node order is frame-major); nodes share a
-  /// frame exactly when frame_of is equal. Flat fabric = one frame.
-  [[nodiscard]] int frame_of(int node) const noexcept {
-    return frame_size > 0 ? node / frame_size : 0;
-  }
 };
 
 /// Minimum latency any cross-node delivery can experience under `cfg` —
@@ -67,32 +50,6 @@ struct FabricConfig {
 /// the conservative parallel executor synchronizes on: a message sent at t
 /// arrives no earlier than t + guaranteed_lookahead(cfg).
 [[nodiscard]] sim::Duration guaranteed_lookahead(const FabricConfig& cfg);
-
-/// Minimum pre-jitter wire latency of a delivery between two *distinct*
-/// nodes under `cfg` (per-byte serialization excluded — a zero-byte message
-/// is the worst case). With a frame topology this is inter_node_latency
-/// plus the inter-frame hop when the nodes' frames differ.
-[[nodiscard]] sim::Duration min_latency_between(const FabricConfig& cfg,
-                                                int a, int b);
-
-/// Per-pair guaranteed lookahead: min_latency_between shrunk by the same
-/// worst-case jitter draw (and truncation slack) as guaranteed_lookahead.
-/// Always >= guaranteed_lookahead(cfg) — the global bound is the matrix
-/// minimum, and the gap is the headroom the per-pair window planner
-/// reclaims.
-[[nodiscard]] sim::Duration guaranteed_lookahead_between(
-    const FabricConfig& cfg, int a, int b);
-
-/// The per-shard-pair guaranteed-lookahead matrix of the shards of `map`
-/// under `cfg`, in sim::ShardedEngine's shard numbering (blocks, then the
-/// hub; a single block is one shard with no pairs). The bound between two
-/// blocks is the minimum guaranteed_lookahead_between over their member
-/// node pairs, which is sound on any fabric; pairs involving the hub get the
-/// global floor, since hub traffic (hardware-collective contributions and
-/// broadcasts) always pays at least one un-jittered inter-node wire.
-/// core::Simulation installs this matrix in the executor.
-[[nodiscard]] sim::PairLookahead pair_lookahead(const FabricConfig& cfg,
-                                                const sim::ShardMap& map);
 
 struct FabricStats {
   std::uint64_t messages = 0;

@@ -32,8 +32,8 @@
 
 namespace pasched::race {
 
-/// A shard domain: the shard id of the owning event shard (node blocks are
-/// 0..blocks-1, the hub shard is `blocks`; a one-block map's shard is 0).
+/// A shard domain: the shard id of the owning event shard, which is the
+/// node block's index (0..blocks-1; a one-block map's shard is 0).
 using Domain = int;
 
 /// No worker scope is active on this thread: setup, teardown, the barrier

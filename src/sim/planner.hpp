@@ -1,38 +1,37 @@
-// Per-pair conservative window planner for the partitioned core.
+// Conservative window planner for the partitioned core.
 //
-// The legacy planner synchronized every shard on one global quantity: the
-// fabric-wide minimum lookahead L. Each round it computed t0 = min over all
-// shards' next event times and ran everyone to t0 + L behind a global
-// barrier. That is correct but pessimal twice over: (1) a shard whose
-// *incoming* neighbors cannot reach it before t0 + 3L is still cut off at
-// t0 + L, and (2) every window costs a full barrier rendezvous.
+// The legacy planner synchronized every shard on one quantity per round:
+// t0 = min over all shards' next event times, and ran everyone to t0 + L
+// behind a global barrier, where L is the fabric's guaranteed lookahead
+// (the minimum latency of any cross-shard interaction). That is correct
+// but pessimal twice over: (1) a shard whose peers cannot reach it before
+// t0 + 3L is still cut off at t0 + L, and (2) every window costs a full
+// barrier rendezvous.
 //
-// This planner replaces both with the per-pair guaranteed-lookahead matrix
-// (net::pair_lookahead builds it from the fabric topology). Every
-// shard publishes two times per round: its next event time next_t_s and its
-// earliest-output time O_s >= next_t_s, the earliest instant any of its
-// events or threads can call ShardedEngine::post (ShardedEngine::OutputBound
-// supplies it; without one O_s = next_t_s). The planner computes two
-// null-message fixpoints,
+// This planner replaces both. Every shard publishes two times per round:
+// its next event time next_t_s and its earliest-output time O_s >= next_t_s,
+// the earliest instant any of its events or threads can call
+// ShardedEngine::post (ShardedEngine::OutputBound supplies it; without one
+// O_s = next_t_s). The planner computes two null-message fixpoints,
 //
-//     E_s  = min(next_t_s, min_p (E_p  + L_ps))   (earliest execution)
-//     O*_s = min(O_s,      min_p (O*_p + L_ps))   (earliest output)
+//     E_s  = min(next_t_s, min_{p != s} E_p  + L)   (earliest execution)
+//     O*_s = min(O_s,      min_{p != s} O*_p + L)   (earliest output)
 //
 // each counting work forwarded transitively through other shards, then
 // chains up to kWindowBatch windows per sync round:
 //
-//     W(1)_s = min( min_{p != s} (O*_p + L_ps),
-//                   max(O*_s + L, min_{p != s} (E_p + L_ps)) )
-//     W(j)_s = min_{p != s} (W(j-1)_p + L_ps)
+//     W(1)_s = min( min_{p != s} O*_p + L,
+//                   max(O*_s + L, min_{p != s} E_p + L) )
+//     W(j)_s = min_{p != s} W(j-1)_p + L
 //
 // A shard cannot receive anything before its peers can post, so window 1
 // runs to the earliest delivery any peer's output can make — past ticks,
 // daemons and compute bursts that only move local state. The second term
-// stops a shard within one global lookahead L of its own earliest output
-// unless the next-event window already reaches further, which bounds how
-// far a round runs past a job's completion; because O* >= E, no window is
-// ever shorter than the next-event plan's. O* is also the round's claim:
-// validated builds check every post against it (ShardedEngine::post).
+// stops a shard within one lookahead of its own earliest output unless the
+// next-event window already reaches further, which bounds how far a round
+// runs past a job's completion; because O* >= E, no window is ever shorter
+// than the next-event plan's. O* is also the round's claim: validated
+// builds check every post against it (ShardedEngine::post).
 //
 // Every window end is a pure function of the round's published inputs, so
 // all shards compute the identical schedule independently — no coordinator
@@ -40,18 +39,14 @@
 // --parallel=N bit-identical. Safety argument (why a shard can never
 // receive an event in its past) is spelled out in DESIGN.md §7.
 //
-// A single shard has no pairs, so its one window runs to the deadline;
+// A single shard has no peers, so its one window runs to the deadline;
 // ShardedEngine never plans one (a one-shard run skips the planner).
 //
-// Cost. Fabric matrices are highly regular: every node of a frame sees the
-// same bounds, and the hub sees the global floor everywhere. At
-// construction the planner groups shards into lookahead *classes* —
-// shards that can swap places without changing the matrix — and keeps only
-// the G x G class bounds. Each fixpoint pass and each chain step then needs
-// min_{p != s}(x_p + L_ps) for every s, which the per-class minimum and
-// second minimum of x answer in O(G) per shard: O(S*G) per pass instead of
-// O(S^2). The fixpoint is unique, so the Jacobi sweep this allows reaches
-// the same values a shard-by-shard Gauss-Seidel sweep would.
+// Cost. With one L for every pair, min_{p != s} x_p is the minimum of x
+// unless s holds it, and then the runner-up: one O(S) scan of each row
+// answers every shard. The fixpoints settle in that one pass (see
+// planner.cpp), and planning allocates nothing once RoundPlan's buffers
+// have grown to the shard count.
 #pragma once
 
 #include <cstdint>
@@ -60,31 +55,6 @@
 #include "sim/time.hpp"
 
 namespace pasched::sim {
-
-/// Per-pair guaranteed lookahead bounds, row-major `shards x shards`,
-/// diagonal zero. `global` must be the minimum off-diagonal entry — it
-/// gates the final-window condition. core::Simulation fills it from
-/// net::pair_lookahead.
-struct PairLookahead {
-  int shards = 0;
-  Duration global = Duration::zero();
-  std::vector<Duration> bounds;
-
-  /// All pairs at the global bound — what a flat (frameless) fabric yields,
-  /// and the fallback when no matrix was installed.
-  [[nodiscard]] static PairLookahead uniform(int shards, Duration global);
-
-  [[nodiscard]] Duration at(int src, int dst) const {
-    return bounds[index(src, dst)];
-  }
-  void set(int src, int dst, Duration d) { bounds[index(src, dst)] = d; }
-
- private:
-  [[nodiscard]] std::size_t index(int src, int dst) const {
-    return static_cast<std::size_t>(src) * static_cast<std::size_t>(shards) +
-           static_cast<std::size_t>(dst);
-  }
-};
 
 /// Chained windows per sync round. Each chained window is executed under
 /// neighbor-horizon waits only; the global barrier is paid once per round.
@@ -130,45 +100,23 @@ struct RoundPlan {
 
 class WindowPlanner {
  public:
-  /// Compresses `la` into lookahead classes; the S x S matrix is not kept.
-  explicit WindowPlanner(const PairLookahead& la);
+  /// Plans `shards` shards, every pair `lookahead` apart.
+  WindowPlanner(int shards, Duration lookahead);
 
   /// Plans one sync round. `next_t` is every shard's published next event
   /// time (Time::max() when idle; cross-shard rings must already be fully
   /// drained into the engines) and `out_t` its earliest-output time
   /// (>= next_t; pass next_t itself for the next-event plan). Window spans
-  /// may be shrunk to `quantum_num/quantum_den` of each lookahead bound
-  /// (>= 1 ns) — the race-fuzzer's perturbation seam; shrinking is always
+  /// may be shrunk to `quantum_num/quantum_den` of the lookahead (>= 1 ns)
+  /// — the race-fuzzer's perturbation seam; shrinking is always
   /// conservative. Pure: identical inputs produce the identical plan.
   void plan(const std::vector<Time>& next_t, const std::vector<Time>& out_t,
             Time deadline, std::int64_t quantum_num,
             std::int64_t quantum_den, RoundPlan& out) const;
 
-  /// The installed bound of one pair (zero on the diagonal).
-  [[nodiscard]] Duration bound(int src, int dst) const {
-    if (src == dst) return Duration::zero();
-    return class_bounds_[class_index(class_of_[static_cast<std::size_t>(src)],
-                                     class_of_[static_cast<std::size_t>(dst)])];
-  }
-  /// Number of lookahead classes G: shards that can swap places without
-  /// changing the matrix share a class (1 on a flat fabric, frames + 1 on
-  /// a framed one).
-  [[nodiscard]] int classes() const noexcept { return classes_; }
-
  private:
-  [[nodiscard]] std::size_t class_index(int src_class, int dst_class) const {
-    return static_cast<std::size_t>(src_class) *
-               static_cast<std::size_t>(classes_) +
-           static_cast<std::size_t>(dst_class);
-  }
-
-  int shards_ = 0;
-  int classes_ = 0;
-  Duration global_;
-  std::vector<int> class_of_;  ///< shard -> class
-  /// [g * G + h]: bound from any shard of class g to any *other* shard of
-  /// class h (the g == h entry is unused for one-member classes).
-  std::vector<Duration> class_bounds_;
+  int shards_;
+  Duration lookahead_;
 };
 
 }  // namespace pasched::sim

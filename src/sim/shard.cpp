@@ -21,9 +21,7 @@
 namespace pasched::sim {
 
 ShardedEngine::ShardedEngine(const ShardMap& map, Duration lookahead)
-    : map_(map), lookahead_(lookahead) {
-  PASCHED_EXPECTS_MSG(lookahead > Duration::zero(),
-                      "conservative execution requires a positive lookahead");
+    : map_(map), lookahead_(lookahead), planner_(map.shards(), lookahead) {
   const int shards = map_.shards();
   engines_.reserve(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i) {
@@ -41,8 +39,6 @@ ShardedEngine::ShardedEngine(const ShardMap& map, Duration lookahead)
   arenas_ = std::vector<util::CacheAligned<ShardArena>>(n);
   counters_.assign(n, util::CacheAligned<ShardCounters>{});
   published_.assign(n, util::CacheAligned<Published>{});
-  planner_ = std::make_unique<WindowPlanner>(
-      PairLookahead::uniform(shards, lookahead_));
 }
 
 ShardedEngine::~ShardedEngine() {
@@ -51,16 +47,6 @@ ShardedEngine::~ShardedEngine() {
     PairRing* r = head.v.load(std::memory_order_acquire);
     while (r != nullptr) delete std::exchange(r, r->next_inbound);
   }
-}
-
-void ShardedEngine::set_pair_lookahead(const PairLookahead& la) {
-  PASCHED_EXPECTS_MSG(la.shards == partitions(),
-                      "pair-lookahead matrix shard count mismatch");
-  PASCHED_EXPECTS_MSG(
-      la.global == lookahead_,
-      "matrix global bound must equal the constructor lookahead — both come "
-      "from the same fabric certificate");
-  planner_ = std::make_unique<WindowPlanner>(la);
 }
 
 PlannerStats ShardedEngine::planner_stats() const {
@@ -83,7 +69,7 @@ ShardedEngine::PairRing& ShardedEngine::ring_for(int src, int dst) {
   // First contact on this producer/consumer pair: a one-time allocation,
   // amortized to zero over the run (rings are never torn down mid-run).
   PASCHED_ALLOC_COLD_REGION();
-  slot = new PairRing(ring_capacity_, src);
+  slot = new PairRing(ring_capacity_);
   // Other producers may push onto the same list concurrently; the release
   // CAS publishes the ring's construction and its next link together.
   std::atomic<PairRing*>& head = inbound_[static_cast<std::size_t>(dst)].v;
@@ -114,12 +100,10 @@ void ShardedEngine::post(int src_shard, int dst_shard, Time t,
     return;
   }
   Engine& src = engine_of(src_shard);
-  const Duration bound = planner_->bound(src_shard, dst_shard);
-  PASCHED_CHECK_MSG(t >= src.now() + bound,
-                    "cross-shard post violates the guaranteed pair lookahead");
+  PASCHED_CHECK_MSG(t >= src.now() + lookahead_,
+                    "cross-shard post violates the guaranteed lookahead");
   ShardCounters& c = counters_[static_cast<std::size_t>(src_shard)].v;
-  CrossNodeEvent ev{t, src.now(), bound, src_shard, c.post_seq++,
-                    std::move(fn)};
+  CrossNodeEvent ev{t, src.now(), src_shard, c.post_seq++, std::move(fn)};
   if (monitor_ != nullptr)
     monitor_->on_post(src_shard, dst_shard, t, ev.sent_at, ev.src_seq);
   ++c.ring_posts;
@@ -184,11 +168,11 @@ void ShardedEngine::drain_rings(int shard, const RoundPlan* plan, int j) {
     // never timing-derived, which is what keeps admission deterministic.
     // The max() mirrors run_chain's monotone window clamp: the cap must
     // cover everything below the horizon actually processed, and
-    // now_dst - L_p,dst <= now_p guarantees the prefix is already pushed.
+    // now_dst - L <= now_p guarantees the prefix is already pushed.
     Time cap = Time::max();
     if (plan != nullptr)
       cap = std::max(plan->end_of(j, shard), engine_of(shard).now()) -
-            planner_->bound(r->src, shard);
+            lookahead_;
     while (CrossNodeEvent* head = r->ring.front()) {
       if (plan != nullptr && head->sent_at >= cap) break;
       q.push_back(std::move(*head));
@@ -228,7 +212,7 @@ PASCHED_HOT void ShardedEngine::admit_sorted(int shard,
             });
   Engine& e = engine_of(shard);
   for (CrossNodeEvent& ev : q) {
-    PASCHED_CHECK_MSG(ev.t >= ev.sent_at + ev.lookahead,
+    PASCHED_CHECK_MSG(ev.t >= ev.sent_at + lookahead_,
                       "cross-shard event under-stamped its lookahead");
     PASCHED_CHECK_MSG(ev.t >= e.now(),
                       "cross-shard event arrived in the destination's past");
@@ -288,7 +272,7 @@ void ShardedEngine::run_chain(int worker, int nworkers, int S) {
       Engine& e = engine_of(s);
       // Monotone clamp: under the fuzzer the per-round shrink can plan a
       // window below where this shard already advanced. Holding the line at
-      // now() is safe — the chain rule gives now_s <= now_p + L_ps for
+      // now() is safe — the chain rule gives now_s <= now_p + L for
       // every peer p, so nothing a peer posts from here on lands below it —
       // and it keeps the clock (which wrapup stamping and the admission
       // past-check read) monotone and schedule-derived.
@@ -343,7 +327,7 @@ void ShardedEngine::plan_round(Time deadline) noexcept {
   phase_ ^= 1;
   if (phase_ == 0) return;  // end-of-round barrier: nothing to plan
   // All workers are parked, so wrapups may safely touch any node — but
-  // per-pair windows let shard clocks diverge, so a wrapup only runs once
+  // chained windows let shard clocks diverge, so a wrapup only runs once
   // every clock has passed its request stamp (otherwise its side effects
   // would be stamped into some lagging shard's pre-completion history and
   // break the execution-mode digest). Deferred wrapups simply wait for the
@@ -358,19 +342,19 @@ void ShardedEngine::plan_round(Time deadline) noexcept {
   claims_live_ = false;
   bool wrapped_up = false;
   for (;;) {
-    std::vector<Wrapup> due;
     {
       const std::scoped_lock lk(wrapup_mu_);
       const auto it = std::stable_partition(
           wrapups_.begin(), wrapups_.end(),
           [ready](const Wrapup& w) { return w.stamp > ready; });
-      due.assign(std::make_move_iterator(it),
-                 std::make_move_iterator(wrapups_.end()));
+      due_.assign(std::make_move_iterator(it),
+                  std::make_move_iterator(wrapups_.end()));
       wrapups_.erase(it, wrapups_.end());
     }
-    if (due.empty()) break;
+    if (due_.empty()) break;
     wrapped_up = true;
-    for (Wrapup& w : due) w.fn();
+    for (Wrapup& w : due_) w.fn();
+    due_.clear();
   }
   const bool stopping =
       stop_flag_.load(std::memory_order_relaxed) || final_done_;
@@ -379,23 +363,23 @@ void ShardedEngine::plan_round(Time deadline) noexcept {
     // wrapups now rather than dropping them (only reachable when a stop
     // raced a completion; the normal path drained everything above).
     for (;;) {
-      std::vector<Wrapup> due;
       {
         const std::scoped_lock lk(wrapup_mu_);
-        due.swap(wrapups_);
+        due_.swap(wrapups_);
       }
-      if (due.empty()) break;
-      for (Wrapup& w : due) w.fn();
+      if (due_.empty()) break;
+      for (Wrapup& w : due_) w.fn();
+      due_.clear();
     }
     round_ = Round::Stop;
     stopped_early_ = stop_flag_.load(std::memory_order_relaxed);
     return;
   }
-  // The full lookahead bounds are the *largest* legal window steps; any
-  // shorter span is equally conservative (events can only post further
-  // into the future). Window jitter shrinks every bound toward the 1 ns
-  // minimum so the pasched-race fuzzer can vary window phasing without
-  // ever breaking the causality guarantee.
+  // The full lookahead is the *largest* legal window step; any shorter
+  // span is equally conservative (events can only post further into the
+  // future). Window jitter shrinks the step toward the 1 ns minimum so the
+  // pasched-race fuzzer can vary window phasing without ever breaking the
+  // causality guarantee.
   std::int64_t num = 1;
   std::int64_t den = 1;
   if (window_jitter_) {
@@ -414,7 +398,7 @@ void ShardedEngine::plan_round(Time deadline) noexcept {
       out_t_plain_[i] = next_t_plain_[i];
     }
   }
-  planner_->plan(next_t_plain_, out_t_plain_, deadline, num, den, plan_);
+  planner_.plan(next_t_plain_, out_t_plain_, deadline, num, den, plan_);
   ++rounds_;
   claims_live_ = !plan_.final;
   if (plan_.final) {

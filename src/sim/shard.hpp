@@ -1,18 +1,17 @@
 // Block event shards with conservative-window parallel execution.
 //
 // Every block of contiguous cluster nodes (sim::ShardMap) owns one Engine
-// (priority queue + clock); one extra "hub" shard owns cluster-global
-// hardware (the switch's combine unit). A post between two nodes of one
-// block is a plain schedule_at; cross-shard events go through post(), which
-// stamps send time and the per-pair guaranteed lookahead and pushes them
-// into the (source, destination) pair's bounded SPSC ring.
+// (priority queue + clock). A post between two nodes of one block is a
+// plain schedule_at; cross-shard events go through post(), which stamps
+// the send time and pushes them into the (source, destination) pair's
+// bounded SPSC ring.
 //
 // Execution advances in conservative windows (Chandy/Misra/Bryant style)
 // planned per *sync round* by the WindowPlanner (sim/planner.hpp): each
 // round, every shard's own worker publishes its next event time and its
 // earliest-output time (see OutputBound), the round barrier's completion
 // step computes a deterministic chain of up to kWindowBatch per-shard
-// windows from the per-pair lookahead matrix, and workers execute
+// windows from the fabric's guaranteed lookahead, and workers execute
 // the chain with horizon waits only — before window j each worker spins
 // once on its peers' per-worker progress counters (every peer has finished
 // window j-1), then for each of its shards drains the due prefix of each
@@ -69,14 +68,12 @@
 
 namespace pasched::sim {
 
-/// A cross-shard event in flight: the delivery time plus the stamps the
-/// conservative executor validates (send time and the pair lookahead
-/// promised at post time — `t >= sent_at + lookahead` is the causality
-/// contract).
+/// A cross-shard event in flight: the delivery time plus the send time the
+/// conservative executor validates (`t >= sent_at + lookahead` is the
+/// causality contract).
 struct CrossNodeEvent {
   Time t;
   Time sent_at;
-  Duration lookahead;
   int src_shard = 0;
   std::uint64_t src_seq = 0;
   Engine::Callback fn;
@@ -126,11 +123,9 @@ class ShardMonitor {
 
 class ShardedEngine {
  public:
-  /// One shard per block of `map` plus (for multi-block maps) a hub
-  /// shard. `lookahead` must be positive: it is the guaranteed minimum
-  /// latency of any cross-shard interaction (net::guaranteed_lookahead
-  /// derives it from the fabric config). Until set_pair_lookahead() installs
-  /// the per-pair matrix, every pair is assumed to sit at this global floor.
+  /// One shard per block of `map`. `lookahead` must be positive: it is the
+  /// guaranteed minimum latency of any cross-shard interaction
+  /// (net::guaranteed_lookahead derives it from the fabric config).
   ShardedEngine(const ShardMap& map, Duration lookahead);
   ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
@@ -144,17 +139,14 @@ class ShardedEngine {
   [[nodiscard]] int shard_of_node(int node) const noexcept {
     return map_.shard_of(node);
   }
-  /// The shard that owns cluster-global state (the switch's
-  /// hardware-collective combine unit).
-  [[nodiscard]] int hub_shard() const noexcept { return map_.hub(); }
-  /// The global guaranteed minimum latency of any cross-shard interaction.
+  /// The guaranteed minimum latency of any cross-shard interaction.
   [[nodiscard]] Duration lookahead() const noexcept { return lookahead_; }
   [[nodiscard]] Engine& engine_of(int shard) {
     return *engines_[static_cast<std::size_t>(shard)];
   }
   /// Delivers `fn` into `dst_shard`'s timeline at `t`. For a cross-shard
-  /// post `t` must be at least the pair lookahead past the source shard's
-  /// clock — the conservative guarantee the executor synchronizes on.
+  /// post `t` must be at least the lookahead past the source shard's clock
+  /// — the conservative guarantee the executor synchronizes on.
   void post(int src_shard, int dst_shard, Time t, Engine::Callback fn);
   /// Runs `fn` once no shard is mid-event: immediately with one shard, at
   /// a later round barrier with several. Job-completion bookkeeping (hook
@@ -167,15 +159,6 @@ class ShardedEngine {
   [[nodiscard]] const ShardMap& shard_map() const noexcept { return map_; }
 
   // Planner -------------------------------------------------------------------
-  /// Installs the per-pair guaranteed-lookahead matrix (core::Simulation
-  /// builds it with net::pair_lookahead). `la.shards` must equal
-  /// partitions() and
-  /// `la.global` the constructor lookahead. Set while no workers run.
-  void set_pair_lookahead(const PairLookahead& la);
-  /// The installed pair bound (what post() stamps events with).
-  [[nodiscard]] Duration pair_lookahead(int src, int dst) const {
-    return planner_->bound(src, dst);
-  }
   /// K_s: the earliest time any posting thread of `shard` can next be
   /// consulted (Time::max() when none can before a delivery wakes it).
   /// Called on the shard's own worker at every round boundary of a
@@ -243,8 +226,8 @@ class ShardedEngine {
 
   /// Window jitter: with a seed installed, each round's window spans are
   /// drawn from a sim::Rng seeded with it — one of kWindowQuantumBuckets
-  /// evenly spaced fractions of each lookahead bound per round — instead of
-  /// always spanning the full bound. Shrinking the window is always
+  /// evenly spaced fractions of the lookahead per round — instead of
+  /// always spanning the full lookahead. Shrinking the window is always
   /// conservative (the lookahead guarantee is unchanged), so every jittered
   /// run must stay bit-identical to the unjittered one; the pasched-race
   /// window fuzzer uses this to flush out orderings that accidentally
@@ -274,12 +257,11 @@ class ShardedEngine {
     /// a line with the mutex and lane the producer writes on overflow; the
     /// fields after it never change once the ring is published.
     alignas(util::kCacheLineBytes) std::atomic<std::size_t> overflow_n{0};
-    int src;  ///< source shard: picks the pair bound for drain caps
     /// Next ring in the destination's inbound list; set before the ring is
     /// published and never changed afterwards.
     PairRing* next_inbound = nullptr;
 
-    PairRing(std::size_t cap, int source) : ring(cap), src(source) {}
+    explicit PairRing(std::size_t cap) : ring(cap) {}
   };
 
   /// Per-shard event arena: the admission scratch buffer every ring drain
@@ -295,7 +277,7 @@ class ShardedEngine {
   /// the rings its producers have materialized. With `plan` null, drains
   /// everything (round boundary: all producers are parked at the barrier).
   /// Otherwise drains each pair's due prefix for chained window `j`:
-  /// entries with sent_at < W(j)_dst - L_pair, a cap the horizon wait has
+  /// entries with sent_at < W(j)_dst - L, a cap the horizon wait has
   /// made complete and whose leftovers provably belong to future windows
   /// (DESIGN.md §7).
   void drain_rings(int shard, const RoundPlan* plan, int j);
@@ -352,7 +334,7 @@ class ShardedEngine {
   Duration lookahead_;
   std::size_t ring_capacity_ = 256;
 
-  std::unique_ptr<WindowPlanner> planner_;
+  WindowPlanner planner_;
 
   // Round-plan state: written only in the barrier completion step (all
   // workers parked), read by workers after the barrier — the barrier itself
@@ -383,15 +365,18 @@ class ShardedEngine {
   std::mutex wrapup_mu_;
   /// A deferred wrapup: the callback plus the requesting shard's clock at
   /// request time. The completion step only runs it once *every* shard's
-  /// clock has passed the stamp — the per-pair replacement for the global
-  /// window's "all clocks agree at the barrier" invariant, and what keeps
-  /// wrapup side effects (priority flips, daemon shutdown wakes) out of the
-  /// digest-visible history below the completion time.
+  /// clock has passed the stamp — the chained windows' replacement for the
+  /// global window's "all clocks agree at the barrier" invariant, and what
+  /// keeps wrapup side effects (priority flips, daemon shutdown wakes) out
+  /// of the digest-visible history below the completion time.
   struct Wrapup {
     Time stamp;
     Engine::Callback fn;
   };
   std::vector<Wrapup> wrapups_;
+  /// The wrapups a completion step runs, moved out of wrapups_ under the
+  /// lock; only touched in the completion step and kept for its capacity.
+  std::vector<Wrapup> due_;
   /// Set when a wrapup is requested: from the next round on, per-round
   /// fire-log clearing stops, so events_processed_before() still sees every
   /// fire at or past the completion time even when the wrapup's execution

@@ -1,11 +1,10 @@
 // The node -> shard map of the partitioned core.
 //
 // Nodes are grouped into `k` contiguous, near-equal blocks (node n goes to
-// block n * k / nodes) and each block is one event shard; multi-node
-// clusters add the switch hub as shard k. A post between two nodes of one
-// block is an ordinary schedule_at on the block's engine, so the per-window
-// costs of the executor (drains, horizon publishes, clock advances) scale
-// with the block count instead of the node count.
+// block n * k / nodes) and each block is one event shard. A post between
+// two nodes of one block is an ordinary schedule_at on the block's engine,
+// so the per-window costs of the executor (drains, horizon publishes, clock
+// advances) scale with the block count instead of the node count.
 //
 // The map depends only on the node count, never on the worker count, which
 // is what keeps --parallel=1 and --parallel=N bit-identical by construction:
@@ -19,7 +18,7 @@
 
 namespace pasched::sim {
 
-/// Node blocks of a partitioned run (the hub is one more shard). Fewer
+/// Node blocks (and so shards) of a partitioned run. Fewer
 /// blocks mean fewer shard-windows per chained window; more blocks mean
 /// finer load balance across workers (DESIGN.md §7 records the sweep).
 inline constexpr int kShardBlocks = 8;
@@ -38,22 +37,15 @@ class ShardMap {
   }
 
   [[nodiscard]] int nodes() const noexcept { return nodes_; }
-  [[nodiscard]] int blocks() const noexcept { return blocks_; }
-  /// Blocks plus the hub; a single block is one shard that is also the hub
-  /// (with one block there is nothing to run in parallel, and nodes of one
-  /// block talk through plain schedule_at). ShardMap(nodes, 1) is the
-  /// serial executor's map.
-  [[nodiscard]] int shards() const noexcept {
-    return blocks_ > 1 ? blocks_ + 1 : 1;
-  }
-  [[nodiscard]] int hub() const noexcept { return blocks_ > 1 ? blocks_ : 0; }
+  /// One shard per block. ShardMap(nodes, 1) is the serial executor's map.
+  [[nodiscard]] int shards() const noexcept { return blocks_; }
 
   [[nodiscard]] int shard_of(int node) const noexcept {
     return static_cast<int>(static_cast<std::int64_t>(node) * blocks_ /
                             nodes_);
   }
   /// First node of `block`; block b holds [first_node(b), first_node(b + 1)).
-  /// first_node(blocks()) == nodes().
+  /// first_node(shards()) == nodes().
   [[nodiscard]] int first_node(int block) const noexcept {
     return static_cast<int>(
         (static_cast<std::int64_t>(block) * nodes_ + blocks_ - 1) / blocks_);

@@ -7,9 +7,10 @@
 // allocations with reset()/install()/remove() and asserts only on its own
 // named rows (gtest's incidental allocations land in "(unscoped)").
 //
-// The message-path regression at the end runs a small fig5 job under the
-// ledger: the MPI and fabric message path keeps its state in flat arrays,
-// so delivering a message must not allocate.
+// The two regressions at the end run small fig5 jobs under the ledger:
+// the MPI and fabric message path keeps its state in flat arrays, so
+// delivering a message must not allocate, and the round planner reuses its
+// buffers, so planning a round must not allocate either.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -249,4 +250,38 @@ TEST(AllocLedger, MessagePathAllocatesLessThanOncePerTwentyMessages) {
   EXPECT_LT(dispatch * 20, messages)
       << dispatch << " Engine.callback hot allocations for " << messages
       << " messages\n" << rep.str();
+}
+
+TEST(AllocLedger, PlanRoundAllocationsDoNotGrowWithRounds) {
+  if (!alloc::Ledger::available())
+    GTEST_SKIP() << "the allocation hook needs -DPASCHED_VALIDATE=ON";
+  // The round planner plans into buffers that only grow, so the cold
+  // allocations charged to a run's planning passes (first-round buffer
+  // growth, the job's wrapup) are the same at any run length.
+  struct Planning {
+    std::uint64_t rounds = 0;
+    std::uint64_t allocs = 0;
+  };
+  const auto plan_round = [](int calls) {
+    testutil::FigScenario s = testutil::fig_scenario(/*fig5=*/true, calls);
+    s.cfg.parallel = 2;
+    core::Simulation sim(s.cfg, s.factory);
+    alloc::Ledger ledger;
+    ledger.reset();
+    ledger.install();
+    const core::SimulationResult r = sim.run();
+    ledger.remove();
+    EXPECT_TRUE(r.completed) << calls << " calls";
+    Planning p;
+    p.rounds = sim.sharded()->planner_stats().rounds;
+    for (const alloc::SiteAllocRow& row : ledger.report().sites)
+      if (row.name == "ShardedEngine::plan_round")
+        p.allocs = row.cold_allocs + row.hot_allocs;
+    return p;
+  };
+  const Planning short_run = plan_round(40);
+  const Planning long_run = plan_round(160);
+  ASSERT_GT(long_run.rounds, 2 * short_run.rounds);
+  EXPECT_EQ(long_run.allocs, short_run.allocs)
+      << short_run.rounds << " rounds vs " << long_run.rounds << " rounds";
 }

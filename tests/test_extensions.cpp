@@ -64,6 +64,58 @@ TEST(HwCollectives, EveryCallCompletesExactlyOnce) {
   EXPECT_EQ(ch.all_us.count(), 60u * 32u);  // every task, every call
 }
 
+TEST(HwCollectives, ParallelCoreMatchesTheSerialRun) {
+  // Nine nodes: the default shard map puts nodes 0 and 1 in block 0, which
+  // also hosts the combine unit, so contributions reach it both as local
+  // deliveries and across shards. Serial, --parallel=1 and --parallel=3
+  // must agree on the completion time, the event count before it, and
+  // every allreduce span.
+  struct Outcome {
+    std::int64_t elapsed_ns;
+    std::uint64_t events;
+    std::size_t spans;
+    double mean_us, min_us, max_us, sum_us;
+    std::vector<double> recorded_us;
+  };
+  const auto run = [](int parallel) {
+    core::SimulationConfig cfg = base_cfg(41);
+    cfg.cluster = cluster::presets::frost(9);
+    cfg.cluster.seed = 41;
+    cfg.cluster.node.install_daemons = false;
+    cfg.job.ntasks = 36;
+    cfg.job.tasks_per_node = 4;
+    cfg.job.mpi.allreduce_alg = mpi::AllreduceAlg::HardwareSwitch;
+    cfg.parallel = parallel;
+    core::Simulation sim(
+        cfg,
+        apps::aggregate_trace(app_cfg(mpi::AllreduceAlg::HardwareSwitch, 30)));
+    if (parallel > 0) {
+      EXPECT_EQ(sim.sharded()->shard_of_node(0), 0);
+      EXPECT_EQ(sim.sharded()->shard_of_node(1), 0);
+    }
+    const core::SimulationResult r = sim.run();
+    EXPECT_TRUE(r.completed) << "parallel=" << parallel;
+    const auto& ch = sim.job().channel(apps::kChanAllreduce);
+    return Outcome{r.elapsed.count(),  r.events_at_completion,
+                   ch.all_us.count(),  ch.all_us.mean(),
+                   ch.all_us.min(),    ch.all_us.max(),
+                   ch.all_us.sum(),    ch.recorded_us};
+  };
+  const Outcome serial = run(0);
+  EXPECT_EQ(serial.spans, 30U * 36U);
+  for (const int parallel : {1, 3}) {
+    const Outcome par = run(parallel);
+    EXPECT_EQ(par.elapsed_ns, serial.elapsed_ns) << "parallel=" << parallel;
+    EXPECT_EQ(par.events, serial.events) << "parallel=" << parallel;
+    EXPECT_EQ(par.spans, serial.spans) << "parallel=" << parallel;
+    EXPECT_EQ(par.mean_us, serial.mean_us) << "parallel=" << parallel;
+    EXPECT_EQ(par.min_us, serial.min_us) << "parallel=" << parallel;
+    EXPECT_EQ(par.max_us, serial.max_us) << "parallel=" << parallel;
+    EXPECT_EQ(par.sum_us, serial.sum_us) << "parallel=" << parallel;
+    EXPECT_EQ(par.recorded_us, serial.recorded_us) << "parallel=" << parallel;
+  }
+}
+
 TEST(HwCollectives, GatedByTheSlowestContributor) {
   // One laggard rank computes 2 ms extra before each collective: the
   // hardware combine cannot fire early, so everyone's span stretches.

@@ -72,7 +72,7 @@ TEST(ParallelEquivalence, TenSeedsMatchAcrossAllExecutionModes) {
 
 TEST(ParallelEquivalence, TenSeedsMatchLegacyWithOppositeCoschedParity) {
   // The same ten seeds with vanilla/prototype swapped relative to the test
-  // above: the per-pair chained windows of --parallel=4 must replay the
+  // above: the chained windows of --parallel=4 must replay the
   // serial one-shard history on those inputs too. This is the audit
   // gate's core claim in test form: window boundaries are invisible to the
   // simulated workload.
@@ -104,7 +104,7 @@ TEST(ParallelEquivalence, ThirtyTwoNodesInBlocksMatchUnderTheRaceMonitor) {
       core::SimulationConfig blocks = cfg;
       blocks.parallel = 1;
       core::Simulation sim(blocks, workload());
-      ASSERT_EQ(sim.sharded()->partitions(), sim::kShardBlocks + 1);
+      ASSERT_EQ(sim.sharded()->partitions(), sim::kShardBlocks);
     }
     cfg.parallel = 0;
     const core::CanonicalDigest serial = core::run_canonical(cfg, workload());

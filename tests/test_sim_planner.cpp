@@ -1,24 +1,21 @@
-// Golden-schedule tests for the per-pair window planner. Each case
-// hand-derives the null-message fixpoint and the chained-window recurrence
+// Golden-schedule tests for the window planner. Each case hand-derives the
+// null-message fixpoint and the chained-window recurrence
 //
-//     E_s    = min(next_t_s, min_p (E_p + L_ps))
-//     W(1)_s = min_{p != s} (E_p + L_ps)
-//     W(j)_s = min_{p != s} (W(j-1)_p + L_ps)
+//     E_s    = min(next_t_s, min_{p != s} E_p + L)
+//     W(1)_s = min_{p != s} E_p + L
+//     W(j)_s = min_{p != s} W(j-1)_p + L
 //
 // (the next-event plan, which planning on earliest-output times O = next_t
-// must reproduce exactly)
-// for three fabric shapes — flat (all pairs at the global bound), framed
-// (asymmetric pair bounds, the shape a framed interconnect certificate
-// yields), and jitter (all six off-diagonal bounds distinct) — over the
-// full kWindowBatch-window chain, and pins the planner's output to the
-// exact expected times. The planner is the determinism keystone of the
+// must reproduce exactly) and pins the planner's output to the exact
+// expected times. The planner is the determinism keystone of the
 // partitioned core: every shard recomputes this schedule independently, so
 // any drift here breaks bit-identity across worker counts. A brute-force
-// O(S^2) reference planner checks the class-compressed one on thousands of
-// random matrices, with and without earliest-output times O >= next_t:
+// O(S^2) reference planner checks the minimum-and-runner-up one on
+// thousands of random inputs, with and without earliest-output times
+// O >= next_t:
 //
-//     O*_s   = min(O_s, min_p (O*_p + L_ps))
-//     W(1)_s = min(min_{p != s} (O*_p + L_ps), max(O*_s + L, W_E(1)_s))
+//     O*_s   = min(O_s, min_{p != s} O*_p + L)
+//     W(1)_s = min(min_{p != s} O*_p + L, max(O*_s + L, W_E(1)_s))
 //
 // where W_E(1) is the next-event window above.
 #include <gtest/gtest.h>
@@ -30,30 +27,17 @@
 #include <string>
 #include <vector>
 
-#include "net/fabric.hpp"
 #include "sim/planner.hpp"
 
 namespace {
 
 using pasched::sim::Duration;
 using pasched::sim::kWindowBatch;
-using pasched::sim::PairLookahead;
 using pasched::sim::RoundPlan;
-using pasched::sim::ShardMap;
 using pasched::sim::Time;
 using pasched::sim::WindowPlanner;
 
 constexpr Time us(std::int64_t v) { return Time::from_ns(v * 1000); }
-
-/// Builds a matrix from explicit off-diagonal bounds (row-major, us).
-PairLookahead matrix(int shards, std::vector<std::int64_t> bounds_us,
-                     std::int64_t global_us) {
-  PairLookahead la;
-  la.shards = shards;
-  la.global = Duration::us(global_us);
-  for (const std::int64_t b : bounds_us) la.bounds.push_back(Duration::us(b));
-  return la;
-}
 
 std::vector<Time> plan_ends(const WindowPlanner& p,
                             const std::vector<Time>& next_t, Time deadline,
@@ -66,10 +50,9 @@ std::vector<Time> plan_ends(const WindowPlanner& p,
 }
 
 TEST(Planner, FlatFabricChainsUniformWindows) {
-  // All pairs at the global bound: the per-pair schedule degenerates to the
-  // legacy window *shape* but still chains kWindowBatch windows per round —
-  // that chaining is the whole sync-round reduction on flat fabrics.
-  const WindowPlanner p(PairLookahead::uniform(3, Duration::us(10)));
+  // The legacy window *shape*, but kWindowBatch chained windows per round —
+  // that chaining is the whole sync-round reduction on a flat fabric.
+  const WindowPlanner p(3, Duration::us(10));
   RoundPlan plan;
   const std::vector<Time> ends =
       plan_ends(p, {us(100), us(100), us(100)}, us(1000), plan);
@@ -81,63 +64,8 @@ TEST(Planner, FlatFabricChainsUniformWindows) {
   EXPECT_EQ(ends, want);
 }
 
-TEST(Planner, FramedFabricGoldenSchedule) {
-  // Asymmetric pair bounds: L(0->1) = 30us, L(1->0) = 10us. Shard 0 is
-  // gated only by shard 1's slow-to-reach-it horizon and vice versa.
-  //   next_t = {100, 101}us  =>  E = {100, 101}  (fixpoint = inputs here)
-  //   W(1) = {E1+10, E0+30}           = {111, 130}
-  //   W(2) = {W(1)_1+10, W(1)_0+30}   = {140, 141}
-  //   W(3) = {W(2)_1+10, W(2)_0+30}   = {151, 170}
-  //   ... and so on, alternating +10/+30, through W(8) = {260, 261}.
-  // Every entry beats the legacy global window t0 + 10 = 110us — the
-  // per-pair chain runs ahead of a one-window round within one round.
-  const WindowPlanner p(matrix(2, {0, 30, 10, 0}, 10));
-  RoundPlan plan;
-  const std::vector<Time> ends =
-      plan_ends(p, {us(100), us(101)}, us(100'000), plan);
-  EXPECT_FALSE(plan.final);
-  EXPECT_EQ(plan.length, 8);
-  EXPECT_EQ(ends, (std::vector<Time>{us(111), us(130),    // W(1)
-                                     us(140), us(141),    // W(2)
-                                     us(151), us(170),    // W(3)
-                                     us(180), us(181),    // W(4)
-                                     us(191), us(210),    // W(5)
-                                     us(220), us(221),    // W(6)
-                                     us(231), us(250),    // W(7)
-                                     us(260), us(261)}));  // W(8)
-}
-
-TEST(Planner, JitterFabricGoldenSchedule) {
-  // All six off-diagonal bounds distinct (us):
-  //     L = [ 0 10 20
-  //          15  0 25
-  //          30 12  0 ]
-  // next_t = {50, 60, 70}us. The fixpoint leaves E = next_t (no bound is
-  // short enough to undercut a neighbor), then:
-  //   W(1)_0 = min(60+15, 70+30) = 75
-  //   W(1)_1 = min(50+10, 70+12) = 60
-  //   W(1)_2 = min(50+20, 60+25) = 70
-  //   W(2)_0 = min(60+15, 70+30) = 75   (shard 0 is already at its bound)
-  //   W(2)_1 = min(75+10, 70+12) = 82
-  //   W(2)_2 = min(75+20, 60+25) = 85
-  // and the same recurrence through W(8).
-  const WindowPlanner p(matrix(3, {0, 10, 20, 15, 0, 25, 30, 12, 0}, 10));
-  RoundPlan plan;
-  const std::vector<Time> ends =
-      plan_ends(p, {us(50), us(60), us(70)}, us(100'000), plan);
-  EXPECT_EQ(plan.length, 8);
-  EXPECT_EQ(ends, (std::vector<Time>{us(75), us(60), us(70),      // W(1)
-                                     us(75), us(82), us(85),      // W(2)
-                                     us(97), us(85), us(95),      // W(3)
-                                     us(100), us(107), us(110),   // W(4)
-                                     us(122), us(110), us(120),   // W(5)
-                                     us(125), us(132), us(135),   // W(6)
-                                     us(147), us(135), us(145),   // W(7)
-                                     us(150), us(157), us(160)}));  // W(8)
-}
-
 TEST(Planner, ChainStopsEarlyOnceEveryShardIsPinnedAtTheDeadline) {
-  const WindowPlanner p(PairLookahead::uniform(2, Duration::us(10)));
+  const WindowPlanner p(2, Duration::us(10));
   RoundPlan plan;
   // Deadline 115us: W(1) = 110, W(2) clamps to 115, W(3) would repeat the
   // row exactly — the chain must stop at length 2, not pad no-op windows.
@@ -149,9 +77,9 @@ TEST(Planner, ChainStopsEarlyOnceEveryShardIsPinnedAtTheDeadline) {
 }
 
 TEST(Planner, FinalWindowGateMatchesTheLegacyCondition) {
-  const WindowPlanner p(matrix(2, {0, 30, 10, 0}, 10));
+  const WindowPlanner p(2, Duration::us(10));
   RoundPlan plan;
-  // t0 + global = 110us > deadline 105us: no full window fits, so the round
+  // t0 + L = 110us > deadline 105us: no full window fits, so the round
   // is the deadline-inclusive final window for every shard.
   const std::vector<Time> next_t = {us(100), us(104)};
   p.plan(next_t, next_t, us(105), 1, 1, plan);
@@ -160,7 +88,7 @@ TEST(Planner, FinalWindowGateMatchesTheLegacyCondition) {
 }
 
 TEST(Planner, QuantumShrinkIsConservativeAndKeepsProgress) {
-  const WindowPlanner p(matrix(2, {0, 30, 10, 0}, 10));
+  const WindowPlanner p(2, Duration::us(10));
   RoundPlan full;
   RoundPlan half;
   const std::vector<Time> next_t = {us(100), us(101)};
@@ -176,16 +104,16 @@ TEST(Planner, QuantumShrinkIsConservativeAndKeepsProgress) {
       // ...and the round still advances past the earliest event.
       EXPECT_GT(half.end_of(j, s).count(), us(100).count());
     }
-  // Exact first row under the halved bounds: {E1+5, E0+15} = {106, 115}.
+  // Exact first row under the halved lookahead: {E1+5, E0+5} = {106, 105}.
   EXPECT_EQ(half.end_of(1, 0), us(106));
-  EXPECT_EQ(half.end_of(1, 1), us(115));
+  EXPECT_EQ(half.end_of(1, 1), us(105));
 }
 
 TEST(Planner, IdenticalInputsProduceTheIdenticalPlan) {
   // The determinism contract: plan() is a pure function of its arguments.
   // Each shard's worker calls it independently; any divergence desyncs the
   // horizon protocol.
-  const WindowPlanner p(matrix(3, {0, 10, 20, 15, 0, 25, 30, 12, 0}, 10));
+  const WindowPlanner p(3, Duration::us(10));
   RoundPlan a;
   RoundPlan b;
   const std::vector<Time> next_t = {us(50), us(60), us(70)};
@@ -204,7 +132,7 @@ TEST(Planner, IdleShardsSaturateInsteadOfWrapping) {
   // 110us), so W(1) = {E_1 + 10, E_0 + 10} = {120, 110}us — finite, sane
   // windows on both sides instead of wraparound garbage — and the chain
   // keeps alternating +10us steps up to W(8) = {180, 190}us.
-  const WindowPlanner p(PairLookahead::uniform(2, Duration::us(10)));
+  const WindowPlanner p(2, Duration::us(10));
   RoundPlan plan;
   const std::vector<Time> next_t = {us(100), Time::max()};
   p.plan(next_t, next_t, us(100'000), 1, 1, plan);
@@ -223,7 +151,7 @@ TEST(Planner, OutputTimesStretchWindowOne) {
   //   W(1)_0 = min(1010 + 10, max(1000 + 10, 110)) = 1010  (own cap)
   //   W(1)_1 = min(min(1000, 1010) + 10, max(1020, 110)) = 1010
   //   W(1)_2 = 1010, and W(j) = 1000 + 10j us on through W(8) = 1080.
-  const WindowPlanner p(PairLookahead::uniform(3, Duration::us(10)));
+  const WindowPlanner p(3, Duration::us(10));
   RoundPlan plan;
   const std::vector<Time> next_t = {us(100), us(100), us(100)};
   p.plan(next_t, {us(1000), us(5000), us(5000)}, us(100'000), 1, 1, plan);
@@ -239,26 +167,28 @@ TEST(Planner, OutputTimesStretchWindowOne) {
   EXPECT_EQ(next_event.outputs, next_t);
 }
 
-// Brute-force reference: the recurrences evaluated over every pair of the
-// full matrix, with a shard-by-shard (Gauss-Seidel) fixpoint sweep.
+// Brute-force reference: the recurrences evaluated over every pair of
+// shards, with a shard-by-shard (Gauss-Seidel) fixpoint sweep repeated until
+// nothing changes.
 Time ref_add(Time t, Duration d) {
   if (t == Time::max()) return t;
   const Time r = t + d;
   return r < t ? Time::max() : r;
 }
 
-RoundPlan reference_plan(const PairLookahead& la,
-                         const std::vector<Time>& next_t, Time deadline,
-                         std::int64_t num, std::int64_t den) {
-  const int S = la.shards;
-  const auto eff = [&](int src, int dst) {
-    const Duration q = la.at(src, dst) * num / den;
-    return q < Duration::ns(1) ? Duration::ns(1) : q;
-  };
+Duration ref_shrink(Duration l, std::int64_t num, std::int64_t den) {
+  const Duration q = l * num / den;
+  return q < Duration::ns(1) ? Duration::ns(1) : q;
+}
+
+RoundPlan reference_plan(Duration l, const std::vector<Time>& next_t,
+                         Time deadline, std::int64_t num, std::int64_t den) {
+  const int S = static_cast<int>(next_t.size());
+  const Duration eff = ref_shrink(l, num, den);
   RoundPlan out;
   out.shards = S;
   const Time t0 = *std::min_element(next_t.begin(), next_t.end());
-  if (t0 >= deadline || ref_add(t0, la.global) > deadline) {
+  if (t0 >= deadline || ref_add(t0, l) > deadline) {
     out.final = true;
     return out;
   }
@@ -268,7 +198,7 @@ RoundPlan reference_plan(const PairLookahead& la,
     for (int s = 0; s < S; ++s)
       for (int p = 0; p < S; ++p) {
         if (p == s) continue;
-        const Time via = ref_add(e[static_cast<std::size_t>(p)], eff(p, s));
+        const Time via = ref_add(e[static_cast<std::size_t>(p)], eff);
         if (via < e[static_cast<std::size_t>(s)]) {
           e[static_cast<std::size_t>(s)] = via;
           changed = true;
@@ -283,8 +213,7 @@ RoundPlan reference_plan(const PairLookahead& la,
       Time& w = row[static_cast<std::size_t>(s)];
       for (int p = 0; p < S; ++p)
         if (p != s)
-          w = std::min(
-              w, ref_add(prev[static_cast<std::size_t>(p)], eff(p, s)));
+          w = std::min(w, ref_add(prev[static_cast<std::size_t>(p)], eff));
       w = std::min(w, deadline);
       if (w > prev[static_cast<std::size_t>(s)]) moved = true;
     }
@@ -300,21 +229,16 @@ RoundPlan reference_plan(const PairLookahead& la,
 // fixpoint over out_t, then window 1 from the rule in the file comment and
 // the unchanged chain. Kept apart from reference_plan, which stays the
 // next-event plan verbatim.
-RoundPlan output_reference_plan(const PairLookahead& la,
-                                const std::vector<Time>& next_t,
+RoundPlan output_reference_plan(Duration l, const std::vector<Time>& next_t,
                                 const std::vector<Time>& out_t,
                                 Time deadline, std::int64_t num,
                                 std::int64_t den) {
-  const int S = la.shards;
-  const auto shrunk = [&](Duration d) {
-    const Duration q = d * num / den;
-    return q < Duration::ns(1) ? Duration::ns(1) : q;
-  };
-  const auto eff = [&](int src, int dst) { return shrunk(la.at(src, dst)); };
+  const int S = static_cast<int>(next_t.size());
+  const Duration eff = ref_shrink(l, num, den);
   RoundPlan out;
   out.shards = S;
   const Time t0 = *std::min_element(next_t.begin(), next_t.end());
-  if (t0 >= deadline || ref_add(t0, la.global) > deadline) {
+  if (t0 >= deadline || ref_add(t0, l) > deadline) {
     out.final = true;
     return out;
   }
@@ -324,8 +248,7 @@ RoundPlan output_reference_plan(const PairLookahead& la,
       for (int s = 0; s < S; ++s)
         for (int p = 0; p < S; ++p) {
           if (p == s) continue;
-          const Time via =
-              ref_add(x[static_cast<std::size_t>(p)], eff(p, s));
+          const Time via = ref_add(x[static_cast<std::size_t>(p)], eff);
           if (via < x[static_cast<std::size_t>(s)]) {
             x[static_cast<std::size_t>(s)] = via;
             changed = true;
@@ -339,14 +262,12 @@ RoundPlan output_reference_plan(const PairLookahead& la,
   const auto reach = [&](const std::vector<Time>& x, int s) {
     Time w = Time::max();
     for (int p = 0; p < S; ++p)
-      if (p != s)
-        w = std::min(w, ref_add(x[static_cast<std::size_t>(p)], eff(p, s)));
+      if (p != s) w = std::min(w, ref_add(x[static_cast<std::size_t>(p)], eff));
     return w;
   };
   std::vector<Time> prev(static_cast<std::size_t>(S));
   for (int s = 0; s < S; ++s) {
-    const Time own = ref_add(out.outputs[static_cast<std::size_t>(s)],
-                             shrunk(la.global));
+    const Time own = ref_add(out.outputs[static_cast<std::size_t>(s)], eff);
     prev[static_cast<std::size_t>(s)] = std::min(
         std::min(reach(out.outputs, s), std::max(own, reach(e, s))),
         deadline);
@@ -369,73 +290,53 @@ RoundPlan output_reference_plan(const PairLookahead& la,
   return out;
 }
 
-/// A random pair matrix of one of three kinds: uniform, framed (node frames
-/// plus a hub at the global floor, the fabric's shape) or fully random.
-PairLookahead random_matrix(int kind, int S, Duration global,
-                            const std::function<std::int64_t(std::int64_t,
-                                                             std::int64_t)>&
-                                uniform_int) {
-  PairLookahead la = PairLookahead::uniform(S, global);
-  if (kind == 1 && S > 1) {
-    const int nodes = S - 1;
-    const int frame = static_cast<int>(uniform_int(1, nodes));
-    const Duration extra = Duration::ns(uniform_int(0, 30'000));
-    for (int a = 0; a < nodes; ++a)
-      for (int b = 0; b < nodes; ++b)
-        if (a != b && a / frame != b / frame) la.set(a, b, global + extra);
-  } else if (kind == 2) {
-    for (int a = 0; a < S; ++a)
-      for (int b = 0; b < S; ++b)
-        if (a != b) la.set(a, b, global + Duration::ns(uniform_int(0, 40'000)));
-    if (S > 1) la.set(0, S - 1, global);  // keep `global` the minimum
-  }
-  return la;
+/// S from 1 to 24 shards, a quarter of them idle at Time::max() and the
+/// rest within 60 us of each other, so ties and near-ties between the
+/// minimum and the runner-up are common.
+std::vector<Time> random_next_times(
+    int S, const std::function<std::int64_t(std::int64_t, std::int64_t)>&
+               uniform_int) {
+  std::vector<Time> next_t;
+  for (int s = 0; s < S; ++s)
+    next_t.push_back(uniform_int(0, 3) == 0
+                         ? Time::max()
+                         : us(100) + Duration::ns(uniform_int(0, 60'000)));
+  return next_t;
 }
 
-TEST(Planner, MatchesTheBruteForceReferenceOnRandomMatrices) {
-  // Uniform, framed (node frames plus a hub at the global floor, the
-  // fabric's shape) and fully random dense matrices; S from 1 to 24; a
-  // quarter of the shards idle at Time::max(); every fuzz quantum.
+TEST(Planner, MatchesTheBruteForceReferenceOnRandomNextTimes) {
+  // Random next event times, lookaheads from 1 ns to 50 us, every fuzz
+  // quantum.
   std::mt19937_64 rng(20031115);
-  const auto uniform_int = [&rng](std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
-  };
+  const std::function<std::int64_t(std::int64_t, std::int64_t)> uniform_int =
+      [&rng](std::int64_t lo, std::int64_t hi) {
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+      };
   int checked = 0;
   int finals = 0;
   int chains_cut = 0;
-  for (int kind = 0; kind < 3; ++kind) {
-    for (int trial = 0; trial < 1000; ++trial) {
-      const int S = static_cast<int>(uniform_int(1, 24));
-      const Duration global = Duration::ns(uniform_int(1, 50'000));
-      const PairLookahead la = random_matrix(kind, S, global, uniform_int);
-      std::vector<Time> next_t;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int S = static_cast<int>(uniform_int(1, 24));
+    const Duration l = Duration::ns(uniform_int(1, 50'000));
+    const std::vector<Time> next_t = random_next_times(S, uniform_int);
+    const Time deadline =
+        uniform_int(0, 9) == 0
+            ? Time::max()
+            : us(100) + Duration::ns(uniform_int(0, 400'000));
+    const std::int64_t num = uniform_int(1, 8);
+    const WindowPlanner p(S, l);
+    RoundPlan got;
+    p.plan(next_t, next_t, deadline, num, 8, got);
+    const RoundPlan want = reference_plan(l, next_t, deadline, num, 8);
+    ASSERT_EQ(got.final, want.final) << "trial " << trial;
+    ASSERT_EQ(got.length, want.length) << "trial " << trial;
+    for (int j = 1; j <= want.length; ++j)
       for (int s = 0; s < S; ++s)
-        next_t.push_back(uniform_int(0, 3) == 0
-                             ? Time::max()
-                             : us(100) + Duration::ns(uniform_int(0, 60'000)));
-      const Time deadline =
-          uniform_int(0, 9) == 0
-              ? Time::max()
-              : us(100) + Duration::ns(uniform_int(0, 400'000));
-      const std::int64_t num = uniform_int(1, 8);
-      const WindowPlanner p(la);
-      RoundPlan got;
-      p.plan(next_t, next_t, deadline, num, 8, got);
-      const RoundPlan want = reference_plan(la, next_t, deadline, num, 8);
-      ASSERT_EQ(got.final, want.final) << "kind " << kind << " trial " << trial;
-      ASSERT_EQ(got.length, want.length)
-          << "kind " << kind << " trial " << trial;
-      for (int j = 1; j <= want.length; ++j)
-        for (int s = 0; s < S; ++s)
-          ASSERT_EQ(got.end_of(j, s), want.end_of(j, s))
-              << "kind " << kind << " trial " << trial << " W(" << j << ")_"
-              << s;
-      for (int a = 0; a < S; ++a)
-        for (int b = 0; b < S; ++b) ASSERT_EQ(p.bound(a, b), la.at(a, b));
-      ++checked;
-      if (want.final) ++finals;
-      if (!want.final && want.length < kWindowBatch) ++chains_cut;
-    }
+        ASSERT_EQ(got.end_of(j, s), want.end_of(j, s))
+            << "trial " << trial << " W(" << j << ")_" << s;
+    ++checked;
+    if (want.final) ++finals;
+    if (!want.final && want.length < kWindowBatch) ++chains_cut;
   }
   EXPECT_EQ(checked, 3000);
   // The random inputs reach every branch: final rounds and chains cut
@@ -445,10 +346,10 @@ TEST(Planner, MatchesTheBruteForceReferenceOnRandomMatrices) {
 }
 
 TEST(Planner, MatchesTheBruteForceReferenceOnRandomOutputTimes) {
-  // The same matrix kinds with every shard's O_s >= next_t_s drawn at
-  // random (a quarter idle, a quarter at next_t). Beyond matching the
-  // reference: O = next_t is the next-event plan exactly, and every first
-  // window lies between the next-event one and min_{p != s}(O*_p + L_ps).
+  // The same inputs with every shard's O_s >= next_t_s drawn at random (a
+  // quarter idle, a quarter at next_t). Beyond matching the reference:
+  // O = next_t is the next-event plan exactly, and every first window lies
+  // between the next-event one and min_{p != s} O*_p + L.
   std::mt19937_64 rng(20250704);
   const std::function<std::int64_t(std::int64_t, std::int64_t)> uniform_int =
       [&rng](std::int64_t lo, std::int64_t hi) {
@@ -456,117 +357,65 @@ TEST(Planner, MatchesTheBruteForceReferenceOnRandomOutputTimes) {
       };
   int planned = 0;
   int stretched = 0;
-  for (int kind = 0; kind < 3; ++kind) {
-    for (int trial = 0; trial < 1000; ++trial) {
-      const int S = static_cast<int>(uniform_int(1, 24));
-      const Duration global = Duration::ns(uniform_int(1, 50'000));
-      const PairLookahead la = random_matrix(kind, S, global, uniform_int);
-      std::vector<Time> next_t;
-      std::vector<Time> out_t;
-      for (int s = 0; s < S; ++s) {
-        const Time t = uniform_int(0, 3) == 0
-                           ? Time::max()
-                           : us(100) + Duration::ns(uniform_int(0, 60'000));
-        next_t.push_back(t);
-        const std::int64_t o = uniform_int(0, 3);
-        out_t.push_back(o == 0 || t == Time::max()
-                            ? t
-                            : o == 1 ? Time::max()
-                                     : t + Duration::ns(uniform_int(
-                                               0, 2'000'000)));
-      }
-      const Time deadline =
-          uniform_int(0, 9) == 0
-              ? Time::max()
-              : us(100) + Duration::ns(uniform_int(0, 4'000'000));
-      const std::int64_t num = uniform_int(1, 8);
-      const WindowPlanner p(la);
-      RoundPlan got;
-      p.plan(next_t, out_t, deadline, num, 8, got);
-      const RoundPlan want =
-          output_reference_plan(la, next_t, out_t, deadline, num, 8);
-      const auto where = [&] {
-        return "kind " + std::to_string(kind) + " trial " +
-               std::to_string(trial);
-      };
-      ASSERT_EQ(got.final, want.final) << where();
-      ASSERT_EQ(got.length, want.length) << where();
-      for (int j = 1; j <= want.length; ++j)
-        for (int s = 0; s < S; ++s)
-          ASSERT_EQ(got.end_of(j, s), want.end_of(j, s))
-              << where() << " W(" << j << ")_" << s;
-      // O = next_t: exactly the next-event plan, and its claims are E.
-      RoundPlan base;
-      p.plan(next_t, next_t, deadline, num, 8, base);
-      const RoundPlan today = reference_plan(la, next_t, deadline, num, 8);
-      ASSERT_EQ(base.final, today.final) << where();
-      ASSERT_EQ(base.length, today.length) << where();
-      for (int j = 1; j <= today.length; ++j)
-        for (int s = 0; s < S; ++s)
-          ASSERT_EQ(base.end_of(j, s), today.end_of(j, s)) << where();
-      if (want.final) continue;
-      ASSERT_EQ(got.outputs, want.outputs) << where();
-      ++planned;
-      for (int s = 0; s < S; ++s) {
-        ASSERT_GE(got.end_of(1, s), base.end_of(1, s)) << where();
-        Time reach = Time::max();
-        for (int q = 0; q < S; ++q)
-          if (q != s)
-            reach = std::min(
-                reach, ref_add(got.outputs[static_cast<std::size_t>(q)],
-                               std::max(la.at(q, s) * num / 8,
-                                        Duration::ns(1))));
-        ASSERT_LE(got.end_of(1, s), reach) << where();
-        if (got.end_of(1, s) > base.end_of(1, s)) ++stretched;
-      }
+  // One plan buffer for every trial, as the engine reuses its RoundPlan:
+  // whatever a larger earlier plan left in it must not leak into a later one.
+  RoundPlan got;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int S = static_cast<int>(uniform_int(1, 24));
+    const Duration l = Duration::ns(uniform_int(1, 50'000));
+    const std::vector<Time> next_t = random_next_times(S, uniform_int);
+    std::vector<Time> out_t;
+    for (const Time t : next_t) {
+      const std::int64_t o = uniform_int(0, 3);
+      out_t.push_back(o == 0 || t == Time::max()
+                          ? t
+                          : o == 1 ? Time::max()
+                                   : t + Duration::ns(
+                                             uniform_int(0, 2'000'000)));
+    }
+    const Time deadline =
+        uniform_int(0, 9) == 0
+            ? Time::max()
+            : us(100) + Duration::ns(uniform_int(0, 4'000'000));
+    const std::int64_t num = uniform_int(1, 8);
+    const WindowPlanner p(S, l);
+    p.plan(next_t, out_t, deadline, num, 8, got);
+    const RoundPlan want =
+        output_reference_plan(l, next_t, out_t, deadline, num, 8);
+    const auto where = [&] { return "trial " + std::to_string(trial); };
+    ASSERT_EQ(got.final, want.final) << where();
+    ASSERT_EQ(got.length, want.length) << where();
+    for (int j = 1; j <= want.length; ++j)
+      for (int s = 0; s < S; ++s)
+        ASSERT_EQ(got.end_of(j, s), want.end_of(j, s))
+            << where() << " W(" << j << ")_" << s;
+    // O = next_t: exactly the next-event plan.
+    RoundPlan base;
+    p.plan(next_t, next_t, deadline, num, 8, base);
+    const RoundPlan today = reference_plan(l, next_t, deadline, num, 8);
+    ASSERT_EQ(base.final, today.final) << where();
+    ASSERT_EQ(base.length, today.length) << where();
+    for (int j = 1; j <= today.length; ++j)
+      for (int s = 0; s < S; ++s)
+        ASSERT_EQ(base.end_of(j, s), today.end_of(j, s)) << where();
+    if (want.final) continue;
+    ASSERT_EQ(got.outputs, want.outputs) << where();
+    ++planned;
+    const Duration eff = std::max(l * num / 8, Duration::ns(1));
+    for (int s = 0; s < S; ++s) {
+      ASSERT_GE(got.end_of(1, s), base.end_of(1, s)) << where();
+      Time reach = Time::max();
+      for (int q = 0; q < S; ++q)
+        if (q != s)
+          reach = std::min(
+              reach, ref_add(got.outputs[static_cast<std::size_t>(q)], eff));
+      ASSERT_LE(got.end_of(1, s), reach) << where();
+      if (got.end_of(1, s) > base.end_of(1, s)) ++stretched;
     }
   }
   // Most rounds plan windows, and output times stretch many of them.
   EXPECT_GT(planned, 2000);
   EXPECT_GT(stretched, 1000);
-}
-
-TEST(Planner, FramedFabricCompressesToFramesPlusTheHub) {
-  // ASCI White shape: 512 nodes in frames of 16 plus the hub shard, one
-  // shard per node. Every node of a frame sees the same bounds, so the
-  // 513 x 513 matrix collapses to 32 frame classes and one hub class.
-  pasched::net::FabricConfig cfg;
-  cfg.frame_size = 16;
-  cfg.inter_frame_extra = Duration::us(10);
-  const ShardMap per_node = ShardMap::identity(512);
-  const PairLookahead la = pasched::net::pair_lookahead(cfg, per_node);
-  const WindowPlanner p(la);
-  EXPECT_EQ(p.classes(), 512 / 16 + 1);
-  for (int a = 0; a < la.shards; ++a)
-    for (int b = 0; b < la.shards; ++b) ASSERT_EQ(p.bound(a, b), la.at(a, b));
-  // A flat fabric is uniform: hub and nodes all share one class.
-  const WindowPlanner flat(
-      pasched::net::pair_lookahead(pasched::net::FabricConfig{}, per_node));
-  EXPECT_EQ(flat.classes(), 1);
-}
-
-TEST(Planner, BlockBoundIsTheClosestMemberPair) {
-  // 512 framed nodes in 12 blocks of 42-43 nodes, which do not align with
-  // the frames: block 0 (nodes 0-42) and block 1 (43-85) share frame 2
-  // (nodes 32-47), so their bound is the intra-frame one; blocks 0 and 2
-  // (86-127) share no frame and pay the inter-frame hop. Hub pairs keep
-  // the global floor.
-  pasched::net::FabricConfig cfg;
-  cfg.frame_size = 16;
-  cfg.inter_frame_extra = Duration::us(10);
-  const ShardMap blocks(512, 12);
-  ASSERT_EQ(blocks.first_node(1), 43);
-  ASSERT_EQ(blocks.first_node(2), 86);
-  const PairLookahead la = pasched::net::pair_lookahead(cfg, blocks);
-  const Duration intra = pasched::net::guaranteed_lookahead_between(cfg, 0, 1);
-  const Duration inter =
-      pasched::net::guaranteed_lookahead_between(cfg, 0, 16);
-  ASSERT_LT(intra, inter);
-  EXPECT_EQ(la.at(0, 1), intra);
-  EXPECT_EQ(la.at(1, 0), intra);
-  EXPECT_EQ(la.at(0, 2), inter);
-  EXPECT_EQ(la.at(0, blocks.hub()), la.global);
-  EXPECT_EQ(la.at(0, 0), Duration::zero());
 }
 
 }  // namespace

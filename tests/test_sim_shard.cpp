@@ -1,7 +1,7 @@
 // Tests for the partitioned simulation core: Engine's conservative-window
 // primitives (run_before, drain, heap compaction after mass cancellation)
 // and ShardedEngine's cross-shard posting, window planning, horizon waits,
-// inbound ring lists, teardown, and the lookahead check on real posts.
+// inbound ring lists, teardown, and the lookahead check on posts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,9 +12,6 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "core/simulation.hpp"
-#include "fig_scenario.hpp"
-#include "net/fabric.hpp"
 #include "race/monitor.hpp"
 #include "sim/engine.hpp"
 #include "sim/planner.hpp"
@@ -27,7 +24,6 @@ namespace {
 using pasched::sim::Duration;
 using pasched::sim::Engine;
 using pasched::sim::EventId;
-using pasched::sim::PairLookahead;
 using pasched::sim::PlannerStats;
 using pasched::sim::ShardedEngine;
 using pasched::sim::ShardMap;
@@ -169,14 +165,20 @@ TEST(EngineCancel, DrainReleasesEveryPendingEvent) {
 TEST(Sharded, SingleNodeClustersUseOneShard) {
   ShardedEngine se(ShardMap::identity(1), Duration::us(10));
   EXPECT_EQ(se.partitions(), 1);
-  EXPECT_EQ(se.hub_shard(), 0);
 }
 
-TEST(Sharded, MultiNodeClustersGetAHubShard) {
-  ShardedEngine se(ShardMap::identity(4), Duration::us(10));
-  EXPECT_EQ(se.partitions(), 5);
-  EXPECT_EQ(se.hub_shard(), 4);
-  EXPECT_EQ(se.shard_of_node(2), 2);
+TEST(Sharded, MultiNodeClustersGetOneShardPerBlock) {
+  // No shard beyond the blocks: the combine unit of hardware collectives
+  // lives on block 0.
+  ShardedEngine per_node(ShardMap::identity(4), Duration::us(10));
+  EXPECT_EQ(per_node.partitions(), 4);
+  EXPECT_EQ(per_node.shard_of_node(2), 2);
+  ShardedEngine blocks(ShardMap(20), Duration::us(10));
+  EXPECT_EQ(blocks.partitions(), pasched::sim::kShardBlocks);
+  EXPECT_EQ(blocks.shard_of_node(0), 0);
+  EXPECT_EQ(blocks.shard_of_node(2), 0);
+  EXPECT_EQ(blocks.shard_of_node(3), 1);
+  EXPECT_EQ(blocks.shard_of_node(19), pasched::sim::kShardBlocks - 1);
 }
 
 // Satellite regression: an event posted exactly at the window edge
@@ -361,42 +363,9 @@ TEST(Sharded, PostBeforeTheClaimedOutputTimeIsCaught) {
   }
 }
 
-TEST(Sharded, InflatedPairLookaheadIsCaughtAtThePost) {
-  if (!PASCHED_VALIDATE_ENABLED)
-    GTEST_SKIP() << "the pair-lookahead bound is checked in validated builds";
-  // Every off-diagonal bound claimed 4x what the fabric guarantees: the
-  // planner then opens windows the real wire latencies undercut, and the
-  // first cross-shard post must be refuted rather than delivered late.
-  // Allreduce traffic flows through the hub, so inflating a single
-  // node-node pair might never be exercised.
-  const pasched::testutil::FigScenario s =
-      pasched::testutil::fig_scenario(/*fig5=*/false, 24);
-  pasched::core::SimulationConfig cfg = s.cfg;
-  cfg.parallel = 1;
-  pasched::core::Simulation sim(cfg, s.factory);
-  ShardedEngine& se = *sim.sharded();
-  PairLookahead la =
-      pasched::net::pair_lookahead(cfg.cluster.fabric, se.shard_map());
-  for (int a = 0; a < la.shards; ++a)
-    for (int b = 0; b < la.shards; ++b)
-      if (a != b) la.set(a, b, la.at(a, b) * 4);
-  se.set_pair_lookahead(la);
-  try {
-    (void)sim.run();
-    FAIL() << "the inflated pair lookahead went unnoticed";
-  } catch (const pasched::check::CheckError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("cross-shard post violates the guaranteed pair "
-                        "lookahead"),
-              std::string::npos)
-        << what;
-  }
-}
-
-TEST(Sharded, OneBlockIsOneShardThatIsAlsoTheHub) {
+TEST(Sharded, OneBlockIsOneShard) {
   ShardedEngine se(ShardMap(9, 1), Duration::us(10));
   EXPECT_EQ(se.partitions(), 1);
-  EXPECT_EQ(se.hub_shard(), 0);
   EXPECT_EQ(se.shard_of_node(8), 0);
 }
 
@@ -459,12 +428,12 @@ TEST(Sharded, DrainReleasesPendingEventsAndInboxes) {
 }
 
 TEST(Sharded, QuietWindowsCoalesceIntoTheChain) {
-  // Per-pair planning chains several windows per sync round; a window whose
+  // The planner chains several windows per sync round; a window whose
   // shard has nothing due (rings quiet, next event at or past the end) is
   // counted as coalesced — it degenerates to a clock advance. With shard 1
   // completely idle, every one of its windows must coalesce, and the round
   // count must sit well below the chained-window count (that gap is the
-  // barrier reduction the per-pair planner exists for).
+  // barrier reduction window chaining exists for).
   ShardedEngine se(ShardMap::identity(2), Duration::us(10));
   struct Chain {
     Engine& e;
@@ -555,7 +524,7 @@ TEST(Sharded, RingFirstPostedMidChainIsDrainedByTheNextWindow) {
     auto* log = &shard1;
     auto* cross = &cross_now;
     ShardedEngine* sharded = &se;
-    for (int s = 0; s < 3; ++s)
+    for (int s = 0; s < se.partitions(); ++s)
       se.engine_of(s).schedule_at(Time::from_ns(1000), [] {});
     se.engine_of(1).schedule_at(Time::from_ns(25'500),
                                 [log] { log->push_back(25'500); });
@@ -579,8 +548,7 @@ namespace {
 // Deterministic cross-shard traffic: one token per shard hops 40 times,
 // alternating a local step with a post to a peer picked from the token's
 // state. Each shard logs (time, state) of every event it fires; the digest
-// folds the logs in shard order. Hub pairs sit at 10 us and node pairs at
-// 15 us, so the planner runs with two lookahead classes.
+// folds the logs in shard order.
 struct Traffic {
   ShardedEngine& se;
   std::vector<pasched::util::CacheAligned<std::vector<std::uint64_t>>> log;
@@ -609,7 +577,7 @@ struct Traffic {
     if (dst == s) dst = (dst + 1) % S;
     const Duration jitter =
         Duration::ns(static_cast<std::int64_t>((next >> 17) % 5000));
-    se.post(s, dst, e.now() + se.pair_lookahead(s, dst) + jitter,
+    se.post(s, dst, e.now() + se.lookahead() + jitter,
             [self, dst, next, hops] { self->fire(dst, next, hops - 1); });
   }
 
@@ -632,11 +600,6 @@ struct TrafficRun {
 TrafficRun run_traffic(int nodes, int workers,
                        pasched::race::Monitor* monitor = nullptr) {
   ShardedEngine se(ShardMap::identity(nodes), Duration::us(10));
-  PairLookahead la = PairLookahead::uniform(se.partitions(), Duration::us(10));
-  for (int a = 0; a < nodes; ++a)
-    for (int b = 0; b < nodes; ++b)
-      if (a != b) la.set(a, b, Duration::us(15));
-  se.set_pair_lookahead(la);
   se.set_monitor(monitor);
   Traffic tr(se);
   Traffic* trp = &tr;
@@ -651,11 +614,11 @@ TrafficRun run_traffic(int nodes, int workers,
 }  // namespace
 
 TEST(Sharded, ManyShardsPerWorkerKeepTheDigest) {
-  // 129 shards on 1, 2 and 5 workers: most workers run dozens of shards
-  // per window, and 129 is not a multiple of 2 or 5, so the last pass of
-  // each worker covers a different number of shards.
+  // 128 shards on 1, 2 and 5 workers: most workers run dozens of shards
+  // per window, and 128 is not a multiple of 5, so the last pass of each
+  // of those workers covers a different number of shards.
   const TrafficRun one = run_traffic(128, 1);
-  EXPECT_EQ(one.events, 129U * 41U);
+  EXPECT_EQ(one.events, 128U * 41U);
   EXPECT_GT(one.stats.ring_posts, 0U);
   for (const int workers : {2, 5}) {
     const TrafficRun many = run_traffic(128, workers);
@@ -779,19 +742,20 @@ TEST(Sharded, BlockMapsKeepEveryNodeHistory) {
 TEST(Sharded, RaceMonitorSeesTheRecordedHorizonEdges) {
   // The ShardMonitor seam contract: one horizon publish per shard per
   // chained window, and before every window j >= 2 one horizon wait per
-  // (shard, peer) pair. The counts below were recorded on the engine with
-  // per-shard horizon clocks; per-worker progress counters must reproduce
-  // them exactly, on any worker count.
+  // (shard, peer) pair. The counts below were recorded with one worker;
+  // per-worker progress counters must reproduce them exactly, on any worker
+  // count.
   for (const int workers : {1, 3}) {
-    pasched::race::Monitor mon(9);
+    pasched::race::Monitor mon(8);
     run_traffic(8, workers, &mon);
     const auto st = mon.stats();
-    EXPECT_EQ(st.horizon_publishes, 360U) << "workers=" << workers;
-    EXPECT_EQ(st.horizon_waits, 2520U) << "workers=" << workers;
-    EXPECT_EQ(st.windows, 369U) << "workers=" << workers;
-    EXPECT_EQ(st.plans, 6U) << "workers=" << workers;
-    EXPECT_EQ(st.posts, 180U) << "workers=" << workers;
-    EXPECT_EQ(st.admits, 180U) << "workers=" << workers;
+    // 8 shards x 32 chained windows in 4 rounds, then the final window.
+    EXPECT_EQ(st.horizon_publishes, 256U) << "workers=" << workers;
+    EXPECT_EQ(st.horizon_waits, 1568U) << "workers=" << workers;  // 8*7*28
+    EXPECT_EQ(st.windows, 264U) << "workers=" << workers;
+    EXPECT_EQ(st.plans, 5U) << "workers=" << workers;
+    EXPECT_EQ(st.posts, 160U) << "workers=" << workers;
+    EXPECT_EQ(st.admits, 160U) << "workers=" << workers;
   }
 }
 

@@ -156,8 +156,8 @@ RunDigest run_scenario(const ScenarioFlags& f, bool prototype, bool verbose) {
 
 /// The execution-mode equivalence gate: one shard vs --parallel=1 vs
 /// --parallel=<workers>, on the fig3 (vanilla) and fig5 (prototype +
-/// co-scheduler) scenario shapes. The partitioned runs execute per-pair
-/// window chains, so any window-schedule dependence in the workload shows
+/// co-scheduler) scenario shapes. The partitioned runs execute chained
+/// windows, so any window-schedule dependence in the workload shows
 /// up as a divergence from the one-shard history.
 int run_parallel_equivalence(const ScenarioFlags& f) {
   int rc = 0;
