@@ -25,7 +25,7 @@ class AggregateTrace final : public mpi::Workload {
         out.push_back(mpi::MicroOp::compute(cfg_.warmup));
       // Synchronize job start so the first timed call measures the
       // collective, not the skew of task launch or warmup.
-      mpi::append_barrier(out, info.rank, info.size, next_tag());
+      out.push_back(mpi::MicroOp::barrier(next_tag()));
     }
     // One Allreduce call per refill keeps the op queue tiny.
     if (cfg_.inter_call_compute > sim::Duration::zero()) {
@@ -41,8 +41,8 @@ class AggregateTrace final : public mpi::Workload {
     }
     out.push_back(mpi::MicroOp::mark_begin(
         kChanAllreduce, static_cast<std::uint64_t>(call_)));
-    mpi::append_allreduce(out, info.rank, info.size, cfg_.allreduce_bytes,
-                          next_tag(), cfg_.alg);
+    out.push_back(mpi::MicroOp::allreduce(cfg_.allreduce_bytes, next_tag(),
+                                          cfg_.alg));
     out.push_back(mpi::MicroOp::mark_end(
         kChanAllreduce, static_cast<std::uint64_t>(call_)));
     if (block_end) {

@@ -21,7 +21,7 @@ class Ale3dProxy final : public mpi::Workload {
               std::vector<mpi::MicroOp>& out) override {
     switch (phase_) {
       case Phase::InitialRead:
-        emit_io(out, info, cfg_.initial_read_bytes, /*seq=*/0);
+        emit_io(out, cfg_.initial_read_bytes, /*seq=*/0);
         phase_ = Phase::Steps;
         return true;
       case Phase::Steps:
@@ -29,13 +29,13 @@ class Ale3dProxy final : public mpi::Workload {
         ++step_;
         if (cfg_.checkpoint_every > 0 && step_ < cfg_.timesteps &&
             step_ % cfg_.checkpoint_every == 0) {
-          emit_io(out, info, cfg_.checkpoint_bytes,
+          emit_io(out, cfg_.checkpoint_bytes,
                   static_cast<std::uint64_t>(step_));
         }
         if (step_ >= cfg_.timesteps) phase_ = Phase::FinalDump;
         return true;
       case Phase::FinalDump:
-        emit_io(out, info, cfg_.final_dump_bytes,
+        emit_io(out, cfg_.final_dump_bytes,
                 static_cast<std::uint64_t>(cfg_.timesteps + 1));
         phase_ = Phase::Done;
         return true;
@@ -50,15 +50,15 @@ class Ale3dProxy final : public mpi::Workload {
 
   std::uint64_t next_tag() { return mpi::kTagStride * coll_seq_++; }
 
-  void emit_io(std::vector<mpi::MicroOp>& out, const mpi::TaskInfo& info,
-               std::size_t bytes, std::uint64_t seq) {
+  void emit_io(std::vector<mpi::MicroOp>& out, std::size_t bytes,
+               std::uint64_t seq) {
     if (cfg_.detach_for_io) out.push_back(mpi::MicroOp::detach());
     out.push_back(mpi::MicroOp::mark_begin(kChanIo, seq));
     out.push_back(mpi::MicroOp::io(bytes));
     out.push_back(mpi::MicroOp::mark_end(kChanIo, seq));
     if (cfg_.detach_for_io) out.push_back(mpi::MicroOp::attach());
     // Everyone leaves the I/O phase together (restart files are collective).
-    mpi::append_barrier(out, info.rank, info.size, next_tag());
+    out.push_back(mpi::MicroOp::barrier(next_tag()));
   }
 
   void emit_step(std::vector<mpi::MicroOp>& out, const mpi::TaskInfo& info) {
@@ -72,13 +72,12 @@ class Ale3dProxy final : public mpi::Workload {
     out.push_back(mpi::MicroOp::compute(
         sim::Duration::ns(static_cast<std::int64_t>(ns))));
     // Nearest-neighbor (element) communication.
-    mpi::append_halo_exchange(out, info.rank, info.size, cfg_.halo_bytes,
-                              next_tag());
+    out.push_back(mpi::MicroOp::halo_exchange(cfg_.halo_bytes, next_tag()));
     // Global reductions (timestep control, energy sums, ...).
     for (int r = 0; r < cfg_.reductions_per_step; ++r) {
       out.push_back(mpi::MicroOp::mark_begin(kChanAllreduce, allreduce_seq_));
-      mpi::append_allreduce(out, info.rank, info.size, cfg_.reduce_bytes,
-                            next_tag(), cfg_.alg);
+      out.push_back(mpi::MicroOp::allreduce(cfg_.reduce_bytes, next_tag(),
+                                            cfg_.alg));
       out.push_back(mpi::MicroOp::mark_end(kChanAllreduce, allreduce_seq_));
       ++allreduce_seq_;
     }

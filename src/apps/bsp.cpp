@@ -17,7 +17,7 @@ class Bsp final : public mpi::Workload {
   bool refill(const mpi::TaskInfo& info,
               std::vector<mpi::MicroOp>& out) override {
     if (step_ >= cfg_.steps) return false;
-    if (step_ == 0) mpi::append_barrier(out, info.rank, info.size, next_tag());
+    if (step_ == 0) out.push_back(mpi::MicroOp::barrier(next_tag()));
     const auto seq = static_cast<std::uint64_t>(step_);
     out.push_back(mpi::MicroOp::mark_begin(kChanStep, seq));
     out.push_back(mpi::MicroOp::mark_begin(kChanCompute, seq));
@@ -29,8 +29,8 @@ class Bsp final : public mpi::Workload {
     out.push_back(mpi::MicroOp::mark_end(kChanCompute, seq));
     for (int r = 0; r < cfg_.allreduces_per_step; ++r) {
       out.push_back(mpi::MicroOp::mark_begin(kChanAllreduce, allreduce_seq_));
-      mpi::append_allreduce(out, info.rank, info.size, cfg_.allreduce_bytes,
-                            next_tag(), cfg_.alg);
+      out.push_back(mpi::MicroOp::allreduce(cfg_.allreduce_bytes, next_tag(),
+                                            cfg_.alg));
       out.push_back(mpi::MicroOp::mark_end(kChanAllreduce, allreduce_seq_));
       ++allreduce_seq_;
     }

@@ -21,7 +21,7 @@ class ImplicitCg final : public mpi::Workload {
               std::vector<mpi::MicroOp>& out) override {
     if (step_ >= cfg_.timesteps) return false;
     if (step_ == 0 && iter_ == 0)
-      mpi::append_barrier(out, info.rank, info.size, next_tag());
+      out.push_back(mpi::MicroOp::barrier(next_tag()));
     if (iter_ == 0)
       out.push_back(mpi::MicroOp::mark_begin(
           kChanStep, static_cast<std::uint64_t>(step_)));
@@ -35,12 +35,11 @@ class ImplicitCg final : public mpi::Workload {
         mpi::MicroOp::compute(sim::Duration::ns(static_cast<std::int64_t>(ns))));
     out.push_back(mpi::MicroOp::mark_end(kChanCompute, compute_seq_));
     ++compute_seq_;
-    mpi::append_halo_exchange(out, info.rank, info.size, cfg_.halo_bytes,
-                              next_tag());
+    out.push_back(mpi::MicroOp::halo_exchange(cfg_.halo_bytes, next_tag()));
     for (int d = 0; d < 2; ++d) {
       out.push_back(mpi::MicroOp::mark_begin(kChanAllreduce, allreduce_seq_));
-      mpi::append_allreduce(out, info.rank, info.size, cfg_.dot_bytes,
-                            next_tag(), mpi::AllreduceAlg::BinomialTree);
+      out.push_back(mpi::MicroOp::allreduce(cfg_.dot_bytes, next_tag(),
+                                            mpi::AllreduceAlg::BinomialTree));
       out.push_back(mpi::MicroOp::mark_end(kChanAllreduce, allreduce_seq_));
       ++allreduce_seq_;
     }

@@ -32,7 +32,7 @@ class Sweep3dProxy final : public mpi::Workload {
     const int x = info.rank % px;
     const int y = info.rank / px;
     if (step_ == 0 && sweep_ == 0)
-      mpi::append_barrier(out, info.rank, info.size, next_tag());
+      out.push_back(mpi::MicroOp::barrier(next_tag()));
 
     if (sweep_ == 0)
       out.push_back(mpi::MicroOp::mark_begin(
@@ -58,8 +58,8 @@ class Sweep3dProxy final : public mpi::Workload {
       sweep_ = 0;
       if (cfg_.convergence_check) {
         out.push_back(mpi::MicroOp::mark_begin(kChanAllreduce, allreduce_seq_));
-        mpi::append_allreduce(out, info.rank, info.size, cfg_.reduce_bytes,
-                              next_tag(), mpi::AllreduceAlg::BinomialTree);
+        out.push_back(mpi::MicroOp::allreduce(cfg_.reduce_bytes, next_tag(),
+                                              mpi::AllreduceAlg::BinomialTree));
         out.push_back(mpi::MicroOp::mark_end(kChanAllreduce, allreduce_seq_));
         ++allreduce_seq_;
       }

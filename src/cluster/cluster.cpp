@@ -29,6 +29,11 @@ void Cluster::start() {
   for (auto& n : nodes_) n->start();
 }
 
+void Cluster::start_shard(int shard) {
+  for (auto& n : nodes_)
+    if (sharded_->shard_of_node(n->id()) == shard) n->start();
+}
+
 sim::Duration Cluster::synchronize_clocks() {
   sim::Duration worst = sim::Duration::zero();
   sim::Rng sync_rng = rng_.fork(7);

@@ -33,6 +33,9 @@ class Cluster {
 
   /// Arms every node. Call once before running the engine.
   void start();
+  /// Arms the nodes of one engine shard, in node order: start() for the
+  /// part of the cluster one shard's worker owns.
+  void start_shard(int shard);
 
   /// Synchronizes every node's local clock to the switch clock (what the
   /// co-scheduler startup does on each node, §4). Returns the worst

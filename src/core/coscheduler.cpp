@@ -154,21 +154,29 @@ CoschedManager::CoschedManager(cluster::Cluster& cluster, CoschedConfig cfg)
       cfg_(cfg),
       phase_rng_(cluster.config().seed * 2654435761ULL + 99) {
   per_node_.resize(static_cast<std::size_t>(cluster.size()));
+  phase_.resize(static_cast<std::size_t>(cluster.size()));
   if (cfg_.sync_clocks) sync_residual_ = cluster_.synchronize_clocks();
 }
 
-CoScheduler& CoschedManager::node_cosched(kern::NodeId node) {
-  auto& slot = per_node_[static_cast<std::size_t>(node)];
+CoScheduler& CoschedManager::created(kern::NodeId node) {
+  const auto n = static_cast<std::size_t>(node);
+  auto& slot = per_node_[n];
   if (!slot) {
     slot = std::make_unique<CoScheduler>(cluster_.node(node).kernel(), cfg_);
     // Without boundary alignment each node's windows sit at whatever phase
     // its daemon happened to start with — model that as uniform phase.
-    slot->start(cfg_.align_to_period_boundary
+    phase_[n] = cfg_.align_to_period_boundary
                     ? sim::Duration::zero()
                     : phase_rng_.uniform_dur(sim::Duration::zero(),
-                                             cfg_.period));
+                                             cfg_.period);
   }
   return *slot;
+}
+
+CoScheduler& CoschedManager::node_cosched(kern::NodeId node) {
+  CoScheduler& cs = created(node);
+  if (!cs.started()) cs.start(phase_[static_cast<std::size_t>(node)]);
+  return cs;
 }
 
 void CoschedManager::register_task(kern::NodeId node, kern::Thread& t) {

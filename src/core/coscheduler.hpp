@@ -69,6 +69,7 @@ class CoScheduler final : private kern::ThreadClient {
   void shutdown();
 
   [[nodiscard]] const CoschedStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] bool started() const noexcept { return started_; }
   [[nodiscard]] bool in_favored_phase() const noexcept { return favored_now_; }
 
  private:
@@ -99,9 +100,11 @@ class CoschedManager final : public mpi::SchedulerHook {
  public:
   CoschedManager(cluster::Cluster& cluster, CoschedConfig cfg);
 
-  /// Creates and starts the node's co-scheduler, drawing its window phase
-  /// from the cluster-wide phase stream.
-  void prepare_node(kern::NodeId node) override { (void)node_cosched(node); }
+  /// Creates the node's co-scheduler and draws its window phase from the
+  /// cluster-wide phase stream.
+  void prepare_node(kern::NodeId node) override { (void)created(node); }
+  /// Starts the node's co-scheduler (arms its first window).
+  void start_node(kern::NodeId node) override { (void)node_cosched(node); }
   void register_task(kern::NodeId node, kern::Thread& t) override;
   void detach_task(kern::NodeId node, kern::Thread& t) override;
   void attach_task(kern::NodeId node, kern::Thread& t) override;
@@ -115,11 +118,15 @@ class CoschedManager final : public mpi::SchedulerHook {
   }
 
  private:
+  /// The node's co-scheduler, created (with its phase drawn) if needed.
+  CoScheduler& created(kern::NodeId node);
+  /// The node's co-scheduler, created and started if needed.
   CoScheduler& node_cosched(kern::NodeId node);
 
   cluster::Cluster& cluster_;
   CoschedConfig cfg_;
   std::vector<std::unique_ptr<CoScheduler>> per_node_;
+  std::vector<sim::Duration> phase_;  // [node], drawn at creation
   sim::Duration sync_residual_ = sim::Duration::zero();
   sim::Rng phase_rng_;
 };

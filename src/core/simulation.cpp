@@ -85,13 +85,18 @@ Simulation::~Simulation() = default;
 SimulationResult Simulation::run() {
   PASCHED_EXPECTS_MSG(!ran_, "Simulation::run called twice");
   ran_ = true;
-  cluster_->start();
-  // Each shard launches its own tasks in the run's prologue, before any of
-  // its events fire (in parallel when several workers run); only the hook's
-  // cross-node setup runs here.
+  // Each shard starts its own nodes and launches its own tasks in the run's
+  // prologue, before any of its events fire (in parallel when several
+  // workers run); only the hook's cross-node setup runs here. Each engine
+  // gets its events in the order Cluster::start() then Job::launch() would
+  // schedule them.
   job_->prepare_launch();
+  cluster::Cluster* cl = cluster_.get();
   mpi::Job* job = job_.get();
-  sharded_->set_prologue([job](int shard) { job->launch_shard(shard); });
+  sharded_->set_prologue([cl, job](int shard) {
+    cl->start_shard(shard);
+    job->launch_shard(shard);
+  });
   sharded_->run_until(sharded_->engine_of(0).now() + cfg_.horizon,
                       cfg_.parallel);
   SimulationResult r;

@@ -9,198 +9,190 @@ namespace pasched::mpi {
 
 namespace {
 
+/// ceil(log2 n) for n >= 1.
 int ceil_log2(int n) {
-  PASCHED_EXPECTS(n >= 1);
-  int k = 0;
-  while ((1 << k) < n) ++k;
-  return k;
+  return n <= 1 ? 0 : std::bit_width(static_cast<unsigned>(n - 1));
 }
 
-int floor_pow2(int n) {
-  int p = 1;
-  while (p * 2 <= n) p *= 2;
-  return p;
+/// (a + b) mod n and (a - b) mod n, for a in [0, n) and b in [0, n].
+int add_mod(int a, int b, int n) { return a + b >= n ? a + b - n : a + b; }
+int sub_mod(int a, int b, int n) { return a >= b ? a - b : a - b + n; }
+
+std::uint64_t tag_at(std::uint64_t tag_base, int step) {
+  return tag_base + static_cast<std::uint64_t>(step);
 }
 
-}  // namespace
+/// Children of relative rank `rel` in the binomial tree rooted at 0: ranks
+/// rel + 2^j for j below both rel's lowest set bit (the link to its parent)
+/// and ceil(log2(size - rel)) (past which there is no rank).
+int tree_children(int rel, int size) {
+  const int below = ceil_log2(size - rel);
+  return rel == 0 ? below
+                  : std::min(std::countr_zero(static_cast<unsigned>(rel)),
+                             below);
+}
 
-void append_reduce(std::vector<MicroOp>& out, int rank, int size, int root,
-                   std::size_t bytes, std::uint64_t tag_base) {
-  PASCHED_EXPECTS(size >= 1 && rank >= 0 && rank < size);
-  PASCHED_EXPECTS(root >= 0 && root < size);
-  if (size == 1) return;
-  const int rel = (rank - root + size) % size;
-  int step = 0;
-  for (int mask = 1; mask < size; mask <<= 1, ++step) {
-    if ((rel & mask) != 0) {
-      const int peer = (rank - mask + size) % size;
-      out.push_back(MicroOp::send(peer, tag_base + static_cast<std::uint64_t>(step), bytes));
-      return;  // contributed our partial result; done with the reduction
-    }
-    if (rel + mask < size) {
-      const int peer = (rank + mask) % size;
-      out.push_back(MicroOp::recv(peer, tag_base + static_cast<std::uint64_t>(step)));
-    }
+/// Step i of a binomial reduce: receive from each child, nearest first,
+/// then hand the partial result to the parent.
+bool reduce_step(int rank, int size, int rel, int children,
+                 std::size_t bytes, std::uint64_t tag_base, int i,
+                 MicroOp& out) {
+  if (i < children) {
+    out = MicroOp::recv(add_mod(rank, 1 << i, size), tag_at(tag_base, i));
+    return true;
   }
+  if (rel == 0 || i > children) return false;
+  const int up = std::countr_zero(static_cast<unsigned>(rel));
+  out = MicroOp::send(sub_mod(rank, 1 << up, size), tag_at(tag_base, up),
+                      bytes);
+  return true;
 }
 
-void append_bcast(std::vector<MicroOp>& out, int rank, int size, int root,
-                  std::size_t bytes, std::uint64_t tag_base) {
-  PASCHED_EXPECTS(size >= 1 && rank >= 0 && rank < size);
-  PASCHED_EXPECTS(root >= 0 && root < size);
-  if (size == 1) return;
-  const int rel = (rank - root + size) % size;
-  int mask = 1;
-  int recv_step = -1;
-  while (mask < size) {
-    if ((rel & mask) != 0) {
-      recv_step = std::countr_zero(static_cast<unsigned>(mask));
-      const int peer = (rank - mask + size) % size;
-      out.push_back(
-          MicroOp::recv(peer, tag_base + static_cast<std::uint64_t>(recv_step)));
-      break;
+/// Step i of a binomial broadcast: receive from the parent, then send to
+/// each child, farthest first.
+bool bcast_step(int rank, int size, int rel, int children,
+                std::size_t bytes, std::uint64_t tag_base, int i,
+                MicroOp& out) {
+  if (rel != 0) {
+    const int up = std::countr_zero(static_cast<unsigned>(rel));
+    if (i == 0) {
+      out = MicroOp::recv(sub_mod(rank, 1 << up, size), tag_at(tag_base, up));
+      return true;
     }
-    mask <<= 1;
+    --i;
   }
-  mask >>= 1;
-  while (mask > 0) {
-    if (rel + mask < size) {
-      const int step = std::countr_zero(static_cast<unsigned>(mask));
-      const int peer = (rank + mask) % size;
-      out.push_back(MicroOp::send(
-          peer, tag_base + static_cast<std::uint64_t>(step), bytes));
-    }
-    mask >>= 1;
-  }
+  if (i >= children) return false;
+  const int t = children - 1 - i;
+  out = MicroOp::send(add_mod(rank, 1 << t, size), tag_at(tag_base, t), bytes);
+  return true;
 }
 
-namespace {
-
-void append_allreduce_rd(std::vector<MicroOp>& out, int rank, int size,
-                         std::size_t bytes, std::uint64_t tag_base) {
-  // Recursive doubling with pre/post folding for non-powers of two.
-  const int p2 = floor_pow2(size);
+bool rd_step(int rank, int size, std::size_t bytes, std::uint64_t tag_base,
+             int i, MicroOp& out) {
+  // Recursive doubling over the largest power of two p2 <= size. The first
+  // 2r ranks (r = size - p2) fold in pairs: the even one hands its data to
+  // its odd neighbor at step 0 and gets the result back at the unfold step.
+  const int p2 = static_cast<int>(std::bit_floor(static_cast<unsigned>(size)));
   const int r = size - p2;
-  constexpr std::uint64_t kFoldStep = 0;
-  const std::uint64_t unfold_step = 1 + static_cast<std::uint64_t>(ceil_log2(p2));
-
-  int group;  // index within the power-of-two group, or -1 if folded out
-  if (rank < 2 * r) {
-    if ((rank % 2) == 0) {
-      // Even ranks of the fold region hand their data to the odd neighbor
-      // and wait for the final result at the end.
-      out.push_back(MicroOp::send(rank + 1, tag_base + kFoldStep, bytes));
-      out.push_back(MicroOp::recv(rank + 1, tag_base + unfold_step));
-      return;
+  const int rounds = std::countr_zero(static_cast<unsigned>(p2));
+  const std::uint64_t unfold = tag_at(tag_base, 1 + rounds);
+  const bool folded = rank < 2 * r;
+  if (folded && rank % 2 == 0) {
+    if (i > 1) return false;
+    out = i == 0 ? MicroOp::send(rank + 1, tag_base, bytes)
+                 : MicroOp::recv(rank + 1, unfold);
+    return true;
+  }
+  int group = rank - r;  // index within the power-of-two group
+  if (folded) {
+    if (i == 0) {
+      out = MicroOp::recv(rank - 1, tag_base);
+      return true;
     }
-    out.push_back(MicroOp::recv(rank - 1, tag_base + kFoldStep));
+    --i;
     group = rank / 2;
-  } else {
-    group = rank - r;
   }
-  auto rank_of_group = [r](int g) { return g < r ? 2 * g + 1 : g + r; };
-  int step = 1;
-  for (int mask = 1; mask < p2; mask <<= 1, ++step) {
-    const int peer = rank_of_group(group ^ mask);
-    const std::uint64_t tag = tag_base + static_cast<std::uint64_t>(step);
-    out.push_back(MicroOp::send(peer, tag, bytes));
-    out.push_back(MicroOp::recv(peer, tag));
+  if (i < 2 * rounds) {
+    const int g = group ^ (1 << (i / 2));
+    const int peer = g < r ? 2 * g + 1 : g + r;
+    const std::uint64_t tag = tag_at(tag_base, 1 + i / 2);
+    out = i % 2 == 0 ? MicroOp::send(peer, tag, bytes)
+                     : MicroOp::recv(peer, tag);
+    return true;
   }
-  if (rank < 2 * r) {
-    out.push_back(MicroOp::send(rank - 1, tag_base + unfold_step, bytes));
-  }
+  if (!folded || i > 2 * rounds) return false;
+  out = MicroOp::send(rank - 1, unfold, bytes);
+  return true;
 }
 
 }  // namespace
 
-void append_allreduce(std::vector<MicroOp>& out, int rank, int size,
-                      std::size_t bytes, std::uint64_t tag_base,
-                      AllreduceAlg alg) {
+bool collective_step(const MicroOp& coll, int rank, int size, std::uint32_t i,
+                     MicroOp& out) {
+  using Schedule = MicroOp::Schedule;
+  PASCHED_EXPECTS(coll.kind == MicroOp::Kind::Collective);
   PASCHED_EXPECTS(size >= 1 && rank >= 0 && rank < size);
-  if (size == 1) return;
-  switch (alg) {
-    case AllreduceAlg::BinomialTree:
-      append_reduce(out, rank, size, /*root=*/0, bytes, tag_base);
-      append_bcast(out, rank, size, /*root=*/0, bytes, tag_base + kTagStride / 2);
-      return;
-    case AllreduceAlg::RecursiveDoubling:
-      append_allreduce_rd(out, rank, size, bytes, tag_base);
-      return;
-    case AllreduceAlg::HardwareSwitch:
-      // One contribution, then wait for the switch's combined result.
-      out.push_back(MicroOp::hw_collective(tag_base, bytes));
-      out.push_back(MicroOp::recv(kHwSwitchRank, tag_base));
-      return;
+  PASCHED_EXPECTS(coll.peer >= 0 && coll.peer < size);
+  // No schedule spends more than two steps on one of its kTagStride tags.
+  if (size == 1 || i >= 2 * kTagStride) return false;
+  const int step = static_cast<int>(i);
+  const std::uint64_t tb = coll.tag();
+  switch (coll.schedule) {
+    case Schedule::Barrier: {
+      if (step >= 2 * ceil_log2(size)) return false;
+      const int dist = 1 << (step / 2);
+      const std::uint64_t tag = tag_at(tb, step / 2);
+      out = step % 2 == 0 ? MicroOp::send(add_mod(rank, dist, size), tag, 0)
+                          : MicroOp::recv(sub_mod(rank, dist, size), tag);
+      return true;
+    }
+    case Schedule::Reduce:
+    case Schedule::Bcast:
+    case Schedule::TreeAllreduce: {
+      const int rel = sub_mod(rank, coll.peer, size);
+      const int children = tree_children(rel, size);
+      if (coll.schedule == Schedule::Reduce)
+        return reduce_step(rank, size, rel, children, coll.bytes, tb, step,
+                           out);
+      if (coll.schedule == Schedule::Bcast)
+        return bcast_step(rank, size, rel, children, coll.bytes, tb, step,
+                          out);
+      // Reduce to the root, then broadcast back down the same tree.
+      const int reduce_ops = children + (rel != 0 ? 1 : 0);
+      if (step < reduce_ops)
+        return reduce_step(rank, size, rel, children, coll.bytes, tb, step,
+                           out);
+      return bcast_step(rank, size, rel, children, coll.bytes,
+                        tb + kTagStride / 2, step - reduce_ops, out);
+    }
+    case Schedule::RdAllreduce:
+      return rd_step(rank, size, coll.bytes, tb, step, out);
+    case Schedule::HwAllreduce:
+      if (step > 1) return false;
+      out = step == 0 ? MicroOp::hw_collective(tb, coll.bytes)
+                      : MicroOp::recv(kHwSwitchRank, tb);
+      return true;
+    case Schedule::AllgatherRing: {
+      // Round k's tag is tag_base + k, so N - 1 rounds must fit the stride.
+      PASCHED_EXPECTS(static_cast<std::uint64_t>(size) <= kTagStride + 1);
+      if (step >= 2 * (size - 1)) return false;
+      const std::uint64_t tag = tag_at(tb, step / 2);
+      out = step % 2 == 0
+                ? MicroOp::send(add_mod(rank, 1, size), tag, coll.bytes)
+                : MicroOp::recv(sub_mod(rank, 1, size), tag);
+      return true;
+    }
+    case Schedule::AllgatherBruck: {
+      // Round k: a rank holds 2^k blocks and passes min(2^k, N - 2^k) of
+      // them to rank - 2^k, receiving as many from rank + 2^k.
+      if (step >= 2 * ceil_log2(size)) return false;
+      const int dist = 1 << (step / 2);
+      const std::uint64_t tag = tag_at(tb, step / 2);
+      const auto moved = static_cast<std::size_t>(std::min(dist, size - dist));
+      out = step % 2 == 0 ? MicroOp::send(sub_mod(rank, dist, size), tag,
+                                          coll.bytes * moved)
+                          : MicroOp::recv(add_mod(rank, dist, size), tag);
+      return true;
+    }
+    case Schedule::Halo: {
+      const int right = add_mod(rank, 1, size);
+      const int left = sub_mod(rank, 1, size);
+      if (size == 2) {  // left == right: one exchange
+        if (step > 1) return false;
+        out = step == 0 ? MicroOp::send(right, tb, coll.bytes)
+                        : MicroOp::recv(left, tb);
+        return true;
+      }
+      switch (step) {
+        case 0: out = MicroOp::send(right, tb, coll.bytes); return true;
+        case 1: out = MicroOp::send(left, tb + 1, coll.bytes); return true;
+        case 2: out = MicroOp::recv(left, tb); return true;
+        case 3: out = MicroOp::recv(right, tb + 1); return true;
+        default: return false;
+      }
+    }
   }
-}
-
-void append_barrier(std::vector<MicroOp>& out, int rank, int size,
-                    std::uint64_t tag_base) {
-  PASCHED_EXPECTS(size >= 1 && rank >= 0 && rank < size);
-  if (size == 1) return;
-  const int rounds = ceil_log2(size);
-  for (int k = 0; k < rounds; ++k) {
-    const int dist = 1 << k;
-    const int to = (rank + dist) % size;
-    const int from = (rank - dist % size + size) % size;
-    const std::uint64_t tag = tag_base + static_cast<std::uint64_t>(k);
-    out.push_back(MicroOp::send(to, tag, 0));
-    out.push_back(MicroOp::recv(from, tag));
-  }
-}
-
-void append_allgather_ring(std::vector<MicroOp>& out, int rank, int size,
-                           std::size_t bytes, std::uint64_t tag_base) {
-  PASCHED_EXPECTS(size >= 1 && rank >= 0 && rank < size);
-  const int right = (rank + 1) % size;
-  const int left = (rank - 1 + size) % size;
-  for (int k = 0; k < size - 1; ++k) {
-    const std::uint64_t tag = tag_base + static_cast<std::uint64_t>(k);
-    out.push_back(MicroOp::send(right, tag, bytes));
-    out.push_back(MicroOp::recv(left, tag));
-  }
-}
-
-void append_allgather_bruck(std::vector<MicroOp>& out, int rank, int size,
-                            std::size_t bytes, std::uint64_t tag_base) {
-  PASCHED_EXPECTS(size >= 1 && rank >= 0 && rank < size);
-  if (size == 1) return;
-  int held = 1;  // blocks currently held (own block first)
-  int step = 0;
-  for (int dist = 1; dist < size; dist <<= 1, ++step) {
-    const int to = (rank - dist % size + size) % size;
-    const int from = (rank + dist) % size;
-    const int moved = std::min(held, size - held);
-    const std::uint64_t tag = tag_base + static_cast<std::uint64_t>(step);
-    out.push_back(MicroOp::send(to, tag,
-                                bytes * static_cast<std::size_t>(moved)));
-    out.push_back(MicroOp::recv(from, tag));
-    held += moved;
-  }
-}
-
-void append_alltoall_pairwise(std::vector<MicroOp>& out, int rank, int size,
-                              std::size_t bytes, std::uint64_t tag_base) {
-  PASCHED_EXPECTS(size >= 1 && rank >= 0 && rank < size);
-  for (int k = 1; k < size; ++k) {
-    const int to = (rank + k) % size;
-    const int from = (rank - k % size + size) % size;
-    const std::uint64_t tag = tag_base + static_cast<std::uint64_t>(k);
-    out.push_back(MicroOp::send(to, tag, bytes));
-    out.push_back(MicroOp::recv(from, tag));
-  }
-}
-
-void append_halo_exchange(std::vector<MicroOp>& out, int rank, int size,
-                          std::size_t bytes, std::uint64_t tag_base) {
-  PASCHED_EXPECTS(size >= 1 && rank >= 0 && rank < size);
-  if (size == 1) return;
-  const int right = (rank + 1) % size;
-  const int left = (rank - 1 + size) % size;
-  out.push_back(MicroOp::send(right, tag_base + 0, bytes));
-  if (size > 2) out.push_back(MicroOp::send(left, tag_base + 1, bytes));
-  out.push_back(MicroOp::recv(left, tag_base + 0));
-  if (size > 2) out.push_back(MicroOp::recv(right, tag_base + 1));
+  return false;
 }
 
 int tree_allreduce_steps(int size) { return 2 * ceil_log2(size); }

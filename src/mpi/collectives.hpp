@@ -1,12 +1,13 @@
-// Collective communication schedules, expanded into point-to-point MicroOps
-// per rank. Tags encode (collective sequence number, step) so concurrent
-// collectives never alias: tag = tag_base + step, with tag_base strided by
-// kTagStride per collective instance.
+// Collective communication schedules, streamed per rank as point-to-point
+// MicroOps. A workload emits one MicroOp::Collective op per collective;
+// the task asks collective_step for the op at each step index, so no
+// schedule is ever expanded into memory. Tags encode (collective sequence
+// number, step) so concurrent collectives never alias: tag = tag_base +
+// step, with tag_base strided by kTagStride per collective instance.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "mpi/config.hpp"
 #include "mpi/microop.hpp"
@@ -16,41 +17,24 @@ namespace pasched::mpi {
 /// Tag stride reserved per collective instance (max steps of any schedule).
 inline constexpr std::uint64_t kTagStride = 128;
 
-/// Binomial-tree reduction to rank `root`.
-void append_reduce(std::vector<MicroOp>& out, int rank, int size, int root,
-                   std::size_t bytes, std::uint64_t tag_base);
-
-/// Binomial-tree broadcast from rank `root`.
-void append_bcast(std::vector<MicroOp>& out, int rank, int size, int root,
-                  std::size_t bytes, std::uint64_t tag_base);
-
-/// Allreduce per `alg`: reduce+bcast tree (the paper's "standard tree
-/// algorithm", <= 2*log2(N) p2p steps) or recursive doubling.
-void append_allreduce(std::vector<MicroOp>& out, int rank, int size,
-                      std::size_t bytes, std::uint64_t tag_base,
-                      AllreduceAlg alg);
-
-/// Dissemination barrier (ceil(log2 N) rounds).
-void append_barrier(std::vector<MicroOp>& out, int rank, int size,
-                    std::uint64_t tag_base);
-
-/// Ring allgather: N-1 rounds of shift-by-one, `bytes` contributed per rank.
-void append_allgather_ring(std::vector<MicroOp>& out, int rank, int size,
-                           std::size_t bytes, std::uint64_t tag_base);
-
-/// Bruck allgather: ceil(log2 N) rounds, works for any N; round k moves
-/// min(2^k, N-2^k) blocks of `bytes` each.
-void append_allgather_bruck(std::vector<MicroOp>& out, int rank, int size,
-                            std::size_t bytes, std::uint64_t tag_base);
-
-/// Pairwise-exchange alltoall: N-1 rounds, rank exchanges `bytes` with
-/// (rank +/- k) mod N in round k.
-void append_alltoall_pairwise(std::vector<MicroOp>& out, int rank, int size,
-                              std::size_t bytes, std::uint64_t tag_base);
-
-/// Bidirectional nearest-neighbor halo exchange on a 1-D periodic ring.
-void append_halo_exchange(std::vector<MicroOp>& out, int rank, int size,
-                          std::size_t bytes, std::uint64_t tag_base);
+/// Writes the `i`-th point-to-point op (Send, Recv or HwCollective) of
+/// rank `rank`'s part of the Collective op `coll` in a communicator of
+/// `size` ranks into `out`, and returns true; returns false (leaving `out`
+/// alone) once `i` is past the rank's last step. Allocates nothing and
+/// costs O(1) integer work per call. The schedules:
+///   Barrier        dissemination, ceil(log2 N) send/recv rounds;
+///   Reduce, Bcast  binomial trees to / from `coll.peer`;
+///   TreeAllreduce  Reduce to 0, then Bcast from 0 at tag_base +
+///                  kTagStride / 2 (the paper's "standard tree algorithm");
+///   RdAllreduce    recursive doubling, folding the first 2(N - 2^k) ranks
+///                  in pairs when N is not a power of two;
+///   HwAllreduce    one contribution, then a Recv from kHwSwitchRank;
+///   AllgatherRing  N - 1 shift-by-one rounds (N <= kTagStride + 1);
+///   AllgatherBruck ceil(log2 N) rounds sending to rank - 2^k;
+///   Halo           send right and left, then receive left and right.
+/// Every schedule is empty on one rank.
+[[nodiscard]] bool collective_step(const MicroOp& coll, int rank, int size,
+                                   std::uint32_t i, MicroOp& out);
 
 /// Number of p2p steps on rank 0's critical path of a tree allreduce —
 /// used by the analytic "expected ~350 us" model quoted in §5.3.

@@ -15,8 +15,12 @@ class SchedulerHook {
   /// Sets up the node's side of the hook before its first registration.
   /// Called once per task-hosting node, in node order, from a quiesced
   /// context: setup may draw from state shared across nodes, while
-  /// register_task and the rest touch only their node.
+  /// start_node, register_task and the rest touch only their node. Setup
+  /// schedules no event.
   virtual void prepare_node(kern::NodeId /*node*/) {}
+  /// Schedules the node's first hook events, on the node's shard, after the
+  /// node has started and before its tasks register.
+  virtual void start_node(kern::NodeId /*node*/) {}
   /// MPI_Init-time registration of a task's thread on its node.
   virtual void register_task(kern::NodeId node, kern::Thread& t) = 0;
   /// Task asks to stop being favored (entering an I/O phase).

@@ -27,6 +27,7 @@ Job::Job(cluster::Cluster& cluster, JobConfig cfg,
   combine_owned_.bind(kCombineShard, "mpi.Job.hw", 0);
   sim::Rng job_rng(cfg_.seed);
   spans_.resize(static_cast<std::size_t>(cfg_.ntasks));
+  node_of_.reserve(static_cast<std::size_t>(cfg_.ntasks));
   for (int rank = 0; rank < cfg_.ntasks; ++rank) {
     const int node_id = cfg_.first_node + rank / cfg_.tasks_per_node;
     const kern::CpuId cpu = rank % cfg_.tasks_per_node;
@@ -36,6 +37,7 @@ Job::Job(cluster::Cluster& cluster, JobConfig cfg,
     tasks_.push_back(std::make_unique<Task>(
         *this, rank, cfg_.ntasks, node, cpu, factory(rank, cfg_.ntasks),
         job_rng.fork(static_cast<std::uint64_t>(rank))));
+    node_of_.push_back(node_id);
     if (cfg_.mpi.progress_engine) {
       aux_.push_back(std::make_unique<AuxThread>(
           node.kernel(), rank, cpu, cfg_.mpi,
@@ -56,36 +58,43 @@ void Job::prepare_launch() {
   if (hook_ == nullptr) return;
   // Rank order, the order in which registration would first reach each
   // node; block placement puts a node's tasks at consecutive ranks.
-  int prepared = -1;
-  for (auto& t : tasks_) {
-    if (t->node().id() == prepared) continue;
-    prepared = t->node().id();
-    hook_->prepare_node(prepared);
+  kern::NodeId prepared = -1;
+  for (const kern::NodeId n : node_of_) {
+    if (n == prepared) continue;
+    prepared = n;
+    hook_->prepare_node(n);
   }
 }
 
 void Job::launch_shard(int shard) {
   sim::ShardedEngine& r = cluster_.sharded();
-  const auto here = [&r, shard](Task& t) {
-    return r.shard_of_node(t.node().id()) == shard;
+  const auto here = [this, &r, shard](std::size_t rank) {
+    return r.shard_of_node(node_of_[rank]) == shard;
   };
-  // MPI_Init registration: each task's PID reaches the node co-scheduler
-  // through the pmd control pipe.
   if (hook_ != nullptr) {
-    for (auto& t : tasks_)
-      if (here(*t)) hook_->register_task(t->node().id(), t->thread());
+    kern::NodeId started = -1;
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+      if (!here(i) || node_of_[i] == started) continue;
+      started = node_of_[i];
+      hook_->start_node(started);
+    }
+    // MPI_Init registration: each task's PID reaches the node co-scheduler
+    // through the pmd control pipe.
+    for (std::size_t i = 0; i < tasks_.size(); ++i)
+      if (here(i)) hook_->register_task(node_of_[i], tasks_[i]->thread());
   }
-  for (auto& t : tasks_)
-    if (here(*t)) t->launch();
+  for (std::size_t i = 0; i < tasks_.size(); ++i)
+    if (here(i)) tasks_[i]->launch();
   // aux_[i] serves tasks_[i] (both are built rank by rank).
   for (std::size_t i = 0; i < aux_.size(); ++i)
-    if (here(*tasks_[i])) aux_[i]->start();
+    if (here(i)) aux_[i]->start();
 }
 
 void Job::inject(Task& from, int dst_rank, std::uint64_t tag,
                  std::size_t bytes) {
   PASCHED_EXPECTS(dst_rank >= 0 && dst_rank < ntasks());
-  Task* dst = tasks_[static_cast<std::size_t>(dst_rank)].get();
+  const auto d = static_cast<std::size_t>(dst_rank);
+  Task* dst = tasks_[d].get();
   const int src_rank = from.rank();
   if (elog_ != nullptr) {
     trace::Event e;
@@ -102,7 +111,7 @@ void Job::inject(Task& from, int dst_rank, std::uint64_t tag,
     e.thread = &from.thread();
     elog_->record(e);
   }
-  cluster_.fabric().send(from.node().id(), dst->node().id(), bytes,
+  cluster_.fabric().send(from.node().id(), node_of_[d], bytes,
                          [dst, src_rank, tag] { dst->deposit(src_rank, tag); });
 }
 
@@ -179,9 +188,9 @@ void Job::hw_arrive(std::uint64_t seq, std::size_t bytes) {
       cluster_.fabric().latency_for(0, cluster_.size() > 1 ? 1 : 0, bytes);
   const sim::Time at = r.engine_of(kCombineShard).now() + wire +
                        cfg_.mpi.hw_collective_latency;
-  for (auto& task : tasks_) {
-    Task* tp = task.get();
-    r.post(kCombineShard, r.shard_of_node(tp->node().id()), at,
+  for (std::size_t rank = 0; rank < tasks_.size(); ++rank) {
+    Task* tp = tasks_[rank].get();
+    r.post(kCombineShard, r.shard_of_node(node_of_[rank]), at,
            [tp, seq] { tp->deposit(kHwSwitchRank, seq); });
   }
 }

@@ -144,6 +144,9 @@ class Job {
   cluster::Cluster& cluster_;
   JobConfig cfg_;
   std::vector<std::unique_ptr<Task>> tasks_;
+  /// Home node of each rank: a send reads this dense table, not the
+  /// destination's Task or Node.
+  std::vector<kern::NodeId> node_of_;
   std::vector<std::unique_ptr<AuxThread>> aux_;
   SchedulerHook* hook_ = nullptr;
   trace::EventLog* elog_ = nullptr;

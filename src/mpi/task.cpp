@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mpi/collectives.hpp"
 #include "mpi/job.hpp"
 #include "util/assert.hpp"
 
@@ -108,30 +109,39 @@ RunDecision Task::next(Time now) {
       PASCHED_ASSERT_MSG(!queue_.empty(),
                          "Workload::refill returned true with no ops");
     }
-    const MicroOp& op = queue_[head_];
+    if (queue_[head_].kind == MicroOp::Kind::Collective && !in_step_) {
+      if (!collective_step(queue_[head_], rank_, info_.size, step_,
+                           step_op_)) {
+        step_ = 0;  // schedule done
+        ++head_;
+        continue;
+      }
+      in_step_ = true;
+    }
+    const MicroOp& op = in_step_ ? step_op_ : queue_[head_];
     switch (op.kind) {
       case MicroOp::Kind::Compute:
         ++head_;
-        return RunDecision::compute(op.dur);
+        return RunDecision::compute(op.dur());
       case MicroOp::Kind::Send:
         if (!charging_) {
           charging_ = true;
           return RunDecision::compute(job_.mpi_config().o_send);
         }
         charging_ = false;
-        job_.inject(*this, op.peer, op.tag, op.bytes);
-        ++head_;
+        job_.inject(*this, op.peer, op.tag(), op.bytes);
+        advance();
         break;
       case MicroOp::Kind::Recv: {
         if (charging_) {  // o_recv paid; message fully received
           charging_ = false;
           spun_ = false;
-          ++head_;
+          advance();
           break;
         }
         const MpiConfig& mc = job_.mpi_config();
-        if (try_consume(op.peer, op.tag)) {
-          log_recv_event(/*wait=*/false, op.peer, key_of(op.peer, op.tag),
+        if (try_consume(op.peer, op.tag())) {
+          log_recv_event(/*wait=*/false, op.peer, key_of(op.peer, op.tag()),
                          now);
           wait_key_ = kNoWait;
           charging_ = true;
@@ -142,13 +152,13 @@ RunDecision Task::next(Time now) {
           }
           return RunDecision::compute(cost);
         }
-        if (wait_key_ != key_of(op.peer, op.tag)) {
+        if (wait_key_ != key_of(op.peer, op.tag())) {
           // First visit of this unsatisfied receive: record the wait start
           // (spin-block re-entry after the threshold burn is not a new wait).
-          log_recv_event(/*wait=*/true, op.peer, key_of(op.peer, op.tag),
+          log_recv_event(/*wait=*/true, op.peer, key_of(op.peer, op.tag()),
                          now);
         }
-        wait_key_ = key_of(op.peer, op.tag);
+        wait_key_ = key_of(op.peer, op.tag());
         if (mc.recv_wait == RecvWait::Spin) return RunDecision::spin();
         // Spin-block (demand-based co-scheduling): burn the threshold on
         // the CPU once, then yield and wait for the arrival wakeup.
@@ -173,7 +183,7 @@ RunDecision Task::next(Time now) {
         break;
       case MicroOp::Kind::MarkEnd:
         PASCHED_ASSERT(op.channel < kMaxChannels);
-        job_.on_span(*this, op.channel, op.seq, open_mark_[op.channel], now);
+        job_.on_span(*this, op.channel, op.seq(), open_mark_[op.channel], now);
         ++head_;
         break;
       case MicroOp::Kind::HwCollective:
@@ -185,8 +195,8 @@ RunDecision Task::next(Time now) {
           return RunDecision::compute(job_.mpi_config().o_send);
         }
         charging_ = false;
-        job_.hw_contribute(*this, op.seq, op.bytes);
-        ++head_;
+        job_.hw_contribute(*this, op.seq(), op.bytes);
+        advance();
         break;
       case MicroOp::Kind::Detach:
         job_.hook_detach(*this);
@@ -196,6 +206,8 @@ RunDecision Task::next(Time now) {
         job_.hook_attach(*this);
         ++head_;
         break;
+      case MicroOp::Kind::Collective:  // streamed above, never executed
+        PASCHED_ASSERT_MSG(false, "collective_step yielded a Collective op");
     }
   }
 }

@@ -53,6 +53,16 @@ class Task final : public kern::ThreadClient {
   /// next().
   [[nodiscard]] bool posts() const noexcept override { return true; }
   void log_recv_event(bool wait, int src, std::uint64_t key, sim::Time now);
+  /// Retires the op next() just finished: the current collective step, or
+  /// else the queue's front op.
+  void advance() noexcept {
+    if (in_step_) {
+      in_step_ = false;
+      ++step_;
+    } else {
+      ++head_;
+    }
+  }
   /// Exact (collision-free) encoding: 24 bits of source rank, 40 bits of tag.
   [[nodiscard]] static std::uint64_t key_of(int src, std::uint64_t tag) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 40) |
@@ -72,8 +82,13 @@ class Task final : public kern::ThreadClient {
   sim::Rng rng_;
   TaskInfo info_;
 
-  std::vector<MicroOp> queue_;
+  std::vector<MicroOp> queue_;  // one refill; a collective is one op
   std::size_t head_ = 0;
+  /// The front op's collective schedule streams through step_op_: it holds
+  /// step step_ of that schedule while in_step_ is set.
+  MicroOp step_op_;
+  std::uint32_t step_ = 0;
+  bool in_step_ = false;
   bool charging_ = false;   // the front op's CPU overhead has been issued
   bool spun_ = false;       // spin-block: threshold spin already burned
   bool woken_for_recv_ = false;  // demand wakeup occurred (charge its cost)

@@ -32,7 +32,6 @@ Fabric::Fabric(sim::ShardedEngine& sharded, FabricConfig cfg, sim::Rng rng,
                int nodes)
     : sharded_(&sharded),
       cfg_(cfg),
-      port_seed_base_(rng.next_u64()),
       egress_free_(static_cast<std::size_t>(nodes)),
       ingress_free_(static_cast<std::size_t>(nodes)) {
   check_config(cfg_);
@@ -41,20 +40,13 @@ Fabric::Fabric(sim::ShardedEngine& sharded, FabricConfig cfg, sim::Rng rng,
       cfg_.link_bandwidth == 0.0 || sharded.partitions() == 1,
       "link_bandwidth contention serializes senders cluster-wide and cannot "
       "run partitioned");
-  ports_.resize(static_cast<std::size_t>(nodes));
-}
-
-Fabric::Port& Fabric::port(kern::NodeId src) {
-  PASCHED_EXPECTS(src >= 0 && static_cast<std::size_t>(src) < ports_.size());
-  auto& slot = ports_[static_cast<std::size_t>(src)];
-  if (!slot) {
-    // Order-independent seeding: a pure function of the fabric seed and the
-    // source id, so which shard first sends does not change any stream.
-    slot = std::make_unique<Port>(
-        port_seed_base_ +
-        0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(src) + 1));
-  }
-  return *slot;
+  // Each port's jitter stream is a pure function of the fabric seed and
+  // its source id.
+  const std::uint64_t seed_base = rng.next_u64();
+  ports_.reserve(static_cast<std::size_t>(nodes));
+  for (int src = 0; src < nodes; ++src)
+    ports_.emplace_back(seed_base + 0x9e3779b97f4a7c15ULL *
+                                        (static_cast<std::uint64_t>(src) + 1));
 }
 
 Duration Fabric::latency_for(kern::NodeId src, kern::NodeId dst,
@@ -66,19 +58,19 @@ Duration Fabric::latency_for(kern::NodeId src, kern::NodeId dst,
 
 FabricStats Fabric::stats() const {
   FabricStats total;
-  for (const auto& p : ports_) {
-    if (!p) continue;
-    total.messages += p->stats.messages;
-    total.bytes += p->stats.bytes;
-    total.intra_node += p->stats.intra_node;
+  for (const Port& p : ports_) {
+    total.messages += p.stats.messages;
+    total.bytes += p.stats.bytes;
+    total.intra_node += p.stats.intra_node;
   }
   return total;
 }
 
 void Fabric::send(kern::NodeId src, kern::NodeId dst, std::size_t bytes,
                   sim::Engine::Callback on_deliver) {
-  Port& p = port(src);
+  PASCHED_EXPECTS(src >= 0 && static_cast<std::size_t>(src) < ports_.size());
   PASCHED_EXPECTS(dst >= 0 && static_cast<std::size_t>(dst) < ports_.size());
+  Port& p = ports_[static_cast<std::size_t>(src)];
   ++p.stats.messages;
   p.stats.bytes += bytes;
   if (src == dst) ++p.stats.intra_node;

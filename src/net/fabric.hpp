@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
+#include "util/aligned.hpp"
 
 namespace pasched::sim {
 class ShardedEngine;
@@ -79,9 +79,9 @@ class Fabric {
 
  private:
   /// Per-source-node send state: everything send() mutates, so concurrent
-  /// sends from different shards are isolated. Seeded as a pure function of
-  /// the fabric seed and the source id — creation order does not matter.
-  struct Port {
+  /// sends from different shards are isolated, each on its own cache
+  /// lines. Seeded as a pure function of the fabric seed and the source id.
+  struct alignas(util::kCacheLineBytes) Port {
     explicit Port(std::uint64_t seed) : rng(seed) {}
     sim::Rng rng;
     FabricStats stats;
@@ -91,12 +91,9 @@ class Fabric {
     std::vector<std::pair<kern::NodeId, sim::Time>> last_delivery;
   };
 
-  [[nodiscard]] Port& port(kern::NodeId src);
-
   sim::ShardedEngine* sharded_;
   FabricConfig cfg_;
-  std::uint64_t port_seed_base_;
-  std::vector<std::unique_ptr<Port>> ports_;
+  std::vector<Port> ports_;  // [src node], built in the constructor
   // Link-contention state, indexed by node: the time each node's
   // egress/ingress link frees up. Ingress couples senders cluster-wide —
   // sequential mode only.

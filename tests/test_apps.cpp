@@ -8,6 +8,7 @@
 #include "apps/ale3d_proxy.hpp"
 #include "apps/bsp.hpp"
 #include "apps/channels.hpp"
+#include "mpi/collectives.hpp"
 #include "mpi/microop.hpp"
 
 using namespace pasched;
@@ -15,7 +16,8 @@ using mpi::MicroOp;
 
 namespace {
 
-/// Drains a workload completely, returning the flattened op stream.
+/// Drains a workload completely, returning the flattened op stream with
+/// every Collective op replaced by the steps a task streams from it.
 std::vector<MicroOp> drain(mpi::Workload& w, int rank, int size,
                            std::uint64_t seed = 1) {
   sim::Rng rng(seed);
@@ -25,7 +27,16 @@ std::vector<MicroOp> drain(mpi::Workload& w, int rank, int size,
     chunk.clear();
     if (!w.refill(info, chunk)) break;
     EXPECT_FALSE(chunk.empty());
-    for (auto& op : chunk) all.push_back(op);
+    for (const auto& op : chunk) {
+      if (op.kind != MicroOp::Kind::Collective) {
+        all.push_back(op);
+        continue;
+      }
+      MicroOp step;
+      for (std::uint32_t i = 0; mpi::collective_step(op, rank, size, i, step);
+           ++i)
+        all.push_back(step);
+    }
     EXPECT_LT(all.size(), 5'000'000u) << "workload failed to terminate";
     if (all.size() >= 5'000'000u) break;
   }
@@ -100,7 +111,7 @@ TEST(AggregateTrace, WarmupPrependsUntimedCompute) {
   const auto ops = drain(*w, 0, 4);
   ASSERT_FALSE(ops.empty());
   EXPECT_EQ(ops[0].kind, MicroOp::Kind::Compute);
-  EXPECT_EQ(ops[0].dur.count(), sim::Duration::sec(3).count());
+  EXPECT_EQ(ops[0].dur().count(), sim::Duration::sec(3).count());
   // The warmup compute precedes the start barrier, which precedes any mark.
   std::size_t first_send = 0, first_mark = 0;
   for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -123,7 +134,7 @@ TEST(AggregateTrace, TagBasesNeverRepeat) {
       // appears once per (peer, tag).
       if (op.kind == MicroOp::Kind::Send) {
         const std::uint64_t key =
-            (static_cast<std::uint64_t>(op.peer) << 40) | op.tag;
+            (static_cast<std::uint64_t>(op.peer) << 40) | op.tag();
         EXPECT_TRUE(seen.insert(key).second)
             << "duplicate send key would alias in the mailbox";
       }
@@ -172,10 +183,10 @@ TEST(Ale3dProxy, ComputeHasBoundedImbalance) {
   int n = 0;
   for (const auto& op : ops) {
     if (op.kind == MicroOp::Kind::Compute) {
-      total += op.dur.to_ms();
+      total += op.dur().to_ms();
       ++n;
-      EXPECT_GT(op.dur.to_ms(), 5.0);   // floor at mean/4
-      EXPECT_LT(op.dur.to_ms(), 40.0);  // plausible upper bound
+      EXPECT_GT(op.dur().to_ms(), 5.0);   // floor at mean/4
+      EXPECT_LT(op.dur().to_ms(), 40.0);  // plausible upper bound
     }
   }
   ASSERT_EQ(n, 50);
@@ -209,4 +220,43 @@ TEST(Workloads, PerRankStreamsDiffer) {
   for (std::size_t i = 0; !differ && i < a.size(); ++i)
     if (a[i].kind != b[i].kind || a[i].peer != b[i].peer) differ = true;
   EXPECT_TRUE(differ);
+}
+
+namespace {
+
+/// The number of ops each refill of `factory`'s rank `rank` appends.
+std::vector<std::size_t> refill_sizes(const mpi::WorkloadFactory& factory,
+                                      int rank, int size) {
+  auto w = factory(rank, size);
+  sim::Rng rng(1);
+  mpi::TaskInfo info{rank, size, &rng};
+  std::vector<std::size_t> sizes;
+  std::vector<MicroOp> chunk;
+  while (w->refill(info, chunk)) {
+    sizes.push_back(chunk.size());
+    chunk.clear();
+  }
+  return sizes;
+}
+
+}  // namespace
+
+TEST(Workloads, OpsPerRefillDoNotGrowWithRanks) {
+  // A collective is one op whatever the communicator size, so a task's op
+  // queue holds as many ops at the §6 size (8 192 ranks) as at 64.
+  apps::AggregateTraceConfig at;
+  at.loops = 1;
+  at.calls_per_loop = 130;
+  at.warmup = sim::Duration::ms(1);
+  apps::Ale3dConfig ale;
+  ale.timesteps = 12;
+  ale.checkpoint_every = 5;
+  for (const auto& factory : {apps::aggregate_trace(at), apps::ale3d_proxy(ale)}) {
+    for (int rank : {0, 1, 63}) {
+      const auto small = refill_sizes(factory, rank, 64);
+      EXPECT_EQ(small, refill_sizes(factory, rank, 8192)) << "rank " << rank;
+      EXPECT_EQ(small, refill_sizes(factory, 8191 - 63 + rank, 8192))
+          << "rank " << rank;
+    }
+  }
 }

@@ -126,11 +126,11 @@ TEST(HwCollectives, GatedByTheSlowestContributor) {
                 std::vector<mpi::MicroOp>& out) override {
       if (done) return false;
       done = true;
-      mpi::append_barrier(out, info.rank, info.size, 0);
+      out.push_back(mpi::MicroOp::barrier(0));
       if (info.rank == 5) out.push_back(mpi::MicroOp::compute(Duration::ms(2)));
       out.push_back(mpi::MicroOp::mark_begin(0, 0));
-      mpi::append_allreduce(out, info.rank, info.size, 8,
-                            mpi::kTagStride, mpi::AllreduceAlg::HardwareSwitch);
+      out.push_back(mpi::MicroOp::allreduce(8, mpi::kTagStride,
+                                            mpi::AllreduceAlg::HardwareSwitch));
       out.push_back(mpi::MicroOp::mark_end(0, 0));
       return true;
     }

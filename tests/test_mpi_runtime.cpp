@@ -122,11 +122,11 @@ TEST(MpiJob, BarrierHoldsEveryoneUntilLastArrives) {
   // Rank 2 computes 5 ms before the barrier; no rank's barrier-exit happens
   // before rank 2 even starts it.
   Rig rig(1);
-  auto factory = [](int rank, int size) {
+  auto factory = [](int rank, int) {
     std::vector<mpi::MicroOp> ops;
     if (rank == 2) ops.push_back(mpi::MicroOp::compute(5_ms));
     ops.push_back(mpi::MicroOp::mark_begin(1, 0));
-    mpi::append_barrier(ops, rank, size, 0);
+    ops.push_back(mpi::MicroOp::barrier(0));
     ops.push_back(mpi::MicroOp::mark_end(1, 0));
     return std::make_unique<FixedOps>(std::move(ops));
   };
@@ -144,14 +144,13 @@ TEST(MpiJob, BarrierHoldsEveryoneUntilLastArrives) {
 TEST(MpiJob, AllreduceTimeScalesWithLog) {
   auto mean_for = [](int ntasks, int tpn, int nodes) {
     Rig rig(nodes);
-    auto factory = [ntasks](int rank, int size) {
+    auto factory = [](int, int) {
       std::vector<mpi::MicroOp> ops;
-      mpi::append_barrier(ops, rank, size, 0);
+      ops.push_back(mpi::MicroOp::barrier(0));
       ops.push_back(mpi::MicroOp::mark_begin(0, 0));
-      mpi::append_allreduce(ops, rank, size, 8, mpi::kTagStride,
-                            mpi::AllreduceAlg::BinomialTree);
+      ops.push_back(mpi::MicroOp::allreduce(8, mpi::kTagStride,
+                                            mpi::AllreduceAlg::BinomialTree));
       ops.push_back(mpi::MicroOp::mark_end(0, 0));
-      (void)ntasks;
       return std::make_unique<FixedOps>(std::move(ops));
     };
     mpi::Job job(rig.cluster, job_cfg(ntasks, tpn), factory);
@@ -595,13 +594,13 @@ TEST(MpiJob, SpinBlockWithZeroThresholdBlocksImmediately) {
 
 TEST(MpiJob, SpinBlockCollectivesStillCorrect) {
   Rig rig(2);
-  auto factory = [](int rank, int size) {
+  auto factory = [](int, int) {
     std::vector<mpi::MicroOp> ops;
     ops.push_back(mpi::MicroOp::mark_begin(0, 0));
-    mpi::append_allreduce(ops, rank, size, 8, 0,
-                          mpi::AllreduceAlg::BinomialTree);
+    ops.push_back(
+        mpi::MicroOp::allreduce(8, 0, mpi::AllreduceAlg::BinomialTree));
     ops.push_back(mpi::MicroOp::mark_end(0, 0));
-    mpi::append_barrier(ops, rank, size, mpi::kTagStride);
+    ops.push_back(mpi::MicroOp::barrier(mpi::kTagStride));
     return std::make_unique<FixedOps>(std::move(ops));
   };
   mpi::JobConfig jc = job_cfg(32, 16);
