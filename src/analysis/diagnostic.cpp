@@ -148,7 +148,7 @@ const std::vector<RuleInfo>& all_rules() {
        "shard worker pool",
        "§3.2.1 (a stuck worker stalls every window barrier behind it)"},
       {"PSL502", Severity::Error,
-       "no lock may be held across a blocking seam (std::barrier "
+       "no lock may be held across a blocking seam (a barrier's "
        "arrive_and_wait, condition-variable wait, inbox drain): the holder "
        "parks with the lock taken and serializes every worker that needs it",
        "§3.1.1 (synchronization cost, not work, bounds the window rate)"},

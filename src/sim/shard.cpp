@@ -1,9 +1,9 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <exception>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -38,7 +38,7 @@ ShardedEngine::ShardedEngine(const ShardMap& map, Duration lookahead)
   inbound_ = std::vector<util::CacheAligned<std::atomic<PairRing*>>>(n);
   arenas_ = std::vector<util::CacheAligned<ShardArena>>(n);
   counters_.assign(n, util::CacheAligned<ShardCounters>{});
-  published_.assign(n, util::CacheAligned<Published>{});
+  published_ = std::vector<util::CacheAligned<Published>>(n);
 }
 
 ShardedEngine::~ShardedEngine() {
@@ -223,19 +223,75 @@ PASCHED_HOT void ShardedEngine::admit_sorted(int shard,
 }
 
 void ShardedEngine::wait_workers(int worker, int nworkers,
-                                 std::uint64_t windows) {
+                                 std::uint64_t windows,
+                                 const util::SpinWait& how) {
   for (int v = 0; v < nworkers; ++v) {
     if (v == worker) continue;
-    std::atomic<std::uint64_t>& done = progress_[static_cast<std::size_t>(v)].v;
-    if (done.load(std::memory_order_acquire) >= windows) continue;
-    do {
-      if (poisoned_.load(std::memory_order_relaxed)) return;
-      std::this_thread::yield();
-    } while (done.load(std::memory_order_acquire) < windows);
+    const std::atomic<std::uint64_t>& done =
+        progress_[static_cast<std::size_t>(v)].v.windows;
+    switch (how.wait([&done, windows] {
+      return done.load(std::memory_order_acquire) >= windows;
+    })) {
+      case util::WaitResult::Ready: continue;
+      case util::WaitResult::Aborted: return;
+      case util::WaitResult::TimedOut: break;
+    }
+    throw check::CheckError(
+        stall_message(worker, nworkers, "a horizon wait", v, windows));
   }
 }
 
-void ShardedEngine::run_chain(int worker, int nworkers, int S) {
+template <class Completion>
+bool ShardedEngine::cross(int worker, int nworkers,
+                          util::SpinBarrier& rendezvous,
+                          const util::SpinWait& how,
+                          Completion&& completion) {
+  Progress& mine = progress_[static_cast<std::size_t>(worker)].v;
+  mine.crossings.store(mine.crossings.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
+  switch (rendezvous.arrive_and_wait(how, completion)) {
+    case util::WaitResult::Ready: return true;
+    case util::WaitResult::Aborted: return false;
+    case util::WaitResult::TimedOut: break;
+  }
+  // Name the first peer that has not arrived; if all have, the last one is
+  // still in the completion step.
+  const std::uint64_t crossing =
+      mine.crossings.load(std::memory_order_relaxed);
+  int peer = -1;
+  for (int v = 0; v < nworkers && peer < 0; ++v)
+    if (v != worker && progress_[static_cast<std::size_t>(v)]
+                               .v.crossings.load(std::memory_order_relaxed) <
+                           crossing)
+      peer = v;
+  throw check::CheckError(stall_message(
+      worker, nworkers, "the round rendezvous", peer,
+      mine.windows.load(std::memory_order_relaxed)));
+}
+
+std::string ShardedEngine::stall_message(int worker, int nworkers,
+                                         const char* where, int peer,
+                                         std::uint64_t needed) const {
+  std::ostringstream msg;
+  msg << "parallel core stalled: worker " << worker << " waited "
+      << kStallTimeout.count() << " s at " << where;
+  if (peer < 0) {
+    msg << " while the completion step ran (every peer had arrived)";
+  } else {
+    msg << " for worker " << peer << ", which finished "
+        << progress_[static_cast<std::size_t>(peer)].v.windows.load(
+               std::memory_order_acquire)
+        << " windows of the " << needed << " needed";
+  }
+  msg << "; shard clocks (ns, shard@worker):";
+  for (std::size_t s = 0; s < published_.size(); ++s)
+    msg << ' ' << s << '@' << static_cast<int>(s) % nworkers << '='
+        << published_[s].v.clock_ns.load(std::memory_order_relaxed);
+  return msg.str();
+}
+
+void ShardedEngine::run_chain(int worker, int nworkers, int S,
+                              const util::SpinWait& how) {
   if (!freeze_fire_logs_.load(std::memory_order_acquire)) {
     for (int s = worker; s < S; s += nworkers) {
       const race::ScopedDomain sd(s);
@@ -245,18 +301,19 @@ void ShardedEngine::run_chain(int worker, int nworkers, int S) {
   const int len = plan_.length;
   const bool prologue = prologue_ && rounds_ == 1;
   std::atomic<std::uint64_t>& progress =
-      progress_[static_cast<std::size_t>(worker)].v;
+      progress_[static_cast<std::size_t>(worker)].v.windows;
   // Every worker runs every window of every round, so all counters agree
-  // at the round barrier.
+  // at the round rendezvous.
   const std::uint64_t base = progress.load(std::memory_order_relaxed);
   for (int j = 1; j <= len; ++j) {
     if (j >= 2) {
       // Window j may consume everything peers produced through their
       // window j-1 — wait once for every other worker to finish it. Window
-      // 1 needs no wait: the round barrier already parked every producer
+      // 1 needs no wait: the round rendezvous already held every producer
       // and the round-boundary drain was total. Shards of this worker
       // finished window j-1 in program order.
-      wait_workers(worker, nworkers, base + static_cast<std::uint64_t>(j - 1));
+      wait_workers(worker, nworkers, base + static_cast<std::uint64_t>(j - 1),
+                   how);
     }
     for (int s = worker; s < S; s += nworkers) {
       if (poisoned_.load(std::memory_order_relaxed)) return;
@@ -290,6 +347,8 @@ void ShardedEngine::run_chain(int worker, int nworkers, int S) {
       // now() on *every* shard is what the wrapup gate and admission
       // past-checks are built on.
       e.run_before(wend);
+      published_[static_cast<std::size_t>(s)].v.clock_ns.store(
+          e.now().count(), std::memory_order_relaxed);
       // Monitor before the store: a peer that observes the horizon must find
       // the publish already recorded in the vector-clock model.
       if (monitor_ != nullptr) monitor_->on_horizon_publish(s, wend);
@@ -322,18 +381,16 @@ void ShardedEngine::stop_all() {
   if (partitions() == 1) engines_.front()->stop();
 }
 
-void ShardedEngine::plan_round(Time deadline) noexcept {
+void ShardedEngine::plan_round(Time deadline) {
   PASCHED_ALLOC_COLD_SCOPE("ShardedEngine::plan_round");
-  phase_ ^= 1;
-  if (phase_ == 0) return;  // end-of-round barrier: nothing to plan
-  // All workers are parked, so wrapups may safely touch any node — but
-  // chained windows let shard clocks diverge, so a wrapup only runs once
-  // every clock has passed its request stamp (otherwise its side effects
-  // would be stamped into some lagging shard's pre-completion history and
-  // break the execution-mode digest). Deferred wrapups simply wait for the
-  // next round: every chained window strictly advances every shard, so the
-  // gate opens within a few rounds. They run before the stop checks so
-  // completions queued during the final round still execute.
+  // All workers wait at the rendezvous, so wrapups may safely touch any
+  // node — but chained windows let shard clocks diverge, so a wrapup only
+  // runs once every clock has passed its request stamp (otherwise its side
+  // effects would be stamped into some lagging shard's pre-completion
+  // history and break the execution-mode digest). Deferred wrapups simply
+  // wait for the next round: every chained window strictly advances every
+  // shard, so the gate opens within a few rounds. They run before the stop
+  // checks so completions queued during the final round still execute.
   Time ready = Time::max();
   for (const auto& e : engines_) ready = std::min(ready, e->now());
   // The finished round's claims expire here. A wrapup runs after the
@@ -430,7 +487,6 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
   stopped_early_ = false;
   final_done_ = false;
   claims_live_ = false;
-  phase_ = 0;
   round_ = Round::Window;
   rounds_ = windows_ = final_rounds_ = 0;
   for (auto& c : counters_) {
@@ -446,23 +502,30 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
     if (prologue) prologue(0);
     return engines_.front()->run_until(deadline);
   }
-  progress_ = std::vector<util::CacheAligned<std::atomic<std::uint64_t>>>(
+  progress_ = std::vector<util::CacheAligned<Progress>>(
       static_cast<std::size_t>(W));
+  for (std::size_t s = 0; s < published_.size(); ++s)
+    published_[s].v.clock_ns.store(engines_[s]->now().count(),
+                                   std::memory_order_relaxed);
+  // Pin only when every worker can own a core: pinning an oversubscribed
+  // pool just serializes it harder.
+  const unsigned hw = std::thread::hardware_concurrency();
+  const bool own_cores = hw >= static_cast<unsigned>(W);
+  const util::SpinWait how(kStallTimeout, &poisoned_);
+  util::SpinBarrier rendezvous(W);
+  const auto plan = [this, deadline] { plan_round(deadline); };
+  const auto quiesced = [] {};
 
   std::exception_ptr err;
   std::mutex err_mu;
   {
-    auto completion = [this, deadline]() noexcept { plan_round(deadline); };
-    std::barrier bar(W, completion);
     std::vector<std::jthread> pool;
     pool.reserve(static_cast<std::size_t>(W));
     for (int w = 0; w < W; ++w) {
-      pool.emplace_back([this, w, W, S, deadline, &bar, &err, &err_mu] {
+      pool.emplace_back([this, w, W, S, deadline, hw, own_cores, &how,
+                         &rendezvous, &plan, &quiesced, &err, &err_mu] {
 #ifdef __linux__
-        // Shard->core pinning, but only when every worker can own a core:
-        // pinning an oversubscribed pool just serializes it harder.
-        const unsigned hw = std::thread::hardware_concurrency();
-        if (hw >= static_cast<unsigned>(W)) {
+        if (own_cores) {
           cpu_set_t set;
           CPU_ZERO(&set);
           CPU_SET(static_cast<unsigned>(w) % hw, &set);
@@ -473,15 +536,17 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
           for (;;) {
             for (int s = w; s < S; s += W) {
               // Admission mutates the destination shard's engine, so it runs
-              // under that shard's domain; the scope ends before the barrier
-              // so completion-step wrapups execute at kFreeContext. The
-              // round-boundary drain is total (every producer is about to
-              // park), so the published times cover in-flight posts too.
+              // under that shard's domain; the scope ends before the
+              // rendezvous so completion-step wrapups execute at
+              // kFreeContext. The round-boundary drain is total (every
+              // producer is about to arrive), so the published times cover
+              // in-flight posts too.
               const race::ScopedDomain sd(s);
               drain_rings(s, /*plan=*/nullptr, 0);
               publish(s);
             }
-            bar.arrive_and_wait();  // completion plans the round
+            // The last worker to arrive plans the round.
+            if (!cross(w, W, rendezvous, how, plan)) break;
             const Round r = round_;
             if (r == Round::Stop) break;
             if (r == Round::Final) {
@@ -489,27 +554,28 @@ bool ShardedEngine::run_until(Time deadline, int workers) {
                   freeze_fire_logs_.load(std::memory_order_acquire);
               for (int s = w; s < S; s += W) {
                 const race::ScopedDomain sd(s);
-                if (!frozen) engine_of(s).clear_fire_log();
+                Engine& e = engine_of(s);
+                if (!frozen) e.clear_fire_log();
                 if (monitor_ != nullptr) monitor_->on_window_begin(s, deadline);
                 if (prologue_ && rounds_ == 1) prologue_(s);
-                engine_of(s).run_until(deadline);
+                e.run_until(deadline);
+                published_[static_cast<std::size_t>(s)].v.clock_ns.store(
+                    e.now().count(), std::memory_order_relaxed);
               }
             } else {
-              run_chain(w, W, S);
+              run_chain(w, W, S, how);
             }
-            bar.arrive_and_wait();  // all shards quiesced before next drain
+            // All shards quiesced before the next drain.
+            if (!cross(w, W, rendezvous, how, quiesced)) break;
           }
         } catch (...) {
           {
             const std::scoped_lock lk(err_mu);
             if (!err) err = std::current_exception();
           }
-          // Release the surviving workers: poisoned_ frees anyone spinning
-          // on this worker's horizons, stop_flag_ makes the next plan step
-          // exit, and the drop keeps the barrier from waiting on us.
+          // Release the surviving workers from their horizon waits and the
+          // rendezvous; each then leaves its loop.
           poisoned_.store(true, std::memory_order_relaxed);
-          stop_flag_.store(true, std::memory_order_relaxed);
-          bar.arrive_and_drop();
         }
       });
     }

@@ -9,15 +9,26 @@
 // Execution advances in conservative windows (Chandy/Misra/Bryant style)
 // planned per *sync round* by the WindowPlanner (sim/planner.hpp): each
 // round, every shard's own worker publishes its next event time and its
-// earliest-output time (see OutputBound), the round barrier's completion
+// earliest-output time (see OutputBound), the round rendezvous' completion
 // step computes a deterministic chain of up to kWindowBatch per-shard
 // windows from the fabric's guaranteed lookahead, and workers execute
 // the chain with horizon waits only — before window j each worker spins
 // once on its peers' per-worker progress counters (every peer has finished
 // window j-1), then for each of its shards drains the due prefix of each
-// inbound ring and runs the window. The global barrier is paid once per
-// round (plus once at the end), not once per window; wrapups and stop
-// requests are honored at round boundaries, where every worker is parked.
+// inbound ring and runs the window. The global rendezvous is crossed twice
+// per round (before the plan and after the chain), not once per window;
+// wrapups and stop requests are honored at round boundaries, where every
+// worker waits at the rendezvous.
+//
+// Workers never park in the kernel. The rendezvous is a sense-reversing
+// util::SpinBarrier: the last worker to arrive runs the completion step and
+// bumps the generation the others spin on. It and the horizon waits share
+// one util::SpinWait: poll, std::this_thread::yield() between polls, and
+// a kStallTimeout deadline past which the waiter poisons the pool and
+// throws a check::CheckError naming the worker, the peer it waited for,
+// the windows that peer finished against those needed, and every shard's
+// clock. A worker that throws, in a window or in the completion step,
+// poisons the pool too; every waiter leaves, and run_until rethrows.
 //
 // The plan is a pure function of the round's published inputs and the ring
 // drains are capped by schedule-derived bounds, so which events fire in
@@ -50,11 +61,13 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -64,6 +77,7 @@
 #include "sim/time.hpp"
 #include "util/aligned.hpp"
 #include "util/hotpath.hpp"
+#include "util/spin_wait.hpp"
 #include "util/spsc_ring.hpp"
 
 namespace pasched::sim {
@@ -85,7 +99,7 @@ struct CrossNodeEvent {
 /// on_post runs on the source shard's worker, on_admit on the destination
 /// shard's worker, on_window_begin / on_horizon_publish / on_horizon_wait
 /// on the owning (respectively waiting) shard's worker, and on_plan in the
-/// round barrier's completion step (every worker parked). When no monitor
+/// round rendezvous' completion step (every worker waiting). When no monitor
 /// is installed the engine pays one pointer test per seam.
 class ShardMonitor {
  public:
@@ -102,7 +116,7 @@ class ShardMonitor {
   /// `shard`'s worker is about to execute a window ending at `window_end`
   /// (the deadline for the final, inclusive window).
   virtual void on_window_begin(int shard, Time window_end) = 0;
-  /// The round barrier's completion step planned the next round (ending at
+  /// The round rendezvous' completion step planned the next round (ending at
   /// `window_end`): every shard is quiesced, so cross-shard happens-before
   /// is total here. Fires once per *round*, not per chained window.
   virtual void on_plan(Time window_end, bool final_window) = 0;
@@ -149,7 +163,7 @@ class ShardedEngine {
   /// — the conservative guarantee the executor synchronizes on.
   void post(int src_shard, int dst_shard, Time t, Engine::Callback fn);
   /// Runs `fn` once no shard is mid-event: immediately with one shard, at
-  /// a later round barrier with several. Job-completion bookkeeping (hook
+  /// a later round rendezvous with several. Job-completion bookkeeping (hook
   /// shutdown, aux-thread cancellation) goes through here so it may safely
   /// touch every node.
   void request_wrapup(Engine::Callback fn);
@@ -178,8 +192,10 @@ class ShardedEngine {
   /// [1, partitions()]). Worker w is pinned to core w when the host has at
   /// least `workers` cores; oversubscribed hosts leave placement to the OS,
   /// where pinning everyone to the same cores would only hurt. One shard
-  /// runs on the calling thread with no pool, barrier or pinning. Returns
-  /// false if stopped early via stop_all().
+  /// runs on the calling thread with no pool, rendezvous or pinning. Returns
+  /// false if stopped early via stop_all(). Rethrows the first exception a
+  /// worker or the completion step threw; throws check::CheckError when a
+  /// wait outlasts kStallTimeout.
   bool run_until(Time deadline, int workers);
 
   /// Work to run once per shard in the next run_until: on the worker that
@@ -239,6 +255,13 @@ class ShardedEngine {
   }
   static constexpr std::int64_t kWindowQuantumBuckets = 8;
 
+  /// How long a worker waits for a peer before it declares the run stalled.
+  /// Far above any real window or round: the e2e workloads cross thousands
+  /// of rounds per second. Time the waiter itself was not scheduled for
+  /// (the process stopped or swapped out; util::SpinWait::kPauseGap) does
+  /// not count; a peer held up alone that long does.
+  static constexpr std::chrono::seconds kStallTimeout{60};
+
  private:
   enum class Round : std::uint8_t { Window, Final, Stop };
 
@@ -275,7 +298,7 @@ class ShardedEngine {
 
   /// Drains every inbound ring of `shard` into its engine, walking only
   /// the rings its producers have materialized. With `plan` null, drains
-  /// everything (round boundary: all producers are parked at the barrier).
+  /// everything (round boundary: all producers wait at the rendezvous).
   /// Otherwise drains each pair's due prefix for chained window `j`:
   /// entries with sent_at < W(j)_dst - L, a cap the horizon wait has
   /// made complete and whose leftovers provably belong to future windows
@@ -284,14 +307,28 @@ class ShardedEngine {
   /// Hot half of admission: canonical (t, src, seq) ordering plus per-event
   /// delivery into the destination engine. Lock-free by construction.
   PASCHED_HOT void admit_sorted(int shard, std::vector<CrossNodeEvent>& q);
-  /// Spins until every other worker's progress counter reaches `windows`
-  /// (acquire). Returns early when the run is poisoned.
-  void wait_workers(int worker, int nworkers, std::uint64_t windows);
-  void run_chain(int worker, int nworkers, int S);
+  /// Waits until every other worker's progress counter reaches `windows`
+  /// (acquire). Returns early when the run is poisoned; throws the stall
+  /// error past the wait's deadline.
+  void wait_workers(int worker, int nworkers, std::uint64_t windows,
+                    const util::SpinWait& how);
+  /// Crosses the round rendezvous, running `completion` if this worker
+  /// arrives last. False when the run is poisoned.
+  template <class Completion>
+  bool cross(int worker, int nworkers, util::SpinBarrier& rendezvous,
+             const util::SpinWait& how, Completion&& completion);
+  /// The message of the check::CheckError a wait that outlasted
+  /// kStallTimeout throws: `worker` waited at `where` for `peer` (-1: every
+  /// peer had arrived, so the completion step was running) to finish
+  /// `needed` windows.
+  [[nodiscard]] std::string stall_message(int worker, int nworkers,
+                                          const char* where, int peer,
+                                          std::uint64_t needed) const;
+  void run_chain(int worker, int nworkers, int S, const util::SpinWait& how);
   /// Publishes `shard`'s next event and earliest-output times for the
   /// coming plan; runs on its worker after the round-boundary drain.
   void publish(int shard);
-  void plan_round(Time deadline) noexcept;
+  void plan_round(Time deadline);
   /// Throws check::CheckError when `src_shard` posts before the round's
   /// O*_src (validated builds only; see post()).
   void check_output_claim(int src_shard) const;
@@ -309,7 +346,7 @@ class ShardedEngine {
   std::vector<util::CacheAligned<ShardArena>> arenas_;
   /// A shard's post sequence and execution counters, written only by the
   /// worker running the shard (or by the completion step, every worker
-  /// parked), so they are plain integers; planner_stats() sums them.
+  /// waiting), so they are plain integers; planner_stats() sums them.
   struct ShardCounters {
     std::uint64_t post_seq = 0;  ///< never reset: identifies posts for life
     std::uint64_t coalesced = 0;
@@ -320,36 +357,45 @@ class ShardedEngine {
   // line each, or the sharded hot path false-shares its own bookkeeping
   // (the PSL503 layout rule guards this).
   std::vector<util::CacheAligned<ShardCounters>> counters_;  // owner-written
-  /// What a shard's worker publishes before the round barrier.
+  /// What a shard's worker publishes before the round rendezvous.
   struct Published {
     Time next_t = Time::max();
     Time out_t = Time::max();  ///< O_s; equals next_t without an OutputBound
+    /// The shard's clock after its last finished window, in ns. Relaxed:
+    /// only a stall error reads it, while the owner may still be running.
+    std::atomic<std::int64_t> clock_ns{0};
   };
   std::vector<util::CacheAligned<Published>> published_;
-  /// Per-worker progress: chained windows the worker has finished in this
-  /// run_until, stored with release once all its shards ran the window.
-  /// Peers acquire it before draining the corresponding ring prefixes.
-  std::vector<util::CacheAligned<std::atomic<std::uint64_t>>> progress_;
+  /// Per-worker progress, written only by its worker.
+  struct Progress {
+    /// Chained windows the worker has finished in this run_until, stored
+    /// with release once all its shards ran the window. Peers acquire it
+    /// before draining the corresponding ring prefixes.
+    std::atomic<std::uint64_t> windows{0};
+    /// Rendezvous crossings the worker has arrived at; a stalled
+    /// rendezvous names the peers that lag behind it.
+    std::atomic<std::uint64_t> crossings{0};
+  };
+  std::vector<util::CacheAligned<Progress>> progress_;
   ShardMap map_;
   Duration lookahead_;
   std::size_t ring_capacity_ = 256;
 
   WindowPlanner planner_;
 
-  // Round-plan state: written only in the barrier completion step (all
-  // workers parked), read by workers after the barrier — the barrier itself
-  // is the synchronization.
+  // Round-plan state: written only in the rendezvous' completion step (all
+  // workers waiting), read by workers after it — the rendezvous itself is
+  // the synchronization.
   Round round_ = Round::Window;
   RoundPlan plan_;
   // srclint-ok(PSL503): completion-step scratch, only ever touched with
-  // every worker parked at the round barrier — no concurrent writers exist.
+  // every worker waiting at the rendezvous — no concurrent writers exist.
   std::vector<Time> next_t_plain_;
   // srclint-ok(PSL503): completion-step scratch, as next_t_plain_.
   std::vector<Time> out_t_plain_;
   /// True while plan_.outputs holds the running window round's claims.
   bool claims_live_ = false;
   bool final_done_ = false;
-  int phase_ = 0;
   bool stopped_early_ = false;
 
   // Completion-step counters; the per-shard ones live in counters_.
@@ -358,9 +404,9 @@ class ShardedEngine {
   std::uint64_t final_rounds_ = 0;
 
   alignas(util::kCacheLineBytes) std::atomic<bool> stop_flag_{false};
-  /// Set when a worker dies mid-round: every horizon spin checks it so the
-  /// survivors fall through to the round barrier instead of waiting forever
-  /// on a horizon that will never advance.
+  /// Set when a worker throws or a wait stalls: it is every wait's abort
+  /// flag, so the survivors leave their horizon waits and the rendezvous
+  /// instead of waiting forever for a worker that will never arrive.
   alignas(util::kCacheLineBytes) std::atomic<bool> poisoned_{false};
   std::mutex wrapup_mu_;
   /// A deferred wrapup: the callback plus the requesting shard's clock at

@@ -1,11 +1,13 @@
 // Tests for the partitioned simulation core: Engine's conservative-window
 // primitives (run_before, drain, heap compaction after mass cancellation)
 // and ShardedEngine's cross-shard posting, window planning, horizon waits,
-// inbound ring lists, teardown, and the lookahead check on posts.
+// inbound ring lists, teardown, the lookahead check on posts, and errors
+// thrown inside the worker pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -282,6 +284,65 @@ TEST(Sharded, WrapupRunsAtABarrierNotMidWindow) {
   });
   EXPECT_TRUE(se.run_until(Time::from_ns(1'000'000), 2));
   EXPECT_TRUE(ran);
+}
+
+TEST(Sharded, ThrowingWrapupIsRethrownFromRunUntil) {
+  // The wrapup runs in the rendezvous' completion step on whichever worker
+  // arrived last, while its peers spin on the rendezvous: the error must
+  // poison the pool, release them, and surface from run_until.
+  for (const int workers : {2, 3}) {
+    SCOPED_TRACE(workers);
+    ShardedEngine se(ShardMap::identity(3), Duration::us(10));
+    ShardedEngine* sharded = &se;
+    se.engine_of(0).schedule_at(Time::from_ns(100), [sharded] {
+      sharded->request_wrapup(
+          [] { throw pasched::check::CheckError("wrapup refused"); });
+    });
+    for (int s = 1; s < 3; ++s)
+      se.engine_of(s).schedule_at(Time::from_ns(5'000'000), [] {});
+    try {
+      se.run_until(Time::from_ns(10'000'000), workers);
+      ADD_FAILURE() << "the wrapup's error was swallowed";
+    } catch (const pasched::check::CheckError& e) {
+      EXPECT_STREQ(e.what(), "wrapup refused");
+    }
+  }
+}
+
+TEST(Sharded, WorkerExceptionMidChainIsRethrown) {
+  // Three shards tick every microsecond; shard 1 throws at 35 us, inside
+  // window 4 of the first round's chain of kWindowBatch 10 us windows.
+  // With peers, they then wait for its window-4 horizon, which never
+  // comes: the poison must release them, and the rendezvous after the
+  // chain must not hold them either.
+  for (const int workers : {1, 2, 3}) {
+    SCOPED_TRACE(workers);
+    ShardedEngine se(ShardMap::identity(3), Duration::us(10));
+    struct Ticks {
+      ShardedEngine& se;
+      void tick(int shard) {
+        const Time now = se.engine_of(shard).now();
+        if (shard == 1 && now == Time::from_ns(35'000))
+          throw std::runtime_error("shard 1 failed");
+        Ticks* self = this;
+        se.engine_of(shard).schedule_at(now + Duration::us(1),
+                                        [self, shard] { self->tick(shard); });
+      }
+    } ticks{se};
+    Ticks* t = &ticks;
+    for (int s = 0; s < 3; ++s)
+      se.engine_of(s).schedule_at(Time::zero(), [t, s] { t->tick(s); });
+    try {
+      se.run_until(Time::from_ns(2'000'000), workers);
+      ADD_FAILURE() << "the worker's error was swallowed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 1 failed");
+    }
+    const PlannerStats st = se.planner_stats();
+    EXPECT_EQ(st.rounds, 1U);
+    EXPECT_EQ(st.windows,
+              static_cast<std::uint64_t>(pasched::sim::kWindowBatch));
+  }
 }
 
 namespace {
